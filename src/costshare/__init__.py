@@ -13,8 +13,7 @@ from .core import (Allocation, AllocationCostFn, DimensionMismatchError,
                    SeparableCosts, SetFunction, Trace, allocation_cost,
                    harmonic, restrict_allocation, union_allocations)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
-                         ValuationFn, check_class, gen_symmetric_submodular,
-                         value)
+                         ValuationFn, check_class, gen_symmetric_submodular)
 from .costs import (AlphaReport, InfeasibleCoverError, alpha_average_decreasing,
                     alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
                     alpha_min_bounded_ns, check_cost_class, matching_cost,

@@ -6,19 +6,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, allocation_cost, harmonic)
+                   Trace, allocation_cost, harmonic, scale_to_ints)
 from .costs import (alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
                     alpha_min_bounded_ns)
 from .mechanisms import (iacsm_run, sm_run, verify_final_set_structure,
                          verify_p1, verify_p2)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
-                         ValuationFn, as_rat, value)
+                         ValuationFn, as_rat)
 
 MAX_OPTIMUM_CELLS = 20
 
@@ -40,78 +39,52 @@ def _run_mechanism(mechanism: str, inst: Instance,
 def social_cost(inst: Instance, a: Allocation) -> Rat:
     """Allocation cost plus the total value missed by not serving everything."""
     full = (1 << inst.m) - 1
-    missed = sum((value(v, full) - value(v, b)
+    missed = sum((v.value(full) - v.value(b)
                   for v, b in zip(inst.valuations, a.bundles)), start=Fraction(0))
     return allocation_cost(inst, a) + missed
 
 
-def _optimal_enum(inst: Instance) -> tuple[Rat, Allocation]:
-    best_val = None
-    best = None
-    for bundles in product(range(1 << inst.m), repeat=inst.n):
-        alloc = Allocation(bundles, inst.m)
-        val = social_cost(inst, alloc)
-        if best_val is None or val < best_val:
-            best_val, best = val, alloc
-    return best_val, best
+def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
+    """Exact minimum social cost with the lexicographically smallest witness.
 
-
-def _optimal_fast_separable(inst: Instance) -> tuple[Rat, Allocation] | None:
-    """Vectorized exact minimum over all allocations for separable instances.
-
-    Every value is rescaled to a common-denominator integer, so the argmin is
-    exact; returns None when the rescaled values would not fit in int64 with
-    summation headroom, in which case the caller falls back to enumeration.
+    The social cost of all 2^(n*m) allocations is one integer vector over a
+    common denominator (see ``core.scale_to_ints``): per-player losses plus
+    the per-item costs, or C(A) in index order when costs are non-separable.
+    Player 0 owns the most significant digit of an allocation's index, so
+    argmin's first minimizer is the lexicographically smallest bundle tuple.
     """
     n, m = inst.n, inst.m
-    full = (1 << m) - 1
-    loss_tables = []
-    for v in inst.valuations:
-        top = value(v, full)
-        loss_tables.append([top - value(v, b) for b in range(1 << m)])
-    cost_tables = [fn.to_table() for fn in inst.cost_model.items]
-
-    denom = 1
-    for table in loss_tables + cost_tables:
-        for x in table:
-            denom = lcm(denom, x.denominator)
-    scaled_losses = [[int(x * denom) for x in t] for t in loss_tables]
-    scaled_costs = [[int(x * denom) for x in t] for t in cost_tables]
-    bound = (sum(max(t) for t in scaled_losses if t)
-             + sum(max(t) for t in scaled_costs if t))
-    if bound >= (1 << 62):
-        return None
-
-    size = 1 << (n * m)
-    # player 0 owns the most significant digit so that np.argmin's first
-    # minimizer is the lexicographically smallest bundle tuple
-    arr = np.arange(size, dtype=np.int64)
-    total = np.zeros(size, dtype=np.int64)
-    for i in range(n):
-        shift = m * (n - 1 - i)
-        total += np.array(scaled_losses[i], dtype=np.int64)[(arr >> shift) & full]
-    for j in range(m):
-        t_index = np.zeros(size, dtype=np.int64)
-        for i in range(n):
-            shift = m * (n - 1 - i) + j
-            t_index |= ((arr >> shift) & 1) << i
-        total += np.array(scaled_costs[j], dtype=np.int64)[t_index]
-
-    k = int(np.argmin(total))
-    bundles = tuple((k >> (m * (n - 1 - i))) & full for i in range(n))
-    return Fraction(int(total[k]), denom), Allocation(bundles, m)
-
-
-def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
-    """Exact minimum social cost with the lexicographically smallest witness."""
-    if inst.n * inst.m > MAX_OPTIMUM_CELLS:
+    if n * m > MAX_OPTIMUM_CELLS:
         raise GroundSetTooLargeError(
             f"optimum enumerates (2^m)^n allocations; n*m <= {MAX_OPTIMUM_CELLS} required")
+    full = (1 << m) - 1
+    tables = [[v.value(full) - v.value(b) for b in range(1 << m)]
+              for v in inst.valuations]
     if inst.is_separable:
-        fast = _optimal_fast_separable(inst)
-        if fast is not None:
-            return fast
-    return _optimal_enum(inst)
+        tables += [fn.to_table() for fn in inst.cost_model.items]
+    else:
+        tables.append([inst.cost_model(Allocation(bundles, m))
+                       for bundles in product(range(1 << m), repeat=n)])
+    flat, denom = scale_to_ints([x for t in tables for x in t], terms=len(tables))
+    scaled = np.split(flat, np.cumsum([len(t) for t in tables])[:-1])
+
+    idx = np.arange(1 << (n * m), dtype=np.int64)
+    shifts = [m * (n - 1 - i) for i in range(n)]
+    total = scaled[0][(idx >> shifts[0]) & full]
+    for i in range(1, n):
+        total += scaled[i][(idx >> shifts[i]) & full]
+    if inst.is_separable:
+        for j in range(m):
+            served = np.zeros_like(idx)
+            for i in range(n):
+                served |= ((idx >> (shifts[i] + j)) & 1) << i
+            total += scaled[n + j][served]
+    else:
+        total += scaled[n]
+
+    k = int(np.argmin(total))
+    bundles = tuple((k >> shift) & full for shift in shifts)
+    return Fraction(int(total[k]), denom), Allocation(bundles, m)
 
 
 @dataclass(frozen=True)
@@ -165,7 +138,7 @@ def evaluate_run(inst: Instance, mechanism: str = "iacsm", *,
         approx = _ratio(social, optimum)
 
     npt = all(p >= 0 for p in outcome.payments)
-    ir = all(p <= value(v, b) for v, b, p in
+    ir = all(p <= v.value(b) for v, b, p in
              zip(inst.valuations, outcome.allocation.bundles, outcome.payments))
     flags = InvariantFlags(
         ir=ir, npt=npt,
@@ -201,7 +174,7 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
     deterministic enumeration order, or None.
     """
     truth_outcome, _ = _run_mechanism(mechanism, inst, order=order)
-    base_util = [value(v, b) - p for v, b, p in
+    base_util = [v.value(b) - p for v, b, p in
                  zip(inst.valuations, truth_outcome.allocation.bundles,
                      truth_outcome.payments)]
 
@@ -216,8 +189,7 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
                                             order=order)
                 gains = []
                 for member in coalition:
-                    u = (value(inst.valuations[member],
-                               outcome.allocation.bundles[member])
+                    u = (inst.valuations[member].value(outcome.allocation.bundles[member])
                          - outcome.payments[member])
                     gain = u - base_util[member]
                     if gain <= 0:
@@ -245,7 +217,13 @@ def table_space(m: int, grid: Sequence) -> list[TableValuation]:
     return out
 
 
-def _max_alpha(inst: Instance, estimator, ns_estimator) -> Rat | None:
+def max_alpha(inst: Instance, estimator, ns_estimator) -> Rat | None:
+    """One cost parameter for a whole instance.
+
+    Separable costs take the max of ``estimator`` over the items, clamped at
+    1, which is how the guarantee bounds combine per-item parameters; None
+    when any item is unbounded. Non-separable costs use ``ns_estimator``.
+    """
     if inst.is_separable:
         worst = Fraction(1)
         for fn in inst.cost_model.items:
@@ -281,8 +259,8 @@ def check_icb_bound(inst: Instance, order: Sequence[int] | None = None) -> bool:
         icb_sum += allocation_cost(inst, Allocation(tuple(trial), m)) - base
         prefix[i] = outcome.allocation.bundles[i]
 
-    alpha_min = _max_alpha(inst, alpha_min_bounded, alpha_min_bounded_ns)
-    alpha_max = _max_alpha(inst, alpha_max_bounded, alpha_max_bounded_ns)
+    alpha_min = max_alpha(inst, alpha_min_bounded, alpha_min_bounded_ns)
+    alpha_max = max_alpha(inst, alpha_max_bounded, alpha_max_bounded_ns)
     ok_min = alpha_min is None or icb_sum <= alpha_min * harmonic(n) * opt_cost
     ok_max = alpha_max is None or icb_sum <= alpha_max * opt_cost
     return ok_min and ok_max

@@ -25,8 +25,8 @@ import csv
 import io
 from fractions import Fraction
 
-from ..core import (Instance, Rat, SeparableCosts, SetFunction, format_rat,
-                    mask_of)
+from ..core import (Instance, Rat, SeparableCosts, SetFunction, bits,
+                    format_rat, mask_of)
 from ..costs import (count_served_cost, lifted_separable_cost, matching_cost,
                      max_item_cost, set_cover_cost, table_cost,
                      union_items_cost, vertex_cover_cost)
@@ -68,7 +68,7 @@ def parse_instance(text: str) -> Instance:
     n = m = None
     valuations: dict[int, ValuationFn] = {}
     costs: dict[int, SetFunction] = {}
-    nonsep: tuple[str, list[str]] | None = None
+    nonsep: tuple[str, list[str], int] | None = None
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -79,14 +79,24 @@ def parse_instance(text: str) -> Instance:
                 continue
         toks = line.split()
         key = toks[0]
-        if key == "n":
-            n = _int(toks[1], lineno)
-        elif key == "m":
-            m = _int(toks[1], lineno)
+        if key in ("n", "m", "valuation", "cost") and len(toks) < 2:
+            raise InstanceParseError(f"{key} needs a value", lineno)
+        if key in ("n", "m"):
+            if (n if key == "n" else m) is not None:
+                raise InstanceParseError(f"{key} given twice", lineno)
+            count = _int(toks[1], lineno)
+            if count < 1:
+                raise InstanceParseError(f"{key} must be at least 1, got {count}", lineno)
+            if key == "n":
+                n = count
+            else:
+                m = count
         elif key == "valuation":
             if m is None:
                 raise InstanceParseError("m must precede valuation lines", lineno)
             idx = _int(toks[1], lineno)
+            if idx in valuations:
+                raise InstanceParseError(f"valuation {idx} given twice", lineno)
             variant = toks[2] if len(toks) > 2 else ""
             vals = toks[3:]
             if variant == "symmetric":
@@ -113,6 +123,8 @@ def parse_instance(text: str) -> Instance:
             if n is None:
                 raise InstanceParseError("n must precede cost lines", lineno)
             idx = _int(toks[1], lineno)
+            if idx in costs:
+                raise InstanceParseError(f"cost {idx} given twice", lineno)
             variant = toks[2] if len(toks) > 2 else ""
             rest = toks[3:]
             try:
@@ -125,6 +137,13 @@ def parse_instance(text: str) -> Instance:
                     family = [mask_of(_int(e, lineno) for e in grp.split(","))
                               for grp in rest]
                     costs[idx] = set_cover_cost(n, family)
+                    covered = 0
+                    for subset in family:
+                        covered |= subset
+                    if covered != (1 << n) - 1:
+                        missing = next(bits(~covered & ((1 << n) - 1)))
+                        raise InstanceParseError(
+                            f"no set-cover family set holds player {missing}", lineno)
                 elif variant in ("vertex-cover", "matching"):
                     edges = []
                     for grp in rest:
@@ -145,7 +164,7 @@ def parse_instance(text: str) -> Instance:
         elif key == "nonseparable":
             if len(toks) < 2:
                 raise InstanceParseError("nonseparable needs a builtin name", lineno)
-            nonsep = (toks[1], toks[2:])
+            nonsep = (toks[1], toks[2:], lineno)
         else:
             raise InstanceParseError(f"unknown directive {key!r}", lineno)
 
@@ -162,7 +181,7 @@ def parse_instance(text: str) -> Instance:
     if nonsep is None:
         cost_model = separable()
     else:
-        name, args = nonsep
+        name, args, at = nonsep
         if name == "lifted":
             cost_model = lifted_separable_cost(separable(), n)
         elif name == "max-item":
@@ -170,12 +189,14 @@ def parse_instance(text: str) -> Instance:
         elif name in ("count-served", "union-items"):
             if costs:
                 raise InstanceParseError(
-                    f"cost lines are not allowed with nonseparable {name}", len(lines))
-            weight = _rat(args[0], len(lines)) if args else Fraction(1)
+                    f"cost lines are not allowed with nonseparable {name}", at)
+            weight = _rat(args[0], at) if args else Fraction(1)
+            if weight < 0:
+                raise InstanceParseError(f"{name} weight must be non-negative", at)
             builder = count_served_cost if name == "count-served" else union_items_cost
             cost_model = builder(n, m, weight)
         else:
-            raise InstanceParseError(f"unknown nonseparable builtin {name!r}", len(lines))
+            raise InstanceParseError(f"unknown nonseparable builtin {name!r}", at)
 
     vs = tuple(valuations[i] for i in range(n))
     return Instance(valuations=vs, cost_model=cost_model, m=m)
@@ -183,7 +204,7 @@ def parse_instance(text: str) -> Instance:
 
 def _serialize_cost(fn: SetFunction) -> str:
     if fn.kind == "set-cover":
-        body = " ".join(",".join(str(e) for e in sorted_bits(s))
+        body = " ".join(",".join(str(e) for e in bits(s))
                         for s in fn.meta["family"])
         return f"set-cover {body}"
     if fn.kind in ("vertex-cover", "matching"):
@@ -191,10 +212,6 @@ def _serialize_cost(fn: SetFunction) -> str:
         return f"{fn.kind} {body}"
     vals = " ".join(format_rat(v) for v in fn.to_table())
     return f"table {vals}"
-
-
-def sorted_bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -160,6 +160,8 @@ def gen_paper_tight(params: dict, seed: int) -> Instance:
     n = _int_param(params, "n", 3)
     k = _rat_param(params, "k", 6)
     eps = _rat_param(params, "eps", "1/10")
+    if n < 1:
+        raise GenParamError("n must be at least 1")
     if eps <= 0 or eps >= k / n:
         raise GenParamError("eps must satisfy 0 < eps < k/n")
     vals = tuple(SymmetricSubmodularValuation((k / (i + 1) - eps,)) for i in range(n))
@@ -198,4 +200,10 @@ def generate(kind: str, params: dict, seed: int) -> Instance:
     if kind not in _GENERATORS:
         raise GenParamError(f"unknown generator kind {kind!r}; "
                             f"choose from {', '.join(GEN_KINDS)}")
-    return _GENERATORS[kind](dict(params), seed)
+    try:
+        return _GENERATORS[kind](dict(params), seed)
+    except GenParamError:
+        raise
+    except ValueError as exc:
+        # parameters that parse but describe no instance, e.g. n=0
+        raise GenParamError(f"bad parameters for {kind}: {exc}") from exc

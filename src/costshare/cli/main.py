@@ -15,20 +15,18 @@ from pathlib import Path
 
 from ..core import (GroundSetTooLargeError, Instance, Rat, bits, format_rat,
                     harmonic)
-from ..costs import (AlphaReport, alpha_average_decreasing, alpha_max_bounded,
-                     alpha_max_bounded_ns, alpha_min_bounded,
+from ..costs import (MAX_NS_CELLS, AlphaReport, alpha_average_decreasing,
+                     alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
                      alpha_min_bounded_ns, additive_cost,
                      capped_reciprocal_cost, check_cost_class,
                      decreasing_average_table, public_good_cost, sqrt_max_cost,
                      two_tier_step_cost)
 from ..mechanisms import MechanismPreconditionError
-from ..analysis import MECHANISM_IDS, evaluate_run
+from ..analysis import MECHANISM_IDS, evaluate_run, max_alpha
 from ..valuations import TableValuation, as_table, check_class
 from .formats import (InstanceParseError, format_flag, format_opt_rat,
                       parse_instance, report_text, serialize_instance)
 from .gen import GEN_KINDS, GenParamError, generate
-
-MAX_NS_CELLS = 12
 
 SUITE_CHECKS = (
     "budget-exact", "budget-alpha", "approx-hn", "approx-2a3hn",
@@ -42,28 +40,15 @@ def _mask_set(mask: int) -> str:
 
 
 def _instance_alphas(inst: Instance):
-    """(avg-decreasing, min-bounded, max-bounded), each Rat | None | '' (n/a).
-
-    Separable instances aggregate with max over items, matching how the
-    guarantee bounds combine per-item parameters.
-    """
+    """(avg-decreasing, min-bounded, max-bounded), each Rat | None | '' (n/a)."""
     if inst.is_separable:
-        out = []
-        for estimator in (alpha_average_decreasing, alpha_min_bounded,
-                          alpha_max_bounded):
-            worst: Rat | None = Fraction(1)
-            for fn in inst.cost_model.items:
-                rep = estimator(fn)
-                if rep.unbounded:
-                    worst = None
-                    break
-                worst = max(worst, rep.alpha)
-            out.append(worst)
-        return tuple(out)
-    if inst.n * inst.m > MAX_NS_CELLS:
+        avg_dec = max_alpha(inst, alpha_average_decreasing, None)
+    elif inst.n * inst.m > MAX_NS_CELLS:
         return ("", "", "")
-    return ("", alpha_min_bounded_ns(inst.cost_model).alpha,
-            alpha_max_bounded_ns(inst.cost_model).alpha)
+    else:
+        avg_dec = ""
+    return (avg_dec, max_alpha(inst, alpha_min_bounded, alpha_min_bounded_ns),
+            max_alpha(inst, alpha_max_bounded, alpha_max_bounded_ns))
 
 
 def _fmt_alpha(a) -> str:
@@ -150,9 +135,7 @@ def _check_passes(name: str, inst: Instance, report, alphas) -> bool | None:
             return False
         return social <= min_b * harmonic(n) * opt
     if name == "approx-alpha-max":
-        if max_b == "":
-            return None
-        if max_b is None:
+        if max_b in ("", None):
             return None
         return social <= max_b * opt
     if name == "approx-n":
@@ -233,28 +216,24 @@ def _print_alpha_report(label: str, rep: AlphaReport) -> None:
 def cmd_alpha(args) -> int:
     target = args.target
     builtin = None if Path(target).exists() else _parse_descriptor(target)
-    try:
-        if builtin is not None:
-            print(f"cost descriptor {target}")
-            _print_alpha_report("avg-decreasing", alpha_average_decreasing(builtin))
-            _print_alpha_report("min-bounded", alpha_min_bounded(builtin))
-            _print_alpha_report("max-bounded", alpha_max_bounded(builtin))
-            return 0
-        inst = _load_instance(target)
-        if inst.is_separable:
-            for j, fn in enumerate(inst.cost_model.items):
-                print(f"cost {j} kind={fn.kind}")
-                _print_alpha_report("avg-decreasing", alpha_average_decreasing(fn))
-                _print_alpha_report("min-bounded", alpha_min_bounded(fn))
-                _print_alpha_report("max-bounded", alpha_max_bounded(fn))
-        else:
-            print(f"nonseparable cost kind={inst.cost_model.kind}")
-            _print_alpha_report("min-bounded", alpha_min_bounded_ns(inst.cost_model))
-            _print_alpha_report("max-bounded", alpha_max_bounded_ns(inst.cost_model))
+    if builtin is not None:
+        print(f"cost descriptor {target}")
+        _print_alpha_report("avg-decreasing", alpha_average_decreasing(builtin))
+        _print_alpha_report("min-bounded", alpha_min_bounded(builtin))
+        _print_alpha_report("max-bounded", alpha_max_bounded(builtin))
         return 0
-    except GroundSetTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = _load_instance(target)
+    if inst.is_separable:
+        for j, fn in enumerate(inst.cost_model.items):
+            print(f"cost {j} kind={fn.kind}")
+            _print_alpha_report("avg-decreasing", alpha_average_decreasing(fn))
+            _print_alpha_report("min-bounded", alpha_min_bounded(fn))
+            _print_alpha_report("max-bounded", alpha_max_bounded(fn))
+    else:
+        print(f"nonseparable cost kind={inst.cost_model.kind}")
+        _print_alpha_report("min-bounded", alpha_min_bounded_ns(inst.cost_model))
+        _print_alpha_report("max-bounded", alpha_max_bounded_ns(inst.cost_model))
+    return 0
 
 
 def cmd_gen(args) -> int:
@@ -279,6 +258,15 @@ def cmd_suite(args) -> int:
     mechanism = config.get("mechanism", "iacsm")
     checks = config.get("checks", [])
     order = config.get("order")
+    problems = [f"unknown check {c!r}" for c in checks if c not in SUITE_CHECKS]
+    if mechanism not in MECHANISM_IDS:
+        problems.append(f"unknown mechanism {mechanism!r}")
+    if any("kind" not in spec for spec in config.get("generate", [])):
+        problems.append('every "generate" entry needs a "kind"')
+    if problems:
+        for problem in problems:
+            print(f"error: {args.config}: {problem}", file=sys.stderr)
+        return 2
 
     jobs: list[tuple[str, Instance]] = []
     for path in config.get("instances", []):
@@ -385,7 +373,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (InstanceParseError, GenParamError, MechanismPreconditionError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            GroundSetTooLargeError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,12 +12,16 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 Rat = Fraction
 
 MAX_DENSE_GROUND = 20
 DEFAULT_CACHE_CAP = 1 << 22
+INT64_HEADROOM = 1 << 62
 
 
 class DimensionMismatchError(ValueError):
@@ -49,6 +53,21 @@ def harmonic(k: int) -> Rat:
     if k < 0:
         raise ValueError("harmonic() needs k >= 0")
     return sum((Fraction(1, t) for t in range(1, k + 1)), start=Fraction(0))
+
+
+def scale_to_ints(values: Sequence[Rat], terms: int) -> tuple[np.ndarray, int]:
+    """Scale exact rationals to integers over their least common denominator.
+
+    Returns ``(scaled, denom)`` with ``scaled[k] == values[k] * denom``.
+    ``terms`` is the most entries the caller adds or subtracts in one
+    expression. The array is int64 when that many entries of the largest
+    magnitude stay under INT64_HEADROOM, and holds Python ints
+    (``dtype=object``) otherwise, so the same numpy code is exact either way.
+    """
+    denom = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (denom // v.denominator) for v in values]
+    fits = max(map(abs, scaled), default=0) * terms < INT64_HEADROOM
+    return np.array(scaled, dtype=np.int64 if fits else object), denom
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -208,11 +208,6 @@ def matching_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
                                    meta={"edges": edge_list, "bipartite": colors is not None})
 
 
-def eval_cost(c: SetFunction, player_mask: int) -> Rat:
-    """Evaluate a cost function on a player subset."""
-    return c(player_mask)
-
-
 def check_cost_class(c: SetFunction) -> ClassFlags:
     """Exhaustively classify a cost function over players."""
     return classify_set_function(c)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
                    Trace, bits)
-from .valuations import SymmetricSubmodularValuation, ValuationFn, value
+from .valuations import SymmetricSubmodularValuation, ValuationFn
 
 
 class MechanismPreconditionError(ValueError):
@@ -165,9 +165,9 @@ def sm_run(inst: Instance, order: Sequence[int] | None = None,
                 return C(Allocation(tuple(trial), m)) - base
 
         best_mask = 0
-        best_util = value(decl[i], 0) - price(0)
+        best_util = decl[i].value(0) - price(0)
         for mask in range(1, 1 << m):
-            util = value(decl[i], mask) - price(mask)
+            util = decl[i].value(mask) - price(mask)
             if util > best_util:
                 best_util, best_mask = util, mask
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import (GroundSetTooLargeError, Rat, SetFunction, as_rat)
+from .core import (GroundSetTooLargeError, Rat, SetFunction, as_rat,
+                   scale_to_ints)
 
 MAX_CLASSIFY_GROUND = 16
 
@@ -79,11 +79,6 @@ class TableValuation:
 ValuationFn = Union[SymmetricSubmodularValuation, TableValuation]
 
 
-def value(v: ValuationFn, item_mask: int) -> Rat:
-    """Evaluate a valuation on an item subset."""
-    return v.value(item_mask)
-
-
 def as_table(v: ValuationFn) -> TableValuation:
     """Materialize any valuation as a dense table (used by the class checkers)."""
     if isinstance(v, TableValuation):
@@ -101,22 +96,6 @@ class ClassFlags:
     subadditive: bool
 
 
-def _scaled_ints(vals: list[Rat]) -> list[int] | None:
-    """Common-denominator integer rescaling, or None if it would not fit int64.
-
-    Multiplying every value by the same positive integer preserves all the
-    order comparisons the class checkers make, so the checks stay exact.
-    """
-    denom = 1
-    for v in vals:
-        denom = lcm(denom, v.denominator)
-    scaled = [v.numerator * (denom // v.denominator) for v in vals]
-    # headroom for one addition inside the subadditivity comparison
-    if max((abs(s) for s in scaled), default=0) >= (1 << 61):
-        return None
-    return scaled
-
-
 def classify_set_function(fn: SetFunction) -> ClassFlags:
     """Decide the standard function classes by exhaustive check of each definition."""
     n = fn.ground_size
@@ -126,41 +105,31 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
     vals = fn.to_table()
     size = 1 << n
 
-    scaled = _scaled_ints(vals)
-    if scaled is not None:
-        arr = np.array(scaled, dtype=np.int64)
-        idx = np.arange(size, dtype=np.int64)
-        nondec = all(
-            bool(np.all(arr[(idx | (1 << i))[(idx >> i) & 1 == 0]]
-                        >= arr[(idx >> i) & 1 == 0]))
-            for i in range(n))
-        submod = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                both = (1 << i) | (1 << j)
-                base = idx[(idx & both) == 0]
-                if not np.all(arr[base | (1 << i)] - arr[base]
-                              >= arr[base | both] - arr[base | (1 << j)]):
-                    submod = False
-                    break
-            if not submod:
+    # scaling by one positive constant keeps every comparison below; two
+    # values meet in one sum or difference at most
+    arr, _ = scale_to_ints(vals, terms=2)
+    idx = np.arange(size, dtype=np.int64)
+    nondec = all(
+        bool(np.all(arr[(idx | (1 << i))[(idx >> i) & 1 == 0]]
+                    >= arr[(idx >> i) & 1 == 0]))
+        for i in range(n))
+    submod = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            both = (1 << i) | (1 << j)
+            base = idx[(idx & both) == 0]
+            if not np.all(arr[base | (1 << i)] - arr[base]
+                          >= arr[base | both] - arr[base | (1 << j)]):
+                submod = False
                 break
-        subadd = True
-        for s in range(size):
-            t = idx[s:]
-            if not np.all(arr[s] + arr[s:] >= arr[t | s]):
-                subadd = False
-                break
-    else:
-        nondec = all(vals[s | (1 << i)] >= vals[s]
-                     for s in range(size) for i in range(n) if not (s >> i) & 1)
-        submod = all(
-            vals[s | (1 << i)] - vals[s] >= vals[s | (1 << i) | (1 << j)] - vals[s | (1 << j)]
-            for s in range(size)
-            for i in range(n) if not (s >> i) & 1
-            for j in range(n) if j != i and not (s >> j) & 1)
-        subadd = all(vals[s] + vals[t] >= vals[s | t]
-                     for s in range(size) for t in range(s, size))
+        if not submod:
+            break
+    subadd = True
+    for s in range(size):
+        t = idx[s:]
+        if not np.all(arr[s] + arr[s:] >= arr[t | s]):
+            subadd = False
+            break
 
     by_card: list[list[Rat]] = [[] for _ in range(n + 1)]
     for mask in range(size):

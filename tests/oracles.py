@@ -8,6 +8,11 @@ test.
 from fractions import Fraction
 from itertools import combinations, product
 
+# distinct primes near 1e9: any three have an lcm above 2^62, so values over
+# them push the exact integer kernels onto Python-int (object) arrays
+BIG_PRIMES = (999999733, 999999739, 999999751, 999999757, 999999761,
+              999999797, 999999883, 999999893, 999999929, 999999937)
+
 
 def bits_of(mask):
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
@@ -127,15 +132,14 @@ def naive_min_set_cover(family, mask):
 def naive_optimal_social_cost(inst):
     """Minimum social cost by direct enumeration of every allocation."""
     from costshare.core import Allocation, allocation_cost
-    from costshare.valuations import value
 
     full = (1 << inst.m) - 1
-    top = sum((value(v, full) for v in inst.valuations), start=Fraction(0))
+    top = sum((v.value(full) for v in inst.valuations), start=Fraction(0))
     best_val = None
     best = None
     for bundles in product(range(1 << inst.m), repeat=inst.n):
         alloc = Allocation(bundles, inst.m)
-        got = sum((value(v, b) for v, b in zip(inst.valuations, bundles)),
+        got = sum((v.value(b) for v, b in zip(inst.valuations, bundles)),
                   start=Fraction(0))
         val = allocation_cost(inst, alloc) + top - got
         if best_val is None or val < best_val:

@@ -3,19 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from costshare import analysis
 from costshare.core import (Allocation, GroundSetTooLargeError, Instance,
-                            SeparableCosts, harmonic)
+                            SeparableCosts, harmonic, scale_to_ints)
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
-                             public_good_cost, symmetric_submodular_cost,
-                             table_cost, vertex_cover_cost)
+                             lifted_separable_cost, public_good_cost,
+                             symmetric_submodular_cost, table_cost,
+                             vertex_cover_cost)
 from costshare.analysis import (DeviationWitness, check_icb_bound, evaluate_run,
                                 optimal_social_cost, social_cost,
                                 symmetric_marginal_space, table_space,
                                 wgsp_search)
-from costshare.valuations import (SymmetricSubmodularValuation, TableValuation,
-                                  value)
+from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
-from oracles import naive_optimal_social_cost
+from oracles import BIG_PRIMES, naive_optimal_social_cost
 
 F = Fraction
 
@@ -81,22 +82,36 @@ def test_optimum_single_player():
     assert alloc.bundles == (1,)
 
 
-def test_optimum_fast_path_matches_enumeration():
+def test_optimum_fast_path_matches_enumeration(monkeypatch):
+    dtypes = []
+
+    def spy(values, terms):
+        out = scale_to_ints(values, terms)
+        dtypes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(analysis, "scale_to_ints", spy)
     rng = random.Random(6)
-    for _ in range(20):
-        n, m = rng.randint(1, 3), rng.randint(1, 3)
-        vals = tuple(
-            TableValuation.from_values(
-                [0] + [F(rng.randint(0, 6), rng.randint(1, 3))
-                       for _ in range((1 << m) - 1)])
-            for _ in range(n))
-        sep = SeparableCosts(tuple(table_cost(random_monotone_table(rng, n))
-                                   for _ in range(m)))
-        inst = Instance(valuations=vals, cost_model=sep, m=m)
-        got_val, got_alloc = optimal_social_cost(inst)
-        want_val, want_alloc = naive_optimal_social_cost(inst)
-        assert got_val == want_val
-        assert got_alloc == want_alloc  # same lexicographic tie-break
+    # small denominators stay on int64; primes near 1e9 overflow it
+    for denominator, overflows in ((lambda: rng.randint(1, 3), False),
+                                   (lambda: rng.choice(BIG_PRIMES), True)):
+        dtypes.clear()
+        for _ in range(20):
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            vals = tuple(
+                TableValuation.from_values(
+                    [0] + [F(rng.randint(0, 6), denominator())
+                           for _ in range((1 << m) - 1)])
+                for _ in range(n))
+            sep = SeparableCosts(tuple(table_cost(random_monotone_table(rng, n))
+                                       for _ in range(m)))
+            for cost_model in (sep, lifted_separable_cost(sep, n)):
+                inst = Instance(valuations=vals, cost_model=cost_model, m=m)
+                got_val, got_alloc = optimal_social_cost(inst)
+                want_val, want_alloc = naive_optimal_social_cost(inst)
+                assert got_val == want_val
+                assert got_alloc == want_alloc  # same lexicographic tie-break
+        assert (object in dtypes) == overflows
 
 
 def test_optimum_nonseparable():
@@ -195,10 +210,9 @@ def test_wgsp_broken_variant_yields_unilateral_witness():
     out, _ = iacsm_run(inst, declared, first_iteration_quote_scale=F(1, 2))
     base_out, _ = iacsm_run(inst, first_iteration_quote_scale=F(1, 2))
     for member, gain in zip(witness.coalition, witness.gains):
-        u_dev = (value(inst.valuations[member], out.allocation.bundles[member])
+        u_dev = (inst.valuations[member].value(out.allocation.bundles[member])
                  - out.payments[member])
-        u_base = (value(inst.valuations[member],
-                        base_out.allocation.bundles[member])
+        u_base = (inst.valuations[member].value(base_out.allocation.bundles[member])
                   - base_out.payments[member])
         assert u_dev - u_base == gain
 

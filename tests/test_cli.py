@@ -1,9 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from costshare.cli.formats import (InstanceParseError, parse_instance,
                                    serialize_instance)
@@ -243,3 +247,74 @@ def test_main_callable_in_process(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "avg-decreasing   1/1" in out
+
+
+# --- bad input: exit 2 with a message, never a traceback -------------------------
+
+TWO_PLAYERS = ("costshare-instance v1\nn 2\nm 1\n"
+               "valuation 0 symmetric 1/1\nvaluation 1 symmetric 2/1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("costshare-instance v1\nn\nm 1\n", "line 2: n needs a value"),
+    (TWO_PLAYERS + "valuation 0 symmetric 3/1\ncost 0 table 0/1 1/1 1/1 2/1\n",
+     "line 6: valuation 0 given twice"),
+    (TWO_PLAYERS + "cost 0 set-cover 0\n", "line 6: no set-cover family set holds player 1"),
+    (TWO_PLAYERS + "nonseparable count-served -1/1\n",
+     "line 6: count-served weight must be non-negative"),
+], ids=["n-without-value", "repeated-valuation", "set-cover-misses-player",
+        "negative-weight"])
+def test_cli_bad_instance_exits_2_with_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.inst"
+    path.write_text(text)
+    assert main(["run", str(path), "--mechanism", "sm"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_gen_empty_instance_exits_2(capsys):
+    assert main(["gen", "random-symmetric", "--param", "n=0", "--param", "m=1"]) == 2
+    assert "need at least one player and one item" in capsys.readouterr().err
+
+
+def test_cli_run_past_optimum_size_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "cover21.inst"
+    assert main(["gen", "set-cover", "--param", "n=21", "--out", str(path)]) == 0
+    assert main(["run", str(path), "--mechanism", "sm"]) == 2
+    assert "n*m <= 20 required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"instances": ["instances/prop_tight_n3_k6.inst"],
+      "checks": ["budget-exact", "no-such-check"]}, "unknown check 'no-such-check'"),
+    ({"generate": [{"params": {"n": "2", "m": "1"}, "count": 1}]},
+     'every "generate" entry needs a "kind"'),
+], ids=["unknown-check", "generate-without-kind"])
+def test_cli_suite_config_checked_before_any_instance(tmp_path, capsys, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "mechanism": "sm", **config}))
+    assert main(["suite", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""  # no report: nothing ran
+
+
+FUZZ_TOKENS = ("-1", "0", "3", "x", "1/0", "")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_fuzzed_bundled_instances_exit_cleanly(data):
+    source = data.draw(st.sampled_from(INSTANCES), label="instance")
+    lines = [line.split(" ") for line in source.read_text().splitlines()]
+    spots = [(r, c) for r, toks in enumerate(lines) for c in range(len(toks))]
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(spots), st.sampled_from(FUZZ_TOKENS)),
+                               min_size=1, max_size=3), label="edits")
+    for (r, c), tok in edits:
+        lines[r][c] = tok
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / source.name
+        path.write_text("\n".join(" ".join(toks) for toks in lines) + "\n")
+        for command in ("run", "check"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([command, str(path)])
+            assert code in (0, 1, 2)

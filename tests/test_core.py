@@ -1,13 +1,17 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from costshare.core import (Allocation, DimensionMismatchError, Instance,
-                            SeparableCosts, SetFunction, allocation_cost,
-                            harmonic, restrict_allocation, union_allocations)
+from costshare.core import (INT64_HEADROOM, Allocation, DimensionMismatchError,
+                            Instance, SeparableCosts, SetFunction,
+                            allocation_cost, harmonic, restrict_allocation,
+                            scale_to_ints, union_allocations)
 from costshare.costs import decreasing_average_table, table_cost
 from costshare.valuations import SymmetricSubmodularValuation
+
+from oracles import BIG_PRIMES
 
 
 def make_instance(n, m, cost_tables):
@@ -129,3 +133,23 @@ def test_oracle_memoization_counts_calls():
     for _ in range(3):
         assert sf(0b101) == 2
     assert calls.count(0b101) == 1
+
+
+def test_scale_to_ints_object_dtype_past_int64_headroom():
+    vals = [Fraction(k, p) for k, p in zip(range(-2, 3), BIG_PRIMES)]
+    arr, denom = scale_to_ints(vals, terms=1)
+    assert arr.dtype == object
+    assert denom > INT64_HEADROOM
+    assert [Fraction(int(x), denom) for x in arr] == vals
+
+
+def test_scale_to_ints_int64_just_under_headroom():
+    # terms copies of the largest magnitude must stay below the headroom
+    top = (INT64_HEADROOM - 1) // 3
+    arr, denom = scale_to_ints([Fraction(0), Fraction(-top), Fraction(top, 1)], terms=3)
+    assert arr.dtype == np.int64 and denom == 1
+    assert arr.tolist() == [0, -top, top]
+    arr, _ = scale_to_ints([Fraction(0), Fraction(-(top + 1))], terms=3)
+    assert arr.dtype == object
+    arr, denom = scale_to_ints([Fraction(1, 3), Fraction(top - 1, 3)], terms=3)
+    assert arr.dtype == np.int64 and denom == 3

@@ -12,8 +12,7 @@ from costshare.costs import (capped_reciprocal_cost, count_served_cost,
 from costshare.mechanisms import (MechanismPreconditionError, greedy_bundle,
                                   iacsm_run, sm_run, verify_final_set_structure,
                                   verify_p1, verify_p2)
-from costshare.valuations import (SymmetricSubmodularValuation, TableValuation,
-                                  value)
+from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
 from oracles import exhaustive_optimal_bundle, shares_from_withdrawal_prefixes
 
@@ -152,7 +151,7 @@ def test_iacsm_trace_invariants_on_random_instances():
             assert all(pos[a] < pos[b] for a, b in zip(tau_j, tau_j[1:]))
         # npt / ir
         assert all(p >= 0 for p in out.payments)
-        assert all(p <= value(v, b) for v, b, p in
+        assert all(p <= v.value(b) for v, b, p in
                    zip(inst.valuations, out.allocation.bundles, out.payments))
 
 
@@ -293,7 +292,7 @@ def test_sm_budget_exact_by_telescoping():
         out = sm_run(inst, order=order)
         assert out.total_payment == allocation_cost(inst, out.allocation)
         assert all(p >= 0 for p in out.payments)
-        assert all(p <= value(v, b) for v, b, p in
+        assert all(p <= v.value(b) for v, b, p in
                    zip(inst.valuations, out.allocation.bundles, out.payments))
 
 

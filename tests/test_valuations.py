@@ -1,20 +1,26 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from costshare import valuations
+from costshare.core import SetFunction, scale_to_ints
 from costshare.costs import decreasing_average_table
 from costshare.valuations import (SymmetricSubmodularValuation, TableValuation,
                                   as_table, check_class, classify_set_function,
-                                  gen_symmetric_submodular, value)
+                                  gen_symmetric_submodular)
+
+from oracles import (BIG_PRIMES, naive_nondecreasing, naive_subadditive,
+                     naive_submodular)
 
 
 def test_symmetric_value_by_cardinality():
     v = SymmetricSubmodularValuation((Fraction(3), Fraction(1)))
-    assert value(v, 0) == 0
-    assert value(v, 0b01) == 3
-    assert value(v, 0b10) == 3
-    assert value(v, 0b11) == 4
+    assert v.value(0) == 0
+    assert v.value(0b01) == 3
+    assert v.value(0b10) == 3
+    assert v.value(0b11) == 4
 
 
 def test_symmetric_rejects_increasing_marginals():
@@ -36,7 +42,7 @@ def test_symmetric_value_invariant_under_item_permutation(raw):
     m = len(margs)
     for mask in range(1 << m):
         # any mask of equal popcount has equal value
-        assert value(v, mask) == v.value_of_size(mask.bit_count())
+        assert v.value(mask) == v.value_of_size(mask.bit_count())
 
 
 def test_check_class_additive_table():
@@ -66,6 +72,40 @@ def test_check_class_step_table_not_subadditive():
     flags = check_class(TableValuation.from_values(table))
     assert flags.symmetric
     assert not flags.subadditive
+
+
+def test_class_flags_match_naive_definitions(monkeypatch):
+    dtypes = []
+
+    def spy(values, terms):
+        out = scale_to_ints(values, terms)
+        dtypes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(valuations, "scale_to_ints", spy)
+    rng = random.Random(23)
+    # small denominators stay on int64; primes near 1e9 overflow it
+    for denominators in ((1, 2, 3), BIG_PRIMES):
+        dtypes.clear()
+        for trial in range(30):
+            n = rng.randint(2, 4)
+            draw = [Fraction(rng.randint(0, 4), rng.choice(denominators))
+                    for _ in range(1 << n)]
+            if trial % 3 == 0:  # additive: modular, so submodular with equality
+                table = [sum((draw[i] for i in range(n) if (mask >> i) & 1), Fraction(0))
+                         for mask in range(1 << n)]
+            elif trial % 3 == 1:  # non-decreasing by construction
+                table = [Fraction(0)] * (1 << n)
+                for mask in range(1, 1 << n):
+                    table[mask] = draw[mask] + max(table[mask & ~(1 << i)]
+                                                   for i in range(n) if (mask >> i) & 1)
+            else:
+                table = [Fraction(0)] + draw[1:]
+            flags = classify_set_function(SetFunction.from_table(table))
+            assert flags.nondecreasing == naive_nondecreasing(table, n)
+            assert flags.submodular == naive_submodular(table, n)
+            assert flags.subadditive == naive_subadditive(table, n)
+        assert (object in dtypes) == (denominators == BIG_PRIMES)
 
 
 def test_symmetric_variant_classified_as_expected():
