@@ -16,8 +16,8 @@ from .valuations import (SymmetricSubmodularValuation, TableValuation,
                          ValuationFn, check_class, gen_symmetric_submodular)
 from .costs import (AlphaReport, InfeasibleCoverError, alpha_average_decreasing,
                     alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
-                    alpha_min_bounded_ns, check_cost_class, matching_cost,
-                    set_cover_cost, table_cost, vertex_cover_cost)
+                    alpha_min_bounded_ns, matching_cost, set_cover_cost,
+                    table_cost, vertex_cover_cost)
 from .mechanisms import (MechanismPreconditionError, greedy_bundle, iacsm_run,
                          sm_run, verify_final_set_structure, verify_p1,
                          verify_p2)

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, allocation_cost, harmonic, scale_to_ints)
+                   Trace, allocation_cost, bundle_shifts, harmonic, scale_to_ints)
 from .costs import (alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
                     alpha_min_bounded_ns)
 from .mechanisms import (iacsm_run, sm_run, verify_final_set_structure,
@@ -50,8 +50,8 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     The social cost of all 2^(n*m) allocations is one integer vector over a
     common denominator (see ``core.scale_to_ints``): per-player losses plus
     the per-item costs, or C(A) in index order when costs are non-separable.
-    Player 0 owns the most significant digit of an allocation's index, so
-    argmin's first minimizer is the lexicographically smallest bundle tuple.
+    Index order is lexicographic bundle-tuple order (``core.bundle_shifts``),
+    so argmin's first minimizer is the lexicographically smallest witness.
     """
     n, m = inst.n, inst.m
     if n * m > MAX_OPTIMUM_CELLS:
@@ -63,13 +63,12 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     if inst.is_separable:
         tables += [fn.to_table() for fn in inst.cost_model.items]
     else:
-        tables.append([inst.cost_model(Allocation(bundles, m))
-                       for bundles in product(range(1 << m), repeat=n)])
+        tables.append(inst.cost_model.to_table())
     flat, denom = scale_to_ints([x for t in tables for x in t], terms=len(tables))
     scaled = np.split(flat, np.cumsum([len(t) for t in tables])[:-1])
 
     idx = np.arange(1 << (n * m), dtype=np.int64)
-    shifts = [m * (n - 1 - i) for i in range(n)]
+    shifts = bundle_shifts(n, m)
     total = scaled[0][(idx >> shifts[0]) & full]
     for i in range(1, n):
         total += scaled[i][(idx >> shifts[i]) & full]
@@ -83,8 +82,7 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
         total += scaled[n]
 
     k = int(np.argmin(total))
-    bundles = tuple((k >> shift) & full for shift in shifts)
-    return Fraction(int(total[k]), denom), Allocation(bundles, m)
+    return Fraction(int(total[k]), denom), Allocation.from_index(k, n, m)
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,20 @@ from pathlib import Path
 
 from ..core import (GroundSetTooLargeError, Instance, Rat, bits, format_rat,
                     harmonic)
-from ..costs import (MAX_NS_CELLS, AlphaReport, alpha_average_decreasing,
-                     alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
+from ..costs import (MAX_ESTIMATOR_GROUND, MAX_NS_CELLS, AlphaReport,
+                     alpha_average_decreasing, alpha_max_bounded,
+                     alpha_max_bounded_ns, alpha_min_bounded,
                      alpha_min_bounded_ns, additive_cost,
-                     capped_reciprocal_cost, check_cost_class,
-                     decreasing_average_table, public_good_cost, sqrt_max_cost,
-                     two_tier_step_cost)
+                     capped_reciprocal_cost, decreasing_average_table,
+                     public_good_cost, sqrt_max_cost, two_tier_step_cost)
 from ..mechanisms import MechanismPreconditionError
 from ..analysis import MECHANISM_IDS, evaluate_run, max_alpha
-from ..valuations import TableValuation, as_table, check_class
+from ..valuations import (MAX_CLASSIFY_GROUND, TableValuation, check_class,
+                          classify_set_function)
 from .formats import (InstanceParseError, format_flag, format_opt_rat,
                       parse_instance, report_text, serialize_instance)
-from .gen import GEN_KINDS, GenParamError, generate
+from .gen import (GEN_KINDS, GenParamError, _grid, _int_param, _rat_param,
+                  generate)
 
 SUITE_CHECKS = (
     "budget-exact", "budget-alpha", "approx-hn", "approx-2a3hn",
@@ -177,29 +179,46 @@ def cmd_run(args) -> int:
     return 0 if report.flags.all_hold() else 1
 
 
+# name -> (parameter keys, builder)
 _DESCRIPTOR_BUILTINS = {
-    "decreasing-average": lambda p: decreasing_average_table(),
-    "two-tier-step": lambda p: two_tier_step_cost(int(p.get("n", 3))),
-    "capped-reciprocal": lambda p: capped_reciprocal_cost(
-        int(p.get("n", 3)), Fraction(p.get("k", 6))),
-    "sqrt-max": lambda p: sqrt_max_cost(int(p.get("n", 4))),
-    "public-good": lambda p: public_good_cost(int(p.get("n", 4)),
-                                              Fraction(p.get("k", 1))),
-    "additive": lambda p: additive_cost([Fraction(w) for w in
-                                         p.get("weights", "1").split(",")]),
+    "decreasing-average": ((), lambda p: decreasing_average_table()),
+    "two-tier-step": (("n",), lambda p: two_tier_step_cost(_int_param(p, "n", 3))),
+    "capped-reciprocal": (("n", "k"), lambda p: capped_reciprocal_cost(
+        _int_param(p, "n", 3), _rat_param(p, "k", 6))),
+    "sqrt-max": (("n",), lambda p: sqrt_max_cost(_int_param(p, "n", 4))),
+    "public-good": (("n", "k"), lambda p: public_good_cost(
+        _int_param(p, "n", 4), _rat_param(p, "k", 1))),
+    "additive": (("weights",), lambda p: additive_cost(_grid(p, "weights", "1"))),
 }
 
 
 def _parse_descriptor(text: str):
+    """The cost a descriptor like ``additive:weights=1,2,3`` names, or None;
+    an item with no ``=`` continues the previous value."""
     name, _, rest = text.partition(":")
     if name not in _DESCRIPTOR_BUILTINS:
         return None
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            params[key] = val
-    return _DESCRIPTOR_BUILTINS[name](params)
+    keys, build = _DESCRIPTOR_BUILTINS[name]
+    params: dict[str, str] = {}
+    key = None
+    for item in rest.split(",") if rest else ():
+        if "=" not in item and key is not None:
+            params[key] += "," + item
+            continue
+        key, _, val = item.partition("=")
+        if key not in keys:
+            raise GenParamError(f"{name} takes no parameter {key!r}")
+        params[key] = val
+    # checked before the builder materializes a 2^n table; every default n is small
+    size = len(params["weights"].split(",")) if "weights" in params else _int_param(params, "n", 1)
+    if not 1 <= size <= MAX_ESTIMATOR_GROUND:
+        raise GenParamError(f"descriptor costs are limited to 1..{MAX_ESTIMATOR_GROUND} "
+                            f"players, got {size}")
+    try:
+        return build(params)
+    except ValueError as exc:
+        # parameters that describe no cost, e.g. n=x or a negative weight
+        raise GenParamError(f"bad {name} descriptor: {exc}") from exc
 
 
 def _print_alpha_report(label: str, rep: AlphaReport) -> None:
@@ -209,30 +228,28 @@ def _print_alpha_report(label: str, rep: AlphaReport) -> None:
         witness = f"T={_mask_set(rep.witness[1])}"
     else:
         witness = f"T={_mask_set(rep.witness[0])}"
-    note = "" if rep.exact else " (sampled lower bound)"
-    print(f"  {label:<16} {format_opt_rat(rep.alpha):<12} witness {witness}{note}")
+    print(f"  {label:<16} {format_opt_rat(rep.alpha):<12} witness {witness}")
 
 
 def cmd_alpha(args) -> int:
     target = args.target
     builtin = None if Path(target).exists() else _parse_descriptor(target)
     if builtin is not None:
-        print(f"cost descriptor {target}")
-        _print_alpha_report("avg-decreasing", alpha_average_decreasing(builtin))
-        _print_alpha_report("min-bounded", alpha_min_bounded(builtin))
-        _print_alpha_report("max-bounded", alpha_max_bounded(builtin))
-        return 0
-    inst = _load_instance(target)
-    if inst.is_separable:
-        for j, fn in enumerate(inst.cost_model.items):
-            print(f"cost {j} kind={fn.kind}")
-            _print_alpha_report("avg-decreasing", alpha_average_decreasing(fn))
-            _print_alpha_report("min-bounded", alpha_min_bounded(fn))
-            _print_alpha_report("max-bounded", alpha_max_bounded(fn))
+        separable = [(f"cost descriptor {target}", builtin)]
     else:
-        print(f"nonseparable cost kind={inst.cost_model.kind}")
-        _print_alpha_report("min-bounded", alpha_min_bounded_ns(inst.cost_model))
-        _print_alpha_report("max-bounded", alpha_max_bounded_ns(inst.cost_model))
+        inst = _load_instance(target)
+        if not inst.is_separable:
+            print(f"nonseparable cost kind={inst.cost_model.kind}")
+            _print_alpha_report("min-bounded", alpha_min_bounded_ns(inst.cost_model))
+            _print_alpha_report("max-bounded", alpha_max_bounded_ns(inst.cost_model))
+            return 0
+        separable = [(f"cost {j} kind={fn.kind}", fn)
+                     for j, fn in enumerate(inst.cost_model.items)]
+    for title, fn in separable:
+        print(title)
+        _print_alpha_report("avg-decreasing", alpha_average_decreasing(fn))
+        _print_alpha_report("min-bounded", alpha_min_bounded(fn))
+        _print_alpha_report("max-bounded", alpha_max_bounded(fn))
     return 0
 
 
@@ -318,12 +335,12 @@ def cmd_check(args) -> int:
 
     if inst.is_separable:
         for j, fn in enumerate(inst.cost_model.items):
-            print(f"cost {j} {fmt(check_cost_class(fn))}")
+            print(f"cost {j} {fmt(classify_set_function(fn))}")
     else:
         print("nonseparable cost: class checks apply to separable costs only")
     for i, v in enumerate(inst.valuations):
-        if isinstance(v, TableValuation) or inst.m <= 16:
-            print(f"valuation {i} {fmt(check_class(as_table(v)))}")
+        if isinstance(v, TableValuation) or inst.m <= MAX_CLASSIFY_GROUND:
+            print(f"valuation {i} {fmt(check_class(v))}")
     return 0
 
 

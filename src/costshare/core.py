@@ -78,21 +78,20 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """Yield all submasks of ``mask`` including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def mask_of(indices: Iterable[int]) -> int:
     out = 0
     for i in indices:
         out |= 1 << i
     return out
+
+
+def bundle_shifts(n: int, m: int) -> list[int]:
+    """Bit offset of each player's m-bit bundle inside an allocation index.
+
+    This is the one allocation index layout: player 0's bundle is the most
+    significant m bits, so ascending index is lexicographic bundle-tuple order.
+    """
+    return [m * (n - 1 - i) for i in range(n)]
 
 
 class SetFunction:
@@ -108,11 +107,11 @@ class SetFunction:
     """
 
     __slots__ = ("ground_size", "kind", "meta", "approximate",
-                 "_table", "_oracle", "_cache", "_cache_cap", "_lock")
+                 "_table", "_oracle", "_cache", "_lock")
 
     def __init__(self, ground_size: int, *, table=None, oracle=None,
                  kind: str = "table", meta: dict | None = None,
-                 approximate: bool = False, cache_cap: int = DEFAULT_CACHE_CAP):
+                 approximate: bool = False):
         if ground_size < 0:
             raise ValueError("ground_size must be non-negative")
         if (table is None) == (oracle is None):
@@ -124,7 +123,6 @@ class SetFunction:
         self._table = table
         self._oracle = oracle
         self._cache: dict[int, Rat] = {}
-        self._cache_cap = cache_cap
         self._lock = threading.Lock()
 
     @classmethod
@@ -148,10 +146,8 @@ class SetFunction:
     @classmethod
     def from_oracle(cls, ground_size: int, fn: Callable[[int], Rat], *,
                     require_zero_empty: bool = False, kind: str = "oracle",
-                    meta: dict | None = None, approximate: bool = False,
-                    cache_cap: int = DEFAULT_CACHE_CAP) -> "SetFunction":
-        obj = cls(ground_size, oracle=fn, kind=kind, meta=meta,
-                  approximate=approximate, cache_cap=cache_cap)
+                    meta: dict | None = None, approximate: bool = False) -> "SetFunction":
+        obj = cls(ground_size, oracle=fn, kind=kind, meta=meta, approximate=approximate)
         if require_zero_empty and obj(0) != 0:
             raise ValueError("cost functions must satisfy f(empty) = 0")
         return obj
@@ -167,7 +163,7 @@ class SetFunction:
         val = as_rat(self._oracle(mask))
         if val < 0:
             raise ValueError("set function oracle returned a negative value")
-        if len(self._cache) < self._cache_cap:
+        if len(self._cache) < DEFAULT_CACHE_CAP:
             with self._lock:
                 self._cache[mask] = val
         return val
@@ -227,6 +223,11 @@ class Allocation:
         return cls(tuple(bundles), len(served))
 
     @classmethod
+    def from_index(cls, k: int, n: int, m: int) -> "Allocation":
+        """The allocation at position ``k`` of index order (see ``bundle_shifts``)."""
+        return cls(tuple((k >> s) & ((1 << m) - 1) for s in bundle_shifts(n, m)), m)
+
+    @classmethod
     def empty(cls, n: int, m: int) -> "Allocation":
         return cls((0,) * n, m)
 
@@ -273,18 +274,16 @@ class AllocationCostFn:
     keyed on the bundle tuple and writes are serialized.
     """
 
-    __slots__ = ("n", "m", "kind", "meta", "_fn", "_cache", "_cache_cap", "_lock")
+    __slots__ = ("n", "m", "kind", "meta", "_fn", "_cache", "_lock")
 
     def __init__(self, n: int, m: int, fn: Callable[[tuple[int, ...]], Rat], *,
-                 kind: str = "oracle", meta: dict | None = None,
-                 cache_cap: int = DEFAULT_CACHE_CAP):
+                 kind: str = "oracle", meta: dict | None = None):
         self.n = n
         self.m = m
         self.kind = kind
         self.meta = meta or {}
         self._fn = fn
         self._cache: dict[tuple[int, ...], Rat] = {}
-        self._cache_cap = cache_cap
         self._lock = threading.Lock()
         if self(Allocation.empty(n, m)) != 0:
             raise ValueError("allocation cost of the empty allocation must be 0")
@@ -298,10 +297,17 @@ class AllocationCostFn:
         val = as_rat(self._fn(a.bundles))
         if val < 0:
             raise ValueError("allocation cost oracle returned a negative value")
-        if len(self._cache) < self._cache_cap:
+        if len(self._cache) < DEFAULT_CACHE_CAP:
             with self._lock:
                 self._cache[a.bundles] = val
         return val
+
+    def to_table(self) -> list[Rat]:
+        """C of all 2^(n*m) allocations in index order (n*m <= 20 only)."""
+        n, m = self.n, self.m
+        if n * m > MAX_DENSE_GROUND:
+            raise GroundSetTooLargeError(f"cannot materialize n*m = {n * m} > {MAX_DENSE_GROUND}")
+        return [self(Allocation.from_index(k, n, m)) for k in range(1 << (n * m))]
 
     def __repr__(self):
         return f"AllocationCostFn(n={self.n}, m={self.m}, kind={self.kind!r})"

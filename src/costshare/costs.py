@@ -17,16 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import isqrt
-from typing import Callable, Sequence
+from math import isqrt, lcm
+from typing import Sequence
 
 from .core import (Allocation, AllocationCostFn, GroundSetTooLargeError, Rat,
-                   SeparableCosts, SetFunction, as_rat, bits, restrict_allocation)
-from .valuations import ClassFlags, classify_set_function
+                   SeparableCosts, SetFunction, as_rat, bits, bundle_shifts,
+                   scale_to_ints)
 
 MAX_ESTIMATOR_GROUND = 16
-MAX_BOUNDED_GROUND = 20
 MAX_NS_CELLS = 12
 
 SQRT_SCALE = 10 ** 6
@@ -208,11 +206,6 @@ def matching_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
                                    meta={"edges": edge_list, "bipartite": colors is not None})
 
 
-def check_cost_class(c: SetFunction) -> ClassFlags:
-    """Exhaustively classify a cost function over players."""
-    return classify_set_function(c)
-
-
 @dataclass(frozen=True)
 class AlphaReport:
     """Least parameter satisfying one of the average-cost-share definitions.
@@ -220,17 +213,25 @@ class AlphaReport:
     ``alpha`` is None when no finite parameter works. The witness holds the
     subset pair (S, T) for the average-decreasing estimator, the subset (T,)
     for the min/max-bounded ones, and (bundles, T) for the non-separable
-    variants. ``exact`` is False when the value is a sampled lower bound.
+    variants. Every estimator is exhaustive, so ``alpha`` is exact.
     """
 
     alpha: Rat | None
     witness: tuple
     kind: str
-    exact: bool = True
 
     @property
     def unbounded(self) -> bool:
         return self.alpha is None
+
+
+def _scaled_table(values: Sequence[Rat]) -> list[int]:
+    # one positive factor scales both sides of every ratio the estimators compare
+    return scale_to_ints(values, terms=1)[0].tolist()
+
+
+def _report(num: int, den: int, witness: tuple, kind: str) -> AlphaReport:
+    return AlphaReport(Fraction(num, den) if den else None, witness, kind)
 
 
 def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
@@ -239,18 +240,19 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     if n > MAX_ESTIMATOR_GROUND:
         raise GroundSetTooLargeError(
             f"average-decreasing estimator limited to n <= {MAX_ESTIMATOR_GROUND}")
-    vals = c.to_table()
+    vals = _scaled_table(c.to_table())
     size = 1 << n
+    # lcm(1..n) makes every average c(T)/|T| an integer
+    q = lcm(*range(1, n + 1))
 
-    # g[T] = min average over nonempty subsets of T, with a witnessing argmin
-    avg = [None] * size
-    g: list[Rat] = [None] * size
+    # g[T] = min average over nonempty subsets of T, with a witnessing argmin;
+    # as in _bounded_scan, a positive average over g = 0 is unbounded
+    g = [0] * size
     g_wit = [0] * size
-    best = Fraction(1)
+    best_num, best_den = 1, 1
     best_wit = (1, 1)
     for t in range(1, size):
-        a = vals[t] / t.bit_count()
-        avg[t] = a
+        a = vals[t] * (q // t.bit_count())
         gt, wt = a, t
         for e in bits(t):
             prev = t ^ (1 << e)
@@ -258,42 +260,39 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
                 gt, wt = g[prev], g_wit[prev]
         g[t] = gt
         g_wit[t] = wt
-        if gt == 0:
-            if a > 0:
-                return AlphaReport(None, (wt, t), "average-decreasing")
-            continue
-        ratio = a / gt
-        if ratio > best:
-            best = ratio
-            best_wit = (wt, t)
-    return AlphaReport(best, best_wit, "average-decreasing")
+        if a * best_den > best_num * gt:
+            best_num, best_den, best_wit = a, gt, (wt, t)
+            if not gt:
+                break
+    return _report(best_num, best_den, best_wit, "average-decreasing")
 
 
-def _alpha_bounded(c: SetFunction, pick, kind: str) -> AlphaReport:
-    n = c.ground_size
-    if n > MAX_BOUNDED_GROUND:
-        raise GroundSetTooLargeError(
-            f"{kind} estimator limited to n <= {MAX_BOUNDED_GROUND}")
-    vals = c.to_table()
-    size = 1 << n
+def _bounded_scan(vals: Sequence[int], pick) -> tuple[int, int, int]:
+    """``(num, den, T)`` for the first T maximising |T| * pick(standalone
+    costs in T) / vals[T] above 1, or ``(1, 1, 1)`` when no ratio exceeds 1.
 
-    extreme: list[Rat] = [None] * size
-    best = Fraction(1)
-    best_wit = (1,)
+    Ratios are cross-multiplied over the non-negative ints in ``vals``: a
+    vacuous 0/0 never wins, and den = 0 marks an unbounded parameter."""
+    size = len(vals)
+    extreme = [0] * size
+    best_num, best_den, best_t = 1, 1, 1
     for t in range(1, size):
         low = t & -t
         rest = t ^ low
-        standalone = vals[low]
-        extreme[t] = standalone if not rest else pick(extreme[rest], standalone)
-        if vals[t] == 0:
-            if extreme[t] > 0:
-                return AlphaReport(None, (t,), kind)
-            continue
-        ratio = t.bit_count() * extreme[t] / vals[t]
-        if ratio > best:
-            best = ratio
-            best_wit = (t,)
-    return AlphaReport(best, best_wit, kind)
+        ext = vals[low] if not rest else pick(extreme[rest], vals[low])
+        extreme[t] = ext
+        num = t.bit_count() * ext
+        if num * best_den > best_num * vals[t]:
+            best_num, best_den, best_t = num, vals[t], t
+            if not best_den:
+                break
+    return best_num, best_den, best_t
+
+
+def _alpha_bounded(c: SetFunction, pick, kind: str) -> AlphaReport:
+    # to_table refuses ground sets past MAX_DENSE_GROUND
+    num, den, t = _bounded_scan(_scaled_table(c.to_table()), pick)
+    return _report(num, den, (t,), kind)
 
 
 def alpha_min_bounded(c: SetFunction) -> AlphaReport:
@@ -306,51 +305,38 @@ def alpha_max_bounded(c: SetFunction) -> AlphaReport:
     return _alpha_bounded(c, max, "average-max-bounded")
 
 
-def _alpha_bounded_ns(C: AllocationCostFn, pick, kind: str,
-                      sample: Sequence[Allocation] | None) -> AlphaReport:
+def _alpha_bounded_ns(C: AllocationCostFn, pick, kind: str) -> AlphaReport:
     n, m = C.n, C.m
-    if sample is None:
-        if n * m > MAX_NS_CELLS:
-            raise GroundSetTooLargeError(
-                f"exhaustive allocation enumeration needs n*m <= {MAX_NS_CELLS}; "
-                "pass an allocation sample for larger instances")
-        allocs = [Allocation(bundles, m)
-                  for bundles in product(range(1 << m), repeat=n)]
-        exact = True
-    else:
-        allocs = list(sample)
-        exact = False
+    if n * m > MAX_NS_CELLS:
+        raise GroundSetTooLargeError(
+            f"exhaustive allocation enumeration needs n*m <= {MAX_NS_CELLS}")
+    table = _scaled_table(C.to_table())
+    # C(A restricted to the players in T) is table[k & keep[T]] for the
+    # allocation at index k; singleton T have ratio 1 or 0/0, so scanning
+    # them as well changes nothing
+    full = (1 << m) - 1
+    shifts = bundle_shifts(n, m)
+    keep = [sum(full << shifts[i] for i in bits(t)) for t in range(1 << n)]
 
-    best = Fraction(1)
+    best_num, best_den = 1, 1
     best_wit = (Allocation.empty(n, m).bundles, 0)
-    for alloc in allocs:
-        singles = [C(restrict_allocation(alloc, 1 << i)) for i in range(n)]
-        for t in range(1, 1 << n):
-            if t.bit_count() < 2:
-                continue
-            ext = pick(singles[i] for i in bits(t))
-            denom = C(restrict_allocation(alloc, t))
-            if denom == 0:
-                if ext > 0:
-                    return AlphaReport(None, (alloc.bundles, t), kind, exact=exact)
-                continue
-            ratio = t.bit_count() * ext / denom
-            if ratio > best:
-                best = ratio
-                best_wit = (alloc.bundles, t)
-    return AlphaReport(best, best_wit, kind, exact=exact)
+    for k in range(len(table)):
+        num, den, t = _bounded_scan([table[k & mask] for mask in keep], pick)
+        if num * best_den > best_num * den:
+            best_num, best_den, best_wit = num, den, (Allocation.from_index(k, n, m).bundles, t)
+            if not den:
+                break
+    return _report(best_num, best_den, best_wit, kind)
 
 
-def alpha_min_bounded_ns(C: AllocationCostFn,
-                         sample: Sequence[Allocation] | None = None) -> AlphaReport:
+def alpha_min_bounded_ns(C: AllocationCostFn) -> AlphaReport:
     """Non-separable min-bounded estimator over allocations and |T| >= 2 subsets."""
-    return _alpha_bounded_ns(C, min, "average-min-bounded-ns", sample)
+    return _alpha_bounded_ns(C, min, "average-min-bounded-ns")
 
 
-def alpha_max_bounded_ns(C: AllocationCostFn,
-                         sample: Sequence[Allocation] | None = None) -> AlphaReport:
+def alpha_max_bounded_ns(C: AllocationCostFn) -> AlphaReport:
     """Non-separable max-bounded estimator over allocations and |T| >= 2 subsets."""
-    return _alpha_bounded_ns(C, max, "average-max-bounded-ns", sample)
+    return _alpha_bounded_ns(C, max, "average-max-bounded-ns")
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +489,3 @@ def union_items_cost(n: int, m: int, weight=1) -> AllocationCostFn:
         return w * u.bit_count()
 
     return AllocationCostFn(n, m, fn, kind="union-items", meta={"weight": w})
-
-
-NONSEPARABLE_BUILTINS: dict[str, Callable] = {
-    "lifted": lifted_separable_cost,
-    "max-item": max_item_cost,
-    "count-served": count_served_cost,
-    "union-items": union_items_cost,
-}

@@ -67,6 +67,34 @@ def naive_alpha_bounded(vals, n, pick):
     return best
 
 
+def naive_alpha_bounded_ns(C, pick):
+    """Least a with a*C(A|T)/|T| >= pick of the C(A|{i}), i in T, over every
+    allocation A and every T with |T| >= 2, where A|T empties the bundles of
+    players outside T. Returns (alpha, (bundles, T)) at the first strict
+    maximum in enumeration order, with alpha None when no finite a works."""
+    from costshare.core import Allocation
+
+    n, m = C.n, C.m
+    best, witness = Fraction(1), ((0,) * n, 0)
+    for bundles in product(range(1 << m), repeat=n):
+        def cost(t):
+            kept = tuple(b if (t >> i) & 1 else 0 for i, b in enumerate(bundles))
+            return C(Allocation(kept, m))
+
+        for t in range(1, 1 << n):
+            if t.bit_count() < 2:
+                continue
+            extreme = pick(cost(1 << i) for i in bits_of(t))
+            if cost(t) == 0:
+                if extreme > 0:
+                    return None, (bundles, t)
+                continue
+            ratio = t.bit_count() * extreme / cost(t)
+            if ratio > best:
+                best, witness = ratio, (bundles, t)
+    return best, witness
+
+
 def naive_subadditive(vals, n):
     return all(vals[s | t] <= vals[s] + vals[t]
                for s in range(1 << n) for t in range(1 << n))

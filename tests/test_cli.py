@@ -165,6 +165,33 @@ def test_cli_alpha_size_limit_message():
     assert "limited to" in res.stderr
 
 
+@pytest.mark.parametrize("descriptor, message", [
+    ("two-tier-step:n=x", "parameter n must be an integer"),
+    ("two-tier-step:n=-1", "limited to 1..16 players, got -1"),
+    ("capped-reciprocal:k=1/0", "parameter k must be a rational p/q"),
+    ("two-tier-step:n=4,bogus=1", "two-tier-step takes no parameter 'bogus'"),
+], ids=["non-integer-n", "negative-n", "zero-denominator-k", "unknown-key"])
+def test_cli_alpha_bad_descriptor_exits_2(capsys, descriptor, message):
+    assert main(["alpha", descriptor]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_alpha_list_value_keeps_its_commas(capsys):
+    # weights=1,2,3 is one three-player additive cost, not weights=1 plus keys 2 and 3
+    assert main(["alpha", "additive:weights=1,2,3"]) == 0
+    out = capsys.readouterr().out
+    assert "max-bounded      3/2          witness T={0,2}" in out
+
+
+def test_cli_alpha_size_guard_fires_before_the_table_is_built(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError("table built before the size guard")
+
+    monkeypatch.setattr(sys.modules["costshare.cli.main"], "sqrt_max_cost", refuse)
+    assert main(["alpha", "sqrt-max:n=25"]) == 2
+    assert "limited to" in capsys.readouterr().err
+
+
 def test_cli_gen_round_trip_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.inst", tmp_path / "b.inst"
     for out in (out1, out2):
@@ -318,3 +345,18 @@ def test_cli_fuzzed_bundled_instances_exit_cleanly(data):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main([command, str(path)])
             assert code in (0, 1, 2)
+
+
+DESCRIPTORS = ("decreasing-average", "two-tier-step", "capped-reciprocal", "sqrt-max",
+               "public-good", "additive")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(DESCRIPTORS),
+       st.lists(st.tuples(st.sampled_from(("n", "k", "weights", "bogus")),
+                          st.sampled_from(FUZZ_TOKENS + ("17",))), max_size=3))
+def test_cli_fuzzed_alpha_descriptors_exit_cleanly(name, items):
+    descriptor = name + ":" + ",".join(f"{k}={v}" for k, v in items) if items else name
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["alpha", descriptor])
+    assert code in (0, 1, 2)

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from costshare.core import (INT64_HEADROOM, Allocation, DimensionMismatchError,
+from costshare.core import (INT64_HEADROOM, Allocation, AllocationCostFn,
+                            DimensionMismatchError, GroundSetTooLargeError,
                             Instance, SeparableCosts, SetFunction,
                             allocation_cost, harmonic, restrict_allocation,
                             scale_to_ints, union_allocations)
@@ -82,6 +84,16 @@ def test_allocation_duality(data):
         for j in range(m):
             assert bool((served[j] >> i) & 1) == bool((b >> j) & 1)
     assert Allocation.from_served(served, alloc.n) == alloc
+
+
+def test_allocation_index_order_is_product_order():
+    n, m = 3, 2
+    order = list(product(range(1 << m), repeat=n))
+    assert [Allocation.from_index(k, n, m).bundles for k in range(1 << (n * m))] == order
+    C = AllocationCostFn(n, m, lambda b: Fraction(sum(x * (i + 2) for i, x in enumerate(b)), 3))
+    assert C.to_table() == [C(Allocation(b, m)) for b in order]
+    with pytest.raises(GroundSetTooLargeError):
+        AllocationCostFn(3, 7, lambda b: Fraction(0)).to_table()
 
 
 @given(allocations, st.integers(0, 15))

@@ -1,23 +1,30 @@
 import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costshare.core import Allocation, GroundSetTooLargeError, SeparableCosts
+from costshare import costs
+from costshare.core import (AllocationCostFn, GroundSetTooLargeError,
+                            SeparableCosts)
 from costshare.costs import (InfeasibleCoverError, additive_cost,
                              alpha_average_decreasing, alpha_max_bounded,
                              alpha_max_bounded_ns, alpha_min_bounded,
                              alpha_min_bounded_ns, capped_reciprocal_cost,
-                             check_cost_class, count_served_cost,
-                             decreasing_average_table, lifted_separable_cost,
-                             matching_cost, public_good_cost, set_cover_cost,
+                             count_served_cost, decreasing_average_table,
+                             lifted_separable_cost, matching_cost,
+                             max_item_cost, public_good_cost, set_cover_cost,
                              sqrt_max_cost, symmetric_submodular_cost,
-                             table_cost, two_tier_step_cost, vertex_cover_cost)
+                             table_cost, two_tier_step_cost, union_items_cost,
+                             vertex_cover_cost)
+from costshare.valuations import classify_set_function
 
-from oracles import (naive_alpha_avg_decreasing, naive_alpha_bounded,
-                     naive_max_matching, naive_min_set_cover,
-                     naive_min_vertex_cover, naive_subadditive)
+from oracles import (BIG_PRIMES, naive_alpha_avg_decreasing, naive_alpha_bounded,
+                     naive_alpha_bounded_ns, naive_max_matching,
+                     naive_min_set_cover, naive_min_vertex_cover,
+                     naive_subadditive)
 
 
 # --- eval_cost ------------------------------------------------------------
@@ -102,19 +109,19 @@ def test_matching_odd_cycle_uses_exhaustive_search():
 
 def test_set_cover_cost_is_subadditive():
     sc = set_cover_cost(4, [0b0011, 0b1100, 0b0110])
-    flags = check_cost_class(sc)
+    flags = classify_set_function(sc)
     assert flags.subadditive
     assert flags.nondecreasing
 
 
 def test_reference_table_classes():
-    flags = check_cost_class(decreasing_average_table())
+    flags = classify_set_function(decreasing_average_table())
     assert flags.nondecreasing and flags.subadditive
     assert not flags.submodular
 
 
 def test_capped_reciprocal_classes():
-    flags = check_cost_class(capped_reciprocal_cost(3, 6))
+    flags = classify_set_function(capped_reciprocal_cost(3, 6))
     assert flags.nondecreasing
     assert flags.subadditive
 
@@ -257,7 +264,6 @@ def test_sqrt_max_alpha_growth():
 def test_count_served_alpha_min_is_one():
     C = count_served_cost(3, 2)
     rep = alpha_min_bounded_ns(C)
-    assert rep.exact
     assert rep.alpha == 1
 
 
@@ -297,14 +303,49 @@ def test_lifted_multi_item_dominates_per_item_estimators():
     assert alpha_min_bounded_ns(lifted).alpha >= per_item
 
 
-def test_ns_estimator_sample_flagged_inexact():
+def _random_ns_costs(rng, n, m, value):
+    def separable():
+        return SeparableCosts(tuple(
+            table_cost([0] + [value() for _ in range((1 << n) - 1)]) for _ in range(m)))
+
+    # non-monotone, with zeros on non-empty allocations
+    table = {b: (value() if rng.random() < 0.6 else Fraction(0)) if any(b) else Fraction(0)
+             for b in product(range(1 << m), repeat=n)}
+    return [lifted_separable_cost(separable(), n), max_item_cost(separable(), n),
+            count_served_cost(n, m, value()), union_items_cost(n, m, value()),
+            AllocationCostFn(n, m, table.__getitem__, kind="random")]
+
+
+def test_ns_estimators_match_naive_definition(monkeypatch):
+    dtypes = []
+    real = costs.scale_to_ints
+
+    def spy(values, terms):
+        out = real(values, terms)
+        dtypes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(costs, "scale_to_ints", spy)
+    rng = random.Random(41)
+    small = lambda: Fraction(rng.randint(0, 4))
+    big = lambda: Fraction(rng.randint(1, 10 ** 6), rng.choice(BIG_PRIMES))
+    alphas = []
+    for value in (small, big):
+        for n, m in ((2, 2), (3, 2), (2, 3), (4, 1), (1, 3)):
+            for C in _random_ns_costs(rng, n, m, value):
+                for estimator, pick in ((alpha_min_bounded_ns, min),
+                                        (alpha_max_bounded_ns, max)):
+                    rep = estimator(C)
+                    assert (rep.alpha, rep.witness) == naive_alpha_bounded_ns(C, pick)
+                    alphas.append(rep.alpha)
+    assert None in alphas and any(a is not None and a > 1 for a in alphas)
+    assert np.dtype(np.int64) in dtypes and np.dtype(object) in dtypes
+
+
+def test_ns_estimator_size_limit():
     C = count_served_cost(4, 4)  # 16 cells: exhaustive would refuse
     with pytest.raises(GroundSetTooLargeError):
         alpha_min_bounded_ns(C)
-    sample = [Allocation((1, 1, 0, 0), 4), Allocation((1, 3, 7, 15), 4)]
-    rep = alpha_min_bounded_ns(C, sample=sample)
-    assert not rep.exact
-    assert rep.alpha >= 1
 
 
 def test_subadditivity_flag_matches_naive_all_pairs():
@@ -313,4 +354,4 @@ def test_subadditivity_flag_matches_naive_all_pairs():
         n = 4
         vals = [Fraction(0)] + [Fraction(rng.randint(0, 6)) for _ in range((1 << n) - 1)]
         fn = table_cost(vals)
-        assert check_cost_class(fn).subadditive == naive_subadditive(fn.to_table(), n)
+        assert classify_set_function(fn).subadditive == naive_subadditive(fn.to_table(), n)
