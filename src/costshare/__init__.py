@@ -19,8 +19,8 @@ from .costs import (AlphaReport, InfeasibleCoverError, alpha_average_decreasing,
                     alpha_min_bounded_ns, matching_cost, set_cover_cost,
                     table_cost, vertex_cover_cost)
 from .mechanisms import (MechanismPreconditionError, greedy_bundle, iacsm_run,
-                         sm_run, verify_final_set_structure, verify_p1,
-                         verify_p2)
+                         incremental_costs, sm_run, verify_final_set_structure,
+                         verify_p1, verify_p2)
 from .analysis import (DeviationWitness, RunReport, check_icb_bound,
                        evaluate_run, optimal_social_cost, social_cost,
                        wgsp_search)

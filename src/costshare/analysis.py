@@ -14,8 +14,8 @@ from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
                    Trace, allocation_cost, bundle_shifts, harmonic, scale_to_ints)
 from .costs import (alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
                     alpha_min_bounded_ns)
-from .mechanisms import (iacsm_run, sm_run, verify_final_set_structure,
-                         verify_p1, verify_p2)
+from .mechanisms import (iacsm_run, incremental_costs, sm_run,
+                         verify_final_set_structure, verify_p1, verify_p2)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
                          ValuationFn, as_rat)
 
@@ -242,7 +242,7 @@ def check_icb_bound(inst: Instance, order: Sequence[int] | None = None) -> bool:
     resulting sum is at most alpha*H_n*C(A*) for the min-bounded alpha and at
     most alpha*C(A*) for the max-bounded alpha (when finite).
     """
-    n, m = inst.n, inst.m
+    n = inst.n
     seq = list(range(n)) if order is None else list(order)
     outcome = sm_run(inst, order=seq)
     _, opt_alloc = optimal_social_cost(inst)
@@ -251,10 +251,7 @@ def check_icb_bound(inst: Instance, order: Sequence[int] | None = None) -> bool:
     icb_sum = Fraction(0)
     prefix = [0] * n
     for i in seq:
-        base = allocation_cost(inst, Allocation(tuple(prefix), m))
-        trial = list(prefix)
-        trial[i] = opt_alloc.bundles[i]
-        icb_sum += allocation_cost(inst, Allocation(tuple(trial), m)) - base
+        icb_sum += incremental_costs(inst, prefix, i)[opt_alloc.bundles[i]]
         prefix[i] = outcome.allocation.bundles[i]
 
     alpha_min = max_alpha(inst, alpha_min_bounded, alpha_min_bounded_ns)

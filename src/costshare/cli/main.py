@@ -161,6 +161,9 @@ def _load_instance(path: str) -> Instance:
 
 
 def cmd_run(args) -> int:
+    if args.trace_out and args.mechanism == "sm":
+        print("error: no trace: the sm mechanism is not iterative", file=sys.stderr)
+        return 2
     inst = _load_instance(args.instance)
     start = time.perf_counter()
     report = evaluate_run(inst, args.mechanism, order=args.order)
@@ -172,9 +175,6 @@ def cmd_run(args) -> int:
         Path(args.out).write_text(text)
     sys.stdout.write(text)
     if args.trace_out:
-        if report.trace is None:
-            print("no trace: mechanism is not iterative", file=sys.stderr)
-            return 2
         Path(args.trace_out).write_text(_trace_dump(report))
     return 0 if report.flags.all_hold() else 1
 
@@ -234,22 +234,21 @@ def _print_alpha_report(label: str, rep: AlphaReport) -> None:
 def cmd_alpha(args) -> int:
     target = args.target
     builtin = None if Path(target).exists() else _parse_descriptor(target)
-    if builtin is not None:
-        separable = [(f"cost descriptor {target}", builtin)]
+    inst = None if builtin is not None else _load_instance(target)
+    if inst is None or inst.is_separable:
+        estimators = (("avg-decreasing", alpha_average_decreasing),
+                      ("min-bounded", alpha_min_bounded), ("max-bounded", alpha_max_bounded))
+        costs = ([(f"cost descriptor {target}", builtin)] if inst is None else
+                 [(f"cost {j} kind={fn.kind}", fn) for j, fn in enumerate(inst.cost_model.items)])
     else:
-        inst = _load_instance(target)
-        if not inst.is_separable:
-            print(f"nonseparable cost kind={inst.cost_model.kind}")
-            _print_alpha_report("min-bounded", alpha_min_bounded_ns(inst.cost_model))
-            _print_alpha_report("max-bounded", alpha_max_bounded_ns(inst.cost_model))
-            return 0
-        separable = [(f"cost {j} kind={fn.kind}", fn)
-                     for j, fn in enumerate(inst.cost_model.items)]
-    for title, fn in separable:
+        estimators = (("min-bounded", alpha_min_bounded_ns), ("max-bounded", alpha_max_bounded_ns))
+        costs = [(f"nonseparable cost kind={inst.cost_model.kind}", inst.cost_model)]
+    for title, cost in costs:
+        # a title is printed only once every estimator of its cost has succeeded
+        reports = [(label, estimate(cost)) for label, estimate in estimators]
         print(title)
-        _print_alpha_report("avg-decreasing", alpha_average_decreasing(fn))
-        _print_alpha_report("min-bounded", alpha_min_bounded(fn))
-        _print_alpha_report("max-bounded", alpha_max_bounded(fn))
+        for label, rep in reports:
+            _print_alpha_report(label, rep)
     return 0
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, bits)
+                   Trace, bits, mask_of)
 from .valuations import SymmetricSubmodularValuation, ValuationFn
 
 
@@ -28,27 +28,43 @@ class MechanismPreconditionError(ValueError):
 MAX_SM_ITEMS = 20
 
 
-def greedy_bundle(v: SymmetricSubmodularValuation, shares: Sequence[Rat]) -> int:
-    """Utility-maximizing bundle at the given per-item quoted shares.
+def _rank(shares: Sequence[Rat]) -> tuple[list[int], list[Rat]]:
+    """The items in (share, index) order, and their shares in that order."""
+    ranking = sorted(range(len(shares)), key=lambda j: (shares[j], j))
+    return ranking, [shares[j] for j in ranking]
 
-    Items are sorted by (share, index); the t-th cheapest item is taken while
-    the t-th marginal is at least its share. The weak inequality keeps
-    zero-gain items, which makes the bundle the maximum-size maximizer and is
-    what the refinement property of the final bundles relies on.
-    """
-    m = len(shares)
-    if v.m != m:
+
+def _covered_ranks(marginals: Sequence[Rat], ranked: Sequence[Rat]) -> int:
+    """The greedy rule: the t-th cheapest item is taken while the t-th
+    marginal is at least its share. The weak inequality keeps zero-gain
+    items, which makes the bundle the maximum-size maximizer and is what the
+    refinement property of the final bundles relies on."""
+    count = 0
+    for d, s in zip(marginals, ranked):
+        if d < s:
+            break
+        count += 1
+    return count
+
+
+def greedy_bundle(v: SymmetricSubmodularValuation, shares: Sequence[Rat]) -> int:
+    """Utility-maximizing bundle at the given per-item quoted shares: the
+    leading items of the (share, index) order that ``_covered_ranks`` takes."""
+    if v.m != len(shares):
         raise ValueError("share vector length differs from valuation item count")
     if any(s < 0 for s in shares):
         raise ValueError("shares must be non-negative")
-    item_order = sorted(range(m), key=lambda j: (shares[j], j))
-    bundle = 0
-    for rank, j in enumerate(item_order):
-        if v.marginals[rank] >= shares[j]:
-            bundle |= 1 << j
-        else:
-            break
-    return bundle
+    ranking, ranked = _rank(shares)
+    return mask_of(ranking[:_covered_ranks(v.marginals, ranked)])
+
+
+def _declared_profile(inst: Instance, declared) -> list[ValuationFn]:
+    decl = list(inst.valuations) if declared is None else list(declared)
+    if len(decl) != inst.n:
+        raise MechanismPreconditionError("declared profile length differs from n")
+    if any(v.m != inst.m for v in decl):
+        raise MechanismPreconditionError("declared valuation item count differs from m")
+    return decl
 
 
 def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
@@ -63,9 +79,9 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
     """
     if not inst.is_separable:
         raise MechanismPreconditionError("iacsm-requires-separable-costs")
-    decl = list(inst.valuations) if declared is None else list(declared)
-    if len(decl) != inst.n:
-        raise MechanismPreconditionError("declared profile length differs from n")
+    decl = _declared_profile(inst, declared)
+    if first_iteration_quote_scale < 0:
+        raise MechanismPreconditionError("quoted shares must be non-negative")
     if not all(isinstance(v, SymmetricSubmodularValuation) for v in decl):
         raise MechanismPreconditionError("iacsm-requires-symmetric-submodular")
 
@@ -82,19 +98,12 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
     active = list(range(n))
 
     for iteration in range(n):
-        if iteration == 0 and first_iteration_quote_scale != 1:
-            quoted = [s * first_iteration_quote_scale for s in shares]
-        else:
-            quoted = shares
-
-        chosen_player = -1
-        chosen_bundle = 0
-        chosen_size = m + 1
-        for i in active:
-            bundle = greedy_bundle(decl[i], quoted)
-            size = bundle.bit_count()
-            if size < chosen_size:
-                chosen_player, chosen_bundle, chosen_size = i, bundle, size
+        scale = first_iteration_quote_scale if iteration == 0 else 1
+        # one ranking per iteration; the smallest bundle wins, lowest index first
+        ranking, ranked = _rank(shares if scale == 1 else [s * scale for s in shares])
+        size, chosen_player = min((_covered_ranks(decl[i].marginals, ranked), i)
+                                  for i in active)
+        chosen_bundle = mask_of(ranking[:size])
 
         order.append(chosen_player)
         bundle_history.append(chosen_bundle)
@@ -122,6 +131,26 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
     return outcome, trace
 
 
+def incremental_costs(inst: Instance, bundles: Sequence[int], i: int) -> list[Rat]:
+    """Player i's incremental cost for every item mask: C(bundles with i
+    holding the mask) - C(bundles). Player i must hold nothing in ``bundles``.
+    """
+    m = inst.m
+    if bundles[i]:
+        raise MechanismPreconditionError("incremental costs need player i to hold nothing")
+    if inst.is_separable:
+        served = Allocation(tuple(bundles), m).served()
+        marginal = [fn(t | (1 << i)) - fn(t) for fn, t in zip(inst.cost_model.items, served)]
+        # doubling over items: the masks holding item j are those without it, plus its marginal
+        price = [Fraction(0)]
+        for d in marginal:
+            price += [p + d for p in price]
+        return price
+    C = inst.cost_model
+    cost = [C(Allocation((*bundles[:i], mask, *bundles[i + 1:]), m)) for mask in range(1 << m)]
+    return [c - cost[0] for c in cost]
+
+
 def sm_run(inst: Instance, order: Sequence[int] | None = None,
            declared: Sequence[ValuationFn] | None = None) -> Outcome:
     """Run the sequential mechanism in the given player order (default 0..n-1).
@@ -137,45 +166,17 @@ def sm_run(inst: Instance, order: Sequence[int] | None = None,
     seq = list(range(n)) if order is None else [int(i) for i in order]
     if sorted(seq) != list(range(n)):
         raise MechanismPreconditionError("order must be a permutation of the players")
-    decl = list(inst.valuations) if declared is None else list(declared)
-    if len(decl) != n:
-        raise MechanismPreconditionError("declared profile length differs from n")
+    decl = _declared_profile(inst, declared)
 
     bundles = [0] * n
     payments: list[Rat] = [Fraction(0)] * n
-    separable = inst.is_separable
-    if separable:
-        served = [0] * m
-        cost_fns = inst.cost_model.items
-
     for i in seq:
-        if separable:
-            marginal = [cost_fns[j](served[j] | (1 << i)) - cost_fns[j](served[j])
-                        for j in range(m)]
-
-            def price(mask: int) -> Rat:
-                return sum((marginal[j] for j in bits(mask)), start=Fraction(0))
-        else:
-            C = inst.cost_model
-            base = C(Allocation(tuple(bundles), m))
-
-            def price(mask: int) -> Rat:
-                trial = list(bundles)
-                trial[i] = mask
-                return C(Allocation(tuple(trial), m)) - base
-
-        best_mask = 0
-        best_util = decl[i].value(0) - price(0)
-        for mask in range(1, 1 << m):
-            util = decl[i].value(mask) - price(mask)
-            if util > best_util:
-                best_util, best_mask = util, mask
-
-        payments[i] = price(best_mask)
-        bundles[i] = best_mask
-        if separable:
-            for j in bits(best_mask):
-                served[j] |= 1 << i
+        price = incremental_costs(inst, bundles, i)
+        value = decl[i].value
+        # max keeps the first maximum: the numerically smallest optimal mask
+        best = max(range(1 << m), key=lambda mask: value(mask) - price[mask])
+        payments[i] = price[best]
+        bundles[i] = best
 
     return Outcome(Allocation(tuple(bundles), m), tuple(payments))
 

@@ -37,6 +37,74 @@ def exhaustive_optimal_bundle(valuation, shares):
     return expected
 
 
+def naive_sm_run(inst, order=None, declared=None):
+    """Sequential mechanism straight from its definition: in order, each
+    player takes the first mask in numeric order with the strictly largest
+    declared value minus C(prefix with the mask) - C(prefix), and pays that
+    difference."""
+    from costshare.core import Allocation, Outcome, allocation_cost
+
+    n, m = inst.n, inst.m
+    seq = list(range(n)) if order is None else list(order)
+    decl = list(inst.valuations) if declared is None else list(declared)
+    bundles, payments = [0] * n, [Fraction(0)] * n
+    for i in seq:
+        base = allocation_cost(inst, Allocation(tuple(bundles), m))
+        best = None
+        for mask in range(1 << m):
+            trial = list(bundles)
+            trial[i] = mask
+            pay = allocation_cost(inst, Allocation(tuple(trial), m)) - base
+            util = decl[i].value(mask) - pay
+            if best is None or util > best[0]:
+                best = (util, mask, pay)
+        _, bundles[i], payments[i] = best
+    return Outcome(Allocation(tuple(bundles), m), tuple(payments))
+
+
+def naive_iacsm_run(inst, declared=None, first_iteration_quote_scale=Fraction(1)):
+    """Iterative ascending mechanism with every active player's bundle found
+    by exhaustive_optimal_bundle. Each iteration finalizes the smallest
+    bundle, lowest player index first; every item outside it drops the player
+    and quotes the larger of its old share and its remaining players' average
+    cost. Returns (outcome, trace)."""
+    from costshare.core import Allocation, Outcome, Trace
+
+    n, m = inst.n, inst.m
+    decl = list(inst.valuations) if declared is None else list(declared)
+    items = inst.cost_model.items
+    holders = [set(range(n)) for _ in range(m)]
+    shares = [items[j]((1 << n) - 1) / n for j in range(m)]
+    history = [[s] for s in shares]
+    withdrawals = [[] for _ in range(m)]
+    order, bundle_history, final = [], [], [0] * n
+    active = list(range(n))
+    for iteration in range(n):
+        scale = first_iteration_quote_scale if iteration == 0 else 1
+        quoted = [s * scale for s in shares]
+        bundles = {i: exhaustive_optimal_bundle(decl[i], quoted) for i in active}
+        player = min(active, key=lambda i: (bundles[i].bit_count(), i))
+        bundle = bundles[player]
+        order.append(player)
+        bundle_history.append(bundle)
+        final[player] = bundle
+        active.remove(player)
+        for j in range(m):
+            if not (bundle >> j) & 1:
+                holders[j].discard(player)
+                withdrawals[j].append(player)
+                if holders[j]:
+                    avg = items[j](sum(1 << p for p in holders[j])) / len(holders[j])
+                    shares[j] = max(shares[j], avg)
+            history[j].append(shares[j])
+    payments = tuple(sum((shares[j] for j in bits_of(b)), start=Fraction(0))
+                     for b in final)
+    trace = Trace(order=tuple(order), withdrawals=tuple(map(tuple, withdrawals)),
+                  share_history=tuple(map(tuple, history)),
+                  bundle_history=tuple(bundle_history))
+    return Outcome(Allocation(tuple(final), m), payments), trace
+
+
 def naive_alpha_avg_decreasing(vals, n):
     """Least a with a*c(S)/|S| >= c(T)/|T| for all nonempty S <= T, or None."""
     best = Fraction(1)

@@ -153,6 +153,29 @@ def test_cli_run_trace_out(tmp_path):
     assert "shares" in text
 
 
+def test_cli_run_sm_trace_out_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mechanism ran before the trace request was refused")
+
+    monkeypatch.setattr(sys.modules["costshare.cli.main"], "evaluate_run", refuse)
+    out = tmp_path / "row.csv"
+    assert main(["run", str(INSTANCES[0]), "--mechanism", "sm",
+                 "--trace-out", str(tmp_path / "trace.txt"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no trace" in captured.err
+    assert not out.exists() and not (tmp_path / "trace.txt").exists()
+
+
+def test_cli_alpha_prints_no_title_before_a_refused_estimate(tmp_path, capsys):
+    path = tmp_path / "cover17.inst"
+    assert main(["gen", "set-cover", "--param", "n=17", "--out", str(path)]) == 0
+    assert main(["alpha", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limited to n <= 16" in captured.err
+
+
 def test_cli_alpha_step_descriptor():
     res = run_cli("alpha", "two-tier-step:n=4")
     assert res.returncode == 0

@@ -5,16 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costshare.core import Instance, SeparableCosts, allocation_cost
+from costshare.core import Allocation, Instance, SeparableCosts, allocation_cost
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
-                             lifted_separable_cost, symmetric_submodular_cost,
-                             table_cost, two_tier_step_cost)
+                             lifted_separable_cost, matching_cost, max_item_cost,
+                             set_cover_cost, symmetric_submodular_cost,
+                             table_cost, two_tier_step_cost, union_items_cost,
+                             vertex_cover_cost)
 from costshare.mechanisms import (MechanismPreconditionError, greedy_bundle,
-                                  iacsm_run, sm_run, verify_final_set_structure,
-                                  verify_p1, verify_p2)
+                                  iacsm_run, incremental_costs, sm_run,
+                                  verify_final_set_structure, verify_p1,
+                                  verify_p2)
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
-from oracles import exhaustive_optimal_bundle, shares_from_withdrawal_prefixes
+from oracles import (exhaustive_optimal_bundle, naive_iacsm_run, naive_sm_run,
+                     shares_from_withdrawal_prefixes)
 
 F = Fraction
 
@@ -317,3 +321,112 @@ def test_sm_order_changes_outcome():
     second = sm_run(inst, order=[1, 0])
     assert first.payments == (F(2), F(0))
     assert second.payments == (F(0), F(2))
+
+
+def test_sm_rejects_declared_item_count_mismatch():
+    inst = separable_instance([sym(5), sym(5)], [[0, 1, 1, 1]])
+    with pytest.raises(MechanismPreconditionError, match="item count"):
+        sm_run(inst, declared=[sym(5, 5), sym(5)])
+
+
+def test_iacsm_rejects_declared_item_count_mismatch():
+    inst = separable_instance([sym(5), sym(5)], [[0, 1, 1, 1]])
+    with pytest.raises(MechanismPreconditionError, match="item count"):
+        iacsm_run(inst, declared=[sym(5, 5), sym(5)])
+
+
+def test_incremental_costs_need_player_to_hold_nothing():
+    inst = separable_instance([sym(5), sym(5)], [[0, 1, 1, 1]])
+    assert incremental_costs(inst, [1, 0], 1) == [F(0), F(0)]
+    assert incremental_costs(inst, [0, 0], 1) == [F(0), F(1)]
+    with pytest.raises(MechanismPreconditionError):
+        incremental_costs(inst, [1, 1], 1)
+
+
+# --- both mechanisms against their definitions -------------------------------
+
+SEPARABLE_KINDS = ("table", "set-cover", "vertex-cover", "matching")
+NONSEPARABLE_KINDS = ("lifted", "max-item", "count-served", "union-items")
+
+
+def half(rng, top):
+    return F(rng.randint(0, 2 * top), 2)
+
+
+def random_item_cost(rng, kind, n):
+    if kind == "table":
+        return table_cost([0] + [half(rng, 4) for _ in range((1 << n) - 1)])
+    if kind == "set-cover":
+        family = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 3))]
+        covered = 0
+        for t in family:
+            covered |= t
+        return set_cover_cost(n, family + [1 << i for i in range(n)
+                                           if not (covered >> i) & 1])
+    # players are edges among four vertices
+    edges = [tuple(rng.sample(range(4), 2)) for _ in range(n)]
+    return vertex_cover_cost(edges) if kind == "vertex-cover" else matching_cost(edges)
+
+
+def random_cost_model(rng, kind, n, m):
+    if kind in ("count-served", "union-items"):
+        build = count_served_cost if kind == "count-served" else union_items_cost
+        return build(n, m, weight=F(rng.randint(1, 4), 2))
+    if kind in NONSEPARABLE_KINDS:
+        sep = SeparableCosts(tuple(random_item_cost(rng, "table", n) for _ in range(m)))
+        build = lifted_separable_cost if kind == "lifted" else max_item_cost
+        return build(sep, n)
+    return SeparableCosts(tuple(random_item_cost(rng, kind, n) for _ in range(m)))
+
+
+def random_symmetric(rng, m):
+    return SymmetricSubmodularValuation(
+        tuple(sorted((half(rng, 3) for _ in range(m)), reverse=True)))
+
+
+def random_valuation(rng, m):
+    if rng.random() < 0.5:
+        return random_symmetric(rng, m)
+    return TableValuation.from_values([0] + [half(rng, 4) for _ in range((1 << m) - 1)])
+
+
+def optimal_mask_count(inst, order, declared):
+    """How many masks tie for the first player's best utility."""
+    i = order[0]
+    utils = [declared[i].value(mask)
+             - allocation_cost(inst, Allocation(tuple(mask if p == i else 0
+                                                      for p in range(inst.n)), inst.m))
+             for mask in range(1 << inst.m)]
+    return utils.count(max(utils))
+
+
+@pytest.mark.parametrize("kind", SEPARABLE_KINDS + NONSEPARABLE_KINDS)
+def test_sm_matches_naive_definition(kind):
+    rng = random.Random(f"sm-{kind}")
+    ties = 0
+    for _ in range(80):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        inst = Instance(valuations=tuple(random_valuation(rng, m) for _ in range(n)),
+                        cost_model=random_cost_model(rng, kind, n, m), m=m)
+        order = rng.sample(range(n), n)
+        declared = [random_valuation(rng, m) if rng.random() < 0.4 else v
+                    for v in inst.valuations]
+        for decl in (None, declared):
+            assert sm_run(inst, order, decl) == naive_sm_run(inst, order, decl)
+        ties += optimal_mask_count(inst, order, declared) > 1
+    assert ties >= 5
+
+
+@pytest.mark.parametrize("kind", SEPARABLE_KINDS)
+def test_iacsm_matches_naive_definition(kind):
+    rng = random.Random(f"iacsm-{kind}")
+    for _ in range(80):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        inst = Instance(valuations=tuple(random_symmetric(rng, m) for _ in range(n)),
+                        cost_model=random_cost_model(rng, kind, n, m), m=m)
+        declared = [random_symmetric(rng, m) if rng.random() < 0.4 else v
+                    for v in inst.valuations]
+        for decl in (None, declared):
+            for scale in (F(1), F(1, 2)):
+                got = iacsm_run(inst, decl, first_iteration_quote_scale=scale)
+                assert got == naive_iacsm_run(inst, decl, scale)
