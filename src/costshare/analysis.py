@@ -14,8 +14,9 @@ from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
                    Trace, allocation_cost, bundle_shifts, harmonic, scale_to_ints)
 from .costs import (alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
                     alpha_min_bounded_ns)
-from .mechanisms import (iacsm_run, incremental_costs, sm_run,
-                         verify_final_set_structure, verify_p1, verify_p2)
+from .mechanisms import (MechanismPreconditionError, iacsm_run,
+                         incremental_costs, sm_run, verify_final_set_structure,
+                         verify_p1, verify_p2)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
                          ValuationFn, as_rat)
 
@@ -27,6 +28,9 @@ MECHANISM_IDS = ("iacsm", "sm", "iacsm-underquote")
 def _run_mechanism(mechanism: str, inst: Instance,
                    declared: Sequence[ValuationFn] | None = None,
                    order: Sequence[int] | None = None) -> tuple[Outcome, Trace | None]:
+    if order is not None and mechanism in ("iacsm", "iacsm-underquote"):
+        raise MechanismPreconditionError(
+            f"{mechanism} takes no player order; an order applies to sm only")
     if mechanism == "iacsm":
         return iacsm_run(inst, declared)
     if mechanism == "iacsm-underquote":

@@ -279,6 +279,9 @@ def cmd_suite(args) -> int:
         problems.append(f"unknown mechanism {mechanism!r}")
     if any("kind" not in spec for spec in config.get("generate", [])):
         problems.append('every "generate" entry needs a "kind"')
+    if order is not None and not (isinstance(order, list) and all(
+            isinstance(i, int) and not isinstance(i, bool) for i in order)):
+        problems.append('"order" must be a list of player indices, e.g. [1, 0]')
     if problems:
         for problem in problems:
             print(f"error: {args.config}: {problem}", file=sys.stderr)

@@ -10,7 +10,7 @@ loops in the estimators and verification harness cheap.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
@@ -315,11 +315,18 @@ class AllocationCostFn:
 
 @dataclass(frozen=True)
 class Instance:
-    """A cost-sharing problem: players with valuations plus a cost model."""
+    """A cost-sharing problem: players with valuations plus a cost model.
+
+    ``step_memo`` is the mechanisms' memo of steps already computed on this
+    instance (see ``mechanisms``); it takes no part in equality, hashing or
+    repr, and stops growing at DEFAULT_CACHE_CAP entries. Callers sharing an
+    instance across threads may compute a step twice, never a different one.
+    """
 
     valuations: tuple
     cost_model: SeparableCosts | AllocationCostFn
     m: int
+    step_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:

@@ -9,15 +9,25 @@ quoted shares trace-monotonic.
 sm_run: the sequential mechanism. Players are processed in a fixed order;
 each receives a utility-maximizing bundle at its incremental cost, which is
 also her payment, so total payments telescope to the allocation cost.
+
+Both mechanisms read and fill the instance's ``step_memo``, so the profiles
+of a misreport search reuse the steps they share. A step is keyed on the
+state it starts from and on declared valuations by value, never by id:
+- sm: ``(player, bundles so far, declared valuation) -> (mask, payment)``.
+- iacsm: a trie of iteration states. ``quote scale -> root``,
+  ``(node, declared valuation) -> covered ranks`` and
+  ``(node, player, size) -> child``; a leaf keeps its (Outcome, Trace).
+Every precondition is checked on every call, before any lookup.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, bits, mask_of)
+from .core import (DEFAULT_CACHE_CAP, Allocation, GroundSetTooLargeError,
+                   Instance, Outcome, Rat, Trace, bits, mask_of)
 from .valuations import SymmetricSubmodularValuation, ValuationFn
 
 
@@ -67,6 +77,64 @@ def _declared_profile(inst: Instance, declared) -> list[ValuationFn]:
     return decl
 
 
+def _store(memo: dict, key, value):
+    """Keep ``value`` under ``key`` unless the memo already holds
+    DEFAULT_CACHE_CAP entries (the oracle caches' policy); return it."""
+    if len(memo) < DEFAULT_CACHE_CAP:
+        memo[key] = value
+    return value
+
+
+class _IacsmNode:
+    """The state after some iterations: quoted shares, tentative player sets
+    per item, and the (share, index) item ranking used to quote the next
+    iteration. ``player``/``bundle`` is the finalization that led here."""
+
+    __slots__ = ("parent", "player", "bundle", "shares", "tentative",
+                 "ranking", "ranked", "result")
+
+    def __init__(self, parent, player, bundle, shares, tentative, scale=1):
+        self.parent, self.player, self.bundle = parent, player, bundle
+        self.shares, self.tentative = shares, tentative
+        self.ranking, self.ranked = _rank(shares if scale == 1 else [s * scale for s in shares])
+        self.result = None
+
+    def child(self, cost_fns, player: int, size: int) -> "_IacsmNode":
+        """Finalize ``player`` with the first ``size`` ranked items; every
+        other item drops the player and quotes the larger of its old share
+        and its remaining players' average cost."""
+        bundle = mask_of(self.ranking[:size])
+        shares, tentative = list(self.shares), list(self.tentative)
+        for j, fn in enumerate(cost_fns):
+            if not (bundle >> j) & 1:
+                tentative[j] &= ~(1 << player)
+                remaining = tentative[j]
+                if remaining:
+                    shares[j] = max(shares[j], fn(remaining) / remaining.bit_count())
+        return _IacsmNode(self, player, bundle, shares, tentative)
+
+    def outcome(self, n: int, m: int) -> tuple[Outcome, Trace]:
+        """The (Outcome, Trace) of the run that ends at this leaf."""
+        path = [self]
+        while path[-1].parent is not None:
+            path.append(path[-1].parent)
+        path.reverse()
+        steps = path[1:]
+        final_bundles = [0] * n
+        for node in steps:
+            final_bundles[node.player] = node.bundle
+        payments = tuple(sum((self.shares[j] for j in bits(b)), start=Fraction(0))
+                         for b in final_bundles)
+        trace = Trace(order=tuple(node.player for node in steps),
+                      withdrawals=tuple(tuple(node.player for node in steps
+                                              if not (node.bundle >> j) & 1)
+                                        for j in range(m)),
+                      share_history=tuple(tuple(node.shares[j] for node in path)
+                                          for j in range(m)),
+                      bundle_history=tuple(node.bundle for node in steps))
+        return Outcome(Allocation(tuple(final_bundles), m), payments), trace
+
+
 def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
               first_iteration_quote_scale: Rat = Fraction(1)) -> tuple[Outcome, Trace]:
     """Run the iterative ascending mechanism on declared valuations.
@@ -80,55 +148,39 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
     if not inst.is_separable:
         raise MechanismPreconditionError("iacsm-requires-separable-costs")
     decl = _declared_profile(inst, declared)
-    if first_iteration_quote_scale < 0:
+    scale = first_iteration_quote_scale
+    if scale < 0:
         raise MechanismPreconditionError("quoted shares must be non-negative")
     if not all(isinstance(v, SymmetricSubmodularValuation) for v in decl):
         raise MechanismPreconditionError("iacsm-requires-symmetric-submodular")
 
     n, m = inst.n, inst.m
     cost_fns = inst.cost_model.items
+    memo = inst.step_memo
     full = (1 << n) - 1
-    tentative = [full] * m
-    shares: list[Rat] = [fn(full) / n for fn in cost_fns]
-    share_history: list[list[Rat]] = [[s] for s in shares]
-    withdrawals: list[list[int]] = [[] for _ in range(m)]
-    order: list[int] = []
-    bundle_history: list[int] = []
-    final_bundles = [0] * n
+    node = memo.get(scale)
+    if node is None:
+        node = _store(memo, scale, _IacsmNode(
+            None, None, 0, [fn(full) / n for fn in cost_fns], [full] * m, scale))
     active = list(range(n))
-
-    for iteration in range(n):
-        scale = first_iteration_quote_scale if iteration == 0 else 1
-        # one ranking per iteration; the smallest bundle wins, lowest index first
-        ranking, ranked = _rank(shares if scale == 1 else [s * scale for s in shares])
-        size, chosen_player = min((_covered_ranks(decl[i].marginals, ranked), i)
-                                  for i in active)
-        chosen_bundle = mask_of(ranking[:size])
-
-        order.append(chosen_player)
-        bundle_history.append(chosen_bundle)
-        final_bundles[chosen_player] = chosen_bundle
-        active.remove(chosen_player)
-
-        for j in range(m):
-            if not (chosen_bundle >> j) & 1:
-                tentative[j] &= ~(1 << chosen_player)
-                withdrawals[j].append(chosen_player)
-                remaining = tentative[j]
-                if remaining:
-                    new_avg = cost_fns[j](remaining) / remaining.bit_count()
-                    if new_avg > shares[j]:
-                        shares[j] = new_avg
-            share_history[j].append(shares[j])
-
-    payments = tuple(
-        sum((shares[j] for j in bits(b)), start=Fraction(0)) for b in final_bundles)
-    outcome = Outcome(Allocation(tuple(final_bundles), m), payments)
-    trace = Trace(order=tuple(order),
-                  withdrawals=tuple(tuple(w) for w in withdrawals),
-                  share_history=tuple(tuple(h) for h in share_history),
-                  bundle_history=tuple(bundle_history))
-    return outcome, trace
+    for _ in range(n):
+        # the smallest bundle wins, lowest index first
+        best = None
+        for i in active:
+            key = (node, decl[i])
+            size = memo.get(key)
+            if size is None:
+                size = _store(memo, key, _covered_ranks(decl[i].marginals, node.ranked))
+            if best is None or size < best[0]:
+                best = (size, i)
+        size, player = best
+        active.remove(player)
+        key = (node, player, size)
+        child = memo.get(key)
+        node = child if child is not None else _store(memo, key, node.child(cost_fns, player, size))
+    if node.result is None:
+        node.result = node.outcome(n, m)
+    return node.result
 
 
 def incremental_costs(inst: Instance, bundles: Sequence[int], i: int) -> list[Rat]:
@@ -151,6 +203,15 @@ def incremental_costs(inst: Instance, bundles: Sequence[int], i: int) -> list[Ra
     return [c - cost[0] for c in cost]
 
 
+def _sm_step(inst: Instance, bundles: Sequence[int], i: int,
+             v: ValuationFn) -> tuple[int, Rat]:
+    """Player i's bundle mask and payment after ``bundles``."""
+    price = incremental_costs(inst, bundles, i)
+    # max keeps the first maximum: the numerically smallest optimal mask
+    best = max(range(1 << inst.m), key=lambda mask: v.value(mask) - price[mask])
+    return best, price[best]
+
+
 def sm_run(inst: Instance, order: Sequence[int] | None = None,
            declared: Sequence[ValuationFn] | None = None) -> Outcome:
     """Run the sequential mechanism in the given player order (default 0..n-1).
@@ -163,20 +224,23 @@ def sm_run(inst: Instance, order: Sequence[int] | None = None,
     if m > MAX_SM_ITEMS:
         raise GroundSetTooLargeError(
             f"bundle search enumerates 2^m subsets; m <= {MAX_SM_ITEMS} required")
-    seq = list(range(n)) if order is None else [int(i) for i in order]
+    try:
+        seq = list(range(n)) if order is None else [operator.index(i) for i in order]
+    except TypeError:
+        raise MechanismPreconditionError("order entries must be player indices") from None
     if sorted(seq) != list(range(n)):
         raise MechanismPreconditionError("order must be a permutation of the players")
     decl = _declared_profile(inst, declared)
 
+    memo = inst.step_memo
     bundles = [0] * n
     payments: list[Rat] = [Fraction(0)] * n
     for i in seq:
-        price = incremental_costs(inst, bundles, i)
-        value = decl[i].value
-        # max keeps the first maximum: the numerically smallest optimal mask
-        best = max(range(1 << m), key=lambda mask: value(mask) - price[mask])
-        payments[i] = price[best]
-        bundles[i] = best
+        key = (i, tuple(bundles), decl[i])
+        step = memo.get(key)
+        if step is None:
+            step = _store(memo, key, _sm_step(inst, bundles, i, decl[i]))
+        bundles[i], payments[i] = step
 
     return Outcome(Allocation(tuple(bundles), m), tuple(payments))
 

@@ -36,6 +36,11 @@ class SymmetricSubmodularValuation:
         for d in margs:
             prefix.append(prefix[-1] + d)
         object.__setattr__(self, "_prefix", tuple(prefix))
+        # the mechanisms' step memo hashes declared valuations on every step
+        object.__setattr__(self, "_hash", hash(margs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> int:

@@ -105,6 +105,36 @@ def naive_iacsm_run(inst, declared=None, first_iteration_quote_scale=Fraction(1)
     return Outcome(Allocation(tuple(final), m), payments), trace
 
 
+def naive_wgsp_search(inst, mechanism, coalition_max, space, order=None):
+    """Weak group-strategyproofness falsification straight from its
+    definition: coalitions by size, then in lexicographic order, each with
+    every joint misreport from ``space`` in product order, one naive
+    mechanism run per profile. Returns (coalition, misreports, gains) for the
+    first profile under which every member's true utility strictly exceeds
+    the truthful one, or None."""
+    def utilities(declared):
+        if mechanism == "sm":
+            out = naive_sm_run(inst, order, declared)
+        else:
+            scale = Fraction(1, 2) if mechanism == "iacsm-underquote" else Fraction(1)
+            out, _ = naive_iacsm_run(inst, declared, scale)
+        return [v.value(b) - p for v, b, p in
+                zip(inst.valuations, out.allocation.bundles, out.payments)]
+
+    truthful = utilities(list(inst.valuations))
+    for size in range(1, coalition_max + 1):
+        for coalition in combinations(range(inst.n), size):
+            for misreports in product(space, repeat=size):
+                declared = list(inst.valuations)
+                for member, report in zip(coalition, misreports):
+                    declared[member] = report
+                got = utilities(declared)
+                gains = tuple(got[i] - truthful[i] for i in coalition)
+                if all(g > 0 for g in gains):
+                    return coalition, misreports, gains
+    return None
+
+
 def naive_alpha_avg_decreasing(vals, n):
     """Least a with a*c(S)/|S| >= c(T)/|T| for all nonempty S <= T, or None."""
     best = Fraction(1)

@@ -23,7 +23,7 @@ from costshare.costs import (alpha_average_decreasing, alpha_max_bounded,
                              two_tier_step_cost, union_items_cost)
 from costshare.mechanisms import verify_p1
 from costshare.analysis import (evaluate_run, symmetric_marginal_space,
-                                wgsp_search)
+                                table_space, wgsp_search)
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 from costshare.cli.gen import generate
 
@@ -172,6 +172,27 @@ def test_criterion_4_wgsp_falsification(capfd):
         assert all(g > 0 for g in witness.gains)
         elapsed = time.perf_counter() - start
         assert elapsed < 600, f"criterion 4 took {elapsed:.0f}s"
+
+
+def test_criterion_4_coalitions_of_three_and_table_misreports(capfd):
+    """Beside C4: coalitions of three under both mechanisms, and sm against
+    table misreports on a vertex-cover cost, where players are not symmetric."""
+    with criterion("C4 coalitions of three, table misreports", capfd):
+        space_grid = [F(t) for t in range(5)]
+        for i in range(12):
+            rng = random.Random(8_100_000 + i)
+            n, m = rng.randint(3, 4), rng.randint(1, 2)
+            inst = generate("random-symmetric",
+                            {"n": str(n), "m": str(m),
+                             "vgrid": "0,1/2,1,3/2,2,5/2,3,7/2,4",
+                             "cgrid": "0,1/2,1,3/2,2,5/2,3,7/2,4"},
+                            41_000 + i)
+            space = symmetric_marginal_space(m, space_grid)
+            assert wgsp_search(inst, "iacsm", 3, space) is None
+            assert wgsp_search(inst, "sm", 3, space, order=rng.sample(range(n), n)) is None
+        for i in range(3):
+            inst = generate("vertex-cover", {"v": "7", "k": "3", "e": "7"}, 42_000 + i)
+            assert wgsp_search(inst, "sm", 3, table_space(1, WGSP_GRID)) is None
 
 
 def test_criterion_5_tight_instance(capfd):

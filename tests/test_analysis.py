@@ -1,22 +1,27 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from costshare import analysis
+from costshare.cli.formats import parse_instance, serialize_instance
+from costshare.cli.gen import generate
 from costshare.core import (Allocation, GroundSetTooLargeError, Instance,
                             SeparableCosts, harmonic, scale_to_ints)
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
-                             lifted_separable_cost, public_good_cost,
-                             symmetric_submodular_cost, table_cost,
-                             vertex_cover_cost)
+                             lifted_separable_cost, max_item_cost,
+                             public_good_cost, symmetric_submodular_cost,
+                             table_cost, union_items_cost, vertex_cover_cost)
 from costshare.analysis import (DeviationWitness, check_icb_bound, evaluate_run,
                                 optimal_social_cost, social_cost,
                                 symmetric_marginal_space, table_space,
                                 wgsp_search)
+from costshare.mechanisms import iacsm_run, sm_run
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
-from oracles import BIG_PRIMES, naive_optimal_social_cost
+from oracles import (BIG_PRIMES, naive_iacsm_run, naive_optimal_social_cost,
+                     naive_sm_run, naive_wgsp_search)
 
 F = Fraction
 
@@ -233,6 +238,79 @@ def test_wgsp_sm_table_misreports_and_profile_swaps():
                         [0, 1, 1, F(3, 2), 1, F(3, 2), F(3, 2), F(3, 2)]),)), m=1)
     space = table_space(1, [0, F(1, 2), 1, 2]) + list(vals)
     assert wgsp_search(inst, "sm", 2, space) is None
+
+
+HALF_GRID = "0,1/2,1,3/2,2,5/2,3,7/2,4"
+
+
+def search_instances(rng):
+    """Small instances of every shape a search runs on: random symmetric
+    separable costs, vertex cover, and the four non-separable builtins with
+    table valuations."""
+    for _ in range(20):
+        yield generate("random-symmetric", {"n": str(rng.randint(2, 3)),
+                                            "m": str(rng.randint(1, 2)),
+                                            "vgrid": HALF_GRID, "cgrid": HALF_GRID},
+                       rng.randrange(10 ** 6))
+    for _ in range(4):
+        yield generate("vertex-cover", {"v": "4", "k": "2", "e": "3", "vgrid": HALF_GRID},
+                       rng.randrange(10 ** 6))
+    for kind in ("lifted", "max-item", "count-served", "union-items") * 2:
+        n, m = rng.randint(2, 3), rng.randint(1, 2)
+        weight = F(rng.randint(1, 4), 2)
+        if kind in ("lifted", "max-item"):
+            sep = SeparableCosts(tuple(symmetric_submodular_cost(n, sorted(
+                (F(rng.randint(1, 4), 2) for _ in range(n)), reverse=True))
+                for _ in range(m)))
+            cost = (lifted_separable_cost if kind == "lifted" else max_item_cost)(sep, n)
+        else:
+            cost = (count_served_cost if kind == "count-served" else union_items_cost)(n, m, weight)
+        vals = tuple(TableValuation.from_values(
+            [0] + [F(rng.randint(0, 8), 2) for _ in range((1 << m) - 1)]) for _ in range(n))
+        yield Instance(valuations=vals, cost_model=cost, m=m)
+
+
+def witness_fields(w):
+    return None if w is None else (w.coalition, w.misreports, w.gains)
+
+
+def test_wgsp_search_matches_naive_definition():
+    rng = random.Random("wgsp-naive")
+    underquote_witnesses = 0
+    for inst in search_instances(rng):
+        unmemoized, shown = replace(inst), repr(inst)
+        order = rng.sample(range(inst.n), inst.n)
+        symmetric = symmetric_marginal_space(inst.m, [0, F(1, 2), 2, 4])
+        searches = [("sm", symmetric, order), ("sm", table_space(inst.m, [0, 2]), order)]
+        if inst.is_separable and all(isinstance(v, SymmetricSubmodularValuation)
+                                     for v in inst.valuations):
+            searches += [("iacsm", symmetric, None), ("iacsm-underquote", symmetric, None)]
+        # every search after the first, and every repeat, starts on a warm memo
+        for mechanism, space, sm_order in searches:
+            expected = naive_wgsp_search(inst, mechanism, 2, space, sm_order)
+            for _ in range(2):
+                got = wgsp_search(inst, mechanism, 2, space, order=sm_order)
+                assert witness_fields(got) == expected
+            underquote_witnesses += mechanism == "iacsm-underquote" and expected is not None
+        assert inst.step_memo and not unmemoized.step_memo
+        assert inst == unmemoized and hash(inst) == hash(unmemoized)
+        assert repr(inst) == shown == repr(unmemoized)
+        # a warm memo answers as a freshly parsed copy and the definition compute
+        parsed = parse_instance(serialize_instance(inst))
+        for mechanism, space, sm_order in searches:
+            for _ in range(10):
+                declared = [rng.choice(space) if rng.random() < 0.5 else v
+                            for v in inst.valuations]
+                if mechanism == "sm":
+                    got = sm_run(inst, sm_order, declared)
+                    assert got == sm_run(parsed, sm_order, declared)
+                    assert got == naive_sm_run(inst, sm_order, declared)
+                else:
+                    scale = F(1, 2) if mechanism == "iacsm-underquote" else F(1)
+                    got = iacsm_run(inst, declared, first_iteration_quote_scale=scale)
+                    assert got == iacsm_run(parsed, declared, first_iteration_quote_scale=scale)
+                    assert got == naive_iacsm_run(inst, declared, scale)
+    assert underquote_witnesses >= 5
 
 
 # --- icb bound ----------------------------------------------------------------

@@ -321,6 +321,25 @@ def test_cli_bad_instance_exits_2_with_line(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mechanism", ["iacsm", "iacsm-underquote"])
+def test_cli_run_refuses_an_order_for_ascending_mechanisms(capsys, mechanism):
+    assert main(["run", str(REPO / "instances" / "paper_corollary.inst"),
+                 "--mechanism", mechanism, "--order", "5,5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{mechanism} takes no player order" in err
+
+
+def test_cli_suite_refuses_an_order_for_ascending_mechanisms(tmp_path, capsys):
+    path = tmp_path / "iacsm_order.json"
+    path.write_text(json.dumps({"name": "ordered", "mechanism": "iacsm", "order": [1, 0],
+                                "instances": [str(REPO / "instances" / "paper_corollary.inst")]}))
+    assert main(["suite", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "iacsm takes no player order" in err
+
+
 def test_cli_gen_empty_instance_exits_2(capsys):
     assert main(["gen", "random-symmetric", "--param", "n=0", "--param", "m=1"]) == 2
     assert "need at least one player and one item" in capsys.readouterr().err
@@ -338,7 +357,9 @@ def test_cli_run_past_optimum_size_limit_exits_2(tmp_path, capsys):
       "checks": ["budget-exact", "no-such-check"]}, "unknown check 'no-such-check'"),
     ({"generate": [{"params": {"n": "2", "m": "1"}, "count": 1}]},
      'every "generate" entry needs a "kind"'),
-], ids=["unknown-check", "generate-without-kind"])
+    ({"instances": ["instances/prop_tight_n3_k6.inst"], "order": "1,0"},
+     '"order" must be a list of player indices'),
+], ids=["unknown-check", "generate-without-kind", "order-as-string"])
 def test_cli_suite_config_checked_before_any_instance(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"name": "bad", "mechanism": "sm", **config}))

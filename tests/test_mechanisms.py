@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costshare import mechanisms
 from costshare.core import Allocation, Instance, SeparableCosts, allocation_cost
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
                              lifted_separable_cost, matching_cost, max_item_cost,
@@ -312,6 +313,9 @@ def test_sm_order_is_validated():
     inst = separable_instance([sym(1), sym(1)], [[0, 1, 1, 1]])
     with pytest.raises(MechanismPreconditionError):
         sm_run(inst, order=[0, 0])
+    # int() would read these as 0, 1
+    with pytest.raises(MechanismPreconditionError, match="player indices"):
+        sm_run(inst, order=[0.9, 1.5])
 
 
 def test_sm_order_changes_outcome():
@@ -430,3 +434,18 @@ def test_iacsm_matches_naive_definition(kind):
             for scale in (F(1), F(1, 2)):
                 got = iacsm_run(inst, decl, first_iteration_quote_scale=scale)
                 assert got == naive_iacsm_run(inst, decl, scale)
+
+
+def test_step_memo_stops_growing_at_the_cap(monkeypatch):
+    monkeypatch.setattr(mechanisms, "DEFAULT_CACHE_CAP", 5)
+    rng = random.Random("memo-cap")
+    for _ in range(20):
+        n, m = rng.randint(2, 4), rng.randint(1, 3)
+        inst = Instance(valuations=tuple(random_symmetric(rng, m) for _ in range(n)),
+                        cost_model=random_cost_model(rng, "table", n, m), m=m)
+        for _ in range(5):
+            declared = [random_symmetric(rng, m) for _ in range(n)]
+            order = rng.sample(range(n), n)
+            assert sm_run(inst, order, declared) == naive_sm_run(inst, order, declared)
+            assert iacsm_run(inst, declared) == naive_iacsm_run(inst, declared)
+        assert len(inst.step_memo) == 5
