@@ -21,7 +21,7 @@ vc = vertex_cover_cost([(0, 1), (0, 2), (0, 3)])
 print("  c(all edges) =", vc(0b111), " (the hub covers everything)")
 print("  max degree = 3, max-bounded parameter =", alpha_max_bounded(vc).alpha)
 
-print("\nmatching on a triangle plus a pendant edge (odd cycle: exhaustive search)")
+print("\nmatching on a triangle plus a pendant edge (odd cycle: subset recurrence)")
 mc = matching_cost([(0, 1), (1, 2), (0, 2), (2, 3)])
 print("  c(triangle) =", mc(0b0111), ", c(all four) =", mc(0b1111))
 print("  max-bounded parameter =", alpha_max_bounded(mc).alpha)

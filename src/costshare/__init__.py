@@ -11,7 +11,7 @@ and a coalition-misreport falsification search.
 from .core import (Allocation, AllocationCostFn, DimensionMismatchError,
                    GroundSetTooLargeError, Instance, Outcome, Rat,
                    SeparableCosts, SetFunction, Trace, allocation_cost,
-                   harmonic, restrict_allocation, union_allocations)
+                   harmonic, restrict_allocation)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
                          ValuationFn, check_class, gen_symmetric_submodular)
 from .costs import (AlphaReport, InfeasibleCoverError, alpha_average_decreasing,

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, allocation_cost, bundle_shifts, harmonic, scale_to_ints)
+                   Trace, allocation_cost, harmonic, scale_to_ints)
 from .costs import (alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
                     alpha_min_bounded_ns)
 from .mechanisms import (MechanismPreconditionError, iacsm_run,
@@ -51,11 +51,14 @@ def social_cost(inst: Instance, a: Allocation) -> Rat:
 def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     """Exact minimum social cost with the lexicographically smallest witness.
 
-    The social cost of all 2^(n*m) allocations is one integer vector over a
-    common denominator (see ``core.scale_to_ints``): per-player losses plus
-    the per-item costs, or C(A) in index order when costs are non-separable.
-    Index order is lexicographic bundle-tuple order (``core.bundle_shifts``),
-    so argmin's first minimizer is the lexicographically smallest witness.
+    The social cost of all 2^(n*m) allocations is one array of shape
+    (2,)*(n*m) over a common denominator (see ``core.scale_to_ints``), with
+    axis i*m + (m-1-j) for item j of player i's bundle, so that ravel order
+    is allocation index order (``core.bundle_shifts``). It is the sum of each
+    player's loss table on that player's axes, plus each item's cost table on
+    the item's axes (player 0 first), or C(A) reshaped when costs are
+    non-separable. Index order is lexicographic bundle-tuple order, so
+    argmin's first minimizer is the lexicographically smallest witness.
     """
     n, m = inst.n, inst.m
     if n * m > MAX_OPTIMUM_CELLS:
@@ -71,22 +74,19 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     flat, denom = scale_to_ints([x for t in tables for x in t], terms=len(tables))
     scaled = np.split(flat, np.cumsum([len(t) for t in tables])[:-1])
 
-    idx = np.arange(1 << (n * m), dtype=np.int64)
-    shifts = bundle_shifts(n, m)
-    total = scaled[0][(idx >> shifts[0]) & full]
-    for i in range(1, n):
-        total += scaled[i][(idx >> shifts[i]) & full]
+    total = np.zeros((2,) * (n * m), dtype=flat.dtype)
+    for i in range(n):
+        total += scaled[i].reshape((1,) * (i * m) + (2,) * m + (1,) * ((n - 1 - i) * m))
     if inst.is_separable:
         for j in range(m):
-            served = np.zeros_like(idx)
-            for i in range(n):
-                served |= ((idx >> (shifts[i] + j)) & 1) << i
-            total += scaled[n + j][served]
+            axes = tuple(2 if a % m == m - 1 - j else 1 for a in range(n * m))
+            total += scaled[n + j].reshape((2,) * n).transpose().reshape(axes)
     else:
-        total += scaled[n]
+        total += scaled[n].reshape(total.shape)
 
-    k = int(np.argmin(total))
-    return Fraction(int(total[k]), denom), Allocation.from_index(k, n, m)
+    flat_total = total.ravel()
+    k = int(np.argmin(flat_total))
+    return Fraction(int(flat_total[k]), denom), Allocation.from_index(k, n, m)
 
 
 @dataclass(frozen=True)

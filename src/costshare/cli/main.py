@@ -269,23 +269,51 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _suite_problems(config) -> list[str]:
+    """Every fault of a suite config that shows before any instance is read."""
+    if not isinstance(config, dict):
+        return ["the config must be a JSON object"]
+    checks = config.get("checks", [])
+    instances = config.get("instances", [])
+    generate_specs = config.get("generate", [])
+    order = config.get("order")
+    if not isinstance(checks, list):
+        return ['"checks" must be a list of check names']
+    problems = [f"unknown check {c!r}" for c in checks if c not in SUITE_CHECKS]
+    if config.get("mechanism", "iacsm") not in MECHANISM_IDS:
+        problems.append(f"unknown mechanism {config['mechanism']!r}")
+    if not (isinstance(instances, list) and all(isinstance(p, str) for p in instances)):
+        problems.append('"instances" must be a list of file paths')
+    if not (isinstance(generate_specs, list)
+            and all(isinstance(spec, dict) for spec in generate_specs)):
+        problems.append('"generate" must be a list of objects')
+        generate_specs = []
+    if any("kind" not in spec for spec in generate_specs):
+        problems.append('every "generate" entry needs a "kind"')
+    for key in ("seed", "count"):
+        if any(not _is_int(spec.get(key, 0)) for spec in generate_specs):
+            problems.append(f'"generate" {key}s must be integers')
+    if any(not isinstance(spec.get("params", {}), dict) for spec in generate_specs):
+        problems.append('"generate" params must be an object, e.g. {"n": "3"}')
+    if order is not None and not (isinstance(order, list) and all(map(_is_int, order))):
+        problems.append('"order" must be a list of player indices, e.g. [1, 0]')
+    return problems
+
+
 def cmd_suite(args) -> int:
     config = json.loads(Path(args.config).read_text())
-    mechanism = config.get("mechanism", "iacsm")
-    checks = config.get("checks", [])
-    order = config.get("order")
-    problems = [f"unknown check {c!r}" for c in checks if c not in SUITE_CHECKS]
-    if mechanism not in MECHANISM_IDS:
-        problems.append(f"unknown mechanism {mechanism!r}")
-    if any("kind" not in spec for spec in config.get("generate", [])):
-        problems.append('every "generate" entry needs a "kind"')
-    if order is not None and not (isinstance(order, list) and all(
-            isinstance(i, int) and not isinstance(i, bool) for i in order)):
-        problems.append('"order" must be a list of player indices, e.g. [1, 0]')
+    problems = _suite_problems(config)
     if problems:
         for problem in problems:
             print(f"error: {args.config}: {problem}", file=sys.stderr)
         return 2
+    mechanism = config.get("mechanism", "iacsm")
+    checks = config.get("checks", [])
+    order = config.get("order")
 
     jobs: list[tuple[str, Instance]] = []
     for path in config.get("instances", []):

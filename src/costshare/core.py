@@ -98,8 +98,8 @@ class SetFunction:
     """A map from subsets of a ground set to non-negative exact rationals.
 
     Backed either by a dense table (ground_size <= 20) or by a memoizing
-    oracle callback with a cache cap. Oracle cache writes are serialized so
-    instances can be shared across parallel workers.
+    oracle with a cache cap: a callback, or a subset recurrence. Oracle cache
+    writes are serialized so instances can be shared across parallel workers.
 
     ``kind`` and ``meta`` carry construction data (e.g. a set-cover family)
     for serialization; ``approximate`` marks functions whose values were
@@ -152,6 +152,46 @@ class SetFunction:
             raise ValueError("cost functions must satisfy f(empty) = 0")
         return obj
 
+    @classmethod
+    def from_recurrence(cls, ground_size: int, children: Callable[[int], list[int]],
+                        combine: Callable[[int, list[Rat]], Rat], *, kind: str,
+                        meta: dict | None = None) -> "SetFunction":
+        """The set function with f(empty) = 0 and
+        f(T) = combine(T, [f(S) for S in children(T)]), each S a proper subset of T.
+
+        A miss is evaluated with an explicit stack, not Python recursion, so
+        chains as deep as the ground set never reach the recursion limit.
+        Every value it computes is read from and written to this function's
+        own capped cache, as ``__call__`` does; past the cap, a value lives
+        only for the query that needed it.
+        """
+        def solve(t: int) -> Rat:
+            cache, local = obj._cache, {0: Fraction(0)}
+            stack: list[tuple[int, list[int] | None]] = [(t, None)]
+            while stack:
+                s, kids = stack.pop()
+                if kids is not None:
+                    vals = [local[k] if k in local else cache[k] for k in kids]
+                    local[s] = obj._store(s, combine(s, vals))
+                elif s not in local and s not in cache:
+                    kids = children(s)
+                    stack.append((s, kids))
+                    stack.extend((k, None) for k in kids)
+            return local[t] if t in local else cache[t]
+
+        obj = cls(ground_size, oracle=solve, kind=kind, meta=meta)
+        return obj
+
+    def _store(self, mask: int, val) -> Rat:
+        """Check an oracle value and cache it while the cache is under its cap."""
+        val = as_rat(val)
+        if val < 0:
+            raise ValueError("set function oracle returned a negative value")
+        if len(self._cache) < DEFAULT_CACHE_CAP:
+            with self._lock:
+                self._cache[mask] = val
+        return val
+
     def __call__(self, mask: int) -> Rat:
         if mask < 0 or mask >> self.ground_size:
             raise ValueError(f"mask {mask:#x} outside ground set of size {self.ground_size}")
@@ -160,13 +200,7 @@ class SetFunction:
         hit = self._cache.get(mask)
         if hit is not None:
             return hit
-        val = as_rat(self._oracle(mask))
-        if val < 0:
-            raise ValueError("set function oracle returned a negative value")
-        if len(self._cache) < DEFAULT_CACHE_CAP:
-            with self._lock:
-                self._cache[mask] = val
-        return val
+        return self._store(mask, self._oracle(mask))
 
     def to_table(self) -> list[Rat]:
         """Materialize all 2^ground values (ground_size <= 20 only)."""
@@ -234,13 +268,6 @@ class Allocation:
     @classmethod
     def full(cls, n: int, m: int) -> "Allocation":
         return cls(((1 << m) - 1,) * n, m)
-
-
-def union_allocations(s: Allocation, t: Allocation) -> Allocation:
-    """Componentwise union (S_1 | T_1, ..., S_n | T_n)."""
-    if s.n != t.n or s.m != t.m:
-        raise DimensionMismatchError("allocations have different dimensions")
-    return Allocation(tuple(a | b for a, b in zip(s.bundles, t.bundles)), s.m)
 
 
 def restrict_allocation(a: Allocation, player_mask: int) -> Allocation:

@@ -312,8 +312,12 @@ TWO_PLAYERS = ("costshare-instance v1\nn 2\nm 1\n"
     (TWO_PLAYERS + "cost 0 set-cover 0\n", "line 6: no set-cover family set holds player 1"),
     (TWO_PLAYERS + "nonseparable count-served -1/1\n",
      "line 6: count-served weight must be non-negative"),
+    ("costshare-instance v1\nn 6\nm 1\n"
+     + "".join(f"valuation {i} symmetric 1/1\n" for i in range(6))
+     + "cost 0 matching 3-0 0-4 3-1 1--3 1--1 2--1\n",
+     "line 10: vertex ids must be non-negative"),
 ], ids=["n-without-value", "repeated-valuation", "set-cover-misses-player",
-        "negative-weight"])
+        "negative-weight", "negative-vertex-id"])
 def test_cli_bad_instance_exits_2_with_line(tmp_path, capsys, text, message):
     path = tmp_path / "bad.inst"
     path.write_text(text)
@@ -359,10 +363,30 @@ def test_cli_run_past_optimum_size_limit_exits_2(tmp_path, capsys):
      'every "generate" entry needs a "kind"'),
     ({"instances": ["instances/prop_tight_n3_k6.inst"], "order": "1,0"},
      '"order" must be a list of player indices'),
-], ids=["unknown-check", "generate-without-kind", "order-as-string"])
+    ([{"instances": ["instances/prop_tight_n3_k6.inst"]}], "the config must be a JSON object"),
+    ({"generate": {"kind": "random-symmetric"}}, '"generate" must be a list of objects'),
+    ({"generate": [{"kind": "random-symmetric", "seed": "7"}]},
+     '"generate" seeds must be integers'),
+    ({"generate": [{"kind": "random-symmetric", "seed": 1.5}]},
+     '"generate" seeds must be integers'),
+    ({"generate": [{"kind": "random-symmetric", "count": "2"}]},
+     '"generate" counts must be integers'),
+    ({"generate": [{"kind": "random-symmetric", "count": True}]},
+     '"generate" counts must be integers'),
+    ({"generate": [{"kind": "random-symmetric", "params": [1]}]},
+     '"generate" params must be an object'),
+    ({"instances": "instances/prop_tight_n3_k6.inst"},
+     '"instances" must be a list of file paths'),
+    ({"instances": ["instances/prop_tight_n3_k6.inst"], "checks": "ir"},
+     '"checks" must be a list of check names'),
+], ids=["unknown-check", "generate-without-kind", "order-as-string", "top-level-list",
+        "generate-as-object", "seed-as-string", "seed-not-integer", "count-as-string",
+        "count-as-bool", "params-as-list", "instances-as-string", "checks-as-string"])
 def test_cli_suite_config_checked_before_any_instance(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"name": "bad", "mechanism": "sm", **config}))
+    if isinstance(config, dict):
+        config = {"name": "bad", "mechanism": "sm", **config}
+    path.write_text(json.dumps(config))
     assert main(["suite", str(path)]) == 2
     out, err = capsys.readouterr()
     assert message in err

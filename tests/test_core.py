@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from costshare import core
 from costshare.core import (INT64_HEADROOM, Allocation, AllocationCostFn,
                             DimensionMismatchError, GroundSetTooLargeError,
                             Instance, SeparableCosts, SetFunction,
                             allocation_cost, harmonic, restrict_allocation,
-                            scale_to_ints, union_allocations)
+                            scale_to_ints)
 from costshare.costs import decreasing_average_table, table_cost
 from costshare.valuations import SymmetricSubmodularValuation
 
@@ -55,13 +57,7 @@ def test_allocation_cost_dimension_mismatch():
         allocation_cost(inst, Allocation.empty(3, 2))
 
 
-def test_union_and_restrict_basics():
-    a = Allocation((0b01, 0b00), 2)
-    b = Allocation((0b00, 0b10), 2)
-    assert union_allocations(a, Allocation.empty(2, 2)) == a
-    assert union_allocations(a, a) == a
-    assert union_allocations(a, b) == Allocation((0b01, 0b10), 2)
-
+def test_restrict_basics():
     full = Allocation((0b11, 0b01), 2)
     assert restrict_allocation(full, 0b11) == full
     assert restrict_allocation(full, 0) == Allocation.empty(2, 2)
@@ -102,8 +98,8 @@ def test_restrict_partition_recovers_allocation(data, raw_mask):
     alloc = Allocation(bundles, m)
     s = raw_mask & ((1 << alloc.n) - 1)
     rest = ~s & ((1 << alloc.n) - 1)
-    assert union_allocations(restrict_allocation(alloc, s),
-                             restrict_allocation(alloc, rest)) == alloc
+    parts = zip(restrict_allocation(alloc, s).bundles, restrict_allocation(alloc, rest).bundles)
+    assert tuple(a | b for a, b in parts) == alloc.bundles
 
 
 @given(st.integers(2, 4), st.lists(st.integers(0, 5), min_size=4, max_size=4))
@@ -145,6 +141,45 @@ def test_oracle_memoization_counts_calls():
     for _ in range(3):
         assert sf(0b101) == 2
     assert calls.count(0b101) == 1
+
+
+def _popcount_by_recurrence(n):
+    # f(T) = 1 + f(T minus its lowest element): a chain as deep as the ground set
+    evaluated = []
+
+    def children(t):
+        evaluated.append(t)
+        return [t & (t - 1)]
+
+    return SetFunction.from_recurrence(n, children, lambda t, vals: 1 + vals[0],
+                                       kind="popcount"), evaluated
+
+
+def test_recurrence_evaluates_deep_chains_without_recursion():
+    sf, evaluated = _popcount_by_recurrence(5000)
+    full = (1 << 5000) - 1
+    assert sf(full) == 5000
+    assert len(evaluated) == 5000
+    # every intermediate value went to the cache, so a sub-query is a hit
+    assert sf(full ^ 1) == 4999
+    assert len(evaluated) == 5000
+
+
+def test_recurrence_matches_definition_in_any_query_order():
+    masks = list(range(1 << 8))
+    random.Random(3).shuffle(masks)
+    sf, evaluated = _popcount_by_recurrence(8)
+    assert [sf(t) for t in masks] == [t.bit_count() for t in masks]
+    assert sorted(evaluated) == list(range(1, 1 << 8))  # each subset at most once
+    assert all(isinstance(v, Fraction) for v in sf.to_table())
+
+
+def test_recurrence_past_the_cache_cap_stays_exact(monkeypatch):
+    monkeypatch.setattr(core, "DEFAULT_CACHE_CAP", 3)
+    sf, _ = _popcount_by_recurrence(40)
+    assert sf((1 << 40) - 1) == 40
+    assert len(sf._cache) == 3
+    assert sf((1 << 40) - 2) == 39
 
 
 def test_scale_to_ints_object_dtype_past_int64_headroom():

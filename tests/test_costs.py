@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from costshare import costs
 from costshare.core import (AllocationCostFn, GroundSetTooLargeError,
-                            SeparableCosts)
+                            SeparableCosts, allocation_cost)
 from costshare.costs import (InfeasibleCoverError, additive_cost,
                              alpha_average_decreasing, alpha_max_bounded,
                              alpha_max_bounded_ns, alpha_min_bounded,
@@ -19,6 +19,8 @@ from costshare.costs import (InfeasibleCoverError, additive_cost,
                              sqrt_max_cost, symmetric_submodular_cost,
                              table_cost, two_tier_step_cost, union_items_cost,
                              vertex_cover_cost)
+from costshare.cli.gen import generate
+from costshare.mechanisms import sm_run
 from costshare.valuations import classify_set_function
 
 from oracles import (BIG_PRIMES, naive_alpha_avg_decreasing, naive_alpha_bounded,
@@ -44,17 +46,37 @@ def test_vertex_cover_triangle():
     assert vc(0b011) == 1  # both edges share vertex 1
 
 
+def _cold_queries(build, naive, size, seed):
+    """Query every mask of a fresh oracle in ascending and in shuffled order."""
+    masks = list(range(1 << size))
+    expected = [naive(mask) for mask in masks]
+    fn = build()
+    assert [fn(mask) for mask in masks] == expected
+    random.Random(seed).shuffle(masks)
+    fn = build()
+    assert all(fn(mask) == expected[mask] for mask in masks)
+
+
+def _gen_costs(kind, params, seeds):
+    for seed in seeds:
+        yield generate(kind, params, seed).cost_model.items[0]
+
+
 def test_vertex_cover_matches_naive():
     rng = random.Random(4)
-    for _ in range(10):
+    for seed in range(10):
         edges = []
         while len(edges) < 5:
             e = tuple(sorted(rng.sample(range(5), 2)))
             if e not in edges:
                 edges.append(e)
-        vc = vertex_cover_cost(edges)
-        for mask in range(1 << 5):
-            assert vc(mask) == naive_min_vertex_cover(edges, mask)
+        _cold_queries(lambda: vertex_cover_cost(edges),
+                      lambda mask: naive_min_vertex_cover(edges, mask), 5, seed)
+    for params in ({"v": "7", "e": "8", "k": "3"}, {"v": "9", "e": "12", "k": "4"}):
+        for fn in _gen_costs("vertex-cover", params, range(2)):
+            edges = fn.meta["edges"]
+            _cold_queries(lambda: vertex_cover_cost(edges),
+                          lambda mask: naive_min_vertex_cover(edges, mask), len(edges), 1)
 
 
 def test_set_cover_singleton_coverage():
@@ -67,7 +89,7 @@ def test_set_cover_singleton_coverage():
 
 def test_set_cover_matches_naive():
     rng = random.Random(9)
-    for _ in range(10):
+    for seed in range(10):
         n = 5
         family = [rng.randrange(1, 1 << n) for _ in range(4)]
         covered = 0
@@ -76,15 +98,25 @@ def test_set_cover_matches_naive():
         for e in range(n):
             if not (covered >> e) & 1:
                 family.append(1 << e)
-        sc = set_cover_cost(n, family)
-        for mask in range(1 << n):
-            assert sc(mask) == naive_min_set_cover(family, mask)
+        _cold_queries(lambda: set_cover_cost(n, family),
+                      lambda mask: naive_min_set_cover(family, mask), n, seed)
+    for params in ({"n": "8", "s": "6", "d": "3"}, {"n": "12", "s": "8", "d": "4"}):
+        for fn in _gen_costs("set-cover", params, range(2)):
+            family = fn.meta["family"]
+            _cold_queries(lambda: set_cover_cost(fn.ground_size, family),
+                          lambda mask: naive_min_set_cover(family, mask), fn.ground_size, 2)
 
 
 def test_set_cover_infeasible_is_an_error():
     sc = set_cover_cost(3, [0b011])
     with pytest.raises(InfeasibleCoverError):
         sc(0b100)
+    # after a partial fill the uncoverable queries still raise
+    sc = set_cover_cost(4, [0b0011, 0b0110])
+    assert [sc(mask) for mask in (0b0111, 0b0011, 0b0001)] == [2, 1, 1]
+    for mask in (0b1000, 0b1111, 0b1001):
+        with pytest.raises(InfeasibleCoverError, match="player 3"):
+            sc(mask)
 
 
 def test_matching_bipartite_agrees_with_exhaustive_oracle():
@@ -92,17 +124,65 @@ def test_matching_bipartite_agrees_with_exhaustive_oracle():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
     mc = matching_cost(edges)
     assert mc.meta["bipartite"]
-    for mask in range(1 << 4):
-        assert mc(mask) == naive_max_matching(edges, mask)
+    _cold_queries(lambda: matching_cost(edges),
+                  lambda mask: naive_max_matching(edges, mask), 4, 0)
+    for params in ({"v": "8", "e": "8", "k": "3"}, {"v": "10", "e": "12", "k": "4"}):
+        for fn in _gen_costs("matching", params, range(2)):
+            edges = fn.meta["edges"]
+            assert fn.meta["bipartite"]
+            _cold_queries(lambda: matching_cost(edges),
+                          lambda mask: naive_max_matching(edges, mask), len(edges), 3)
 
 
 def test_matching_odd_cycle_uses_exhaustive_search():
     edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
     mc = matching_cost(edges)
     assert not mc.meta["bipartite"]
-    for mask in range(1 << 4):
-        assert mc(mask) == naive_max_matching(edges, mask)
+    _cold_queries(lambda: matching_cost(edges),
+                  lambda mask: naive_max_matching(edges, mask), 4, 0)
     assert mc(0b0111) == 1  # the triangle alone
+    params = {"v": "9", "e": "12", "k": "4", "shape": "general"}
+    general = [fn for fn in _gen_costs("matching", params, range(6))
+               if not fn.meta["bipartite"]]
+    assert len(general) >= 2
+    for fn in general[:2]:
+        edges = fn.meta["edges"]
+        _cold_queries(lambda: matching_cost(edges),
+                      lambda mask: naive_max_matching(edges, mask), len(edges), 4)
+
+
+def test_recurrence_costs_on_deep_chains():
+    # each query recurses once per player: far past Python's recursion limit
+    assert set_cover_cost(400, [1 << e for e in range(400)])((1 << 400) - 1) == 400
+    disjoint = [(2 * i, 2 * i + 1) for i in range(200)]
+    assert vertex_cover_cost(disjoint)((1 << 200) - 1) == 200
+    triangles = [e for i in range(100)
+                 for e in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2), (3 * i, 3 * i + 2))]
+    mc = matching_cost(triangles)
+    assert not mc.meta["bipartite"]
+    assert mc((1 << 300) - 1) == 100
+    # sm on a 300-player cover queries the recurrence on ever larger prefixes
+    inst = generate("set-cover", {"n": "300", "s": "10", "d": "3"}, 0)
+    outcome = sm_run(inst)
+    assert outcome.total_payment == allocation_cost(inst, outcome.allocation)
+
+
+def test_matching_colors_only_the_vertices_in_use():
+    # vertex ids are labels: a large one must not size any per-vertex table
+    far = 10 ** 12
+    for edges, bipartite in (([(0, far), (far, 7)], True),
+                             ([(0, far), (far, 7), (7, 0)], False)):
+        mc = matching_cost(edges)
+        assert mc.meta["bipartite"] == bipartite
+        assert mc.to_table() == [naive_max_matching(edges, t) for t in range(1 << len(edges))]
+
+
+@pytest.mark.parametrize("builder", [vertex_cover_cost, matching_cost])
+@pytest.mark.parametrize("edges", [[(0, 1), (1, -1)], [(0, 1), (2, 2)]],
+                         ids=["negative-id", "self-loop"])
+def test_graph_costs_refuse_bad_vertex_ids(builder, edges):
+    with pytest.raises(ValueError):
+        builder(edges)
 
 
 # --- class checks ----------------------------------------------------------
