@@ -99,26 +99,24 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceParseError(f"valuation {idx} given twice", lineno)
             variant = toks[2] if len(toks) > 2 else ""
             vals = toks[3:]
-            if variant == "symmetric":
-                if len(vals) != m:
-                    raise InstanceParseError(
-                        f"symmetric valuation needs {m} marginals, got {len(vals)}", lineno)
-                try:
+            try:
+                if variant == "symmetric":
+                    if len(vals) != m:
+                        raise InstanceParseError(
+                            f"symmetric valuation needs {m} marginals, got {len(vals)}", lineno)
                     valuations[idx] = SymmetricSubmodularValuation(
                         tuple(_rat(v, lineno) for v in vals))
-                except ValueError as exc:
-                    raise InstanceParseError(str(exc), lineno)
-            elif variant == "table":
-                if len(vals) != 1 << m:
-                    raise InstanceParseError(
-                        f"table valuation needs {1 << m} values, got {len(vals)}", lineno)
-                try:
-                    valuations[idx] = TableValuation.from_values(
-                        [_rat(v, lineno) for v in vals])
-                except ValueError as exc:
-                    raise InstanceParseError(str(exc), lineno)
-            else:
-                raise InstanceParseError(f"unknown valuation variant {variant!r}", lineno)
+                elif variant == "table":
+                    if len(vals) != 1 << m:
+                        raise InstanceParseError(
+                            f"table valuation needs {1 << m} values, got {len(vals)}", lineno)
+                    valuations[idx] = TableValuation.from_values([_rat(v, lineno) for v in vals])
+                else:
+                    raise InstanceParseError(f"unknown valuation variant {variant!r}", lineno)
+            except InstanceParseError:
+                raise
+            except ValueError as exc:
+                raise InstanceParseError(str(exc), lineno)
         elif key == "cost":
             if n is None:
                 raise InstanceParseError("n must precede cost lines", lineno)

@@ -25,8 +25,20 @@ class GenParamError(ValueError):
     pass
 
 
+def _text(params: dict, key: str, default=None) -> str:
+    """A parameter as text: a string, or a non-bool int written out."""
+    if key not in params:
+        if default is None:
+            raise GenParamError(f"missing required parameter {key}")
+        return str(default)
+    val = params[key]
+    if isinstance(val, bool) or not isinstance(val, (str, int)):
+        raise GenParamError(f"parameter {key} must be a string or an integer, got {val!r}")
+    return str(val)
+
+
 def _grid(params: dict, key: str, default: str = DEFAULT_GRID) -> list[Fraction]:
-    toks = params.get(key, default).split(",")
+    toks = _text(params, key, default).split(",")
     try:
         vals = [Fraction(t) for t in toks]
     except (ValueError, ZeroDivisionError) as exc:
@@ -37,23 +49,17 @@ def _grid(params: dict, key: str, default: str = DEFAULT_GRID) -> list[Fraction]
 
 
 def _int_param(params: dict, key: str, default=None) -> int:
-    if key not in params and default is not None:
-        return default
+    text = _text(params, key, default)
     try:
-        return int(params[key])
-    except KeyError:
-        raise GenParamError(f"missing required parameter {key}")
+        return int(text)
     except ValueError:
         raise GenParamError(f"parameter {key} must be an integer")
 
 
 def _rat_param(params: dict, key: str, default=None) -> Fraction:
-    if key not in params and default is not None:
-        return Fraction(default)
+    text = _text(params, key, default)
     try:
-        return Fraction(params[key])
-    except KeyError:
-        raise GenParamError(f"missing required parameter {key}")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise GenParamError(f"parameter {key} must be a rational p/q")
 

@@ -317,7 +317,11 @@ def cmd_suite(args) -> int:
 
     jobs: list[tuple[str, Instance]] = []
     for path in config.get("instances", []):
-        jobs.append((Path(path).stem, _load_instance(path)))
+        try:
+            jobs.append((Path(path).stem, _load_instance(path)))
+        except InstanceParseError as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
     for spec in config.get("generate", []):
         kind = spec["kind"]
         base_seed = spec.get("seed", 0)

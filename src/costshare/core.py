@@ -9,7 +9,6 @@ loops in the estimators and verification harness cheap.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -70,6 +69,14 @@ def scale_to_ints(values: Sequence[Rat], terms: int) -> tuple[np.ndarray, int]:
     return np.array(scaled, dtype=np.int64 if fits else object), denom
 
 
+def capped_store(memo: dict, key, value):
+    """Keep ``value`` under ``key`` unless ``memo`` already holds
+    DEFAULT_CACHE_CAP entries, and return it: the policy of every memo."""
+    if len(memo) < DEFAULT_CACHE_CAP:
+        memo[key] = value
+    return value
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -98,8 +105,8 @@ class SetFunction:
     """A map from subsets of a ground set to non-negative exact rationals.
 
     Backed either by a dense table (ground_size <= 20) or by a memoizing
-    oracle with a cache cap: a callback, or a subset recurrence. Oracle cache
-    writes are serialized so instances can be shared across parallel workers.
+    oracle with a cache cap: a callback, or a subset recurrence. An oracle
+    checks and caches each value it computes through ``_store``, once.
 
     ``kind`` and ``meta`` carry construction data (e.g. a set-cover family)
     for serialization; ``approximate`` marks functions whose values were
@@ -107,7 +114,7 @@ class SetFunction:
     """
 
     __slots__ = ("ground_size", "kind", "meta", "approximate",
-                 "_table", "_oracle", "_cache", "_lock")
+                 "_table", "_oracle", "_cache")
 
     def __init__(self, ground_size: int, *, table=None, oracle=None,
                  kind: str = "table", meta: dict | None = None,
@@ -123,7 +130,6 @@ class SetFunction:
         self._table = table
         self._oracle = oracle
         self._cache: dict[int, Rat] = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def from_table(cls, values: Sequence, *, require_zero_empty: bool = False,
@@ -147,7 +153,8 @@ class SetFunction:
     def from_oracle(cls, ground_size: int, fn: Callable[[int], Rat], *,
                     require_zero_empty: bool = False, kind: str = "oracle",
                     meta: dict | None = None, approximate: bool = False) -> "SetFunction":
-        obj = cls(ground_size, oracle=fn, kind=kind, meta=meta, approximate=approximate)
+        obj = cls(ground_size, oracle=lambda mask: obj._store(mask, fn(mask)),
+                  kind=kind, meta=meta, approximate=approximate)
         if require_zero_empty and obj(0) != 0:
             raise ValueError("cost functions must satisfy f(empty) = 0")
         return obj
@@ -161,8 +168,8 @@ class SetFunction:
 
         A miss is evaluated with an explicit stack, not Python recursion, so
         chains as deep as the ground set never reach the recursion limit.
-        Every value it computes is read from and written to this function's
-        own capped cache, as ``__call__`` does; past the cap, a value lives
+        Every value it computes goes through ``_store`` once and is read back
+        from this function's own capped cache; past the cap, a value lives
         only for the query that needed it.
         """
         def solve(t: int) -> Rat:
@@ -187,10 +194,7 @@ class SetFunction:
         val = as_rat(val)
         if val < 0:
             raise ValueError("set function oracle returned a negative value")
-        if len(self._cache) < DEFAULT_CACHE_CAP:
-            with self._lock:
-                self._cache[mask] = val
-        return val
+        return capped_store(self._cache, mask, val)
 
     def __call__(self, mask: int) -> Rat:
         if mask < 0 or mask >> self.ground_size:
@@ -200,7 +204,7 @@ class SetFunction:
         hit = self._cache.get(mask)
         if hit is not None:
             return hit
-        return self._store(mask, self._oracle(mask))
+        return self._oracle(mask)
 
     def to_table(self) -> list[Rat]:
         """Materialize all 2^ground values (ground_size <= 20 only)."""
@@ -297,11 +301,12 @@ class SeparableCosts:
 class AllocationCostFn:
     """Non-separable cost oracle C(allocation) -> Rat with memoization.
 
-    C of the empty allocation must be 0; values are non-negative. The memo is
-    keyed on the bundle tuple and writes are serialized.
+    An allocation is a subset of the n*m (player, item) pairs, so C is a set
+    function over them, keyed on the allocation index (``bundle_shifts``).
+    C of the empty allocation must be 0; values are non-negative.
     """
 
-    __slots__ = ("n", "m", "kind", "meta", "_fn", "_cache", "_lock")
+    __slots__ = ("n", "m", "kind", "meta", "_costs")
 
     def __init__(self, n: int, m: int, fn: Callable[[tuple[int, ...]], Rat], *,
                  kind: str = "oracle", meta: dict | None = None):
@@ -309,32 +314,21 @@ class AllocationCostFn:
         self.m = m
         self.kind = kind
         self.meta = meta or {}
-        self._fn = fn
-        self._cache: dict[tuple[int, ...], Rat] = {}
-        self._lock = threading.Lock()
-        if self(Allocation.empty(n, m)) != 0:
-            raise ValueError("allocation cost of the empty allocation must be 0")
+        self._costs = SetFunction.from_oracle(
+            n * m, lambda k: fn(Allocation.from_index(k, n, m).bundles),
+            require_zero_empty=True, kind="allocation")
 
     def __call__(self, a: Allocation) -> Rat:
         if a.n != self.n or a.m != self.m:
             raise DimensionMismatchError("allocation does not match cost dimensions")
-        hit = self._cache.get(a.bundles)
-        if hit is not None:
-            return hit
-        val = as_rat(self._fn(a.bundles))
-        if val < 0:
-            raise ValueError("allocation cost oracle returned a negative value")
-        if len(self._cache) < DEFAULT_CACHE_CAP:
-            with self._lock:
-                self._cache[a.bundles] = val
-        return val
+        k = 0
+        for b in a.bundles:
+            k = k << self.m | b
+        return self._costs(k)
 
     def to_table(self) -> list[Rat]:
         """C of all 2^(n*m) allocations in index order (n*m <= 20 only)."""
-        n, m = self.n, self.m
-        if n * m > MAX_DENSE_GROUND:
-            raise GroundSetTooLargeError(f"cannot materialize n*m = {n * m} > {MAX_DENSE_GROUND}")
-        return [self(Allocation.from_index(k, n, m)) for k in range(1 << (n * m))]
+        return self._costs.to_table()
 
     def __repr__(self):
         return f"AllocationCostFn(n={self.n}, m={self.m}, kind={self.kind!r})"
@@ -346,8 +340,9 @@ class Instance:
 
     ``step_memo`` is the mechanisms' memo of steps already computed on this
     instance (see ``mechanisms``); it takes no part in equality, hashing or
-    repr, and stops growing at DEFAULT_CACHE_CAP entries. Callers sharing an
-    instance across threads may compute a step twice, never a different one.
+    repr, and stops growing at DEFAULT_CACHE_CAP entries (``capped_store``).
+    Callers sharing an instance across threads may compute a step twice,
+    never a different one.
     """
 
     valuations: tuple

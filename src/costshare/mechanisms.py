@@ -26,8 +26,8 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (DEFAULT_CACHE_CAP, Allocation, GroundSetTooLargeError,
-                   Instance, Outcome, Rat, Trace, bits, mask_of)
+from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
+                   Trace, bits, capped_store, mask_of)
 from .valuations import SymmetricSubmodularValuation, ValuationFn
 
 
@@ -75,14 +75,6 @@ def _declared_profile(inst: Instance, declared) -> list[ValuationFn]:
     if any(v.m != inst.m for v in decl):
         raise MechanismPreconditionError("declared valuation item count differs from m")
     return decl
-
-
-def _store(memo: dict, key, value):
-    """Keep ``value`` under ``key`` unless the memo already holds
-    DEFAULT_CACHE_CAP entries (the oracle caches' policy); return it."""
-    if len(memo) < DEFAULT_CACHE_CAP:
-        memo[key] = value
-    return value
 
 
 class _IacsmNode:
@@ -160,7 +152,7 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
     full = (1 << n) - 1
     node = memo.get(scale)
     if node is None:
-        node = _store(memo, scale, _IacsmNode(
+        node = capped_store(memo, scale, _IacsmNode(
             None, None, 0, [fn(full) / n for fn in cost_fns], [full] * m, scale))
     active = list(range(n))
     for _ in range(n):
@@ -170,14 +162,16 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
             key = (node, decl[i])
             size = memo.get(key)
             if size is None:
-                size = _store(memo, key, _covered_ranks(decl[i].marginals, node.ranked))
+                size = capped_store(memo, key, _covered_ranks(decl[i].marginals, node.ranked))
             if best is None or size < best[0]:
                 best = (size, i)
         size, player = best
         active.remove(player)
         key = (node, player, size)
         child = memo.get(key)
-        node = child if child is not None else _store(memo, key, node.child(cost_fns, player, size))
+        if child is None:
+            child = capped_store(memo, key, node.child(cost_fns, player, size))
+        node = child
     if node.result is None:
         node.result = node.outcome(n, m)
     return node.result
@@ -239,7 +233,7 @@ def sm_run(inst: Instance, order: Sequence[int] | None = None,
         key = (i, tuple(bundles), decl[i])
         step = memo.get(key)
         if step is None:
-            step = _store(memo, key, _sm_step(inst, bundles, i, decl[i]))
+            step = capped_store(memo, key, _sm_step(inst, bundles, i, decl[i]))
         bundles[i], payments[i] = step
 
     return Outcome(Allocation(tuple(bundles), m), tuple(payments))

@@ -316,13 +316,31 @@ TWO_PLAYERS = ("costshare-instance v1\nn 2\nm 1\n"
      + "".join(f"valuation {i} symmetric 1/1\n" for i in range(6))
      + "cost 0 matching 3-0 0-4 3-1 1--3 1--1 2--1\n",
      "line 10: vertex ids must be non-negative"),
+    ("costshare-instance v1\nn 2\nm 1\nvaluation 0 symmetric 1/1\nvaluation 1 symmetric x\n",
+     "line 5: bad rational 'x'"),
+    ("costshare-instance v1\nn 2\nm 1\nvaluation 0 symmetric 1/1\nvaluation 1 table 0/1 x\n",
+     "line 5: bad rational 'x'"),
 ], ids=["n-without-value", "repeated-valuation", "set-cover-misses-player",
-        "negative-weight", "negative-vertex-id"])
+        "negative-weight", "negative-vertex-id", "bad-rational-in-valuation-symmetric",
+        "bad-rational-in-valuation-table"])
 def test_cli_bad_instance_exits_2_with_line(tmp_path, capsys, text, message):
     path = tmp_path / "bad.inst"
     path.write_text(text)
     assert main(["run", str(path), "--mechanism", "sm"]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count(message.split(": ")[0] + ":") == 1  # the line is named once
+
+
+def test_cli_suite_names_the_instance_file_that_fails_to_parse(tmp_path, capsys):
+    path = tmp_path / "bad.inst"
+    path.write_text(TWO_PLAYERS.replace("2/1", "x"))
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"name": "bad", "instances": [str(path)]}))
+    assert main(["suite", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert f"error: {path}: line 5: bad rational 'x'" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("mechanism", ["iacsm", "iacsm-underquote"])
@@ -379,9 +397,15 @@ def test_cli_run_past_optimum_size_limit_exits_2(tmp_path, capsys):
      '"instances" must be a list of file paths'),
     ({"instances": ["instances/prop_tight_n3_k6.inst"], "checks": "ir"},
      '"checks" must be a list of check names'),
+    ({"generate": [{"kind": "random-symmetric",
+                    "params": {"n": "2", "m": "1", "vgrid": [1, 2]}}]},
+     "parameter vgrid must be a string or an integer, got [1, 2]"),
+    ({"generate": [{"kind": "random-symmetric", "params": {"n": [2], "m": "1"}}]},
+     "parameter n must be a string or an integer, got [2]"),
 ], ids=["unknown-check", "generate-without-kind", "order-as-string", "top-level-list",
         "generate-as-object", "seed-as-string", "seed-not-integer", "count-as-string",
-        "count-as-bool", "params-as-list", "instances-as-string", "checks-as-string"])
+        "count-as-bool", "params-as-list", "instances-as-string", "checks-as-string",
+        "grid-as-list", "n-as-list"])
 def test_cli_suite_config_checked_before_any_instance(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
     if isinstance(config, dict):
@@ -391,6 +415,15 @@ def test_cli_suite_config_checked_before_any_instance(tmp_path, capsys, config, 
     out, err = capsys.readouterr()
     assert message in err
     assert out == ""  # no report: nothing ran
+
+
+def test_cli_suite_takes_integer_generator_params(tmp_path, capsys):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"name": "ints", "mechanism": "sm", "checks": ["budget-exact"],
+                                "generate": [{"kind": "random-symmetric",
+                                              "params": {"n": 2, "m": 1, "vgrid": 1}}]}))
+    assert main(["suite", str(path)]) == 0
+    assert "random-symmetric-0000,sm," in capsys.readouterr().out
 
 
 FUZZ_TOKENS = ("-1", "0", "3", "x", "1/0", "")

@@ -182,6 +182,51 @@ def test_recurrence_past_the_cache_cap_stays_exact(monkeypatch):
     assert sf((1 << 40) - 2) == 39
 
 
+def test_oracle_values_are_checked_for_sign():
+    with pytest.raises(ValueError, match="negative"):
+        SetFunction.from_oracle(2, lambda mask: Fraction(-mask))(0b11)
+    sf = SetFunction.from_recurrence(2, lambda t: [t & (t - 1)],
+                                     lambda t, vals: vals[0] - 1, kind="down")
+    with pytest.raises(ValueError, match="negative"):
+        sf(0b01)
+    C = AllocationCostFn(2, 1, lambda b: Fraction(b[0] - b[1]))
+    assert C(Allocation((1, 0), 1)) == 1
+    with pytest.raises(ValueError, match="negative"):
+        C(Allocation((0, 1), 1))
+
+
+def test_cost_of_the_empty_set_must_be_zero():
+    with pytest.raises(ValueError, match="empty"):
+        SetFunction.from_oracle(2, lambda mask: Fraction(1), require_zero_empty=True)
+    with pytest.raises(ValueError, match="empty"):
+        AllocationCostFn(2, 2, lambda b: Fraction(1))
+
+
+def test_allocation_cost_evaluates_each_allocation_once():
+    n, m = 2, 2
+    calls = []
+
+    def cost(bundles):
+        return Fraction(sum(b.bit_count() * (i + 1) for i, b in enumerate(bundles)))
+
+    C = AllocationCostFn(n, m, lambda b: calls.append(b) or cost(b))
+    order = list(product(range(1 << m), repeat=n))
+    random.Random(11).shuffle(order)
+    assert [C(Allocation(b, m)) for b in order[:7]] == [cost(b) for b in order[:7]]
+    assert C.to_table() == [cost(b) for b in sorted(order)]
+    assert [C(Allocation(b, m)) for b in order] == [cost(b) for b in order]
+    assert sorted(calls) == sorted(order)  # each allocation at most once
+
+
+def test_allocation_cost_past_the_cache_cap_stays_exact(monkeypatch):
+    monkeypatch.setattr(core, "DEFAULT_CACHE_CAP", 3)
+    C = AllocationCostFn(3, 2, lambda b: Fraction(sum(b), 7))
+    order = list(product(range(4), repeat=3))
+    assert [C(Allocation(b, 2)) for b in order] == [Fraction(sum(b), 7) for b in order]
+    assert len(C._costs._cache) == 3
+    assert C.to_table() == [Fraction(sum(b), 7) for b in order]
+
+
 def test_scale_to_ints_object_dtype_past_int64_headroom():
     vals = [Fraction(k, p) for k, p in zip(range(-2, 3), BIG_PRIMES)]
     arr, denom = scale_to_ints(vals, terms=1)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costshare import mechanisms
+from costshare import core
 from costshare.core import Allocation, Instance, SeparableCosts, allocation_cost
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
                              lifted_separable_cost, matching_cost, max_item_cost,
@@ -437,7 +437,7 @@ def test_iacsm_matches_naive_definition(kind):
 
 
 def test_step_memo_stops_growing_at_the_cap(monkeypatch):
-    monkeypatch.setattr(mechanisms, "DEFAULT_CACHE_CAP", 5)
+    monkeypatch.setattr(core, "DEFAULT_CACHE_CAP", 5)
     rng = random.Random("memo-cap")
     for _ in range(20):
         n, m = rng.randint(2, 4), rng.randint(1, 3)
