@@ -170,30 +170,56 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
                 order: Sequence[int] | None = None) -> DeviationWitness | None:
     """Exhaustive falsification of weak group-strategyproofness.
 
-    Tries every coalition up to ``coalition_max`` and every joint misreport
-    drawn from ``misreport_space``; utilities are always computed with the
-    true valuations and compared exactly. Returns the first witness in
-    deterministic enumeration order, or None.
+    Tries every coalition up to ``coalition_max`` (by size, then
+    lexicographically) and every joint misreport drawn from
+    ``misreport_space`` in product order; utilities are always computed with
+    the true valuations and compared exactly. Returns the first witness in
+    that order, or None. Two rules skip profiles that cannot be that witness:
+
+    - Under ``sm`` a player's bundle and payment depend only on the players
+      before it in ``order``. The coalition member first in ``order`` faces
+      truthful players only, so its bundle, payment and gain are those of a
+      lone deviation with the same report, which the size-1 pass computed.
+      A larger coalition is a witness only if its lead member's report is a
+      lone witness, and the size-1 pass returns at the first of those. So an
+      ``sm`` search that gets past the size-1 pass stops there, after
+      1 + n*len(space) runs for any ``coalition_max`` >= 1.
+    - Gains depend only on the outcome and the true valuations, so within a
+      coalition each ``Outcome`` object is judged once. ``iacsm`` returns one
+      shared outcome per trie leaf, so most of its profiles skip the
+      utility arithmetic.
+      Judged outcomes stay referenced until the coalition is done, so an id
+      is never reused for a different outcome.
+
+    A skipped profile gives its lead member a gain <= 0, or repeats the gains
+    of an earlier profile that was not a witness, so the first witness is the
+    one the unpruned enumeration finds.
     """
     truth_outcome, _ = _run_mechanism(mechanism, inst, order=order)
+    true_vals = inst.valuations
     base_util = [v.value(b) - p for v, b, p in
-                 zip(inst.valuations, truth_outcome.allocation.bundles,
+                 zip(true_vals, truth_outcome.allocation.bundles,
                      truth_outcome.payments)]
 
     space = list(misreport_space)
-    for size in range(1, coalition_max + 1):
+    # sm: a larger coalition's lead member would need a lone witness (above)
+    last = min(coalition_max, 1) if mechanism == "sm" else coalition_max
+    for size in range(1, last + 1):
         for coalition in combinations(range(inst.n), size):
+            judged: dict[int, Outcome] = {}
             for assignment in product(space, repeat=size):
-                declared = list(inst.valuations)
+                declared = list(true_vals)
                 for member, mis in zip(coalition, assignment):
                     declared[member] = mis
                 outcome, _ = _run_mechanism(mechanism, inst, declared=declared,
                                             order=order)
+                if id(outcome) in judged:
+                    continue
+                judged[id(outcome)] = outcome
                 gains = []
                 for member in coalition:
-                    u = (inst.valuations[member].value(outcome.allocation.bundles[member])
-                         - outcome.payments[member])
-                    gain = u - base_util[member]
+                    gain = (true_vals[member].value(outcome.allocation.bundles[member])
+                            - outcome.payments[member] - base_util[member])
                     if gain <= 0:
                         break
                     gains.append(gain)

@@ -195,6 +195,25 @@ def test_criterion_4_coalitions_of_three_and_table_misreports(capfd):
             assert wgsp_search(inst, "sm", 3, table_space(1, WGSP_GRID)) is None
 
 
+def test_criterion_4_coalitions_of_four_half_grid(capfd):
+    """Beside C4: every coalition of four players, with the half-step grid,
+    under both mechanisms (sm in random orders)."""
+    with criterion("C4 coalitions of four, half-step grid", capfd):
+        start = time.perf_counter()
+        space = symmetric_marginal_space(1, WGSP_GRID)
+        for i in range(20):
+            rng = random.Random(8_200_000 + i)
+            inst = generate("random-symmetric",
+                            {"n": "4", "m": "1",
+                             "vgrid": "0,1/2,1,3/2,2,5/2,3,7/2,4",
+                             "cgrid": "0,1/2,1,3/2,2,5/2,3,7/2,4"},
+                            43_000 + i)
+            assert wgsp_search(inst, "iacsm", 4, space) is None
+            assert wgsp_search(inst, "sm", 4, space, order=rng.sample(range(4), 4)) is None
+        elapsed = time.perf_counter() - start
+        assert elapsed < 300, f"coalitions of four took {elapsed:.0f}s"
+
+
 def test_criterion_5_tight_instance(capfd):
     with criterion("C5 tight harmonic instance", capfd):
         inst = generate("paper-tight", {"n": "3", "k": "6", "eps": "1/10"}, 0)

@@ -7,7 +7,7 @@ import pytest
 from costshare import analysis
 from costshare.cli.formats import parse_instance, serialize_instance
 from costshare.cli.gen import generate
-from costshare.core import (Allocation, GroundSetTooLargeError, Instance,
+from costshare.core import (Allocation, GroundSetTooLargeError, Instance, Outcome,
                             SeparableCosts, harmonic, scale_to_ints)
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
                              lifted_separable_cost, max_item_cost,
@@ -311,6 +311,105 @@ def test_wgsp_search_matches_naive_definition():
                     assert got == iacsm_run(parsed, declared, first_iteration_quote_scale=scale)
                     assert got == naive_iacsm_run(inst, declared, scale)
     assert underquote_witnesses >= 5
+
+
+def test_sm_step_ignores_later_declarations():
+    """The premise of the search's lead-member rule: under sm, changing the
+    declarations of the players after player i in the order leaves i's
+    bundle and payment unchanged."""
+    rng = random.Random("sm-prefix")
+    for inst in search_instances(rng):
+        spaces = (symmetric_marginal_space(inst.m, [0, F(1, 2), 2, 4]),
+                  table_space(inst.m, [0, 1, 2]))
+        for _ in range(4):
+            order = rng.sample(range(inst.n), inst.n)
+            declared = [rng.choice(rng.choice(spaces)) for _ in range(inst.n)]
+            out = sm_run(inst, order, declared)
+            assert out == naive_sm_run(inst, order, declared)
+            for k, player in enumerate(order):
+                changed = list(declared)
+                for later in order[k + 1:]:
+                    changed[later] = rng.choice(rng.choice(spaces))
+                got = sm_run(inst, order, changed)
+                assert got == naive_sm_run(inst, order, changed)
+                assert got.allocation.bundles[player] == out.allocation.bundles[player]
+                assert got.payments[player] == out.payments[player]
+
+
+@pytest.mark.parametrize("coalition_max", [2, 3])
+def test_wgsp_sm_search_without_lone_witness_runs_the_lone_pass_only(monkeypatch,
+                                                                     coalition_max):
+    calls = []
+
+    def counting_sm_run(*args, **kwargs):
+        calls.append(args)
+        return sm_run(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "sm_run", counting_sm_run)
+    rng = random.Random("sm-lone-pass")
+    for inst in list(search_instances(rng))[::4]:
+        order = rng.sample(range(inst.n), inst.n)
+        for space in (symmetric_marginal_space(inst.m, [0, F(1, 2), 2, 4]),
+                      table_space(inst.m, [0, 2])):
+            calls.clear()
+            assert wgsp_search(inst, "sm", coalition_max, space, order=order) is None
+            assert len(calls) == 1 + inst.n * len(space)
+
+
+def shared_outcome_run(truth, deviation, quorum):
+    """A stand-in for iacsm_run that returns one of two shared Outcome
+    objects: ``deviation`` when exactly ``quorum`` players declare a marginal
+    of at least 3, ``truth`` otherwise."""
+    def run(inst, declared=None, first_iteration_quote_scale=F(1)):
+        decl = inst.valuations if declared is None else declared
+        high = sum(v.marginals[0] >= 3 for v in decl)
+        return (deviation if high == quorum else truth), None
+    return run
+
+
+@pytest.mark.parametrize("mechanism", ["iacsm", "iacsm-underquote"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_wgsp_first_witness_of_a_coalition_with_shared_outcomes(monkeypatch,
+                                                                mechanism, size):
+    """The deviation outcome serves every player but 0 at price 1, which gains
+    for all of them but not for player 0. Earlier coalitions that hold player
+    0 reach the same Outcome object and are not witnesses, so the first
+    witness is players 1..size, each with the first high report."""
+    import oracles
+
+    n = size + 1
+    inst = Instance(valuations=(sym(1),) + (sym(2),) * size,
+                    cost_model=SeparableCosts((public_good_cost(n, 4),)), m=1)
+    truth = Outcome(Allocation((0,) * n, 1), (F(0),) * n)
+    deviation = Outcome(Allocation((0,) + (1,) * size, 1), (F(0),) + (F(1),) * size)
+    stub = shared_outcome_run(truth, deviation, size)
+    monkeypatch.setattr(analysis, "iacsm_run", stub)
+    monkeypatch.setattr(oracles, "naive_iacsm_run", stub)
+    space = [sym(0), sym(1), sym(3), sym(4)]
+    for coalition_max in (size, size + 1):
+        got = wgsp_search(inst, mechanism, coalition_max, space)
+        assert witness_fields(got) == naive_wgsp_search(inst, mechanism, coalition_max, space)
+        assert got.coalition == tuple(range(1, n))
+        assert all(mis is space[2] for mis in got.misreports)
+        assert got.gains == (F(1),) * size
+        assert all(type(g) is F for g in got.gains)
+
+
+@pytest.mark.parametrize("mechanism", analysis.MECHANISM_IDS)
+def test_wgsp_empty_space_and_coalitions_larger_than_n(mechanism):
+    rng = random.Random(f"wgsp-edges-{mechanism}")
+    for inst in list(search_instances(rng))[::3]:
+        symmetric = all(isinstance(v, SymmetricSubmodularValuation) for v in inst.valuations)
+        if mechanism != "sm" and not (inst.is_separable and symmetric):
+            continue
+        order = rng.sample(range(inst.n), inst.n) if mechanism == "sm" else None
+        space = (symmetric_marginal_space(inst.m, [0, 2]) if symmetric
+                 else table_space(inst.m, [0, 2]))
+        for coalition_max in (0, 1, inst.n, inst.n + 2):
+            assert wgsp_search(inst, mechanism, coalition_max, [], order=order) is None
+            got = wgsp_search(inst, mechanism, coalition_max, space, order=order)
+            assert witness_fields(got) == naive_wgsp_search(inst, mechanism, coalition_max,
+                                                            space, order)
 
 
 # --- icb bound ----------------------------------------------------------------
