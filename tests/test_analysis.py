@@ -20,6 +20,7 @@ from costshare.analysis import (DeviationWitness, check_icb_bound, evaluate_run,
 from costshare.mechanisms import iacsm_run, sm_run
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
+import oracles
 from oracles import (BIG_PRIMES, naive_iacsm_run, naive_optimal_social_cost,
                      naive_sm_run, naive_wgsp_search)
 
@@ -375,8 +376,6 @@ def test_wgsp_first_witness_of_a_coalition_with_shared_outcomes(monkeypatch,
     for all of them but not for player 0. Earlier coalitions that hold player
     0 reach the same Outcome object and are not witnesses, so the first
     witness is players 1..size, each with the first high report."""
-    import oracles
-
     n = size + 1
     inst = Instance(valuations=(sym(1),) + (sym(2),) * size,
                     cost_model=SeparableCosts((public_good_cost(n, 4),)), m=1)
