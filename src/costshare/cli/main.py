@@ -23,8 +23,7 @@ from ..costs import (MAX_ESTIMATOR_GROUND, MAX_NS_CELLS, AlphaReport,
                      public_good_cost, sqrt_max_cost, two_tier_step_cost)
 from ..mechanisms import MechanismPreconditionError
 from ..analysis import MECHANISM_IDS, evaluate_run, max_alpha
-from ..valuations import (MAX_CLASSIFY_GROUND, TableValuation, check_class,
-                          classify_set_function)
+from ..valuations import MAX_CLASSIFY_GROUND, check_class, classify_set_function
 from .formats import (InstanceParseError, format_flag, format_opt_rat,
                       parse_instance, report_text, serialize_instance)
 from .gen import (GEN_KINDS, GenParamError, _grid, _int_param, _rat_param,
@@ -367,14 +366,18 @@ def cmd_check(args) -> int:
     def fmt(flags) -> str:
         return " ".join(f"{k}={'true' if getattr(flags, k) else 'false'}" for k in names)
 
+    # every valuation has m items; refuse before any line is printed
+    if inst.m > MAX_CLASSIFY_GROUND:
+        print(f"error: valuation 0 has {inst.m} items; class checks are exhaustive and "
+              f"limited to MAX_CLASSIFY_GROUND = {MAX_CLASSIFY_GROUND} items", file=sys.stderr)
+        return 2
     if inst.is_separable:
         for j, fn in enumerate(inst.cost_model.items):
             print(f"cost {j} {fmt(classify_set_function(fn))}")
     else:
         print("nonseparable cost: class checks apply to separable costs only")
     for i, v in enumerate(inst.valuations):
-        if isinstance(v, TableValuation) or inst.m <= MAX_CLASSIFY_GROUND:
-            print(f"valuation {i} {fmt(check_class(v))}")
+        print(f"valuation {i} {fmt(check_class(v))}")
     return 0
 
 

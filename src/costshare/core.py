@@ -33,6 +33,8 @@ class GroundSetTooLargeError(ValueError):
 
 def as_rat(x) -> Rat:
     """Coerce ints, strings like ``p/q`` and Fractions to an exact rational."""
+    if type(x) is int:  # the common case, decided before the ABC checks below
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -106,7 +108,11 @@ class SetFunction:
 
     Backed either by a dense table (ground_size <= 20) or by a memoizing
     oracle with a cache cap: a callback, or a subset recurrence. An oracle
-    checks and caches each value it computes through ``_store``, once.
+    checks and caches each value it computes through ``_store``, once. A
+    recurrence also fills its whole table bottom-up (``_fill``). Oracles and
+    fills are called with the function itself as first argument, so no
+    closure refers back to it: a function nothing uses is freed at once,
+    cache and all, not at the next cyclic garbage collection.
 
     ``kind`` and ``meta`` carry construction data (e.g. a set-cover family)
     for serialization; ``approximate`` marks functions whose values were
@@ -114,9 +120,9 @@ class SetFunction:
     """
 
     __slots__ = ("ground_size", "kind", "meta", "approximate",
-                 "_table", "_oracle", "_cache")
+                 "_table", "_oracle", "_fill", "_cache")
 
-    def __init__(self, ground_size: int, *, table=None, oracle=None,
+    def __init__(self, ground_size: int, *, table=None, oracle=None, fill=None,
                  kind: str = "table", meta: dict | None = None,
                  approximate: bool = False):
         if ground_size < 0:
@@ -129,6 +135,7 @@ class SetFunction:
         self.approximate = approximate
         self._table = table
         self._oracle = oracle
+        self._fill = fill
         self._cache: dict[int, Rat] = {}
 
     @classmethod
@@ -153,7 +160,7 @@ class SetFunction:
     def from_oracle(cls, ground_size: int, fn: Callable[[int], Rat], *,
                     require_zero_empty: bool = False, kind: str = "oracle",
                     meta: dict | None = None, approximate: bool = False) -> "SetFunction":
-        obj = cls(ground_size, oracle=lambda mask: obj._store(mask, fn(mask)),
+        obj = cls(ground_size, oracle=lambda sf, mask: sf._store(mask, fn(mask)),
                   kind=kind, meta=meta, approximate=approximate)
         if require_zero_empty and obj(0) != 0:
             raise ValueError("cost functions must satisfy f(empty) = 0")
@@ -161,38 +168,63 @@ class SetFunction:
 
     @classmethod
     def from_recurrence(cls, ground_size: int, children: Callable[[int], list[int]],
-                        combine: Callable[[int, list[Rat]], Rat], *, kind: str,
-                        meta: dict | None = None) -> "SetFunction":
+                        combine: Callable[[int, list], Rat], *, kind: str,
+                        meta: dict | None = None,
+                        point: Callable[[int], Rat] | None = None) -> "SetFunction":
         """The set function with f(empty) = 0 and
-        f(T) = combine(T, [f(S) for S in children(T)]), each S a proper subset of T.
+        f(T) = combine(T, [f(S) for S in children(T)]).
 
-        A miss is evaluated with an explicit stack, not Python recursion, so
-        chains as deep as the ground set never reach the recursion limit.
-        Every value it computes goes through ``_store`` once and is read back
-        from this function's own capped cache; past the cap, a value lives
-        only for the query that needed it.
+        Every child must be a proper submask of its parent (S & ~T == 0 and
+        S != T); any other child raises ValueError. ``combine`` may receive
+        the children's values as ints or as Fractions, and must return an
+        exact non-negative rational.
+
+        ``to_table()`` fills all 2^n values in one ascending pass: a proper
+        submask is numerically smaller, so its value is already there. A
+        point query is evaluated with an explicit stack, not Python
+        recursion, so chains as deep as the ground set never reach the
+        recursion limit; ``point``, when given, answers point queries in its
+        place. Every value either path computes goes through ``_store`` once
+        and into this function's one capped cache; past the cap, a value
+        lives only for the query that needed it.
         """
-        def solve(t: int) -> Rat:
-            cache, local = obj._cache, {0: Fraction(0)}
+        def checked_children(t: int) -> list[int]:
+            kids = children(t)
+            for k in kids:
+                if k & ~t or k == t:
+                    raise ValueError(f"recurrence child {k:#x} is not a proper "
+                                     f"submask of {t:#x}")
+            return kids
+
+        def solve(sf: SetFunction, t: int) -> Rat:
+            cache, local = sf._cache, {0: Fraction(0)}
             stack: list[tuple[int, list[int] | None]] = [(t, None)]
             while stack:
                 s, kids = stack.pop()
                 if kids is not None:
                     vals = [local[k] if k in local else cache[k] for k in kids]
-                    local[s] = obj._store(s, combine(s, vals))
+                    local[s] = sf._store(s, combine(s, vals))
                 elif s not in local and s not in cache:
-                    kids = children(s)
+                    kids = checked_children(s)
                     stack.append((s, kids))
                     stack.extend((k, None) for k in kids)
             return local[t] if t in local else cache[t]
 
-        obj = cls(ground_size, oracle=solve, kind=kind, meta=meta)
-        return obj
+        def fill(sf: SetFunction) -> list[Rat]:
+            raw = [0] * (1 << ground_size)
+            for t in range(1, len(raw)):
+                raw[t] = combine(t, [raw[k] for k in checked_children(t)])
+            store = sf._store
+            return [store(t, v) for t, v in enumerate(raw)]
+
+        if point is not None:
+            solve = lambda sf, mask: sf._store(mask, point(mask))  # noqa: E731
+        return cls(ground_size, oracle=solve, fill=fill, kind=kind, meta=meta)
 
     def _store(self, mask: int, val) -> Rat:
         """Check an oracle value and cache it while the cache is under its cap."""
         val = as_rat(val)
-        if val < 0:
+        if val.numerator < 0:
             raise ValueError("set function oracle returned a negative value")
         return capped_store(self._cache, mask, val)
 
@@ -204,7 +236,7 @@ class SetFunction:
         hit = self._cache.get(mask)
         if hit is not None:
             return hit
-        return self._oracle(mask)
+        return self._oracle(self, mask)
 
     def to_table(self) -> list[Rat]:
         """Materialize all 2^ground values (ground_size <= 20 only)."""
@@ -213,7 +245,13 @@ class SetFunction:
                 f"cannot materialize ground_size {self.ground_size} > {MAX_DENSE_GROUND}")
         if self._table is not None:
             return list(self._table)
-        return [self(mask) for mask in range(1 << self.ground_size)]
+        size = 1 << self.ground_size
+        if self._fill is None:
+            return [self(mask) for mask in range(size)]
+        cache = self._cache
+        if len(cache) == size:
+            return [cache[mask] for mask in range(size)]
+        return self._fill(self)
 
     def __repr__(self):
         return f"SetFunction(ground={self.ground_size}, kind={self.kind!r})"

@@ -127,29 +127,24 @@ def vertex_cover_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
 def matching_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
     """Maximum-cardinality matching cost; players are the edges of the graph.
 
-    On bipartite graphs (``meta["bipartite"]``, which also selects the
-    structural alpha bound) the matching size is computed with augmenting
-    paths, which stay polynomial: on the full edge set of a 60-edge bipartite
-    graph the recurrence below visits over 200,000 subsets. Otherwise the
-    lowest edge e of t is unused or matched, so c(t) = max(c(t minus e),
-    1 + c(t minus every edge touching e's endpoints)); blossom machinery is
-    deliberately out of scope at this scale.
+    The lowest edge e of t is unused or matched, so c(t) = max(c(t minus e),
+    1 + c(t minus every edge touching e's endpoints)); ``to_table()`` fills
+    from this recurrence on every graph. On bipartite graphs
+    (``meta["bipartite"]``, which also selects the structural alpha bound) a
+    point query is answered with augmenting paths, which stay polynomial: on
+    the full edge set of a 60-edge bipartite graph the recurrence visits over
+    200,000 subsets. Otherwise point queries use the recurrence too; blossom
+    machinery is deliberately out of scope at this scale.
     """
     edge_list = _edge_list(edges)
     colors = _two_color(edge_list)
     meta = {"edges": edge_list, "bipartite": colors is not None}
+    inc = _incidence(edge_list)
 
-    if colors is None:
-        inc = _incidence(edge_list)
-
-        def children(t: int) -> list[int]:
-            low = t & -t
-            u, v = edge_list[low.bit_length() - 1]
-            return [t ^ low, t & ~inc[u] & ~inc[v]]
-
-        return SetFunction.from_recurrence(len(edge_list), children,
-                                           lambda t, vals: max(vals[0], 1 + vals[1]),
-                                           kind="matching", meta=meta)
+    def children(t: int) -> list[int]:
+        low = t & -t
+        u, v = edge_list[low.bit_length() - 1]
+        return [t ^ low, t & ~inc[u] & ~inc[v]]
 
     def solve_augmenting(t: int) -> Rat:
         adj: dict[int, list[int]] = {}
@@ -171,8 +166,10 @@ def matching_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
 
         return Fraction(sum(try_augment(u, set()) for u in sorted(adj)))
 
-    return SetFunction.from_oracle(len(edge_list), solve_augmenting, require_zero_empty=True,
-                                   kind="matching", meta=meta)
+    return SetFunction.from_recurrence(len(edge_list), children,
+                                       lambda t, vals: max(vals[0], 1 + vals[1]),
+                                       kind="matching", meta=meta,
+                                       point=None if colors is None else solve_augmenting)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from .core import (GroundSetTooLargeError, Rat, SetFunction, as_rat,
                    scale_to_ints)
 
 MAX_CLASSIFY_GROUND = 16
+PAIR_CHUNK_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,31 @@ class ClassFlags:
     subadditive: bool
 
 
+def _subset_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 3^k pairs (U, S) of masks over k bits with S a subset of U."""
+    u = s = np.zeros(1, dtype=np.int64)
+    for i in range(k):
+        u = np.concatenate((u, u | 1 << i, u | 1 << i))
+        s = np.concatenate((s, s, s | 1 << i))
+    return u, s
+
+
+def _subadditive_on_disjoint_pairs(arr: np.ndarray, n: int) -> bool:
+    """Whether arr[U] <= arr[S] + arr[U minus S] for every S <= U.
+
+    The low PAIR_CHUNK_BITS bits of (U, S) are one vectorized chunk; the
+    pairs of the higher bits are looped over, so memory stays
+    O(3^PAIR_CHUNK_BITS + 2^n)."""
+    low = min(n, PAIR_CHUNK_BITS)
+    lo_u, lo_s = _subset_pairs(low)
+    lo_t = lo_u ^ lo_s
+    hi_u, hi_s = _subset_pairs(n - low)
+    for hu, hs in zip((hi_u << low).tolist(), (hi_s << low).tolist()):
+        if not np.all(arr[hu | lo_u] <= arr[hs | lo_s] + arr[(hu ^ hs) | lo_t]):
+            return False
+    return True
+
+
 def classify_set_function(fn: SetFunction) -> ClassFlags:
     """Decide the standard function classes by exhaustive check of each definition."""
     n = fn.ground_size
@@ -129,12 +155,11 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
                 break
         if not submod:
             break
-    subadd = True
-    for s in range(size):
-        t = idx[s:]
-        if not np.all(arr[s] + arr[s:] >= arr[t | s]):
-            subadd = False
-            break
+    if nondec:
+        # f(S|T) <= f(S) + f(T minus S) <= f(S) + f(T): disjoint pairs decide
+        subadd = _subadditive_on_disjoint_pairs(arr, n)
+    else:
+        subadd = all(np.all(arr[s] + arr[s:] >= arr[idx[s:] | s]) for s in range(size))
 
     by_card: list[list[Rat]] = [[] for _ in range(n + 1)]
     for mask in range(size):

@@ -284,6 +284,25 @@ def test_cli_check_command():
     assert "subadditive=true" in res.stdout
 
 
+@pytest.mark.parametrize("valuation", ["symmetric", "table"])
+def test_cli_check_refuses_valuations_past_the_class_cap(tmp_path, capsys, valuation):
+    # 17 items: symmetric valuations used to be skipped silently and table
+    # valuations refused only after every cost line was printed
+    path = tmp_path / "wide.inst"
+    if valuation == "symmetric":
+        main(["gen", "random-symmetric", "--param", "n=1", "--param", "m=17",
+              "--out", str(path)])
+    else:
+        path.write_text("costshare-instance v1\nn 1\nm 17\nvaluation 0 table "
+                        + " ".join(f"{mask.bit_count()}/1" for mask in range(1 << 17))
+                        + "\n" + "".join(f"cost {j} table 0/1 1/1\n" for j in range(17)))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "valuation 0" in err and "MAX_CLASSIFY_GROUND = 16" in err
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.inst"
     bad.write_text("costshare-instance v1\nn 2\nm 1\nvaluation 0 symmetric nope\n")

@@ -182,6 +182,38 @@ def test_recurrence_past_the_cache_cap_stays_exact(monkeypatch):
     assert sf((1 << 40) - 2) == 39
 
 
+@pytest.mark.parametrize("children", [lambda t: [t], lambda t: [t - 1],
+                                      lambda t: [t & (t - 1), t | 1 << 3]],
+                         ids=["itself", "not-a-submask", "a-superset"])
+def test_recurrence_refuses_a_child_that_is_not_a_proper_submask(children):
+    # a child equal to its parent used to make point queries loop forever
+    def build():
+        return SetFunction.from_recurrence(3, children, lambda t, vals: 1 + max(vals),
+                                           kind="bad")
+    with pytest.raises(ValueError, match="proper submask"):
+        build()(0b101)
+    with pytest.raises(ValueError, match="proper submask"):
+        build().to_table()
+
+
+def test_recurrence_table_fills_bottom_up_with_int_values():
+    seen = []
+
+    def combine(t, vals):
+        seen.extend(type(v) for v in vals)
+        return 1 + vals[0]
+
+    sf = SetFunction.from_recurrence(10, lambda t: [t & (t - 1)], combine, kind="popcount")
+    table = sf.to_table()
+    assert table == [Fraction(t.bit_count()) for t in range(1 << 10)]
+    assert all(type(v) is Fraction for v in table)
+    assert set(seen) == {int}
+    assert len(sf._cache) == 1 << 10
+    # a second table and every point query read the cache
+    assert sf.to_table() == table and len(seen) == (1 << 10) - 1
+    assert [sf(t) for t in range(1 << 10)] == table and len(seen) == (1 << 10) - 1
+
+
 def test_oracle_values_are_checked_for_sign():
     with pytest.raises(ValueError, match="negative"):
         SetFunction.from_oracle(2, lambda mask: Fraction(-mask))(0b11)
@@ -189,6 +221,11 @@ def test_oracle_values_are_checked_for_sign():
                                      lambda t, vals: vals[0] - 1, kind="down")
     with pytest.raises(ValueError, match="negative"):
         sf(0b01)
+    with pytest.raises(ValueError, match="negative"):
+        sf.to_table()
+    with pytest.raises(TypeError):
+        SetFunction.from_recurrence(2, lambda t: [t & (t - 1)],
+                                    lambda t, vals: vals[0] + 0.5, kind="float").to_table()
     C = AllocationCostFn(2, 1, lambda b: Fraction(b[0] - b[1]))
     assert C(Allocation((1, 0), 1)) == 1
     with pytest.raises(ValueError, match="negative"):

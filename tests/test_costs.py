@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costshare import costs
+from costshare import core, costs
 from costshare.core import (AllocationCostFn, GroundSetTooLargeError,
                             SeparableCosts, allocation_cost)
 from costshare.costs import (InfeasibleCoverError, additive_cost,
@@ -149,6 +149,84 @@ def test_matching_odd_cycle_uses_exhaustive_search():
         edges = fn.meta["edges"]
         _cold_queries(lambda: matching_cost(edges),
                       lambda mask: naive_max_matching(edges, mask), len(edges), 4)
+
+
+def _random_edges(rng, n, shape):
+    """n distinct edges: bipartite (left 0..3, right 4..9), or with a triangle
+    when n >= 3 so that the graph is not bipartite, or on any vertex pairs."""
+    edges = [(0, 1), (1, 2), (0, 2)] if shape == "general" and n >= 3 else []
+    while len(edges) < n:
+        if shape == "bipartite":
+            e = (rng.randrange(4), rng.randrange(4, 10))
+        else:
+            e = tuple(sorted(rng.sample(range(7), 2)))
+        if e not in edges:
+            edges.append(e)
+    rng.shuffle(edges)
+    return edges
+
+
+def _random_recurrence_costs(seed):
+    """(build, naive, n) for set-cover, vertex-cover, bipartite and general
+    matching costs with 1 to 12 players."""
+    rng = random.Random(seed)
+    for n in range(1, 13):
+        family = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))]
+        family += [1 << e for e in range(n) if not any((s >> e) & 1 for s in family)]
+        yield (lambda f=family, n=n: set_cover_cost(n, f),
+               lambda mask, f=family: naive_min_set_cover(f, mask), n)
+        edges = _random_edges(rng, n, "any")
+        yield (lambda e=edges: vertex_cover_cost(e),
+               lambda mask, e=edges: naive_min_vertex_cover(e, mask), n)
+        for shape in ("bipartite", "general"):
+            edges = _random_edges(rng, n, shape)
+            yield (lambda e=edges: matching_cost(e),
+                   lambda mask, e=edges: naive_max_matching(e, mask), n)
+
+
+@pytest.mark.parametrize("cap", [None, 5], ids=["uncapped", "cap-5"])
+def test_recurrence_tables_match_point_queries_and_naive(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(core, "DEFAULT_CACHE_CAP", cap)
+    rng = random.Random("fills")
+    kinds = set()
+    for build, naive, n in _random_recurrence_costs(7):
+        expected = [naive(mask) for mask in range(1 << n)]
+        fn = build()
+        kinds.add((fn.kind, fn.meta.get("bipartite")))
+        table = fn.to_table()
+        assert table == expected
+        assert all(type(v) is Fraction for v in table)
+        # point queries first, in shuffled order, then the table over a warm cache
+        masks = list(range(1 << n))
+        rng.shuffle(masks)
+        fn = build()
+        assert [fn(mask) for mask in masks] == [expected[mask] for mask in masks]
+        again = fn.to_table()
+        assert again == expected
+        assert all(type(v) is Fraction for v in again)
+        # and over a cache holding only some of the values
+        fn = build()
+        assert [fn(mask) for mask in masks[: len(masks) // 2]] == \
+            [expected[mask] for mask in masks[: len(masks) // 2]]
+        assert fn.to_table() == expected
+        if cap is not None:
+            assert len(fn._cache) <= cap
+    assert kinds == {("set-cover", None), ("vertex-cover", None),
+                     ("matching", True), ("matching", False)}
+
+
+def test_set_cover_table_refuses_an_uncovered_player():
+    for n, family, player in ((3, [0b011], 2), (5, [0b00111, 0b11000], None),
+                              (6, [0b000111, 0b001100], 4)):
+        sc = set_cover_cost(n, family)
+        if player is None:
+            assert sc.to_table() == [naive_min_set_cover(family, t) for t in range(1 << n)]
+            continue
+        with pytest.raises(InfeasibleCoverError, match=f"player {player}"):
+            sc.to_table()
+        # a table refused leaves point queries on coverable sets working
+        assert sc(0b011) == 1
 
 
 def test_recurrence_costs_on_deep_chains():

@@ -108,6 +108,80 @@ def test_class_flags_match_naive_definitions(monkeypatch):
         assert (object in dtypes) == (denominators == BIG_PRIMES)
 
 
+def _spy_disjoint_pairs(monkeypatch):
+    calls = []
+    real = valuations._subadditive_on_disjoint_pairs
+
+    def spy(arr, n):
+        calls.append((n, arr.dtype))
+        return real(arr, n)
+
+    monkeypatch.setattr(valuations, "_subadditive_on_disjoint_pairs", spy)
+    return calls
+
+
+def test_subadditivity_over_disjoint_pairs_on_large_nondecreasing_tables(monkeypatch):
+    calls = _spy_disjoint_pairs(monkeypatch)
+    rng = random.Random("disjoint-pairs")
+    verdicts = []
+    for n in (9, 9, 9, 10, 10):
+        # the most of random weights over a set, plus random extras that keep
+        # f non-decreasing: subadditive or not depending on the extras
+        weight = [Fraction(rng.randint(1, 6)) for _ in range(n)]
+        table = [max((weight[i] for i in range(n) if (mask >> i) & 1), default=Fraction(0))
+                 for mask in range(1 << n)]
+        for _ in range(rng.choice((0, 1, 3))):
+            extra, base = Fraction(rng.randint(1, 4)), rng.randrange(1, 1 << n)
+            table = [v + extra if mask & base == base else v for mask, v in enumerate(table)]
+        flags = classify_set_function(SetFunction.from_table(table))
+        assert flags.nondecreasing
+        assert flags.subadditive == naive_subadditive(table, n)
+        verdicts.append(flags.subadditive)
+    assert set(verdicts) == {True, False}
+    # past PAIR_CHUNK_BITS players the pairs of the high bits are looped over
+    assert [n for n, _ in calls] == [9, 9, 9, 10, 10]
+    assert valuations.PAIR_CHUNK_BITS < 9
+
+
+@pytest.mark.parametrize("scale", [1, 10 ** 18], ids=["int64", "object"])
+@pytest.mark.parametrize("pair", [(8, 9), (0, 9), (0, 1)])
+def test_subadditivity_finds_its_only_violating_pair(monkeypatch, scale, pair):
+    # f(X) = |X|, but f({a, b}) = 3 > f({a}) + f({b}): non-decreasing, and
+    # {a}, {b} is the only violating pair; (8, 9) lies wholly in the high bits
+    calls = _spy_disjoint_pairs(monkeypatch)
+    n, bad = 10, (1 << pair[0]) | (1 << pair[1])
+    table = [Fraction(scale * (mask.bit_count() + (mask == bad))) for mask in range(1 << n)]
+    flags = classify_set_function(SetFunction.from_table(table))
+    assert flags.nondecreasing and not flags.subadditive
+    table[bad] -= scale
+    assert classify_set_function(SetFunction.from_table(table)).subadditive
+    assert [dtype == object for _, dtype in calls] == [scale > 1] * 2
+
+
+def test_subadditivity_of_non_monotone_tables_checks_all_pairs(monkeypatch):
+    calls = _spy_disjoint_pairs(monkeypatch)
+    rng = random.Random("all-pairs")
+    verdicts = []
+    for n in (5, 6, 7, 8):
+        for trial in range(4):
+            # non-empty values within a factor 2 of each other are subadditive;
+            # every other table gets one pair that breaks it
+            table = [Fraction(0)] + [Fraction(rng.randint(20, 40), 2)
+                                     for _ in range((1 << n) - 1)]
+            if trial % 2:
+                s, t = rng.sample(range(1, 1 << n), 2)
+                s &= ~t
+                if s:
+                    table[s] = table[t] = Fraction(10)
+                    table[s | t] = Fraction(21)
+            flags = classify_set_function(SetFunction.from_table(table))
+            assert not flags.nondecreasing
+            assert flags.subadditive == naive_subadditive(table, n)
+            verdicts.append(flags.subadditive)
+    assert set(verdicts) == {True, False}
+    assert calls == []
+
+
 def test_symmetric_variant_classified_as_expected():
     v = SymmetricSubmodularValuation((Fraction(2), Fraction(1), Fraction(1)))
     flags = check_class(as_table(v))
