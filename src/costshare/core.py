@@ -217,9 +217,8 @@ class SetFunction:
             store = sf._store
             return [store(t, v) for t, v in enumerate(raw)]
 
-        if point is not None:
-            solve = lambda sf, mask: sf._store(mask, point(mask))  # noqa: E731
-        return cls(ground_size, oracle=solve, fill=fill, kind=kind, meta=meta)
+        oracle = solve if point is None else lambda sf, mask: sf._store(mask, point(mask))
+        return cls(ground_size, oracle=oracle, fill=fill, kind=kind, meta=meta)
 
     def _store(self, mask: int, val) -> Rat:
         """Check an oracle value and cache it while the cache is under its cap."""
