@@ -224,7 +224,8 @@ def _print_alpha_report(label: str, rep: AlphaReport) -> None:
     if rep.kind == "average-decreasing":
         witness = f"S={_mask_set(rep.witness[0])} T={_mask_set(rep.witness[1])}"
     elif rep.kind.endswith("-ns"):
-        witness = f"T={_mask_set(rep.witness[1])}"
+        bundles, t = rep.witness
+        witness = f"A={','.join(map(bin, bundles))} T={_mask_set(t)}"
     else:
         witness = f"T={_mask_set(rep.witness[0])}"
     print(f"  {label:<16} {format_opt_rat(rep.alpha):<12} witness {witness}")

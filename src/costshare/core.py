@@ -71,10 +71,10 @@ def scale_to_ints(values: Sequence[Rat], terms: int) -> tuple[np.ndarray, int]:
     return np.array(scaled, dtype=np.int64 if fits else object), denom
 
 
-def capped_store(memo: dict, key, value):
-    """Keep ``value`` under ``key`` unless ``memo`` already holds
-    DEFAULT_CACHE_CAP entries, and return it: the policy of every memo."""
-    if len(memo) < DEFAULT_CACHE_CAP:
+def capped_store(memo: dict, key, value, cap: int):
+    """Keep ``value`` under ``key`` unless ``memo`` already holds ``cap``
+    entries, and return it: the policy of every memo."""
+    if len(memo) < cap:
         memo[key] = value
     return value
 
@@ -108,11 +108,13 @@ class SetFunction:
 
     Backed either by a dense table (ground_size <= 20) or by a memoizing
     oracle with a cache cap: a callback, or a subset recurrence. An oracle
-    checks and caches each value it computes through ``_store``, once. A
-    recurrence also fills its whole table bottom-up (``_fill``). Oracles and
-    fills are called with the function itself as first argument, so no
-    closure refers back to it: a function nothing uses is freed at once,
-    cache and all, not at the next cyclic garbage collection.
+    checks and caches each value it computes through ``_store``, once. An
+    oracle may also carry a fill (``_fill``) that computes all 2^n values at
+    once, such as a recurrence's bottom-up pass; ``to_table()`` passes each
+    of them through ``_store`` once. Oracles are called with the function
+    itself as first argument and fills with none, so no closure refers back
+    to it: a function nothing uses is freed at once, cache and all, not at
+    the next cyclic garbage collection.
 
     ``kind`` and ``meta`` carry construction data (e.g. a set-cover family)
     for serialization; ``approximate`` marks functions whose values were
@@ -210,12 +212,11 @@ class SetFunction:
                     stack.extend((k, None) for k in kids)
             return local[t] if t in local else cache[t]
 
-        def fill(sf: SetFunction) -> list[Rat]:
+        def fill() -> list:
             raw = [0] * (1 << ground_size)
             for t in range(1, len(raw)):
                 raw[t] = combine(t, [raw[k] for k in checked_children(t)])
-            store = sf._store
-            return [store(t, v) for t, v in enumerate(raw)]
+            return raw
 
         oracle = solve if point is None else lambda sf, mask: sf._store(mask, point(mask))
         return cls(ground_size, oracle=oracle, fill=fill, kind=kind, meta=meta)
@@ -225,7 +226,7 @@ class SetFunction:
         val = as_rat(val)
         if val.numerator < 0:
             raise ValueError("set function oracle returned a negative value")
-        return capped_store(self._cache, mask, val)
+        return capped_store(self._cache, mask, val, DEFAULT_CACHE_CAP)
 
     def __call__(self, mask: int) -> Rat:
         if mask < 0 or mask >> self.ground_size:
@@ -250,7 +251,8 @@ class SetFunction:
         cache = self._cache
         if len(cache) == size:
             return [cache[mask] for mask in range(size)]
-        return self._fill(self)
+        store = self._store
+        return [store(mask, v) for mask, v in enumerate(self._fill())]
 
     def __repr__(self):
         return f"SetFunction(ground={self.ground_size}, kind={self.kind!r})"
@@ -355,6 +357,18 @@ class AllocationCostFn:
             n * m, lambda k: fn(Allocation.from_index(k, n, m).bundles),
             require_zero_empty=True, kind="allocation")
 
+    @classmethod
+    def _with_fill(cls, n: int, m: int, fn: Callable[[tuple[int, ...]], Rat],
+                   fill: Callable[[], Sequence], *, kind: str,
+                   meta: dict | None = None) -> "AllocationCostFn":
+        """The cost ``fn`` whose ``to_table()`` takes all 2^(n*m) values from
+        one call of ``fill()``, in index order; point queries still call
+        ``fn``. For the built-in costs, which can compute every allocation's
+        cost at once."""
+        obj = cls(n, m, fn, kind=kind, meta=meta)
+        obj._costs._fill = fill
+        return obj
+
     def __call__(self, a: Allocation) -> Rat:
         if a.n != self.n or a.m != self.m:
             raise DimensionMismatchError("allocation does not match cost dimensions")
@@ -377,7 +391,7 @@ class Instance:
 
     ``step_memo`` is the mechanisms' memo of steps already computed on this
     instance (see ``mechanisms``); it takes no part in equality, hashing or
-    repr, and stops growing at DEFAULT_CACHE_CAP entries (``capped_store``).
+    repr, and stops growing at ``mechanisms.STEP_MEMO_CAP`` entries.
     Callers sharing an instance across threads may compute a step twice,
     never a different one.
     """

@@ -20,12 +20,17 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
 
-from .core import (Allocation, AllocationCostFn, GroundSetTooLargeError, Rat,
-                   SeparableCosts, SetFunction, as_rat, bits, bundle_shifts,
-                   scale_to_ints)
+import numpy as np
+
+from .core import (INT64_HEADROOM, Allocation, AllocationCostFn,
+                   GroundSetTooLargeError, Rat, SeparableCosts, SetFunction,
+                   as_rat, bits, bundle_shifts, scale_to_ints)
 
 MAX_ESTIMATOR_GROUND = 16
 MAX_NS_CELLS = 12
+# cells (allocation, player subset) the bounded-ratio scan holds at once:
+# n*m = 12 takes 2^24 cells in all, 2^13 at a time (64 KB an int64 array)
+SCAN_CHUNK_CELLS = 1 << 13
 
 SQRT_SCALE = 10 ** 6
 
@@ -191,9 +196,9 @@ class AlphaReport:
         return self.alpha is None
 
 
-def _scaled_table(values: Sequence[Rat]) -> list[int]:
+def _scaled_table(values: Sequence[Rat]) -> np.ndarray:
     # one positive factor scales both sides of every ratio the estimators compare
-    return scale_to_ints(values, terms=1)[0].tolist()
+    return scale_to_ints(values, terms=1)[0]
 
 
 def _report(num: int, den: int, witness: tuple, kind: str) -> AlphaReport:
@@ -206,13 +211,13 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     if n > MAX_ESTIMATOR_GROUND:
         raise GroundSetTooLargeError(
             f"average-decreasing estimator limited to n <= {MAX_ESTIMATOR_GROUND}")
-    vals = _scaled_table(c.to_table())
+    vals = _scaled_table(c.to_table()).tolist()
     size = 1 << n
     # lcm(1..n) makes every average c(T)/|T| an integer
     q = lcm(*range(1, n + 1))
 
     # g[T] = min average over nonempty subsets of T, with a witnessing argmin;
-    # as in _bounded_scan, a positive average over g = 0 is unbounded
+    # as in _first_max_ratio, a positive average over g = 0 is unbounded
     g = [0] * size
     g_wit = [0] * size
     best_num, best_den = 1, 1
@@ -233,42 +238,80 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     return _report(best_num, best_den, best_wit, "average-decreasing")
 
 
-def _bounded_scan(vals: Sequence[int], pick) -> tuple[int, int, int]:
-    """``(num, den, T)`` for the first T maximising |T| * pick(standalone
-    costs in T) / vals[T] above 1, or ``(1, 1, 1)`` when no ratio exceeds 1.
+def _first_max(num: np.ndarray, den: np.ndarray) -> int:
+    """Position of the first maximum of num/den (all den > 0): a tournament
+    of neighbours in which the left one wins ties."""
+    pos = np.arange(len(num))
+    while len(pos) > 1:
+        a, b = pos[:len(pos) - 1:2], pos[1::2]
+        won = np.where(num[b] * den[a] > num[a] * den[b], b, a)
+        pos = np.append(won, pos[-1]) if len(pos) % 2 else won
+    return int(pos[0])
 
-    Ratios are cross-multiplied over the non-negative ints in ``vals``: a
-    vacuous 0/0 never wins, and den = 0 marks an unbounded parameter."""
-    size = len(vals)
-    extreme = [0] * size
-    best_num, best_den, best_t = 1, 1, 1
-    for t in range(1, size):
-        low = t & -t
-        rest = t ^ low
-        ext = vals[low] if not rest else pick(extreme[rest], vals[low])
-        extreme[t] = ext
-        num = t.bit_count() * ext
-        if num * best_den > best_num * vals[t]:
-            best_num, best_den, best_t = num, vals[t], t
-            if not best_den:
-                break
-    return best_num, best_den, best_t
+
+def _first_max_ratio(table: np.ndarray, keep: np.ndarray, rows: np.ndarray,
+                     pick) -> tuple[int, int, int, int] | None:
+    """``(num, den, k, T)`` for the first (k, T) in row-major order, k in
+    ``rows`` and T a player subset, that maximises |T| * ext / table[k & keep[T]]
+    above 1/1, where ext is ``pick`` of the table[k & keep[{i}]] for i in T;
+    None when no ratio exceeds 1.
+
+    ``table`` holds non-negative ints and ``keep[T]`` selects the entries of
+    the players in T. Rows go in chunks of about SCAN_CHUNK_CELLS cells, and
+    each T's ext is built by doubling over the player bits. Ratios are only
+    cross-multiplied: in int64 while the products fit, over Python ints
+    otherwise. A vacuous 0/0 ranks as 0/1, so it never wins; den = 0 under a
+    positive numerator is unbounded, and the first one ends the scan.
+    """
+    width = len(keep)
+    n = width.bit_length() - 1
+    top = int(table.max())
+    if n * top * top >= INT64_HEADROOM:
+        table = table.astype(object)
+    sizes = np.zeros(width, dtype=np.int64)
+    for i in range(n):
+        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
+    best = None
+    best_num, best_den = 1, 1
+    step = max(1, SCAN_CHUNK_CELLS // width)
+    for start in range(0, len(rows), step):
+        ks = rows[start:start + step]
+        den = table[ks[:, None] & keep]
+        ext = den.copy()
+        for i in range(n):
+            lo = 1 << i
+            ext[:, lo + 1:2 * lo] = pick(ext[:, 1:lo], den[:, lo:lo + 1])
+        num = (sizes * ext).ravel()
+        den = den.ravel()
+        unbounded = np.flatnonzero((den == 0) & (num > 0))
+        if len(unbounded):
+            f = unbounded[0]
+            return int(num[f]), 0, int(ks[f // width]), int(f % width)
+        den = np.where(den == 0, 1, den)
+        beats = np.flatnonzero(num * best_den > best_num * den)
+        if len(beats):
+            f = beats[_first_max(num[beats], den[beats])]
+            best_num, best_den = int(num[f]), int(den[f])
+            best = int(ks[f // width]), int(f % width)
+    return None if best is None else (best_num, best_den, *best)
 
 
 def _alpha_bounded(c: SetFunction, pick, kind: str) -> AlphaReport:
-    # to_table refuses ground sets past MAX_DENSE_GROUND
-    num, den, t = _bounded_scan(_scaled_table(c.to_table()), pick)
+    # to_table refuses ground sets past MAX_DENSE_GROUND; the scan is one row
+    vals = _scaled_table(c.to_table())
+    hit = _first_max_ratio(vals, np.arange(len(vals)), np.array([len(vals) - 1]), pick)
+    num, den, _, t = hit or (1, 1, 0, 1)
     return _report(num, den, (t,), kind)
 
 
 def alpha_min_bounded(c: SetFunction) -> AlphaReport:
     """Least a with a*c(T)/|T| >= min standalone cost in T, for every nonempty T."""
-    return _alpha_bounded(c, min, "average-min-bounded")
+    return _alpha_bounded(c, np.minimum, "average-min-bounded")
 
 
 def alpha_max_bounded(c: SetFunction) -> AlphaReport:
     """Least a with a*c(T)/|T| >= max standalone cost in T, for every nonempty T."""
-    return _alpha_bounded(c, max, "average-max-bounded")
+    return _alpha_bounded(c, np.maximum, "average-max-bounded")
 
 
 def _alpha_bounded_ns(C: AllocationCostFn, pick, kind: str) -> AlphaReport:
@@ -280,29 +323,22 @@ def _alpha_bounded_ns(C: AllocationCostFn, pick, kind: str) -> AlphaReport:
     # C(A restricted to the players in T) is table[k & keep[T]] for the
     # allocation at index k; singleton T have ratio 1 or 0/0, so scanning
     # them as well changes nothing
-    full = (1 << m) - 1
-    shifts = bundle_shifts(n, m)
-    keep = [sum(full << shifts[i] for i in bits(t)) for t in range(1 << n)]
-
-    best_num, best_den = 1, 1
-    best_wit = (Allocation.empty(n, m).bundles, 0)
-    for k in range(len(table)):
-        num, den, t = _bounded_scan([table[k & mask] for mask in keep], pick)
-        if num * best_den > best_num * den:
-            best_num, best_den, best_wit = num, den, (Allocation.from_index(k, n, m).bundles, t)
-            if not den:
-                break
-    return _report(best_num, best_den, best_wit, kind)
+    keep = np.zeros(1 << n, dtype=np.int64)
+    for i, shift in enumerate(bundle_shifts(n, m)):
+        keep[1 << i:2 << i] = keep[:1 << i] | ((1 << m) - 1) << shift
+    hit = _first_max_ratio(table, keep, np.arange(len(table)), pick)
+    num, den, k, t = hit or (1, 1, 0, 0)
+    return _report(num, den, (Allocation.from_index(k, n, m).bundles, t), kind)
 
 
 def alpha_min_bounded_ns(C: AllocationCostFn) -> AlphaReport:
     """Non-separable min-bounded estimator over allocations and |T| >= 2 subsets."""
-    return _alpha_bounded_ns(C, min, "average-min-bounded-ns")
+    return _alpha_bounded_ns(C, np.minimum, "average-min-bounded-ns")
 
 
 def alpha_max_bounded_ns(C: AllocationCostFn) -> AlphaReport:
     """Non-separable max-bounded estimator over allocations and |T| >= 2 subsets."""
-    return _alpha_bounded_ns(C, max, "average-max-bounded-ns")
+    return _alpha_bounded_ns(C, np.maximum, "average-max-bounded-ns")
 
 
 # ---------------------------------------------------------------------------
@@ -412,46 +448,77 @@ def reference_costs(n: int = 3, k=6) -> dict[str, SetFunction]:
 # ---------------------------------------------------------------------------
 # Non-separable cost builders.
 
-def lifted_separable_cost(sep: SeparableCosts, n: int) -> AllocationCostFn:
-    """Wrap separable per-item costs as an opaque allocation cost oracle."""
+def _bundles(n: int, m: int):
+    """Player i's bundle in every allocation, in index order: one row per
+    player, each made when it is reached."""
+    index = np.arange(1 << (n * m), dtype=np.int64)
+    return ((index >> shift) & ((1 << m) - 1) for shift in bundle_shifts(n, m))
+
+
+def _served(n: int, m: int) -> np.ndarray:
+    """Shape (m, 2^(n*m)): the players served item j in every allocation."""
+    items = np.arange(m)[:, None]
+    return sum(((b >> items) & 1) << i for i, b in enumerate(_bundles(n, m)))
+
+
+def _rationals(ints: np.ndarray, scale: Rat) -> list[Rat]:
+    """``scale * ints`` as Fractions, one object per distinct value."""
+    distinct, inverse = np.unique(ints, return_inverse=True)
+    vals = [scale * int(v) for v in distinct]
+    return [vals[i] for i in inverse.tolist()]
+
+
+def _per_item_cost(sep: SeparableCosts, n: int, combine, reduce, terms: int,
+                   kind: str) -> AllocationCostFn:
+    """C(A) = ``combine`` of the per-item costs c_j(T_j). The table gathers
+    every allocation's c_j(T_j) from the items' integer tables and applies
+    ``reduce``, the same combination over the item axis, to ints."""
     m = sep.m
 
     def fn(bundles: tuple[int, ...]) -> Rat:
-        served = Allocation(bundles, m).served()
-        return sum((c(t) for c, t in zip(sep.items, served)), start=Fraction(0))
+        return combine(c(t) for c, t in zip(sep.items, Allocation(bundles, m).served()))
 
-    return AllocationCostFn(n, m, fn, kind="lifted", meta={"separable": sep})
+    def fill() -> list[Rat]:
+        ints, denom = scale_to_ints([v for c in sep.items for v in c.to_table()], terms)
+        per_item = ints.reshape(m, 1 << n)[np.arange(m)[:, None], _served(n, m)]
+        return _rationals(reduce(per_item, axis=0), Fraction(1, denom))
+
+    return AllocationCostFn._with_fill(n, m, fn, fill, kind=kind, meta={"separable": sep})
+
+
+def lifted_separable_cost(sep: SeparableCosts, n: int) -> AllocationCostFn:
+    """Wrap separable per-item costs as an opaque allocation cost oracle."""
+    return _per_item_cost(sep, n, lambda costs: sum(costs, start=Fraction(0)), np.sum,
+                          sep.m, "lifted")
 
 
 def max_item_cost(sep: SeparableCosts, n: int) -> AllocationCostFn:
     """Cost of an allocation is the most expensive per-item cost it induces."""
-    m = sep.m
+    return _per_item_cost(sep, n, max, np.max, 1, "max-item")
 
-    def fn(bundles: tuple[int, ...]) -> Rat:
-        served = Allocation(bundles, m).served()
-        return max(c(t) for c, t in zip(sep.items, served))
 
-    return AllocationCostFn(n, m, fn, kind="max-item", meta={"separable": sep})
+def _weighted_count(n: int, m: int, weight, count, kind: str) -> AllocationCostFn:
+    """C(A) = weight * count(bundles). ``count`` takes the bundles as ints,
+    or the rows of ``_bundles(n, m)`` to count every allocation at once, so
+    one definition answers point queries and fills the table."""
+    w = as_rat(weight)
+    return AllocationCostFn._with_fill(
+        n, m, lambda bundles: w * count(bundles),
+        lambda: _rationals(count(_bundles(n, m)), w), kind=kind, meta={"weight": w})
 
 
 def count_served_cost(n: int, m: int, weight=1) -> AllocationCostFn:
     """Flat per-player connection fee: C(A) = weight * |{i : A_i nonempty}|."""
-    w = as_rat(weight)
-
-    def fn(bundles: tuple[int, ...]) -> Rat:
-        return w * sum(1 for b in bundles if b)
-
-    return AllocationCostFn(n, m, fn, kind="count-served", meta={"weight": w})
+    return _weighted_count(n, m, weight, lambda bundles: sum(b != 0 for b in bundles),
+                           "count-served")
 
 
 def union_items_cost(n: int, m: int, weight=1) -> AllocationCostFn:
     """Per-item provisioning fee: C(A) = weight * |union of all bundles|."""
-    w = as_rat(weight)
-
-    def fn(bundles: tuple[int, ...]) -> Rat:
-        u = 0
+    def count(bundles):
+        union = 0
         for b in bundles:
-            u |= b
-        return w * u.bit_count()
+            union = union | b
+        return sum((union >> j) & 1 for j in range(m))
 
-    return AllocationCostFn(n, m, fn, kind="union-items", meta={"weight": w})
+    return _weighted_count(n, m, weight, count, "union-items")

@@ -36,6 +36,10 @@ class MechanismPreconditionError(ValueError):
 
 
 MAX_SM_ITEMS = 20
+# Entries an instance's step_memo stops growing at. At the 200-340 bytes an
+# entry takes, 2^18 entries stay under about 90 MB; a misreport search
+# reaches a few hundred per instance.
+STEP_MEMO_CAP = 1 << 18
 
 
 def _rank(shares: Sequence[Rat]) -> tuple[list[int], list[Rat]]:
@@ -153,7 +157,8 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
     node = memo.get(scale)
     if node is None:
         node = capped_store(memo, scale, _IacsmNode(
-            None, None, 0, [fn(full) / n for fn in cost_fns], [full] * m, scale))
+            None, None, 0, [fn(full) / n for fn in cost_fns], [full] * m, scale),
+            STEP_MEMO_CAP)
     active = list(range(n))
     for _ in range(n):
         # the smallest bundle wins, lowest index first
@@ -162,7 +167,8 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
             key = (node, decl[i])
             size = memo.get(key)
             if size is None:
-                size = capped_store(memo, key, _covered_ranks(decl[i].marginals, node.ranked))
+                size = capped_store(memo, key, _covered_ranks(decl[i].marginals, node.ranked),
+                                    STEP_MEMO_CAP)
             if best is None or size < best[0]:
                 best = (size, i)
         size, player = best
@@ -170,7 +176,7 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
         key = (node, player, size)
         child = memo.get(key)
         if child is None:
-            child = capped_store(memo, key, node.child(cost_fns, player, size))
+            child = capped_store(memo, key, node.child(cost_fns, player, size), STEP_MEMO_CAP)
         node = child
     if node.result is None:
         node.result = node.outcome(n, m)
@@ -233,7 +239,7 @@ def sm_run(inst: Instance, order: Sequence[int] | None = None,
         key = (i, tuple(bundles), decl[i])
         step = memo.get(key)
         if step is None:
-            step = capped_store(memo, key, _sm_step(inst, bundles, i, decl[i]))
+            step = capped_store(memo, key, _sm_step(inst, bundles, i, decl[i]), STEP_MEMO_CAP)
         bundles[i], payments[i] = step
 
     return Outcome(Allocation(tuple(bundles), m), tuple(payments))

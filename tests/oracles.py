@@ -193,6 +193,24 @@ def naive_alpha_bounded_ns(C, pick):
     return best, witness
 
 
+def naive_builtin_allocation_cost(kind, data, allocation):
+    """C(allocation) for a built-in non-separable cost, from its served sets:
+    ``data`` is the SeparableCosts of ``lifted`` and ``max-item``, and the
+    weight of ``count-served`` and ``union-items``."""
+    served = allocation.served()
+    if kind == "lifted":
+        return sum((c(t) for c, t in zip(data.items, served)), Fraction(0))
+    if kind == "max-item":
+        return max(c(t) for c, t in zip(data.items, served))
+    if kind == "count-served":
+        anyone = 0
+        for t in served:
+            anyone |= t
+        return data * bin(anyone).count("1")
+    assert kind == "union-items"
+    return data * sum(1 for t in served if t)
+
+
 def naive_subadditive(vals, n):
     return all(vals[s | t] <= vals[s] + vals[t]
                for s in range(1 << n) for t in range(1 << n))

@@ -176,6 +176,22 @@ def test_cli_alpha_prints_no_title_before_a_refused_estimate(tmp_path, capsys):
     assert "limited to n <= 16" in captured.err
 
 
+@pytest.mark.parametrize("cost, lines", [
+    ("nonseparable count-served 3/2\n",
+     ["  min-bounded      1/1          witness A=0b0,0b0 T={}",
+      "  max-bounded      2/1          witness A=0b0,0b1 T={0,1}"]),
+    ("cost 0 table 0/1 1/1 2/1 2/1\ncost 1 table 0/1 3/1 1/1 3/1\nnonseparable max-item\n",
+     ["  min-bounded      2/1          witness A=0b1,0b10 T={0,1}",
+      "  max-bounded      2/1          witness A=0b0,0b1 T={0,1}"]),
+], ids=["count-served", "max-item"])
+def test_cli_alpha_prints_the_witness_allocation(tmp_path, capsys, cost, lines):
+    path = tmp_path / "ns.inst"
+    path.write_text("costshare-instance v1\nn 2\nm 2\nvaluation 0 symmetric 1/1 1/2\n"
+                    "valuation 1 symmetric 2/1 0/1\n" + cost)
+    assert main(["alpha", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == lines
+
+
 def test_cli_alpha_step_descriptor():
     res = run_cli("alpha", "two-tier-step:n=4")
     assert res.returncode == 0

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from costshare import core, costs
-from costshare.core import (AllocationCostFn, GroundSetTooLargeError,
-                            SeparableCosts, allocation_cost)
+from costshare.core import (Allocation, AllocationCostFn,
+                            GroundSetTooLargeError, SeparableCosts,
+                            allocation_cost)
 from costshare.costs import (InfeasibleCoverError, additive_cost,
                              alpha_average_decreasing, alpha_max_bounded,
                              alpha_max_bounded_ns, alpha_min_bounded,
@@ -24,7 +26,8 @@ from costshare.mechanisms import sm_run
 from costshare.valuations import classify_set_function
 
 from oracles import (BIG_PRIMES, naive_alpha_avg_decreasing, naive_alpha_bounded,
-                     naive_alpha_bounded_ns, naive_max_matching,
+                     naive_alpha_bounded_ns, naive_builtin_allocation_cost,
+                     naive_max_matching,
                      naive_min_set_cover, naive_min_vertex_cover,
                      naive_subadditive)
 
@@ -498,6 +501,123 @@ def test_ns_estimators_match_naive_definition(monkeypatch):
                     alphas.append(rep.alpha)
     assert None in alphas and any(a is not None and a > 1 for a in alphas)
     assert np.dtype(np.int64) in dtypes and np.dtype(object) in dtypes
+
+
+def _random_builtin_costs(rng, value):
+    """(kind, build, n, m, data) for each built-in allocation cost on a
+    random shape with n*m <= 10; ``data`` is what the naive reference reads."""
+    for kind in ("lifted", "max-item", "count-served", "union-items"):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 10 // n)
+        if kind in ("lifted", "max-item"):
+            data = SeparableCosts(tuple(
+                table_cost([0] + [value() for _ in range((1 << n) - 1)]) for _ in range(m)))
+            builder = lifted_separable_cost if kind == "lifted" else max_item_cost
+            yield kind, lambda b=builder, d=data, n=n: b(d, n), n, m, data
+        else:
+            data = value()
+            builder = count_served_cost if kind == "count-served" else union_items_cost
+            yield kind, lambda b=builder, n=n, m=m, w=data: b(n, m, w), n, m, data
+
+
+@pytest.mark.parametrize("cap", [None, 5], ids=["uncapped", "cap-5"])
+def test_builtin_allocation_tables_match_point_queries_and_naive(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(core, "DEFAULT_CACHE_CAP", cap)
+    dtypes = set()
+    real = costs.scale_to_ints
+
+    def spy(values, terms):
+        out = real(values, terms)
+        dtypes.add(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(costs, "scale_to_ints", spy)
+    rng = random.Random("allocation-fills")
+    half = lambda: Fraction(rng.randint(0, 8), 2)
+    big = lambda: Fraction(rng.randint(1, 10 ** 6), rng.choice(BIG_PRIMES))
+    kinds = set()
+    for value in (half, big):
+        for _ in range(4):
+            for kind, build, n, m, data in _random_builtin_costs(rng, value):
+                allocations = [Allocation.from_index(k, n, m) for k in range(1 << (n * m))]
+                expected = [naive_builtin_allocation_cost(kind, data, a) for a in allocations]
+                C = build()
+                kinds.add(C.kind)
+                table = C.to_table()
+                assert table == expected
+                assert all(type(v) is Fraction for v in table)
+                # point queries first, in shuffled order, then the table over a warm cache
+                order = list(range(len(allocations)))
+                rng.shuffle(order)
+                C = build()
+                assert [C(allocations[k]) for k in order] == [expected[k] for k in order]
+                again = C.to_table()
+                assert again == expected
+                assert all(type(v) is Fraction for v in again)
+                # and over a cache holding only some of the values
+                C = build()
+                for k in order[: len(order) // 2]:
+                    assert C(allocations[k]) == expected[k]
+                assert C.to_table() == expected
+                if cap is not None:
+                    assert len(C._costs._cache) == min(cap, len(allocations))
+    assert kinds == {"lifted", "max-item", "count-served", "union-items"}
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_allocation_fill_values_pass_the_negativity_check():
+    for build in (count_served_cost, union_items_cost):
+        C = build(2, 2, -1)
+        with pytest.raises(ValueError, match="negative"):
+            C.to_table()
+    C = AllocationCostFn._with_fill(1, 1, lambda bundles: Fraction(bundles[0]),
+                                    lambda: [0, -1], kind="negative-fill")
+    assert C(Allocation((1,), 1)) == 1
+    with pytest.raises(ValueError, match="negative"):
+        AllocationCostFn._with_fill(1, 1, lambda bundles: Fraction(bundles[0]),
+                                    lambda: [0, -1], kind="negative-fill").to_table()
+
+
+def _chunked_ns_cost(values):
+    """2x2 cost whose every one-player allocation costs 1 and whose two-player
+    allocation at index k costs ``values.get(k, 2)``: its ratio at T={0,1} is
+    2 / C(A), while a one-player allocation has ratio 0 (min) or 2 (max)."""
+    table = {}
+    for k in range(16):
+        b0, b1 = k >> 2, k & 3
+        table[(b0, b1)] = Fraction(values.get(k, 2) if b0 and b1 else bool(b0 or b1))
+    return AllocationCostFn(2, 2, table.__getitem__, kind="chunked")
+
+
+@pytest.mark.parametrize("values, alpha, witness", [
+    # 8/3 in the third chunk, 4 first in the fourth, tied at once and in the seventh
+    ({5: Fraction(3, 4), 6: Fraction(1, 2), 7: Fraction(1, 2), 13: Fraction(1, 2)},
+     Fraction(4), ((1, 2), 3)),
+    # a finite maximum, then two unbounded entries: the first of them wins
+    ({6: Fraction(1, 2), 13: 0, 14: 0}, None, ((3, 1), 3)),
+], ids=["tied-later-maximum", "unbounded-after-maximum"])
+def test_ns_scan_across_chunks(monkeypatch, values, alpha, witness):
+    # 2 allocations (8 cells) per chunk
+    monkeypatch.setattr(costs, "SCAN_CHUNK_CELLS", 8)
+    C = _chunked_ns_cost(values)
+    for estimator, pick in ((alpha_min_bounded_ns, min), (alpha_max_bounded_ns, max)):
+        rep = estimator(C)
+        assert (rep.alpha, rep.witness) == (alpha, witness)
+        assert (rep.alpha, rep.witness) == naive_alpha_bounded_ns(C, pick)
+
+
+def test_ns_estimators_on_twelve_players_in_bounded_memory():
+    C = count_served_cost(12, 1)
+    tracemalloc.start()
+    try:
+        low, high = alpha_min_bounded_ns(C), alpha_max_bounded_ns(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (low.alpha, low.witness) == (1, ((0,) * 12, 0))
+    assert (high.alpha, high.witness) == (12, ((0,) * 11 + (1,), 4095))
+    assert peak < 64 << 20
 
 
 def test_ns_estimator_size_limit():

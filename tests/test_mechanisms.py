@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costshare import core
+from costshare import core, mechanisms
 from costshare.core import Allocation, Instance, SeparableCosts, allocation_cost
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
                              lifted_separable_cost, matching_cost, max_item_cost,
@@ -437,7 +437,7 @@ def test_iacsm_matches_naive_definition(kind):
 
 
 def test_step_memo_stops_growing_at_the_cap(monkeypatch):
-    monkeypatch.setattr(core, "DEFAULT_CACHE_CAP", 5)
+    monkeypatch.setattr(mechanisms, "STEP_MEMO_CAP", 5)
     rng = random.Random("memo-cap")
     for _ in range(20):
         n, m = rng.randint(2, 4), rng.randint(1, 3)
@@ -449,3 +449,21 @@ def test_step_memo_stops_growing_at_the_cap(monkeypatch):
             assert sm_run(inst, order, declared) == naive_sm_run(inst, order, declared)
             assert iacsm_run(inst, declared) == naive_iacsm_run(inst, declared)
         assert len(inst.step_memo) == 5
+
+
+@pytest.mark.parametrize("kind", NONSEPARABLE_KINDS)
+def test_step_memo_cap_is_its_own(monkeypatch, kind):
+    # the step memo and the allocation-cost cache stop at different sizes
+    monkeypatch.setattr(core, "DEFAULT_CACHE_CAP", 3)
+    monkeypatch.setattr(mechanisms, "STEP_MEMO_CAP", 7)
+    rng = random.Random(f"memo-own-cap-{kind}")
+    for _ in range(10):
+        n, m = rng.randint(2, 4), rng.randint(1, 2)
+        inst = Instance(valuations=tuple(random_valuation(rng, m) for _ in range(n)),
+                        cost_model=random_cost_model(rng, kind, n, m), m=m)
+        for _ in range(6):
+            declared = [random_valuation(rng, m) for _ in range(n)]
+            order = rng.sample(range(n), n)
+            assert sm_run(inst, order, declared) == naive_sm_run(inst, order, declared)
+        assert len(inst.step_memo) == 7
+        assert len(inst.cost_model._costs._cache) == 3
