@@ -11,14 +11,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, allocation_cost, harmonic, scale_to_ints)
+                   Trace, align_ints, allocation_cost, harmonic)
 from .costs import (alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
                     alpha_min_bounded_ns)
 from .mechanisms import (MechanismPreconditionError, iacsm_run,
                          incremental_costs, sm_run, verify_final_set_structure,
                          verify_p1, verify_p2)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
-                         ValuationFn, as_rat)
+                         ValuationFn, as_rat, as_table)
 
 MAX_OPTIMUM_CELLS = 20
 
@@ -52,7 +52,7 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     """Exact minimum social cost with the lexicographically smallest witness.
 
     The social cost of all 2^(n*m) allocations is one array of shape
-    (2,)*(n*m) over a common denominator (see ``core.scale_to_ints``), with
+    (2,)*(n*m) over a common denominator (see ``core.align_ints``), with
     axis i*m + (m-1-j) for item j of player i's bundle, so that ravel order
     is allocation index order (``core.bundle_shifts``). It is the sum of each
     player's loss table on that player's axes, plus each item's cost table on
@@ -65,16 +65,15 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
         raise GroundSetTooLargeError(
             f"optimum enumerates (2^m)^n allocations; n*m <= {MAX_OPTIMUM_CELLS} required")
     full = (1 << m) - 1
-    tables = [[v.value(full) - v.value(b) for b in range(1 << m)]
-              for v in inst.valuations]
+    tables = [(ints[full] - ints, denom) for ints, denom in
+              (as_table(v).fn.int_table() for v in inst.valuations)]
     if inst.is_separable:
-        tables += [fn.to_table() for fn in inst.cost_model.items]
+        tables += [fn.int_table() for fn in inst.cost_model.items]
     else:
-        tables.append(inst.cost_model.to_table())
-    flat, denom = scale_to_ints([x for t in tables for x in t], terms=len(tables))
-    scaled = np.split(flat, np.cumsum([len(t) for t in tables])[:-1])
+        tables.append(inst.cost_model.int_table())
+    scaled, denom = align_ints(tables, terms=len(tables))
 
-    total = np.zeros((2,) * (n * m), dtype=flat.dtype)
+    total = np.zeros((2,) * (n * m), dtype=scaled[0].dtype)
     for i in range(n):
         total += scaled[i].reshape((1,) * (i * m) + (2,) * m + (1,) * ((n - 1 - i) * m))
     if inst.is_separable:

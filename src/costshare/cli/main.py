@@ -7,6 +7,7 @@ usage, parsing and precondition problems exit with status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -382,7 +383,9 @@ def cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at its first use, not at import."""
     parser = argparse.ArgumentParser(
         prog="costshare",
         description="combinatorial cost sharing mechanisms and verification")

@@ -71,6 +71,18 @@ def scale_to_ints(values: Sequence[Rat], terms: int) -> tuple[np.ndarray, int]:
     return np.array(scaled, dtype=np.int64 if fits else object), denom
 
 
+def align_ints(tables: Sequence[tuple], terms: int) -> tuple[list[np.ndarray], int]:
+    """``scale_to_ints`` for integer tables ``(ints, denom)``: all of them over
+    their least common denominator, int64 exactly when ``terms`` entries of
+    the largest magnitude stay under INT64_HEADROOM."""
+    denom = lcm(*(d for _, d in tables))
+    # an all-zero table keeps factor 1, so no factor outgrows the values
+    factors = [denom // d if ints.any() else 1 for ints, d in tables]
+    top = max(int(abs(ints).max()) * f for (ints, _), f in zip(tables, factors))
+    dtype = np.int64 if top * terms < INT64_HEADROOM else object
+    return [ints.astype(dtype) * f for (ints, _), f in zip(tables, factors)], denom
+
+
 def capped_store(memo: dict, key, value, cap: int):
     """Keep ``value`` under ``key`` unless ``memo`` already holds ``cap``
     entries, and return it: the policy of every memo."""
@@ -110,11 +122,12 @@ class SetFunction:
     oracle with a cache cap: a callback, or a subset recurrence. An oracle
     checks and caches each value it computes through ``_store``, once. An
     oracle may also carry a fill (``_fill``) that computes all 2^n values at
-    once, such as a recurrence's bottom-up pass; ``to_table()`` passes each
-    of them through ``_store`` once. Oracles are called with the function
-    itself as first argument and fills with none, so no closure refers back
-    to it: a function nothing uses is freed at once, cache and all, not at
-    the next cyclic garbage collection.
+    once as ``(ints, denom)``, such as a recurrence's bottom-up pass. Oracles
+    are called with the function itself as first argument and fills with
+    none, so no closure refers back to it: a function nothing uses is freed
+    at once, cache and all, not at the next cyclic garbage collection.
+    ``int_table()`` is the exact view of all 2^n values that the exhaustive
+    consumers read; ``to_table()`` is its public ``Fraction`` view.
 
     ``kind`` and ``meta`` carry construction data (e.g. a set-cover family)
     for serialization; ``approximate`` marks functions whose values were
@@ -122,7 +135,7 @@ class SetFunction:
     """
 
     __slots__ = ("ground_size", "kind", "meta", "approximate",
-                 "_table", "_oracle", "_fill", "_cache")
+                 "_table", "_oracle", "_fill", "_cache", "_ints")
 
     def __init__(self, ground_size: int, *, table=None, oracle=None, fill=None,
                  kind: str = "table", meta: dict | None = None,
@@ -139,6 +152,7 @@ class SetFunction:
         self._oracle = oracle
         self._fill = fill
         self._cache: dict[int, Rat] = {}
+        self._ints: tuple[np.ndarray, int] | None = None
 
     @classmethod
     def from_table(cls, values: Sequence, *, require_zero_empty: bool = False,
@@ -181,14 +195,14 @@ class SetFunction:
         the children's values as ints or as Fractions, and must return an
         exact non-negative rational.
 
-        ``to_table()`` fills all 2^n values in one ascending pass: a proper
+        ``int_table()`` fills all 2^n values in one ascending pass: a proper
         submask is numerically smaller, so its value is already there. A
         point query is evaluated with an explicit stack, not Python
         recursion, so chains as deep as the ground set never reach the
         recursion limit; ``point``, when given, answers point queries in its
-        place. Every value either path computes goes through ``_store`` once
-        and into this function's one capped cache; past the cap, a value
-        lives only for the query that needed it.
+        place. Every value a point query computes goes through ``_store``
+        once and into this function's one capped cache; past the cap, a
+        value lives only for the query that needed it.
         """
         def checked_children(t: int) -> list[int]:
             kids = children(t)
@@ -212,11 +226,11 @@ class SetFunction:
                     stack.extend((k, None) for k in kids)
             return local[t] if t in local else cache[t]
 
-        def fill() -> list:
+        def fill() -> tuple[list, int]:
             raw = [0] * (1 << ground_size)
             for t in range(1, len(raw)):
                 raw[t] = combine(t, [raw[k] for k in checked_children(t)])
-            return raw
+            return raw, 1
 
         oracle = solve if point is None else lambda sf, mask: sf._store(mask, point(mask))
         return cls(ground_size, oracle=oracle, fill=fill, kind=kind, meta=meta)
@@ -238,21 +252,36 @@ class SetFunction:
             return hit
         return self._oracle(self, mask)
 
+    def int_table(self) -> tuple[np.ndarray, int]:
+        """``(ints, denom)`` with f(S) = ints[S] / denom (ground_size <= 20
+        only), built once: int64 while every value is under INT64_HEADROOM,
+        Python ints otherwise. A fill's ints are checked once, as a whole."""
+        if self._ints is None:
+            if self.ground_size > MAX_DENSE_GROUND:
+                raise GroundSetTooLargeError(
+                    f"cannot materialize ground_size {self.ground_size} > {MAX_DENSE_GROUND}")
+            ints, denom = self._fill() if self._fill else (
+                self._table or [self(mask) for mask in range(1 << self.ground_size)], 1)
+            arr = np.asarray(ints)
+            if arr.dtype.kind not in "iu" and not all(type(v) is int for v in arr.flat):
+                # Fractions: a table, point queries or a rational combine;
+                # as_rat refuses floats
+                arr, scale = scale_to_ints([as_rat(v) for v in arr.flat], terms=1)
+                denom *= scale
+            if arr.min() < 0:
+                raise ValueError("set function fill returned a negative value")
+            [arr], denom = align_ints([(arr, denom)], terms=1)
+            self._ints = arr, denom
+        return self._ints
+
     def to_table(self) -> list[Rat]:
-        """Materialize all 2^ground values (ground_size <= 20 only)."""
-        if self.ground_size > MAX_DENSE_GROUND:
-            raise GroundSetTooLargeError(
-                f"cannot materialize ground_size {self.ground_size} > {MAX_DENSE_GROUND}")
+        """All 2^ground values as Fractions, read from ``int_table()``; an
+        oracle's values also go into its capped point cache."""
         if self._table is not None:
             return list(self._table)
-        size = 1 << self.ground_size
-        if self._fill is None:
-            return [self(mask) for mask in range(size)]
-        cache = self._cache
-        if len(cache) == size:
-            return [cache[mask] for mask in range(size)]
-        store = self._store
-        return [store(mask, v) for mask, v in enumerate(self._fill())]
+        ints, denom = self.int_table()
+        return [capped_store(self._cache, mask, Fraction(v, denom), DEFAULT_CACHE_CAP)
+                for mask, v in enumerate(ints.tolist())]
 
     def __repr__(self):
         return f"SetFunction(ground={self.ground_size}, kind={self.kind!r})"
@@ -290,27 +319,9 @@ class Allocation:
         return tuple(out)
 
     @classmethod
-    def from_served(cls, served: Sequence[int], n: int) -> "Allocation":
-        bundles = [0] * n
-        for j, t in enumerate(served):
-            for i in bits(t):
-                if i >= n:
-                    raise ValueError("served set references a player outside the ground set")
-                bundles[i] |= 1 << j
-        return cls(tuple(bundles), len(served))
-
-    @classmethod
     def from_index(cls, k: int, n: int, m: int) -> "Allocation":
         """The allocation at position ``k`` of index order (see ``bundle_shifts``)."""
         return cls(tuple((k >> s) & ((1 << m) - 1) for s in bundle_shifts(n, m)), m)
-
-    @classmethod
-    def empty(cls, n: int, m: int) -> "Allocation":
-        return cls((0,) * n, m)
-
-    @classmethod
-    def full(cls, n: int, m: int) -> "Allocation":
-        return cls(((1 << m) - 1,) * n, m)
 
 
 def restrict_allocation(a: Allocation, player_mask: int) -> Allocation:
@@ -359,12 +370,12 @@ class AllocationCostFn:
 
     @classmethod
     def _with_fill(cls, n: int, m: int, fn: Callable[[tuple[int, ...]], Rat],
-                   fill: Callable[[], Sequence], *, kind: str,
+                   fill: Callable[[], tuple[Sequence, int]], *, kind: str,
                    meta: dict | None = None) -> "AllocationCostFn":
-        """The cost ``fn`` whose ``to_table()`` takes all 2^(n*m) values from
-        one call of ``fill()``, in index order; point queries still call
-        ``fn``. For the built-in costs, which can compute every allocation's
-        cost at once."""
+        """The cost ``fn`` whose ``int_table()`` takes all 2^(n*m) values
+        from one call of ``fill()``, as ``(ints, denom)`` in index order;
+        point queries still call ``fn``. For the built-in costs, which can
+        compute every allocation's cost at once."""
         obj = cls(n, m, fn, kind=kind, meta=meta)
         obj._costs._fill = fill
         return obj
@@ -376,6 +387,10 @@ class AllocationCostFn:
         for b in a.bundles:
             k = k << self.m | b
         return self._costs(k)
+
+    def int_table(self) -> tuple[np.ndarray, int]:
+        """``SetFunction.int_table`` of C, in allocation index order."""
+        return self._costs.int_table()
 
     def to_table(self) -> list[Rat]:
         """C of all 2^(n*m) allocations in index order (n*m <= 20 only)."""

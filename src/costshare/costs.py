@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (INT64_HEADROOM, Allocation, AllocationCostFn,
                    GroundSetTooLargeError, Rat, SeparableCosts, SetFunction,
-                   as_rat, bits, bundle_shifts, scale_to_ints)
+                   align_ints, as_rat, bits, bundle_shifts)
 
 MAX_ESTIMATOR_GROUND = 16
 MAX_NS_CELLS = 12
@@ -133,8 +133,8 @@ def matching_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
     """Maximum-cardinality matching cost; players are the edges of the graph.
 
     The lowest edge e of t is unused or matched, so c(t) = max(c(t minus e),
-    1 + c(t minus every edge touching e's endpoints)); ``to_table()`` fills
-    from this recurrence on every graph. On bipartite graphs
+    1 + c(t minus every edge touching e's endpoints)); ``int_table()``
+    fills from this recurrence on every graph. On bipartite graphs
     (``meta["bipartite"]``, which also selects the structural alpha bound) a
     point query is answered with augmenting paths, which stay polynomial: on
     the full edge set of a 60-edge bipartite graph the recurrence visits over
@@ -196,11 +196,6 @@ class AlphaReport:
         return self.alpha is None
 
 
-def _scaled_table(values: Sequence[Rat]) -> np.ndarray:
-    # one positive factor scales both sides of every ratio the estimators compare
-    return scale_to_ints(values, terms=1)[0]
-
-
 def _report(num: int, den: int, witness: tuple, kind: str) -> AlphaReport:
     return AlphaReport(Fraction(num, den) if den else None, witness, kind)
 
@@ -211,7 +206,8 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     if n > MAX_ESTIMATOR_GROUND:
         raise GroundSetTooLargeError(
             f"average-decreasing estimator limited to n <= {MAX_ESTIMATOR_GROUND}")
-    vals = _scaled_table(c.to_table()).tolist()
+    # one positive factor scales both sides of every ratio compared below
+    vals = c.int_table()[0].tolist()
     size = 1 << n
     # lcm(1..n) makes every average c(T)/|T| an integer
     q = lcm(*range(1, n + 1))
@@ -297,8 +293,8 @@ def _first_max_ratio(table: np.ndarray, keep: np.ndarray, rows: np.ndarray,
 
 
 def _alpha_bounded(c: SetFunction, pick, kind: str) -> AlphaReport:
-    # to_table refuses ground sets past MAX_DENSE_GROUND; the scan is one row
-    vals = _scaled_table(c.to_table())
+    # int_table refuses ground sets past MAX_DENSE_GROUND; the scan is one row
+    vals = c.int_table()[0]
     hit = _first_max_ratio(vals, np.arange(len(vals)), np.array([len(vals) - 1]), pick)
     num, den, _, t = hit or (1, 1, 0, 1)
     return _report(num, den, (t,), kind)
@@ -319,7 +315,7 @@ def _alpha_bounded_ns(C: AllocationCostFn, pick, kind: str) -> AlphaReport:
     if n * m > MAX_NS_CELLS:
         raise GroundSetTooLargeError(
             f"exhaustive allocation enumeration needs n*m <= {MAX_NS_CELLS}")
-    table = _scaled_table(C.to_table())
+    table = C.int_table()[0]
     # C(A restricted to the players in T) is table[k & keep[T]] for the
     # allocation at index k; singleton T have ratio 1 or 0/0, so scanning
     # them as well changes nothing
@@ -461,13 +457,6 @@ def _served(n: int, m: int) -> np.ndarray:
     return sum(((b >> items) & 1) << i for i, b in enumerate(_bundles(n, m)))
 
 
-def _rationals(ints: np.ndarray, scale: Rat) -> list[Rat]:
-    """``scale * ints`` as Fractions, one object per distinct value."""
-    distinct, inverse = np.unique(ints, return_inverse=True)
-    vals = [scale * int(v) for v in distinct]
-    return [vals[i] for i in inverse.tolist()]
-
-
 def _per_item_cost(sep: SeparableCosts, n: int, combine, reduce, terms: int,
                    kind: str) -> AllocationCostFn:
     """C(A) = ``combine`` of the per-item costs c_j(T_j). The table gathers
@@ -478,10 +467,10 @@ def _per_item_cost(sep: SeparableCosts, n: int, combine, reduce, terms: int,
     def fn(bundles: tuple[int, ...]) -> Rat:
         return combine(c(t) for c, t in zip(sep.items, Allocation(bundles, m).served()))
 
-    def fill() -> list[Rat]:
-        ints, denom = scale_to_ints([v for c in sep.items for v in c.to_table()], terms)
-        per_item = ints.reshape(m, 1 << n)[np.arange(m)[:, None], _served(n, m)]
-        return _rationals(reduce(per_item, axis=0), Fraction(1, denom))
+    def fill() -> tuple[np.ndarray, int]:
+        ints, denom = align_ints([c.int_table() for c in sep.items], terms)
+        per_item = np.stack(ints)[np.arange(m)[:, None], _served(n, m)]
+        return reduce(per_item, axis=0), denom
 
     return AllocationCostFn._with_fill(n, m, fn, fill, kind=kind, meta={"separable": sep})
 
@@ -500,11 +489,13 @@ def max_item_cost(sep: SeparableCosts, n: int) -> AllocationCostFn:
 def _weighted_count(n: int, m: int, weight, count, kind: str) -> AllocationCostFn:
     """C(A) = weight * count(bundles). ``count`` takes the bundles as ints,
     or the rows of ``_bundles(n, m)`` to count every allocation at once, so
-    one definition answers point queries and fills the table."""
+    one definition answers point queries and fills the table, over Python
+    ints: a numerator near 2^62 times a count wraps in int64."""
     w = as_rat(weight)
     return AllocationCostFn._with_fill(
         n, m, lambda bundles: w * count(bundles),
-        lambda: _rationals(count(_bundles(n, m)), w), kind=kind, meta={"weight": w})
+        lambda: (count(_bundles(n, m)).astype(object) * w.numerator, w.denominator),
+        kind=kind, meta={"weight": w})
 
 
 def count_served_cost(n: int, m: int, weight=1) -> AllocationCostFn:

@@ -9,8 +9,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import (GroundSetTooLargeError, Rat, SetFunction, as_rat,
-                   scale_to_ints)
+from .core import GroundSetTooLargeError, Rat, SetFunction, as_rat
 
 MAX_CLASSIFY_GROUND = 16
 PAIR_CHUNK_BITS = 8
@@ -46,9 +45,6 @@ class SymmetricSubmodularValuation:
     @property
     def m(self) -> int:
         return len(self.marginals)
-
-    def value_of_size(self, k: int) -> Rat:
-        return self._prefix[k]
 
     def value(self, item_mask: int) -> Rat:
         if item_mask < 0 or item_mask >> self.m:
@@ -133,12 +129,11 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
     if n > MAX_CLASSIFY_GROUND:
         raise GroundSetTooLargeError(
             f"class checks are exhaustive and limited to ground_size <= {MAX_CLASSIFY_GROUND}")
-    vals = fn.to_table()
     size = 1 << n
 
     # scaling by one positive constant keeps every comparison below; two
-    # values meet in one sum or difference at most
-    arr, _ = scale_to_ints(vals, terms=2)
+    # values under INT64_HEADROOM meet in one sum or difference at most
+    arr = fn.int_table()[0]
     idx = np.arange(size, dtype=np.int64)
     nondec = all(
         bool(np.all(arr[(idx | (1 << i))[(idx >> i) & 1 == 0]]
@@ -161,15 +156,11 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
     else:
         subadd = all(np.all(arr[s] + arr[s:] >= arr[idx[s:] | s]) for s in range(size))
 
-    by_card: list[list[Rat]] = [[] for _ in range(n + 1)]
-    for mask in range(size):
-        by_card[mask.bit_count()].append(vals[mask])
-    symmetric = all(len(set(group)) <= 1 for group in by_card if group)
-
-    xos_sym = symmetric
-    if symmetric and n >= 1:
-        averages = [by_card[k][0] / k for k in range(1, n + 1)]
-        xos_sym = all(averages[t] >= averages[t + 1] for t in range(len(averages) - 1))
+    # symmetric: every set costs what the set of its |S| lowest elements costs;
+    # then xos-symmetric: level[k] / k is non-increasing, cross-multiplied
+    level = [int(arr[(1 << k) - 1]) for k in range(n + 1)]
+    symmetric = all(v == level[mask.bit_count()] for mask, v in enumerate(arr.tolist()))
+    xos_sym = symmetric and all(level[k] * (k + 1) >= level[k + 1] * k for k in range(1, n))
 
     return ClassFlags(nondecreasing=nondec, submodular=submod, symmetric=symmetric,
                       xos_symmetric=xos_sym, subadditive=subadd)

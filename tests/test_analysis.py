@@ -8,7 +8,7 @@ from costshare import analysis
 from costshare.cli.formats import parse_instance, serialize_instance
 from costshare.cli.gen import generate
 from costshare.core import (Allocation, GroundSetTooLargeError, Instance, Outcome,
-                            SeparableCosts, harmonic, scale_to_ints)
+                            SeparableCosts, align_ints, harmonic)
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
                              lifted_separable_cost, max_item_cost,
                              public_good_cost, symmetric_submodular_cost,
@@ -52,15 +52,15 @@ def test_social_cost_full_and_empty():
     inst = Instance(valuations=(sym(2, 1), sym(3, 0)),
                     cost_model=SeparableCosts((table_cost([0, 1, 1, 4]),
                                                table_cost([0, 2, 2, 2]))), m=2)
-    full = Allocation.full(2, 2)
+    full = Allocation((0b11, 0b11), 2)
     assert social_cost(inst, full) == 4 + 2
-    empty = Allocation.empty(2, 2)
+    empty = Allocation((0, 0), 2)
     assert social_cost(inst, empty) == 3 + 3
 
 
 def test_social_cost_tight_instance_empty_allocation():
     inst = tight_instance()
-    assert social_cost(inst, Allocation.empty(3, 1)) == F(107, 10)
+    assert social_cost(inst, Allocation((0, 0, 0), 1)) == F(107, 10)
 
 
 # --- optimal social cost -------------------------------------------------------
@@ -91,12 +91,12 @@ def test_optimum_single_player():
 def test_optimum_fast_path_matches_enumeration(monkeypatch):
     dtypes = []
 
-    def spy(values, terms):
-        out = scale_to_ints(values, terms)
-        dtypes.append(out[0].dtype)
+    def spy(tables, terms):
+        out = align_ints(tables, terms)
+        dtypes.append(out[0][0].dtype)
         return out
 
-    monkeypatch.setattr(analysis, "scale_to_ints", spy)
+    monkeypatch.setattr(analysis, "align_ints", spy)
     rng = random.Random(6)
     # small denominators stay on int64; primes near 1e9 overflow it
     for denominator, overflows in ((lambda: rng.randint(1, 3), False),
@@ -436,3 +436,22 @@ def test_icb_nonseparable():
                                 TableValuation.from_values([0, 1])),
                     cost_model=count_served_cost(2, 1), m=1)
     assert check_icb_bound(inst)
+
+
+# three primes near 1e9: K is above 2^62, so the optimum adds Python ints
+K = BIG_PRIMES[0] * BIG_PRIMES[1] * BIG_PRIMES[2]
+
+
+@pytest.mark.parametrize("n, m", [(4, 5), (5, 4), (10, 2)], ids=["4x5", "5x4", "10x2"])
+def test_optimum_scales_with_values_and_costs(n, m):
+    # n*m = 20 is past any naive enumeration: scaling every valuation and
+    # every cost by one positive factor scales the optimum and keeps its witness
+    inst = generate("random-symmetric", {"n": str(n), "m": str(m)}, 3)
+    opt, alloc = optimal_social_cost(inst)
+    for factor in (F(K), F(1, K)):
+        scaled = Instance(
+            valuations=tuple(SymmetricSubmodularValuation(tuple(factor * d for d in v.marginals))
+                             for v in inst.valuations),
+            cost_model=SeparableCosts(tuple(table_cost([factor * x for x in fn.to_table()])
+                                            for fn in inst.cost_model.items)), m=m)
+        assert optimal_social_cost(scaled) == (factor * opt, alloc)

@@ -3,16 +3,19 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costshare import core
+from costshare.core import SetFunction
 from costshare.cli.formats import (InstanceParseError, parse_instance,
                                    serialize_instance)
 from costshare.cli.gen import GEN_KINDS, GenParamError, generate
-from costshare.cli.main import main
+from costshare.cli.main import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = sorted((REPO / "instances").glob("*.inst"))
@@ -334,6 +337,24 @@ def test_main_callable_in_process(capsys):
     assert "avg-decreasing   1/1" in out
 
 
+def test_parser_is_built_once_and_calls_do_not_share_state(capsys):
+    # --param appends: a second call must not see the first call's list
+    assert main(["gen", "paper-tight", "--param", "n=4"]) == 0
+    assert "\nn 4\n" in capsys.readouterr().out
+    assert main(["gen", "paper-tight"]) == 0
+    assert "\nn 3\n" in capsys.readouterr().out
+    assert build_parser() is build_parser()
+
+
+def test_a_call_after_a_usage_error_parses_cleanly(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "paper-tight", "--param", "n=4", "--seed", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["gen", "paper-tight", "--seed", "1"]) == 0
+    assert "\nn 3\n" in capsys.readouterr().out
+
+
 # --- bad input: exit 2 with a message, never a traceback -------------------------
 
 TWO_PLAYERS = ("costshare-instance v1\nn 2\nm 1\n"
@@ -400,6 +421,50 @@ def test_cli_suite_refuses_an_order_for_ascending_mechanisms(tmp_path, capsys):
 def test_cli_gen_empty_instance_exits_2(capsys):
     assert main(["gen", "random-symmetric", "--param", "n=0", "--param", "m=1"]) == 2
     assert "need at least one player and one item" in capsys.readouterr().err
+
+
+def _count_table_builds(monkeypatch) -> Counter:
+    """Per set function, the fill calls and ``scale_to_ints`` calls made
+    while its int table is built; a call outside any build fails."""
+    builds: Counter = Counter()
+    building = []
+    real_int_table, real_scale = SetFunction.int_table, core.scale_to_ints
+
+    def int_table(fn):
+        fill = fn._fill
+        if fill is not None:
+            def counted():
+                builds[fn] += 1
+                return fill()
+            fn._fill = counted
+        building.append(fn)
+        try:
+            return real_int_table(fn)
+        finally:
+            building.pop()
+            fn._fill = fill
+
+    def scale_to_ints(values, terms):
+        builds[building[-1]] += 1
+        return real_scale(values, terms)
+
+    monkeypatch.setattr(SetFunction, "int_table", int_table)
+    monkeypatch.setattr(core, "scale_to_ints", scale_to_ints)
+    return builds
+
+
+def test_each_command_builds_one_int_table_per_function(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cover12.inst"
+    assert main(["gen", "set-cover", "--param", "n=12", "--out", str(path)]) == 0
+    builds = _count_table_builds(monkeypatch)
+    # run reads the cover's table for the optimum and all three estimators,
+    # check for the class flags; each valuation's table is read by one consumer
+    for argv in (["run", str(path), "--mechanism", "sm"], ["check", str(path)]):
+        builds.clear()
+        assert main(argv) == 0
+        assert sorted(fn.kind for fn in builds) == ["set-cover"] + ["table"] * 12
+        assert set(builds.values()) == {1}
+    capsys.readouterr()
 
 
 def test_cli_run_past_optimum_size_limit_exits_2(tmp_path, capsys):

@@ -10,8 +10,8 @@ from costshare import core
 from costshare.core import (INT64_HEADROOM, Allocation, AllocationCostFn,
                             DimensionMismatchError, GroundSetTooLargeError,
                             Instance, SeparableCosts, SetFunction,
-                            allocation_cost, harmonic, restrict_allocation,
-                            scale_to_ints)
+                            align_ints, allocation_cost, harmonic,
+                            restrict_allocation, scale_to_ints)
 from costshare.costs import decreasing_average_table, table_cost
 from costshare.valuations import SymmetricSubmodularValuation
 
@@ -38,8 +38,8 @@ def test_harmonic_rejects_negative():
 
 def test_allocation_cost_empty_and_full():
     inst = make_instance(2, 2, [[0, 1, 1, 2], [0, 3, 3, 3]])
-    assert allocation_cost(inst, Allocation.empty(2, 2)) == 0
-    assert allocation_cost(inst, Allocation.full(2, 2)) == 2 + 3
+    assert allocation_cost(inst, Allocation((0, 0), 2)) == 0
+    assert allocation_cost(inst, Allocation((0b11, 0b11), 2)) == 2 + 3
 
 
 def test_allocation_cost_reference_table():
@@ -54,13 +54,13 @@ def test_allocation_cost_reference_table():
 def test_allocation_cost_dimension_mismatch():
     inst = make_instance(2, 2, [[0, 1, 1, 2], [0, 3, 3, 3]])
     with pytest.raises(DimensionMismatchError):
-        allocation_cost(inst, Allocation.empty(3, 2))
+        allocation_cost(inst, Allocation((0, 0, 0), 2))
 
 
 def test_restrict_basics():
     full = Allocation((0b11, 0b01), 2)
     assert restrict_allocation(full, 0b11) == full
-    assert restrict_allocation(full, 0) == Allocation.empty(2, 2)
+    assert restrict_allocation(full, 0) == Allocation((0, 0), 2)
     assert restrict_allocation(full, 0b01) == Allocation((0b11, 0), 2)
 
 
@@ -79,7 +79,6 @@ def test_allocation_duality(data):
     for i, b in enumerate(bundles):
         for j in range(m):
             assert bool((served[j] >> i) & 1) == bool((b >> j) & 1)
-    assert Allocation.from_served(served, alloc.n) == alloc
 
 
 def test_allocation_index_order_is_product_order():
@@ -282,3 +281,19 @@ def test_scale_to_ints_int64_just_under_headroom():
     assert arr.dtype == object
     arr, denom = scale_to_ints([Fraction(1, 3), Fraction(top - 1, 3)], terms=3)
     assert arr.dtype == np.int64 and denom == 3
+
+
+def test_align_ints_over_the_least_common_denominator():
+    (a, b), denom = align_ints([(np.array([1, 2]), 2), (np.array([0, 1]), 3)], terms=1)
+    assert denom == 6 and a.tolist() == [3, 6] and b.tolist() == [0, 2]
+    # terms copies of the largest magnitude must stay below the headroom
+    top = (INT64_HEADROOM - 1) // 3
+    assert align_ints([(np.array([0, top]), 1)], terms=3)[0][0].dtype == np.int64
+    [big], _ = align_ints([(np.array([0, top + 1]), 1)], terms=3)
+    assert big.dtype == object and big.tolist() == [0, top + 1]
+    # an all-zero table is not scaled by a factor past int64
+    huge = BIG_PRIMES[0] * BIG_PRIMES[1] * BIG_PRIMES[2]
+    (zero, one), denom = align_ints([(np.zeros(2, dtype=np.int64), 1),
+                                     (np.array([0, 1]), huge)], terms=2)
+    assert denom == huge and zero.dtype == np.int64
+    assert zero.tolist() == [0, 0] and one.tolist() == [0, 1]

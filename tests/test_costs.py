@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from costshare import core, costs
 from costshare.core import (Allocation, AllocationCostFn,
-                            GroundSetTooLargeError, SeparableCosts,
+                            GroundSetTooLargeError, SeparableCosts, SetFunction,
                             allocation_cost)
 from costshare.costs import (InfeasibleCoverError, additive_cost,
                              alpha_average_decreasing, alpha_max_bounded,
@@ -477,16 +477,23 @@ def _random_ns_costs(rng, n, m, value):
             AllocationCostFn(n, m, table.__getitem__, kind="random")]
 
 
-def test_ns_estimators_match_naive_definition(monkeypatch):
+def _spy_allocation_dtypes(monkeypatch) -> list:
+    """The dtype of every allocation-cost int table read, in call order."""
     dtypes = []
-    real = costs.scale_to_ints
+    real = SetFunction.int_table
 
-    def spy(values, terms):
-        out = real(values, terms)
-        dtypes.append(out[0].dtype)
+    def spy(fn):
+        out = real(fn)
+        if fn.kind == "allocation":
+            dtypes.append(out[0].dtype)
         return out
 
-    monkeypatch.setattr(costs, "scale_to_ints", spy)
+    monkeypatch.setattr(SetFunction, "int_table", spy)
+    return dtypes
+
+
+def test_ns_estimators_match_naive_definition(monkeypatch):
+    dtypes = _spy_allocation_dtypes(monkeypatch)
     rng = random.Random(41)
     small = lambda: Fraction(rng.randint(0, 4))
     big = lambda: Fraction(rng.randint(1, 10 ** 6), rng.choice(BIG_PRIMES))
@@ -524,15 +531,7 @@ def _random_builtin_costs(rng, value):
 def test_builtin_allocation_tables_match_point_queries_and_naive(monkeypatch, cap):
     if cap is not None:
         monkeypatch.setattr(core, "DEFAULT_CACHE_CAP", cap)
-    dtypes = set()
-    real = costs.scale_to_ints
-
-    def spy(values, terms):
-        out = real(values, terms)
-        dtypes.add(out[0].dtype)
-        return out
-
-    monkeypatch.setattr(costs, "scale_to_ints", spy)
+    dtypes = _spy_allocation_dtypes(monkeypatch)
     rng = random.Random("allocation-fills")
     half = lambda: Fraction(rng.randint(0, 8), 2)
     big = lambda: Fraction(rng.randint(1, 10 ** 6), rng.choice(BIG_PRIMES))
@@ -563,7 +562,7 @@ def test_builtin_allocation_tables_match_point_queries_and_naive(monkeypatch, ca
                 if cap is not None:
                     assert len(C._costs._cache) == min(cap, len(allocations))
     assert kinds == {"lifted", "max-item", "count-served", "union-items"}
-    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_allocation_fill_values_pass_the_negativity_check():
@@ -572,11 +571,11 @@ def test_allocation_fill_values_pass_the_negativity_check():
         with pytest.raises(ValueError, match="negative"):
             C.to_table()
     C = AllocationCostFn._with_fill(1, 1, lambda bundles: Fraction(bundles[0]),
-                                    lambda: [0, -1], kind="negative-fill")
+                                    lambda: ([0, -1], 1), kind="negative-fill")
     assert C(Allocation((1,), 1)) == 1
     with pytest.raises(ValueError, match="negative"):
         AllocationCostFn._with_fill(1, 1, lambda bundles: Fraction(bundles[0]),
-                                    lambda: [0, -1], kind="negative-fill").to_table()
+                                    lambda: ([0, -1], 1), kind="negative-fill").to_table()
 
 
 def _chunked_ns_cost(values):
@@ -633,3 +632,59 @@ def test_subadditivity_flag_matches_naive_all_pairs():
         vals = [Fraction(0)] + [Fraction(rng.randint(0, 6)) for _ in range((1 << n) - 1)]
         fn = table_cost(vals)
         assert classify_set_function(fn).subadditive == naive_subadditive(fn.to_table(), n)
+
+
+# --- metamorphic checks past the naive references -------------------------
+
+# three primes near 1e9: K is above 2^62, so every kernel reads Python ints
+K = BIG_PRIMES[0] * BIG_PRIMES[1] * BIG_PRIMES[2]
+
+
+def _scaled_cost(fn, factor):
+    return table_cost([factor * v for v in fn.to_table()])
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("set-cover", {"n": "12", "s": "7", "d": "4"}),
+    ("set-cover", {"n": "14", "s": "8", "d": "4"}),
+    ("matching", {"v": "9", "k": "4", "e": "13", "shape": "general"}),
+    ("matching", {"v": "10", "k": "4", "e": "14", "shape": "general"}),
+], ids=["set-cover-12", "set-cover-14", "matching-13", "matching-14"])
+def test_estimators_and_classes_invariant_under_scaling(kind, params):
+    # past n = 8 the naive double loops take minutes; scaling by a positive
+    # constant changes no ratio and no comparison, so nothing may move
+    fn = generate(kind, params, 5).cost_model.items[0]
+    assert fn.ground_size == int(params.get("n", params.get("e")))
+    estimators = (alpha_average_decreasing, alpha_min_bounded, alpha_max_bounded)
+    def reports(c):
+        return [(rep.alpha, rep.witness) for rep in (est(c) for est in estimators)]
+
+    want = reports(fn)
+    flags = classify_set_function(fn)
+    for factor in (Fraction(K), Fraction(1, K)):
+        scaled = _scaled_cost(fn, factor)
+        assert reports(scaled) == want
+        assert classify_set_function(scaled) == flags
+
+
+def test_weighted_and_item_tables_stay_exact_past_int64():
+    # a weight numerator near 2^62 times a count, and item values that pass
+    # INT64_HEADROOM only once m of them are added, need Python ints
+    top = core.INT64_HEADROOM
+    items = SeparableCosts(tuple(
+        table_cost([0] + [Fraction(top // 2 + 3 * j + t, 1 + j) for t in range(1, 4)])
+        for j in range(3)))
+    cases = [("count-served", lambda: count_served_cost(3, 2, Fraction(top - 1, 7)),
+              3, 2, Fraction(top - 1, 7)),
+             ("union-items", lambda: union_items_cost(2, 3, Fraction(top - 5, 3)),
+              2, 3, Fraction(top - 5, 3)),
+             ("lifted", lambda: lifted_separable_cost(items, 2), 2, 3, items),
+             ("max-item", lambda: max_item_cost(items, 2), 2, 3, items)]
+    for kind, build, n, m, data in cases:
+        allocations = [Allocation.from_index(k, n, m) for k in range(1 << (n * m))]
+        expected = [naive_builtin_allocation_cost(kind, data, a) for a in allocations]
+        assert build().to_table() == expected
+        C = build()
+        assert [C(a) for a in allocations] == expected
+    assert count_served_cost(3, 2, Fraction(top - 1, 7)).to_table()[-1] == \
+        Fraction(13835058055282163709, 7)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from costshare import valuations
-from costshare.core import SetFunction, scale_to_ints
+from costshare.core import SetFunction
 from costshare.costs import decreasing_average_table
 from costshare.valuations import (SymmetricSubmodularValuation, TableValuation,
                                   as_table, check_class, classify_set_function,
@@ -41,8 +41,8 @@ def test_symmetric_value_invariant_under_item_permutation(raw):
     v = SymmetricSubmodularValuation(margs)
     m = len(margs)
     for mask in range(1 << m):
-        # any mask of equal popcount has equal value
-        assert v.value(mask) == v.value_of_size(mask.bit_count())
+        # any mask of equal popcount has the value of its first |mask| marginals
+        assert v.value(mask) == sum(margs[:mask.bit_count()], Fraction(0))
 
 
 def test_check_class_additive_table():
@@ -76,13 +76,14 @@ def test_check_class_step_table_not_subadditive():
 
 def test_class_flags_match_naive_definitions(monkeypatch):
     dtypes = []
+    real = SetFunction.int_table
 
-    def spy(values, terms):
-        out = scale_to_ints(values, terms)
+    def spy(fn):
+        out = real(fn)
         dtypes.append(out[0].dtype)
         return out
 
-    monkeypatch.setattr(valuations, "scale_to_ints", spy)
+    monkeypatch.setattr(SetFunction, "int_table", spy)
     rng = random.Random(23)
     # small denominators stay on int64; primes near 1e9 overflow it
     for denominators in ((1, 2, 3), BIG_PRIMES):
