@@ -672,7 +672,7 @@ def test_weighted_and_item_tables_stay_exact_past_int64():
     # INT64_HEADROOM only once m of them are added, need Python ints
     top = core.INT64_HEADROOM
     items = SeparableCosts(tuple(
-        table_cost([0] + [Fraction(top // 2 + 3 * j + t, 1 + j) for t in range(1, 4)])
+        table_cost([0] + [Fraction(top // 2 + 3 * j + t) for t in range(1, 4)])
         for j in range(3)))
     cases = [("count-served", lambda: count_served_cost(3, 2, Fraction(top - 1, 7)),
               3, 2, Fraction(top - 1, 7)),
