@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -14,7 +15,7 @@ from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
                    Trace, align_ints, allocation_cost, harmonic)
 from .costs import (alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
                     alpha_min_bounded_ns)
-from .mechanisms import (MechanismPreconditionError, iacsm_run,
+from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
                          incremental_costs, sm_run, verify_final_set_structure,
                          verify_p1, verify_p2)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
@@ -23,18 +24,19 @@ from .valuations import (SymmetricSubmodularValuation, TableValuation,
 MAX_OPTIMUM_CELLS = 20
 
 MECHANISM_IDS = ("iacsm", "sm", "iacsm-underquote")
+# the first-iteration quote scale of each ascending mechanism id
+QUOTE_SCALES = {"iacsm": Fraction(1), "iacsm-underquote": Fraction(1, 2)}
 
 
 def _run_mechanism(mechanism: str, inst: Instance,
                    declared: Sequence[ValuationFn] | None = None,
                    order: Sequence[int] | None = None) -> tuple[Outcome, Trace | None]:
-    if order is not None and mechanism in ("iacsm", "iacsm-underquote"):
+    if order is not None and mechanism in QUOTE_SCALES:
         raise MechanismPreconditionError(
             f"{mechanism} takes no player order; an order applies to sm only")
-    if mechanism == "iacsm":
-        return iacsm_run(inst, declared)
-    if mechanism == "iacsm-underquote":
-        return iacsm_run(inst, declared, first_iteration_quote_scale=Fraction(1, 2))
+    if mechanism in QUOTE_SCALES:
+        return iacsm_run(inst, declared,
+                         first_iteration_quote_scale=QUOTE_SCALES[mechanism])
     if mechanism == "sm":
         return sm_run(inst, order=order, declared=declared), None
     raise ValueError(f"unknown mechanism id {mechanism!r}")
@@ -173,8 +175,15 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
     lexicographically) and every joint misreport drawn from
     ``misreport_space`` in product order; utilities are always computed with
     the true valuations and compared exactly. Returns the first witness in
-    that order, or None. Two rules skip profiles that cannot be that witness:
+    that order, or None. Neither mechanism runs every profile:
 
+    - ``iacsm`` and ``iacsm-underquote`` run once, truthfully. Each coalition
+      then takes one ``mechanisms.iacsm_classes`` walk of the trie, which
+      yields every outcome its misreports reach with the first profile in
+      product order that reaches it. Gains depend only on the outcome, so
+      each outcome is judged once, and the coalition's first witness is the
+      lexicographically smallest first profile among the outcomes that are
+      witnesses. The walk checks the misreport space before it starts.
     - Under ``sm`` a player's bundle and payment depend only on the players
       before it in ``order``. The coalition member first in ``order`` faces
       truthful players only, so its bundle, payment and gain are those of a
@@ -183,16 +192,6 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
       lone witness, and the size-1 pass returns at the first of those. So an
       ``sm`` search that gets past the size-1 pass stops there, after
       1 + n*len(space) runs for any ``coalition_max`` >= 1.
-    - Gains depend only on the outcome and the true valuations, so within a
-      coalition each ``Outcome`` object is judged once. ``iacsm`` returns one
-      shared outcome per trie leaf, so most of its profiles skip the
-      utility arithmetic.
-      Judged outcomes stay referenced until the coalition is done, so an id
-      is never reused for a different outcome.
-
-    A skipped profile gives its lead member a gain <= 0, or repeats the gains
-    of an earlier profile that was not a witness, so the first witness is the
-    one the unpruned enumeration finds.
     """
     truth_outcome, _ = _run_mechanism(mechanism, inst, order=order)
     true_vals = inst.valuations
@@ -200,31 +199,44 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
                  zip(true_vals, truth_outcome.allocation.bundles,
                      truth_outcome.payments)]
 
+    def gains_of(coalition, outcome) -> tuple[Rat, ...] | None:
+        """Every member's gain, or None if one of them gains nothing."""
+        gains = []
+        for member in coalition:
+            gain = (true_vals[member].value(outcome.allocation.bundles[member])
+                    - outcome.payments[member] - base_util[member])
+            if gain <= 0:
+                return None
+            gains.append(gain)
+        return tuple(gains)
+
     space = list(misreport_space)
+
+    def sm_classes(coalition):
+        # sm_run builds a fresh Outcome on every call: each profile is a class
+        for first in product(range(len(space)), repeat=len(coalition)):
+            declared = list(true_vals)
+            for member, k in zip(coalition, first):
+                declared[member] = space[k]
+            yield sm_run(inst, order, declared), first
+
     # sm: a larger coalition's lead member would need a lone witness (above)
     last = min(coalition_max, 1) if mechanism == "sm" else coalition_max
     for size in range(1, last + 1):
         for coalition in combinations(range(inst.n), size):
-            judged: dict[int, Outcome] = {}
-            for assignment in product(space, repeat=size):
-                declared = list(true_vals)
-                for member, mis in zip(coalition, assignment):
-                    declared[member] = mis
-                outcome, _ = _run_mechanism(mechanism, inst, declared=declared,
-                                            order=order)
-                if id(outcome) in judged:
-                    continue
-                judged[id(outcome)] = outcome
-                gains = []
-                for member in coalition:
-                    gain = (true_vals[member].value(outcome.allocation.bundles[member])
-                            - outcome.payments[member] - base_util[member])
-                    if gain <= 0:
-                        break
-                    gains.append(gain)
-                else:
-                    return DeviationWitness(coalition, tuple(assignment),
-                                            tuple(gains))
+            if mechanism == "sm":
+                classes = sm_classes(coalition)
+            else:
+                classes = iacsm_classes(inst, coalition, space,
+                                        first_iteration_quote_scale=QUOTE_SCALES[mechanism])
+            witnesses = ((first, gains) for outcome, first in classes
+                         if (gains := gains_of(coalition, outcome)) is not None)
+            # sm's classes come in product order, so its first witness is the smallest
+            witness = (next(witnesses, None) if mechanism == "sm"
+                       else min(witnesses, key=itemgetter(0), default=None))
+            if witness is not None:
+                first, gains = witness
+                return DeviationWitness(coalition, tuple(space[k] for k in first), gains)
     return None
 
 

@@ -25,8 +25,21 @@ class GenParamError(ValueError):
     pass
 
 
+class _Params(dict):
+    """Generator parameters that remember every key a generator asks for."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.asked: set = set()
+
+    def __contains__(self, key) -> bool:
+        self.asked.add(key)
+        return super().__contains__(key)
+
+
 def _text(params: dict, key: str, default=None) -> str:
-    """A parameter as text: a string, or a non-bool int written out."""
+    """A parameter as text: a string, or a non-bool int written out. Every
+    generator reads its parameters through here."""
     if key not in params:
         if default is None:
             raise GenParamError(f"missing required parameter {key}")
@@ -62,6 +75,14 @@ def _rat_param(params: dict, key: str, default=None) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise GenParamError(f"parameter {key} must be a rational p/q")
+
+
+def _choice(params: dict, key: str, choices: tuple[str, ...]) -> str:
+    """A parameter that names one of ``choices``; the first is the default."""
+    val = _text(params, key, choices[0])
+    if val not in choices:
+        raise GenParamError(f"parameter {key} must be one of {', '.join(choices)}, got {val!r}")
+    return val
 
 
 def _symmetric_marginals(rng: random.Random, count: int, grid) -> tuple:
@@ -113,7 +134,7 @@ def _grow_graph(rng: random.Random, vertices: int, edges: int, degree_cap: int,
 def gen_vertex_cover(params: dict, seed: int) -> Instance:
     rng = random.Random(seed)
     vgrid = _grid(params, "vgrid")
-    if params.get("shape", "random") == "star":
+    if _choice(params, "shape", ("random", "star")) == "star":
         k = _int_param(params, "k", 3)
         edges = [(0, i + 1) for i in range(k)]
     else:
@@ -133,7 +154,7 @@ def gen_matching(params: dict, seed: int) -> Instance:
     vertices = _int_param(params, "v", 6)
     k = _int_param(params, "k", 3)
     e = _int_param(params, "e", 6)
-    bipartite = params.get("shape", "bipartite") == "bipartite"
+    bipartite = _choice(params, "shape", ("bipartite", "general")) == "bipartite"
     edges = _grow_graph(rng, vertices, e, k, bipartite=bipartite)
     cost = matching_cost(edges)
     n = cost.ground_size
@@ -206,10 +227,16 @@ def generate(kind: str, params: dict, seed: int) -> Instance:
     if kind not in _GENERATORS:
         raise GenParamError(f"unknown generator kind {kind!r}; "
                             f"choose from {', '.join(GEN_KINDS)}")
+    tracked = _Params(params)
     try:
-        return _GENERATORS[kind](dict(params), seed)
+        inst = _GENERATORS[kind](tracked, seed)
     except GenParamError:
         raise
     except ValueError as exc:
         # parameters that parse but describe no instance, e.g. n=0
         raise GenParamError(f"bad parameters for {kind}: {exc}") from exc
+    unused = sorted(set(params) - tracked.asked)
+    if unused:
+        raise GenParamError(f"{kind} does not use parameter {unused[0]!r}; "
+                            f"it reads {', '.join(sorted(tracked.asked))}")
+    return inst

@@ -6,13 +6,17 @@ the active player with the smallest optimal bundle and raises the quoted
 share of every item she withdrew from to the new (larger) average, keeping
 quoted shares trace-monotonic.
 
+iacsm_classes: every ``iacsm`` run in which one coalition reports from a
+misreport space while everyone else reports truthfully, walked as one
+depth-first pass over the same trie instead of one run per joint report.
+
 sm_run: the sequential mechanism. Players are processed in a fixed order;
 each receives a utility-maximizing bundle at its incremental cost, which is
 also her payment, so total payments telescope to the allocation cost.
 
-Both mechanisms read and fill the instance's ``step_memo``, so the profiles
-of a misreport search reuse the steps they share. A step is keyed on the
-state it starts from and on declared valuations by value, never by id:
+All three read and fill the instance's ``step_memo``, so the profiles of a
+misreport search reuse the steps they share. A step is keyed on the state
+it starts from and on declared valuations by value, never by id:
 - sm: ``(player, bundles so far, declared valuation) -> (mask, payment)``.
 - iacsm: a trie of iteration states. ``quote scale -> root``,
   ``(node, declared valuation) -> covered ranks`` and
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
                    Trace, bits, capped_store, mask_of)
@@ -76,9 +80,21 @@ def _declared_profile(inst: Instance, declared) -> list[ValuationFn]:
     decl = list(inst.valuations) if declared is None else list(declared)
     if len(decl) != inst.n:
         raise MechanismPreconditionError("declared profile length differs from n")
-    if any(v.m != inst.m for v in decl):
-        raise MechanismPreconditionError("declared valuation item count differs from m")
+    _check_item_counts(inst, decl)
     return decl
+
+
+def _check_item_counts(inst: Instance, reports: Sequence[ValuationFn]) -> None:
+    if any(v.m != inst.m for v in reports):
+        raise MechanismPreconditionError("declared valuation item count differs from m")
+
+
+def _check_ascending(reports: Sequence[ValuationFn], scale: Rat) -> None:
+    """iacsm's preconditions on the quote scale and the declared valuations."""
+    if scale < 0:
+        raise MechanismPreconditionError("quoted shares must be non-negative")
+    if not all(isinstance(v, SymmetricSubmodularValuation) for v in reports):
+        raise MechanismPreconditionError("iacsm-requires-symmetric-submodular")
 
 
 class _IacsmNode:
@@ -131,6 +147,40 @@ class _IacsmNode:
         return Outcome(Allocation(tuple(final_bundles), m), payments), trace
 
 
+def _iacsm_root(inst: Instance, scale: Rat) -> _IacsmNode:
+    memo, n = inst.step_memo, inst.n
+    node = memo.get(scale)
+    if node is None:
+        full = (1 << n) - 1
+        node = capped_store(memo, scale, _IacsmNode(
+            None, None, 0, [fn(full) / n for fn in inst.cost_model.items], [full] * inst.m,
+            scale), STEP_MEMO_CAP)
+    return node
+
+
+def _covered(memo: dict, node: _IacsmNode, v: SymmetricSubmodularValuation) -> int:
+    """``v``'s bundle size at ``node``: the ranked items its marginals cover."""
+    key = (node, v)
+    size = memo.get(key)
+    if size is None:
+        size = capped_store(memo, key, _covered_ranks(v.marginals, node.ranked), STEP_MEMO_CAP)
+    return size
+
+
+def _finalize(memo: dict, cost_fns, node: _IacsmNode, player: int, size: int) -> _IacsmNode:
+    key = (node, player, size)
+    child = memo.get(key)
+    if child is None:
+        child = capped_store(memo, key, node.child(cost_fns, player, size), STEP_MEMO_CAP)
+    return child
+
+
+def _leaf_result(node: _IacsmNode, n: int, m: int) -> tuple[Outcome, Trace]:
+    if node.result is None:
+        node.result = node.outcome(n, m)
+    return node.result
+
+
 def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
               first_iteration_quote_scale: Rat = Fraction(1)) -> tuple[Outcome, Trace]:
     """Run the iterative ascending mechanism on declared valuations.
@@ -144,43 +194,89 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
     if not inst.is_separable:
         raise MechanismPreconditionError("iacsm-requires-separable-costs")
     decl = _declared_profile(inst, declared)
-    scale = first_iteration_quote_scale
-    if scale < 0:
-        raise MechanismPreconditionError("quoted shares must be non-negative")
-    if not all(isinstance(v, SymmetricSubmodularValuation) for v in decl):
-        raise MechanismPreconditionError("iacsm-requires-symmetric-submodular")
+    _check_ascending(decl, first_iteration_quote_scale)
 
-    n, m = inst.n, inst.m
-    cost_fns = inst.cost_model.items
-    memo = inst.step_memo
-    full = (1 << n) - 1
-    node = memo.get(scale)
-    if node is None:
-        node = capped_store(memo, scale, _IacsmNode(
-            None, None, 0, [fn(full) / n for fn in cost_fns], [full] * m, scale),
-            STEP_MEMO_CAP)
-    active = list(range(n))
-    for _ in range(n):
+    memo, cost_fns = inst.step_memo, inst.cost_model.items
+    node = _iacsm_root(inst, first_iteration_quote_scale)
+    active = list(range(inst.n))
+    for _ in range(inst.n):
         # the smallest bundle wins, lowest index first
-        best = None
-        for i in active:
-            key = (node, decl[i])
-            size = memo.get(key)
-            if size is None:
-                size = capped_store(memo, key, _covered_ranks(decl[i].marginals, node.ranked),
-                                    STEP_MEMO_CAP)
-            if best is None or size < best[0]:
-                best = (size, i)
-        size, player = best
+        size, player = min((_covered(memo, node, decl[i]), i) for i in active)
         active.remove(player)
-        key = (node, player, size)
-        child = memo.get(key)
-        if child is None:
-            child = capped_store(memo, key, node.child(cost_fns, player, size), STEP_MEMO_CAP)
-        node = child
-    if node.result is None:
-        node.result = node.outcome(n, m)
-    return node.result
+        node = _finalize(memo, cost_fns, node, player, size)
+    return _leaf_result(node, inst.n, inst.m)
+
+
+def iacsm_classes(inst: Instance, coalition: Sequence[int],
+                  space: Sequence[ValuationFn], *,
+                  first_iteration_quote_scale: Rat = Fraction(1)
+                  ) -> Iterator[tuple[Outcome, tuple[int, ...]]]:
+    """The ``iacsm`` outcomes of every joint misreport of ``coalition``.
+
+    A profile gives the coalition's t-th member ``space[k_t]`` and every
+    other player its true valuation. A report reaches an outcome only
+    through its covered count at each trie node where its player is still
+    active, so the profiles that reach one trie leaf form a product
+    S_1 x ... x S_k of per-member index sets, one class. Yields
+    ``(outcome, first)`` once per class that some profile reaches, with the
+    same ``Outcome`` object ``iacsm_run`` returns for any profile in it, and
+    ``first = (min S_1, ..., min S_k)``, the class's first profile in
+    product order.
+
+    The walk runs depth-first from the scale's root. At each node it groups
+    each active member's indices by covered count and branches once per
+    finalization ``(size, player)`` that can be the least among the active
+    players, as in ``iacsm_run``: smallest count first, lowest player on
+    ties. Every other active member then keeps the indices whose
+    ``(count, member)`` lies above it. Checks what ``iacsm_run`` checks of
+    every profile in the product, once, before the walk.
+    """
+    if not inst.is_separable:
+        raise MechanismPreconditionError("iacsm-requires-separable-costs")
+    try:
+        members = [operator.index(i) for i in coalition]
+    except TypeError:
+        raise MechanismPreconditionError("coalition entries must be player indices") from None
+    n, m = inst.n, inst.m
+    if len(set(members)) != len(members) or not all(0 <= i < n for i in members):
+        raise MechanismPreconditionError("coalition must be distinct players")
+    space = list(space)
+    truthful = [v for i, v in enumerate(inst.valuations) if i not in members]
+    _check_item_counts(inst, truthful + space)
+    _check_ascending(truthful + space, first_iteration_quote_scale)
+
+    memo, cost_fns = inst.step_memo, inst.cost_model.items
+    slot = {p: t for t, p in enumerate(members)}
+    # (node, active players, each member's ascending index list)
+    stack = [(_iacsm_root(inst, first_iteration_quote_scale), tuple(range(n)),
+              (range(len(space)),) * len(members))]
+    while stack:
+        node, active, sets = stack.pop()
+        if not active:
+            yield _leaf_result(node, n, m)[0], tuple(s[0] for s in sets)
+            continue
+        # the least (count, player) of the truthful players bounds every finalization
+        fixed = min(((_covered(memo, node, inst.valuations[p]), p) for p in active
+                     if p not in slot), default=None)
+        counted = {p: [(_covered(memo, node, space[k]), k) for k in sets[slot[p]]]
+                   for p in active if p in slot}
+        candidates = {(c, p) for p, pairs in counted.items() for c, _ in pairs}
+        if fixed is not None:
+            candidates = {key for key in candidates if key < fixed} | {fixed}
+        for size, player in sorted(candidates):
+            branch = list(sets)
+            for q, pairs in counted.items():
+                if q == player:
+                    branch[slot[q]] = [k for c, k in pairs if c == size]
+                else:
+                    # q's own (count, q) must lie above (size, player)
+                    low = size if q > player else size + 1
+                    branch[slot[q]] = [k for c, k in pairs if c >= low]
+            if not all(branch):
+                # a member with no key above this candidate has none above a later one
+                break
+            stack.append((_finalize(memo, cost_fns, node, player, size),
+                          tuple(p for p in active if p != player), tuple(branch)))
 
 
 def incremental_costs(inst: Instance, bundles: Sequence[int], i: int) -> list[Rat]:

@@ -18,6 +18,14 @@ def bits_of(mask):
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
+def permuted_table(table, perm):
+    """The set function with element i renamed perm[i]: out[perm(S)] = table[S]."""
+    out = [None] * len(table)
+    for s, value in enumerate(table):
+        out[sum(1 << perm[i] for i in bits_of(s))] = value
+    return out
+
+
 def exhaustive_optimal_bundle(valuation, shares):
     """Arg-max bundle by full enumeration, applying the tie-break rules:
     max utility, then max size, then the prefix of (share, index)-sorted items."""
@@ -136,20 +144,47 @@ def naive_wgsp_search(inst, mechanism, coalition_max, space, order=None):
 
 
 def naive_alpha_avg_decreasing(vals, n):
-    """Least a with a*c(S)/|S| >= c(T)/|T| for all nonempty S <= T, or None."""
-    best = Fraction(1)
+    """Least a with a*c(S)/|S| >= c(T)/|T| for all nonempty S <= T, or None
+    when no finite a works, with the witness (S, T) the estimator reports.
+
+    alpha comes straight from the double loop over S <= T. The witness
+    follows the estimator's tie-break. Sets T go in ascending order. T's
+    least-average subset w(T) is the first least average among T itself and
+    then w(T - {e}) for each bit e of T ascending, under a strict <. The
+    witness is (w(T), T) for the first T whose ratio strictly beats the best
+    so far, which starts at 1 with ({0}, {0}). The first T with a positive
+    average over a zero-average w(T) ends the scan as unbounded.
+    Returns (alpha, (S, T))."""
+    def avg(s):
+        return vals[s] / s.bit_count()
+
+    alpha = Fraction(1)
     for t in range(1, 1 << n):
-        avg_t = vals[t] / t.bit_count()
         s = t
-        while s:
-            avg_s = vals[s] / s.bit_count()
-            if avg_s == 0:
-                if avg_t > 0:
-                    return None
+        while s and alpha is not None:
+            if avg(s) == 0:
+                if avg(t) > 0:
+                    alpha = None
             else:
-                best = max(best, avg_t / avg_s)
+                alpha = max(alpha, avg(t) / avg(s))
             s = (s - 1) & t
-    return best
+
+    least = [0] * (1 << n)
+    best, witness = Fraction(1), (1, 1)
+    for t in range(1, 1 << n):
+        least[t] = t
+        for e in bits_of(t):
+            if t != 1 << e and avg(least[t ^ (1 << e)]) < avg(least[t]):
+                least[t] = least[t ^ (1 << e)]
+        s = least[t]
+        if avg(s) == 0:
+            if avg(t) > 0:
+                best, witness = None, (s, t)
+                break
+        elif avg(t) / avg(s) > best:
+            best, witness = avg(t) / avg(s), (s, t)
+    assert best == alpha
+    return alpha, witness
 
 
 def naive_alpha_bounded(vals, n, pick):

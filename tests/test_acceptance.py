@@ -317,7 +317,7 @@ def test_criterion_8_estimator_oracle_equivalence(capfd):
             fn = table_cost(vals)
             table = fn.to_table()
             assert alpha_average_decreasing(fn).alpha == \
-                naive_alpha_avg_decreasing(table, n)
+                naive_alpha_avg_decreasing(table, n)[0]
             assert alpha_min_bounded(fn).alpha == naive_alpha_bounded(table, n, min)
             assert alpha_max_bounded(fn).alpha == naive_alpha_bounded(table, n, max)
 

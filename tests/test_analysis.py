@@ -1,10 +1,11 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from costshare import analysis
+from costshare import analysis, mechanisms
 from costshare.cli.formats import parse_instance, serialize_instance
 from costshare.cli.gen import generate
 from costshare.core import (Allocation, GroundSetTooLargeError, Instance, Outcome,
@@ -17,12 +18,13 @@ from costshare.analysis import (DeviationWitness, check_icb_bound, evaluate_run,
                                 optimal_social_cost, social_cost,
                                 symmetric_marginal_space, table_space,
                                 wgsp_search)
-from costshare.mechanisms import iacsm_run, sm_run
+from costshare.mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
+                                  sm_run)
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
 import oracles
 from oracles import (BIG_PRIMES, naive_iacsm_run, naive_optimal_social_cost,
-                     naive_sm_run, naive_wgsp_search)
+                     naive_sm_run, naive_wgsp_search, permuted_table)
 
 F = Fraction
 
@@ -368,6 +370,19 @@ def shared_outcome_run(truth, deviation, quorum):
     return run
 
 
+def singleton_classes(run, scale):
+    """A stand-in for iacsm_classes over a stand-in run: every profile is a
+    class of its own, and the classes come in reverse product order."""
+    def classes(inst, coalition, space, *, first_iteration_quote_scale):
+        assert first_iteration_quote_scale == scale
+        for first in reversed(list(product(range(len(space)), repeat=len(coalition)))):
+            declared = list(inst.valuations)
+            for member, k in zip(coalition, first):
+                declared[member] = space[k]
+            yield run(inst, declared, first_iteration_quote_scale)[0], first
+    return classes
+
+
 @pytest.mark.parametrize("mechanism", ["iacsm", "iacsm-underquote"])
 @pytest.mark.parametrize("size", [2, 3])
 def test_wgsp_first_witness_of_a_coalition_with_shared_outcomes(monkeypatch,
@@ -375,7 +390,9 @@ def test_wgsp_first_witness_of_a_coalition_with_shared_outcomes(monkeypatch,
     """The deviation outcome serves every player but 0 at price 1, which gains
     for all of them but not for player 0. Earlier coalitions that hold player
     0 reach the same Outcome object and are not witnesses, so the first
-    witness is players 1..size, each with the first high report."""
+    witness is players 1..size, each with the first high report. Within that
+    coalition every profile of high reports is a witness class, and the
+    classes arrive last profile first, so the search must pick the smallest."""
     n = size + 1
     inst = Instance(valuations=(sym(1),) + (sym(2),) * size,
                     cost_model=SeparableCosts((public_good_cost(n, 4),)), m=1)
@@ -383,6 +400,8 @@ def test_wgsp_first_witness_of_a_coalition_with_shared_outcomes(monkeypatch,
     deviation = Outcome(Allocation((0,) + (1,) * size, 1), (F(0),) + (F(1),) * size)
     stub = shared_outcome_run(truth, deviation, size)
     monkeypatch.setattr(analysis, "iacsm_run", stub)
+    monkeypatch.setattr(analysis, "iacsm_classes",
+                        singleton_classes(stub, analysis.QUOTE_SCALES[mechanism]))
     monkeypatch.setattr(oracles, "naive_iacsm_run", stub)
     space = [sym(0), sym(1), sym(3), sym(4)]
     for coalition_max in (size, size + 1):
@@ -392,6 +411,88 @@ def test_wgsp_first_witness_of_a_coalition_with_shared_outcomes(monkeypatch,
         assert all(mis is space[2] for mis in got.misreports)
         assert got.gains == (F(1),) * size
         assert all(type(g) is F for g in got.gains)
+
+
+def classes_instances(rng):
+    """Separable instances with symmetric valuations for the trie walk, on
+    symmetric and on arbitrary table item costs."""
+    for costs in ("symmetric", "table"):
+        for n, m in ((3, 2), (4, 1), (4, 2)):
+            vals = tuple(sym(*sorted((F(rng.randint(0, 8), 2) for _ in range(m)), reverse=True))
+                         for _ in range(n))
+            if costs == "symmetric":
+                items = tuple(symmetric_submodular_cost(n, sorted(
+                    (F(rng.randint(0, 6), 2) for _ in range(n)), reverse=True)) for _ in range(m))
+            else:
+                items = tuple(table_cost([0] + [F(rng.randint(0, 12), 2)
+                                                for _ in range((1 << n) - 1)]) for _ in range(m))
+            yield Instance(valuations=vals, cost_model=SeparableCosts(items), m=m)
+
+
+@pytest.mark.parametrize("scale", [F(1), F(1, 2)], ids=["iacsm", "underquote"])
+def test_iacsm_classes_are_the_iacsm_run_leaves_of_the_product(scale):
+    """Every profile of the product reaches the Outcome object of exactly one
+    class, and each class's first is the first profile in product order that
+    reaches its outcome."""
+    rng = random.Random(f"iacsm-classes-{scale}")
+    for inst in classes_instances(rng):
+        space = symmetric_marginal_space(inst.m, [0, 1, 2, 4])
+        for coalition in [c for size in (2, 3) for c in combinations(range(inst.n), size)]:
+            classes = list(iacsm_classes(inst, coalition, space,
+                                         first_iteration_quote_scale=scale))
+            first_reach = {}
+            for first in product(range(len(space)), repeat=len(coalition)):
+                declared = list(inst.valuations)
+                for member, k in zip(coalition, first):
+                    declared[member] = space[k]
+                outcome, _ = iacsm_run(inst, declared, first_iteration_quote_scale=scale)
+                first_reach.setdefault(id(outcome), (outcome, first))
+            assert len({id(outcome) for outcome, _ in classes}) == len(classes)
+            assert {id(outcome): (outcome, first) for outcome, first in classes} == first_reach
+
+
+def test_wgsp_iacsm_search_runs_iacsm_once(monkeypatch):
+    calls = []
+
+    def counting_iacsm_run(*args, **kwargs):
+        calls.append(args)
+        return iacsm_run(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "iacsm_run", counting_iacsm_run)
+    monkeypatch.setattr(mechanisms, "iacsm_run", counting_iacsm_run)
+    rng = random.Random("iacsm-once")
+    for inst in classes_instances(rng):
+        space = symmetric_marginal_space(inst.m, [0, F(1, 2), 2, 4])
+        for mechanism in ("iacsm", "iacsm-underquote"):
+            calls.clear()
+            wgsp_search(inst, mechanism, 3, space)
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mechanism", ["iacsm", "iacsm-underquote"])
+def test_wgsp_iacsm_checks_the_space_before_any_profile(mechanism):
+    """A misreport iacsm_run would refuse fails the search with iacsm_run's
+    message, even where a witness comes before it in the space."""
+    inst = Instance(valuations=(sym(F(3, 2)), sym(4)),
+                    cost_model=SeparableCosts((public_good_cost(2, 4),)), m=1)
+    space = symmetric_marginal_space(1, [F(t, 2) for t in range(9)])
+    assert (wgsp_search(inst, mechanism, 2, space) is not None) == \
+        (mechanism == "iacsm-underquote")
+    scale = analysis.QUOTE_SCALES[mechanism]
+    for bad in (TableValuation.from_values([0, 1]), sym(1, 1)):
+        with pytest.raises(MechanismPreconditionError) as run_error:
+            iacsm_run(inst, [bad, sym(4)], first_iteration_quote_scale=scale)
+        with pytest.raises(MechanismPreconditionError) as search_error:
+            wgsp_search(inst, mechanism, 2, space + [bad])
+        assert str(search_error.value) == str(run_error.value)
+    with pytest.raises(MechanismPreconditionError, match="iacsm-requires-symmetric-submodular"):
+        wgsp_search(inst, mechanism, 2, space + [TableValuation.from_values([0, 1])])
+    for coalition in ((0, 0), (2,), (0.5,)):
+        with pytest.raises(MechanismPreconditionError, match="coalition"):
+            list(iacsm_classes(inst, coalition, space, first_iteration_quote_scale=scale))
+    ns = Instance(valuations=inst.valuations, cost_model=count_served_cost(2, 1), m=1)
+    with pytest.raises(MechanismPreconditionError, match="separable"):
+        list(iacsm_classes(ns, (0,), space, first_iteration_quote_scale=scale))
 
 
 @pytest.mark.parametrize("mechanism", analysis.MECHANISM_IDS)
@@ -455,3 +556,26 @@ def test_optimum_scales_with_values_and_costs(n, m):
             cost_model=SeparableCosts(tuple(table_cost([factor * x for x in fn.to_table()])
                                             for fn in inst.cost_model.items)), m=m)
         assert optimal_social_cost(scaled) == (factor * opt, alloc)
+
+
+@pytest.mark.parametrize("n, m", [(4, 5), (5, 4), (10, 2)], ids=["4x5", "5x4", "10x2"])
+def test_optimum_invariant_under_player_and_item_permutation(n, m):
+    # renaming players or items maps every allocation onto one with the same
+    # social cost: the optimum value stays, and the renamed witness reaches it
+    inst = generate("random-symmetric", {"n": str(n), "m": str(m)}, 3)
+    opt, alloc = optimal_social_cost(inst)
+    rng = random.Random(f"permute-optimum-{n}x{m}")
+    players, items = rng.sample(range(n), n), rng.sample(range(m), m)
+    inverse = [players.index(i) for i in range(n)]
+    by_players = Instance(
+        valuations=tuple(inst.valuations[inverse[i]] for i in range(n)),
+        cost_model=SeparableCosts(tuple(table_cost(permuted_table(fn.to_table(), players))
+                                        for fn in inst.cost_model.items)), m=m)
+    renamed = Allocation(tuple(alloc.bundles[inverse[i]] for i in range(n)), m)
+    assert optimal_social_cost(by_players)[0] == opt == social_cost(by_players, renamed)
+    # symmetric valuations see only bundle sizes, so renaming items moves the costs only
+    by_items = Instance(valuations=inst.valuations, cost_model=SeparableCosts(tuple(
+        inst.cost_model.items[items.index(j)] for j in range(m))), m=m)
+    renamed = Allocation(tuple(sum(1 << items[j] for j in range(m) if (b >> j) & 1)
+                               for b in alloc.bundles), m)
+    assert optimal_social_cost(by_items)[0] == opt == social_cost(by_items, renamed)

@@ -118,6 +118,49 @@ def test_gen_bad_params():
         generate("nope", {}, 0)
 
 
+GEN_REFUSALS = [
+    ("random-symmetric", {"n": "2", "m": "1", "vgird": "9"},
+     "random-symmetric does not use parameter 'vgird'; it reads cgrid, m, n, vgrid"),
+    ("matching", {"shape": "bipartit"},
+     "parameter shape must be one of bipartite, general, got 'bipartit'"),
+    ("vertex-cover", {"shape": "stars", "k": "3"},
+     "parameter shape must be one of random, star, got 'stars'"),
+    ("vertex-cover", {"shape": "star", "k": "3", "v": "7"},
+     "vertex-cover does not use parameter 'v'; it reads k, shape, vgrid"),
+    ("paper-subadditivity", {"n": "4"},
+     "paper-subadditivity does not use parameter 'n'; it reads vgrid"),
+]
+
+
+@pytest.mark.parametrize("kind, params, message", GEN_REFUSALS,
+                         ids=["misspelt-key", "matching-shape", "vertex-cover-shape",
+                              "star-with-v", "fixed-size"])
+def test_gen_refuses_unused_params_and_unknown_shapes(tmp_path, capsys, kind, params, message):
+    with pytest.raises(GenParamError) as excinfo:
+        generate(kind, params, 0)
+    assert str(excinfo.value) == message
+    argv = [arg for key, val in params.items() for arg in ("--param", f"{key}={val}")]
+    assert main(["gen", kind, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"name": "bad", "mechanism": "sm",
+                                  "generate": [{"kind": kind, "params": params}]}))
+    assert main(["suite", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_gen_accepts_every_bundled_param_set():
+    for path in sorted((REPO / "suites").glob("*.json")):
+        for spec in json.loads(path.read_text()).get("generate", []):
+            generate(spec["kind"], spec.get("params", {}), spec.get("seed", 0))
+    for kind, params in [("matching", {"shape": "general"}), ("matching", {"shape": "bipartite"}),
+                         ("vertex-cover", {"shape": "random", "v": "5", "k": "2", "e": "4"}),
+                         ("vertex-cover", {"shape": "star", "k": "4", "vgrid": "1,2"})]:
+        generate(kind, params, 0)
+
+
 # --- CLI subcommands --------------------------------------------------------------
 
 def test_cli_run_corollary_instance():

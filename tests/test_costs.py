@@ -26,6 +26,7 @@ from costshare.mechanisms import sm_run
 from costshare.valuations import classify_set_function
 
 from oracles import (BIG_PRIMES, naive_alpha_avg_decreasing, naive_alpha_bounded,
+                     permuted_table,
                      naive_alpha_bounded_ns, naive_builtin_allocation_cost,
                      naive_max_matching,
                      naive_min_set_cover, naive_min_vertex_cover,
@@ -368,9 +369,35 @@ def test_estimators_match_naive_double_loop(data):
     n, vals = data
     fn = table_cost(vals)
     table = fn.to_table()
-    assert alpha_average_decreasing(fn).alpha == naive_alpha_avg_decreasing(table, n)
+    report = alpha_average_decreasing(fn)
+    assert (report.alpha, report.witness) == naive_alpha_avg_decreasing(table, n)
     assert alpha_min_bounded(fn).alpha == naive_alpha_bounded(table, n, min)
     assert alpha_max_bounded(fn).alpha == naive_alpha_bounded(table, n, max)
+
+
+def test_average_decreasing_witness_follows_its_tie_break():
+    # small integer tables tie often; scaling by K > 2^62 moves the same
+    # table onto Python ints without changing any ratio or comparison
+    rng = random.Random("avg-decreasing-witness")
+    big = BIG_PRIMES[0] * BIG_PRIMES[1] * BIG_PRIMES[2]
+    unbounded = ties = 0
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        zero_rate = rng.choice([0, 0.2, 0.5])
+        vals = [Fraction(0)] + [Fraction(0) if rng.random() < zero_rate
+                                else Fraction(rng.randint(0, 4), rng.randint(1, 2))
+                                for _ in range((1 << n) - 1)]
+        expected = naive_alpha_avg_decreasing(vals, n)
+        for factor, dtype in ((1, np.int64), (big, object if any(vals) else np.int64)):
+            fn = table_cost([factor * v for v in vals])
+            assert fn.int_table()[0].dtype == dtype
+            report = alpha_average_decreasing(fn)
+            assert (report.alpha, report.witness) == expected
+        s, t = expected[1]
+        assert s & ~t == 0 and s
+        unbounded += expected[0] is None
+        ties += expected[1] == (1, 1)
+    assert unbounded >= 10 and ties >= 5
 
 
 def test_estimator_size_limits():
@@ -665,6 +692,39 @@ def test_estimators_and_classes_invariant_under_scaling(kind, params):
         scaled = _scaled_cost(fn, factor)
         assert reports(scaled) == want
         assert classify_set_function(scaled) == flags
+
+
+def _witness_ratio(fn, estimate, witness):
+    """The ratio an estimator's witness reaches on fn, None if unbounded."""
+    c = fn.to_table()
+    if estimate is alpha_average_decreasing:
+        s, t = witness
+        num, den = c[t] / t.bit_count(), c[s] / s.bit_count()
+    else:
+        (t,) = witness
+        pick = min if estimate is alpha_min_bounded else max
+        num, den = t.bit_count() * pick(c[1 << i] for i in core.bits(t)), c[t]
+    return num / den if den else None
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("set-cover", {"n": "12", "s": "7", "d": "4"}),
+    ("set-cover", {"n": "14", "s": "8", "d": "4"}),
+    ("matching", {"v": "9", "k": "4", "e": "13", "shape": "general"}),
+    ("matching", {"v": "10", "k": "4", "e": "14", "shape": "general"}),
+], ids=["set-cover-12", "set-cover-14", "matching-13", "matching-14"])
+def test_estimators_and_classes_invariant_under_player_permutation(kind, params):
+    # renaming the players maps every pair (S, T) onto another with the same
+    # ratio, so alphas and class flags stay; ties may pick another witness
+    fn = generate(kind, params, 5).cost_model.items[0]
+    n = fn.ground_size
+    perm = random.Random(f"permute-{kind}-{n}").sample(range(n), n)
+    permuted = table_cost(permuted_table(fn.to_table(), perm))
+    for estimate in (alpha_average_decreasing, alpha_min_bounded, alpha_max_bounded):
+        want, got = estimate(fn), estimate(permuted)
+        assert got.alpha == want.alpha
+        assert _witness_ratio(permuted, estimate, got.witness) == got.alpha
+    assert classify_set_function(permuted) == classify_set_function(fn)
 
 
 def test_weighted_and_item_tables_stay_exact_past_int64():
