@@ -99,6 +99,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def popcounts(n: int) -> np.ndarray:
+    """|T| for every subset T of an n-element ground set, in mask order."""
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
+    return sizes
+
+
 def mask_of(indices: Iterable[int]) -> int:
     out = 0
     for i in indices:
@@ -183,54 +191,60 @@ class SetFunction:
         return obj
 
     @classmethod
-    def from_recurrence(cls, ground_size: int, children: Callable[[int], list[int]],
-                        combine: Callable[[int, list], Rat], *, kind: str,
+    def from_recurrence(cls, ground_size: int, branches: Sequence[Sequence[int]],
+                        combine: Callable[[int, list], object], *, kind: str,
                         meta: dict | None = None,
                         point: Callable[[int], Rat] | None = None) -> "SetFunction":
-        """The set function with f(empty) = 0 and
-        f(T) = combine(T, [f(S) for S in children(T)]).
+        """The set function with f(empty) = 0 and f(T) = combine(e, [f(T & ~r)
+        for r in branches[e]]), e being the lowest element of T.
 
-        Every child must be a proper submask of its parent (S & ~T == 0 and
-        S != T); any other child raises ValueError. ``combine`` may receive
-        the children's values as ints or as Fractions, and must return an
-        exact non-negative rational.
-
-        ``int_table()`` fills all 2^n values in one ascending pass: a proper
-        submask is numerically smaller, so its value is already there. A
-        point query is evaluated with an explicit stack, not Python
-        recursion, so chains as deep as the ground set never reach the
-        recursion limit; ``point``, when given, answers point queries in its
-        place. Every value a point query computes goes through ``_store``
-        once and into this function's one capped cache; past the cap, a
-        value lives only for the query that needed it.
+        Each r in ``branches[e]`` must hold e, so that each child is a proper
+        submask of T: checked here, once per element (ValueError). An element
+        without branches gives its sets combine(e, []), which may raise.
+        ``combine`` works elementwise and returns exact non-negative
+        rationals. ``int_table()`` calls it once per element, n-1 down to 0
+        (those without branches first), on int arrays over every T with lowest
+        element e: int64 while all values are under 2^31, so that sums and
+        products of two stay exact, Python ints after. Point queries call it on
+        Fractions, walking the same children with a stack (no recursion limit),
+        each value stored once in the capped cache; ``point`` replaces them.
         """
-        def checked_children(t: int) -> list[int]:
-            kids = children(t)
-            for k in kids:
-                if k & ~t or k == t:
-                    raise ValueError(f"recurrence child {k:#x} is not a proper "
-                                     f"submask of {t:#x}")
-            return kids
+        branches = [list(rs) for rs in branches]
+        for e, rs in enumerate(branches):
+            for r in rs:
+                if not (r >> e) & 1:
+                    raise ValueError(f"branch {r:#x} does not hold element {e}, so its "
+                                     f"child is not a proper submask")
 
         def solve(sf: SetFunction, t: int) -> Rat:
             cache, local = sf._cache, {0: Fraction(0)}
             stack: list[tuple[int, list[int] | None]] = [(t, None)]
             while stack:
                 s, kids = stack.pop()
+                e = (s & -s).bit_length() - 1
                 if kids is not None:
                     vals = [local[k] if k in local else cache[k] for k in kids]
-                    local[s] = sf._store(s, combine(s, vals))
+                    local[s] = sf._store(s, combine(e, vals))
                 elif s not in local and s not in cache:
-                    kids = checked_children(s)
+                    kids = [s & ~r for r in branches[e]]
                     stack.append((s, kids))
                     stack.extend((k, None) for k in kids)
             return local[t] if t in local else cache[t]
 
-        def fill() -> tuple[list, int]:
-            raw = [0] * (1 << ground_size)
-            for t in range(1, len(raw)):
-                raw[t] = combine(t, [raw[k] for k in checked_children(t)])
-            return raw, 1
+        def fill() -> tuple[np.ndarray, int]:
+            size = 1 << ground_size
+            table = np.zeros(size, dtype=np.int64)
+            order = ([e for e in range(ground_size) if not branches[e]]
+                     + [e for e in reversed(range(ground_size)) if branches[e]])
+            for e in order:
+                masks = np.arange(size >> e + 1, dtype=np.int64) << e + 1 | 1 << e
+                out = np.asarray(combine(e, [table[masks & (size - 1 & ~r)]
+                                             for r in branches[e]]))
+                if table.dtype != object and (
+                        out.dtype != np.int64 or out.size and abs(out).max() >= 1 << 31):
+                    table = table.astype(object)
+                table[masks] = out
+            return table, 1
 
         oracle = solve if point is None else lambda sf, mask: sf._store(mask, point(mask))
         return cls(ground_size, oracle=oracle, fill=fill, kind=kind, meta=meta)

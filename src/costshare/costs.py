@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (INT64_HEADROOM, Allocation, AllocationCostFn,
                    GroundSetTooLargeError, Rat, SeparableCosts, SetFunction,
-                   align_ints, as_rat, bits, bundle_shifts)
+                   align_ints, as_rat, bits, bundle_shifts, popcounts)
 
 MAX_ESTIMATOR_GROUND = 16
 MAX_NS_CELLS = 12
@@ -49,23 +49,23 @@ def set_cover_cost(n: int, family: Sequence[int]) -> SetFunction:
 
     Players are the universe elements 0..n-1 and ``family`` holds the
     available sets as element masks. c(t) is the least number of family sets
-    whose union contains t: some set S holds the lowest element of t, so
-    c(t) = 1 + min c(t minus S) over those S. Uncoverable queries raise
-    InfeasibleCoverError.
+    whose union contains t: some set S holds the lowest element e of t, so
+    c(t) = 1 + min c(t minus S) over the sets that hold e. Uncoverable
+    queries raise InfeasibleCoverError, and so does the table of a family
+    that misses a player, naming the lowest one.
     """
     fam = [int(s) for s in family]
     if any(s < 0 or s >> n for s in fam):
         raise ValueError("family sets must be subsets of the player universe")
-    holders = [[s for s in fam if (s >> e) & 1] for e in range(n)]
 
-    def children(t: int) -> list[int]:
-        e = (t & -t).bit_length() - 1
-        if not holders[e]:
+    def combine(e: int, vals: list):
+        if not vals:
             raise InfeasibleCoverError(f"player {e} is in no family set")
-        return [t & ~s for s in holders[e]]
+        return 1 + np.minimum.reduce(vals)
 
-    return SetFunction.from_recurrence(n, children, lambda t, vals: 1 + min(vals),
-                                       kind="set-cover", meta={"family": fam})
+    return SetFunction.from_recurrence(
+        n, [[s for s in fam if (s >> e) & 1] for e in range(n)], combine,
+        kind="set-cover", meta={"family": fam})
 
 
 def _edge_list(edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -114,27 +114,23 @@ def vertex_cover_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
     """Minimum vertex cover cost; players are the edges of the graph.
 
     c(t) is the size of a minimum vertex cover of the edges in t. One end of
-    the lowest edge (u, v) of t is in every cover, so
-    c(t) = 1 + min(c(t minus u's edges), c(t minus v's edges)).
+    the lowest edge (u, v) of t is in every cover, so c(t) = 1 + min(c(t
+    minus u's edges), c(t minus v's edges)): the removal masks of edge (u, v)
+    are the edges at u and the edges at v, one fill pass per edge.
     """
     edge_list = _edge_list(edges)
     inc = _incidence(edge_list)
-
-    def children(t: int) -> list[int]:
-        u, v = edge_list[(t & -t).bit_length() - 1]
-        return [t & ~inc[u], t & ~inc[v]]
-
-    return SetFunction.from_recurrence(len(edge_list), children,
-                                       lambda t, vals: 1 + min(vals),
-                                       kind="vertex-cover", meta={"edges": edge_list})
+    return SetFunction.from_recurrence(
+        len(edge_list), [[inc[u], inc[v]] for u, v in edge_list],
+        lambda e, vals: 1 + np.minimum(*vals), kind="vertex-cover", meta={"edges": edge_list})
 
 
 def matching_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
     """Maximum-cardinality matching cost; players are the edges of the graph.
 
     The lowest edge e of t is unused or matched, so c(t) = max(c(t minus e),
-    1 + c(t minus every edge touching e's endpoints)); ``int_table()``
-    fills from this recurrence on every graph. On bipartite graphs
+    1 + c(t minus every edge touching e's endpoints)); these two removal
+    masks fill ``int_table()`` on every graph, one pass per edge. On bipartite graphs
     (``meta["bipartite"]``, which also selects the structural alpha bound) a
     point query is answered with augmenting paths, which stay polynomial: on
     the full edge set of a 60-edge bipartite graph the recurrence visits over
@@ -145,11 +141,6 @@ def matching_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
     colors = _two_color(edge_list)
     meta = {"edges": edge_list, "bipartite": colors is not None}
     inc = _incidence(edge_list)
-
-    def children(t: int) -> list[int]:
-        low = t & -t
-        u, v = edge_list[low.bit_length() - 1]
-        return [t ^ low, t & ~inc[u] & ~inc[v]]
 
     def solve_augmenting(t: int) -> Rat:
         adj: dict[int, list[int]] = {}
@@ -171,10 +162,10 @@ def matching_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
 
         return Fraction(sum(try_augment(u, set()) for u in sorted(adj)))
 
-    return SetFunction.from_recurrence(len(edge_list), children,
-                                       lambda t, vals: max(vals[0], 1 + vals[1]),
-                                       kind="matching", meta=meta,
-                                       point=None if colors is None else solve_augmenting)
+    return SetFunction.from_recurrence(
+        len(edge_list), [[1 << e, inc[u] | inc[v]] for e, (u, v) in enumerate(edge_list)],
+        lambda e, vals: np.maximum(vals[0], 1 + vals[1]), kind="matching", meta=meta,
+        point=None if colors is None else solve_augmenting)
 
 
 @dataclass(frozen=True)
@@ -201,37 +192,42 @@ def _report(num: int, den: int, witness: tuple, kind: str) -> AlphaReport:
 
 
 def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
-    """Least a with a*c(S)/|S| >= c(T)/|T| for every nonempty S <= T."""
+    """Least a with a*c(S)/|S| >= c(T)/|T| for every nonempty S <= T.
+
+    g[T], the least average over nonempty S <= T, is the min-plus zeta
+    transform of the averages, one pass per player. The witness T is the first
+    with a positive average over g[T] = 0, else the first maximum of avg/g
+    above 1; its S is T when avg[T] = g[T], else the S of T - e for the first
+    e with g[T - e] = g[T].
+    """
     n = c.ground_size
     if n > MAX_ESTIMATOR_GROUND:
         raise GroundSetTooLargeError(
             f"average-decreasing estimator limited to n <= {MAX_ESTIMATOR_GROUND}")
-    # one positive factor scales both sides of every ratio compared below
-    vals = c.int_table()[0].tolist()
-    size = 1 << n
+    # one positive factor scales both sides of every ratio compared below;
     # lcm(1..n) makes every average c(T)/|T| an integer
+    vals = c.int_table()[0]
     q = lcm(*range(1, n + 1))
-
-    # g[T] = min average over nonempty subsets of T, with a witnessing argmin;
-    # as in _first_max_ratio, a positive average over g = 0 is unbounded
-    g = [0] * size
-    g_wit = [0] * size
-    best_num, best_den = 1, 1
-    best_wit = (1, 1)
-    for t in range(1, size):
-        a = vals[t] * (q // t.bit_count())
-        gt, wt = a, t
-        for e in bits(t):
-            prev = t ^ (1 << e)
-            if prev and g[prev] < gt:
-                gt, wt = g[prev], g_wit[prev]
-        g[t] = gt
-        g_wit[t] = wt
-        if a * best_den > best_num * gt:
-            best_num, best_den, best_wit = a, gt, (wt, t)
-            if not gt:
-                break
-    return _report(best_num, best_den, best_wit, "average-decreasing")
+    if (int(vals.max()) * q) ** 2 >= INT64_HEADROOM:  # averages are cross-multiplied
+        vals = vals.astype(object)
+    avg = vals * (q // np.maximum(popcounts(n), 1))
+    g = avg.copy()
+    g[0] = avg.max()  # the empty set has no average; this one never wins
+    for e in range(n):
+        pairs = g.reshape(-1, 2, 1 << e)
+        pairs[:, 1] = np.minimum(pairs[:, 1], pairs[:, 0])
+    unbounded = np.flatnonzero((g == 0) & (avg > 0))
+    beats = np.flatnonzero(avg > g)
+    if len(unbounded):
+        t = int(unbounded[0])
+    elif len(beats):
+        t = int(beats[_first_max(avg[beats], g[beats])])
+    else:
+        return _report(1, 1, (1, 1), "average-decreasing")
+    s = t
+    while avg[s] != g[s]:
+        s = next(s ^ 1 << e for e in bits(s) if g[s ^ 1 << e] == g[s])
+    return _report(int(avg[t]), int(g[t]), (s, t), "average-decreasing")
 
 
 def _first_max(num: np.ndarray, den: np.ndarray) -> int:
@@ -264,9 +260,7 @@ def _first_max_ratio(table: np.ndarray, keep: np.ndarray, rows: np.ndarray,
     top = int(table.max())
     if n * top * top >= INT64_HEADROOM:
         table = table.astype(object)
-    sizes = np.zeros(width, dtype=np.int64)
-    for i in range(n):
-        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
+    sizes = popcounts(n)
     best = None
     best_num, best_den = 1, 1
     step = max(1, SCAN_CHUNK_CELLS // width)
@@ -367,14 +361,10 @@ def capped_reciprocal_cost(n: int, k) -> SetFunction:
     cap = as_rat(k)
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    standalone = [cap / (i + 1) for i in range(n)]
-
-    def level(mask: int) -> Rat:
-        if mask == 0:
-            return Fraction(0)
-        return min(cap, sum(standalone[i] for i in bits(mask)))
-
-    return table_cost([level(mask) for mask in range(1 << n)])
+    sums = [Fraction(0)]
+    for standalone in (cap / (i + 1) for i in range(n)):
+        sums += [v + standalone for v in sums]
+    return table_cost([min(cap, v) for v in sums])
 
 
 def sqrt_player_index(i: int) -> Rat:
@@ -390,14 +380,9 @@ def sqrt_max_cost(n: int) -> SetFunction:
     for any fixed parameter as n grows. Values are rationalized square roots,
     flagged via ``approximate``.
     """
-    standalone = [sqrt_player_index(i) for i in range(n)]
-
-    def level(mask: int) -> Rat:
-        if mask == 0:
-            return Fraction(0)
-        return max(standalone[i] for i in bits(mask))
-
-    vals = [level(mask) for mask in range(1 << n)]
+    vals = [Fraction(0)]
+    for standalone in map(sqrt_player_index, range(n)):
+        vals += [max(v, standalone) for v in vals]
     return SetFunction.from_table(vals, require_zero_empty=True,
                                   kind="table", approximate=True)
 
@@ -409,12 +394,10 @@ def public_good_cost(n: int, price) -> SetFunction:
 
 
 def additive_cost(weights: Sequence) -> SetFunction:
-    ws = [as_rat(w) for w in weights]
-
-    def level(mask: int) -> Rat:
-        return sum((ws[i] for i in bits(mask)), start=Fraction(0))
-
-    return table_cost([level(mask) for mask in range(1 << len(ws))])
+    vals = [Fraction(0)]
+    for w in map(as_rat, weights):
+        vals += [v + w for v in vals]
+    return table_cost(vals)
 
 
 def symmetric_submodular_cost(n: int, marginals: Sequence) -> SetFunction:

@@ -20,7 +20,8 @@ it starts from and on declared valuations by value, never by id:
 - sm: ``(player, bundles so far, declared valuation) -> (mask, payment)``.
 - iacsm: a trie of iteration states. ``quote scale -> root``,
   ``(node, declared valuation) -> covered ranks`` and
-  ``(node, player, size) -> child``; a leaf keeps its (Outcome, Trace).
+  ``(node, player, size) -> child``; a leaf keeps its Outcome, and
+  ``iacsm_run`` builds the Trace from the leaf's path when it returns one.
 Every precondition is checked on every call, before any lookup.
 """
 
@@ -125,26 +126,33 @@ class _IacsmNode:
                     shares[j] = max(shares[j], fn(remaining) / remaining.bit_count())
         return _IacsmNode(self, player, bundle, shares, tentative)
 
-    def outcome(self, n: int, m: int) -> tuple[Outcome, Trace]:
-        """The (Outcome, Trace) of the run that ends at this leaf."""
+    def outcome(self, n: int, m: int) -> Outcome:
+        """The Outcome of the run that ends at this leaf, built once."""
+        if self.result is None:
+            final_bundles = [0] * n
+            node = self
+            while node.parent is not None:
+                final_bundles[node.player] = node.bundle
+                node = node.parent
+            payments = tuple(sum((self.shares[j] for j in bits(b)), start=Fraction(0))
+                             for b in final_bundles)
+            self.result = Outcome(Allocation(tuple(final_bundles), m), payments)
+        return self.result
+
+    def trace(self, m: int) -> Trace:
+        """The Trace of the run that ends at this leaf."""
         path = [self]
         while path[-1].parent is not None:
             path.append(path[-1].parent)
         path.reverse()
         steps = path[1:]
-        final_bundles = [0] * n
-        for node in steps:
-            final_bundles[node.player] = node.bundle
-        payments = tuple(sum((self.shares[j] for j in bits(b)), start=Fraction(0))
-                         for b in final_bundles)
-        trace = Trace(order=tuple(node.player for node in steps),
-                      withdrawals=tuple(tuple(node.player for node in steps
-                                              if not (node.bundle >> j) & 1)
-                                        for j in range(m)),
-                      share_history=tuple(tuple(node.shares[j] for node in path)
-                                          for j in range(m)),
-                      bundle_history=tuple(node.bundle for node in steps))
-        return Outcome(Allocation(tuple(final_bundles), m), payments), trace
+        return Trace(order=tuple(node.player for node in steps),
+                     withdrawals=tuple(tuple(node.player for node in steps
+                                             if not (node.bundle >> j) & 1)
+                                       for j in range(m)),
+                     share_history=tuple(tuple(node.shares[j] for node in path)
+                                         for j in range(m)),
+                     bundle_history=tuple(node.bundle for node in steps))
 
 
 def _iacsm_root(inst: Instance, scale: Rat) -> _IacsmNode:
@@ -175,12 +183,6 @@ def _finalize(memo: dict, cost_fns, node: _IacsmNode, player: int, size: int) ->
     return child
 
 
-def _leaf_result(node: _IacsmNode, n: int, m: int) -> tuple[Outcome, Trace]:
-    if node.result is None:
-        node.result = node.outcome(n, m)
-    return node.result
-
-
 def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
               first_iteration_quote_scale: Rat = Fraction(1)) -> tuple[Outcome, Trace]:
     """Run the iterative ascending mechanism on declared valuations.
@@ -204,7 +206,7 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
         size, player = min((_covered(memo, node, decl[i]), i) for i in active)
         active.remove(player)
         node = _finalize(memo, cost_fns, node, player, size)
-    return _leaf_result(node, inst.n, inst.m)
+    return node.outcome(inst.n, inst.m), node.trace(inst.m)
 
 
 def iacsm_classes(inst: Instance, coalition: Sequence[int],
@@ -253,7 +255,7 @@ def iacsm_classes(inst: Instance, coalition: Sequence[int],
     while stack:
         node, active, sets = stack.pop()
         if not active:
-            yield _leaf_result(node, n, m)[0], tuple(s[0] for s in sets)
+            yield node.outcome(n, m), tuple(s[0] for s in sets)
             continue
         # the least (count, player) of the truthful players bounds every finalization
         fixed = min(((_covered(memo, node, inst.valuations[p]), p) for p in active

@@ -146,11 +146,11 @@ def _popcount_by_recurrence(n):
     # f(T) = 1 + f(T minus its lowest element): a chain as deep as the ground set
     evaluated = []
 
-    def children(t):
-        evaluated.append(t)
-        return [t & (t - 1)]
+    def combine(e, vals):
+        evaluated.append(e)
+        return 1 + vals[0]
 
-    return SetFunction.from_recurrence(n, children, lambda t, vals: 1 + vals[0],
+    return SetFunction.from_recurrence(n, [[1 << e] for e in range(n)], combine,
                                        kind="popcount"), evaluated
 
 
@@ -169,7 +169,8 @@ def test_recurrence_matches_definition_in_any_query_order():
     random.Random(3).shuffle(masks)
     sf, evaluated = _popcount_by_recurrence(8)
     assert [sf(t) for t in masks] == [t.bit_count() for t in masks]
-    assert sorted(evaluated) == list(range(1, 1 << 8))  # each subset at most once
+    # each subset at most once, and combine sees the subset's lowest element
+    assert sorted(evaluated) == sorted((t & -t).bit_length() - 1 for t in range(1, 1 << 8))
     assert all(isinstance(v, Fraction) for v in sf.to_table())
 
 
@@ -181,13 +182,16 @@ def test_recurrence_past_the_cache_cap_stays_exact(monkeypatch):
     assert sf((1 << 40) - 2) == 39
 
 
-@pytest.mark.parametrize("children", [lambda t: [t], lambda t: [t - 1],
-                                      lambda t: [t & (t - 1), t | 1 << 3]],
+@pytest.mark.parametrize("branches", [[[0b001], [0b000], [0b100]],
+                                      [[0b001], [0b010, 0b101], [0b100]],
+                                      [[0b001], [0b1000], [0b100]]],
                          ids=["itself", "not-a-submask", "a-superset"])
-def test_recurrence_refuses_a_child_that_is_not_a_proper_submask(children):
-    # a child equal to its parent used to make point queries loop forever
+def test_recurrence_refuses_a_child_that_is_not_a_proper_submask(branches):
+    # element 1's branch misses it, so the child T & ~r of T = {1} is T
+    # itself: a removal of nothing, of other elements only, or of elements
+    # past the ground set; point queries would loop forever
     def build():
-        return SetFunction.from_recurrence(3, children, lambda t, vals: 1 + max(vals),
+        return SetFunction.from_recurrence(3, branches, lambda e, vals: 1 + max(vals),
                                            kind="bad")
     with pytest.raises(ValueError, match="proper submask"):
         build()(0b101)
@@ -198,33 +202,60 @@ def test_recurrence_refuses_a_child_that_is_not_a_proper_submask(children):
 def test_recurrence_table_fills_bottom_up_with_int_values():
     seen = []
 
-    def combine(t, vals):
-        seen.extend(type(v) for v in vals)
+    def combine(e, vals):
+        seen.append((e, [(v.dtype, len(v)) for v in vals]))
         return 1 + vals[0]
 
-    sf = SetFunction.from_recurrence(10, lambda t: [t & (t - 1)], combine, kind="popcount")
+    sf = SetFunction.from_recurrence(10, [[1 << e] for e in range(10)], combine,
+                                     kind="popcount")
     table = sf.to_table()
     assert table == [Fraction(t.bit_count()) for t in range(1 << 10)]
     assert all(type(v) is Fraction for v in table)
-    assert set(seen) == {int}
+    # element e's pass covers the 2^(9-e) masks whose lowest element is e
+    assert seen == [(e, [(np.dtype(np.int64), 1 << 9 - e)]) for e in reversed(range(10))]
     assert len(sf._cache) == 1 << 10
     # a second table and every point query read the cache
-    assert sf.to_table() == table and len(seen) == (1 << 10) - 1
-    assert [sf(t) for t in range(1 << 10)] == table and len(seen) == (1 << 10) - 1
+    assert sf.to_table() == table and len(seen) == 10
+    assert [sf(t) for t in range(1 << 10)] == table and len(seen) == 10
+
+
+def test_recurrence_fill_turns_to_python_ints_past_two_to_the_31():
+    # f grows past int64 within a few elements; a product of two values
+    # stays exact because the fill leaves int64 before it could wrap
+    def build():
+        return SetFunction.from_recurrence(
+            9, [[1 << e] for e in range(9)],
+            lambda e, vals: vals[0] * vals[0] + 3 + e, kind="square")
+    ints, denom = build().int_table()
+    point = build()
+    assert ints.dtype == object and denom == 1
+    assert ints.tolist() == [point(t) for t in range(1 << 9)]
+    assert int(ints[-1]) > 1 << 200
+
+
+def test_recurrence_element_without_branches_passes_first():
+    # f(T) = 7 when T's lowest element has no branches
+    sf = SetFunction.from_recurrence(3, [[0b001], [], [0b100]],
+                                     lambda e, vals: 7 if not vals else 1 + vals[0],
+                                     kind="stub")
+    assert sf.to_table() == [0, 1, 7, 8, 1, 2, 7, 8]
 
 
 def test_oracle_values_are_checked_for_sign():
     with pytest.raises(ValueError, match="negative"):
         SetFunction.from_oracle(2, lambda mask: Fraction(-mask))(0b11)
-    sf = SetFunction.from_recurrence(2, lambda t: [t & (t - 1)],
-                                     lambda t, vals: vals[0] - 1, kind="down")
+    sf = SetFunction.from_recurrence(2, [[0b01], [0b10]],
+                                     lambda e, vals: vals[0] - 1, kind="down")
     with pytest.raises(ValueError, match="negative"):
         sf(0b01)
     with pytest.raises(ValueError, match="negative"):
         sf.to_table()
     with pytest.raises(TypeError):
-        SetFunction.from_recurrence(2, lambda t: [t & (t - 1)],
-                                    lambda t, vals: vals[0] + 0.5, kind="float").to_table()
+        SetFunction.from_recurrence(2, [[0b01], [0b10]],
+                                    lambda e, vals: vals[0] + 0.5, kind="float").to_table()
+    with pytest.raises(TypeError):
+        SetFunction.from_recurrence(2, [[0b01], [0b10]],
+                                    lambda e, vals: vals[0] + 0.5, kind="float")(0b11)
     C = AllocationCostFn(2, 1, lambda b: Fraction(b[0] - b[1]))
     assert C(Allocation((1, 0), 1)) == 1
     with pytest.raises(ValueError, match="negative"):

@@ -249,6 +249,60 @@ def test_recurrence_costs_on_deep_chains():
     assert outcome.total_payment == allocation_cost(inst, outcome.allocation)
 
 
+def _count_combines(monkeypatch) -> list:
+    """The element of every ``combine`` call of recurrences built from now on."""
+    calls = []
+    build = SetFunction.from_recurrence.__func__
+
+    def spy(cls, n, branches, combine, **kwargs):
+        def counted(e, vals):
+            calls.append(e)
+            return combine(e, vals)
+        return build(cls, n, branches, counted, **kwargs)
+
+    monkeypatch.setattr(SetFunction, "from_recurrence", classmethod(spy))
+    return calls
+
+
+def _full_size_recurrence_costs():
+    """(build, naive) for set cover at n = 16, vertex cover at 15 and
+    bipartite and general matching at 14 and 13 players."""
+    rng = random.Random("full-size fills")
+    family = [rng.randrange(1, 1 << 16) for _ in range(9)] + [1 << 15]
+    yield (lambda: set_cover_cost(16, family),
+           lambda mask: naive_min_set_cover(family, mask))
+    for build, naive, n, shape in ((vertex_cover_cost, naive_min_vertex_cover, 15, "any"),
+                                   (matching_cost, naive_max_matching, 14, "bipartite"),
+                                   (matching_cost, naive_max_matching, 13, "general")):
+        edges = _random_edges(rng, n, shape)
+        yield (lambda b=build, e=edges: b(e),
+               lambda mask, f=naive, e=edges: f(e, mask))
+
+
+def test_recurrence_fills_match_point_queries_at_full_size(monkeypatch):
+    calls = _count_combines(monkeypatch)
+    rng = random.Random("sampled masks")
+    kinds = set()
+    for build, naive in _full_size_recurrence_costs():
+        fn, point = build(), build()
+        n = fn.ground_size
+        kinds.add((fn.kind, fn.meta.get("bipartite")))
+        if fn.kind == "set-cover":
+            family = fn.meta["family"]
+            holders = {sum((s >> e) & 1 for s in family) for e in range(n)}
+            assert len(holders) > 2  # the passes gather different numbers of children
+        del calls[:]
+        ints, denom = fn.int_table()
+        # one combine per element pass, never one per subset
+        assert calls == list(reversed(range(n)))
+        assert ints.dtype == np.int64 and denom == 1
+        masks = [(1 << n) - 1] + rng.sample(range(1 << n), 120)
+        assert [point(t) for t in masks] == [int(ints[t]) for t in masks]
+        assert [int(ints[t]) for t in masks[:40]] == [naive(t) for t in masks[:40]]
+    assert kinds == {("set-cover", None), ("vertex-cover", None),
+                     ("matching", True), ("matching", False)}
+
+
 def test_matching_colors_only_the_vertices_in_use():
     # vertex ids are labels: a large one must not size any per-vertex table
     far = 10 ** 12
@@ -398,6 +452,59 @@ def test_average_decreasing_witness_follows_its_tie_break():
         unbounded += expected[0] is None
         ties += expected[1] == (1, 1)
     assert unbounded >= 10 and ties >= 5
+
+
+def _spy_first_max_dtypes(monkeypatch) -> list:
+    seen = []
+    first_max = costs._first_max
+
+    def spy(num, den):
+        seen.append(num.dtype)
+        return first_max(num, den)
+
+    monkeypatch.setattr(costs, "_first_max", spy)
+    return seen
+
+
+@pytest.mark.parametrize("factor", [1 << 20, 1 << 50], ids=["cross-products", "averages"])
+def test_average_decreasing_leaves_int64_past_its_headroom(monkeypatch, factor):
+    # values times 2^20 fit int64, but their averages times q = lcm(1..12)
+    # cross-multiply past INT64_HEADROOM; times 2^50 the averages themselves do
+    seen = _spy_first_max_dtypes(monkeypatch)
+    rng = random.Random(f"headroom {factor}")
+    n = 12
+    for low in (0, 1, 1):  # a free player makes the table unbounded
+        vals = [0] + [rng.choice([low, 1, 2, 3, 5, 8]) for _ in range((1 << n) - 1)]
+        small, scaled = table_cost(vals), table_cost([v * factor for v in vals])
+        assert scaled.int_table()[0].dtype == np.int64
+        del seen[:]
+        want = alpha_average_decreasing(small)
+        assert seen == ([] if low == 0 else [np.dtype(np.int64)])
+        del seen[:]
+        got = alpha_average_decreasing(scaled)
+        assert seen == ([] if low == 0 else [np.dtype(object)])
+        assert (got.alpha, got.witness) == (want.alpha, want.witness)
+        assert want.unbounded == (low == 0)
+    # a bounded case reaches the comparison on Python ints
+    vals = [t.bit_count() ** 2 for t in range(1 << n)]
+    del seen[:]
+    got = alpha_average_decreasing(table_cost([v * factor for v in vals]))
+    assert seen == [np.dtype(object)]
+    assert got.alpha == n and got.witness == (1 << n - 1, (1 << n) - 1)
+
+
+@pytest.mark.parametrize("factor", [1, 1 << 50], ids=["int64", "python-ints"])
+def test_average_decreasing_unbounded_at_sixteen_players(factor):
+    # players 0-7 cost nothing and players 8-15 cost 1 each: {0} averages 0
+    # under {0, 8}, the first set with a positive average over a free one
+    n = 16
+    fn = table_cost([(t >> 8).bit_count() * factor for t in range(1 << n)])
+    report = alpha_average_decreasing(fn)
+    assert report.unbounded and report.witness == (0b1, 0b1_0000_0001)
+    # with player 0 paying too, {0, 1} comes first, with {1} free under it
+    fn = table_cost([((t >> 8).bit_count() + (t & 1)) * factor for t in range(1 << n)])
+    report = alpha_average_decreasing(fn)
+    assert report.unbounded and report.witness == (0b10, 0b11)
 
 
 def test_estimator_size_limits():
