@@ -175,23 +175,26 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
     lexicographically) and every joint misreport drawn from
     ``misreport_space`` in product order; utilities are always computed with
     the true valuations and compared exactly. Returns the first witness in
-    that order, or None. Neither mechanism runs every profile:
+    that order, or None.
 
-    - ``iacsm`` and ``iacsm-underquote`` run once, truthfully. Each coalition
-      then takes one ``mechanisms.iacsm_classes`` walk of the trie, which
-      yields every outcome its misreports reach with the first profile in
-      product order that reaches it. Gains depend only on the outcome, so
-      each outcome is judged once, and the coalition's first witness is the
-      lexicographically smallest first profile among the outcomes that are
-      witnesses. The walk checks the misreport space before it starts.
-    - Under ``sm`` a player's bundle and payment depend only on the players
-      before it in ``order``. The coalition member first in ``order`` faces
-      truthful players only, so its bundle, payment and gain are those of a
-      lone deviation with the same report, which the size-1 pass computed.
-      A larger coalition is a witness only if its lead member's report is a
-      lone witness, and the size-1 pass returns at the first of those. So an
-      ``sm`` search that gets past the size-1 pass stops there, after
-      1 + n*len(space) runs for any ``coalition_max`` >= 1.
+    A coalition's profiles are ``product(*spaces)``: each member reports
+    from the misreport space, everyone else from ``[true valuation]``. Both
+    mechanisms turn them into classes, each an outcome with the first
+    profile in product order that reaches it. Gains depend only on the
+    outcome, so each class is judged once, and the coalition's first witness
+    is the smallest first profile among the witness classes.
+
+    - ``iacsm`` and ``iacsm-underquote`` run once, truthfully, then take
+      one ``mechanisms.iacsm_classes`` walk of the trie per coalition.
+    - Under ``sm`` each profile is one ``sm_run``. A player's bundle and
+      payment depend only on the players before it in ``order``. The
+      coalition member first in ``order`` faces truthful players only, so its
+      bundle, payment and gain are those of a lone deviation with the same
+      report, which the size-1 pass computed. A larger coalition is a witness
+      only if its lead member's report is a lone witness, and the size-1
+      pass returns at the first of those. So an ``sm`` search that gets past
+      the size-1 pass stops there, after 1 + n*len(space) runs for any
+      ``coalition_max`` >= 1.
     """
     truth_outcome, _ = _run_mechanism(mechanism, inst, order=order)
     true_vals = inst.valuations
@@ -211,32 +214,25 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
         return tuple(gains)
 
     space = list(misreport_space)
-
-    def sm_classes(coalition):
-        # sm_run builds a fresh Outcome on every call: each profile is a class
-        for first in product(range(len(space)), repeat=len(coalition)):
-            declared = list(true_vals)
-            for member, k in zip(coalition, first):
-                declared[member] = space[k]
-            yield sm_run(inst, order, declared), first
-
     # sm: a larger coalition's lead member would need a lone witness (above)
     last = min(coalition_max, 1) if mechanism == "sm" else coalition_max
     for size in range(1, last + 1):
         for coalition in combinations(range(inst.n), size):
+            spaces = [space if i in coalition else [v] for i, v in enumerate(true_vals)]
             if mechanism == "sm":
-                classes = sm_classes(coalition)
+                # sm_run builds a fresh Outcome on every call: each profile is a class
+                classes = ((sm_run(inst, order, profile), first) for profile, first in
+                           zip(product(*spaces), product(*map(range, map(len, spaces)))))
             else:
-                classes = iacsm_classes(inst, coalition, space,
+                classes = iacsm_classes(inst, spaces,
                                         first_iteration_quote_scale=QUOTE_SCALES[mechanism])
-            witnesses = ((first, gains) for outcome, first in classes
-                         if (gains := gains_of(coalition, outcome)) is not None)
-            # sm's classes come in product order, so its first witness is the smallest
-            witness = (next(witnesses, None) if mechanism == "sm"
-                       else min(witnesses, key=itemgetter(0), default=None))
+            witness = min(((first, gains) for outcome, first in classes
+                           if (gains := gains_of(coalition, outcome)) is not None),
+                          key=itemgetter(0), default=None)
             if witness is not None:
                 first, gains = witness
-                return DeviationWitness(coalition, tuple(space[k] for k in first), gains)
+                return DeviationWitness(coalition, tuple(space[first[i]] for i in coalition),
+                                        gains)
     return None
 
 

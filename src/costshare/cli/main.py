@@ -59,8 +59,14 @@ def _fmt_alpha(a) -> str:
     return format_opt_rat(a)
 
 
-def _report_row(instance_id: str, mechanism: str, report, alphas, wall: float) -> dict:
-    return {
+def _evaluated_row(instance_id: str, inst: Instance, mechanism: str, order):
+    """Run one instance: its report, alphas and CSV row. The row's
+    ``wall_time_s`` times ``evaluate_run`` only."""
+    start = time.perf_counter()
+    report = evaluate_run(inst, mechanism, order=order)
+    wall = time.perf_counter() - start
+    alphas = _instance_alphas(inst)
+    row = {
         "instance": instance_id,
         "mechanism": mechanism,
         "budget_ratio": format_opt_rat(report.budget_ratio),
@@ -77,6 +83,7 @@ def _report_row(instance_id: str, mechanism: str, report, alphas, wall: float) -
         "npt": format_flag(report.flags.npt),
         "wall_time_s": f"{wall:.3f}",
     }
+    return report, alphas, row
 
 
 def _trace_dump(report) -> str:
@@ -164,12 +171,8 @@ def cmd_run(args) -> int:
     if args.trace_out and args.mechanism == "sm":
         print("error: no trace: the sm mechanism is not iterative", file=sys.stderr)
         return 2
-    inst = _load_instance(args.instance)
-    start = time.perf_counter()
-    report = evaluate_run(inst, args.mechanism, order=args.order)
-    wall = time.perf_counter() - start
-    alphas = _instance_alphas(inst)
-    row = _report_row(Path(args.instance).stem, args.mechanism, report, alphas, wall)
+    report, _, row = _evaluated_row(Path(args.instance).stem, _load_instance(args.instance),
+                                    args.mechanism, args.order)
     text = report_text([row])
     if args.out:
         Path(args.out).write_text(text)
@@ -334,11 +337,8 @@ def cmd_suite(args) -> int:
     rows = []
     failures = []
     for instance_id, inst in jobs:
-        start = time.perf_counter()
-        report = evaluate_run(inst, mechanism, order=order)
-        wall = time.perf_counter() - start
-        alphas = _instance_alphas(inst)
-        rows.append(_report_row(instance_id, mechanism, report, alphas, wall))
+        report, alphas, row = _evaluated_row(instance_id, inst, mechanism, order)
+        rows.append(row)
         for check in checks:
             verdict = _check_passes(check, inst, report, alphas)
             if verdict is False:
@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (InstanceParseError, GenParamError, MechanismPreconditionError,
-            GroundSetTooLargeError, FileNotFoundError, json.JSONDecodeError) as exc:
+            GroundSetTooLargeError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,9 +6,10 @@ the active player with the smallest optimal bundle and raises the quoted
 share of every item she withdrew from to the new (larger) average, keeping
 quoted shares trace-monotonic.
 
-iacsm_classes: every ``iacsm`` run in which one coalition reports from a
-misreport space while everyone else reports truthfully, walked as one
-depth-first pass over the same trie instead of one run per joint report.
+iacsm_classes: every ``iacsm`` run in which each player reports from its
+own list of valuations, walked as one depth-first pass over the same trie
+instead of one run per profile. ``iacsm_run`` is the walk over one report
+per player, so the finalization rule is written once.
 
 sm_run: the sequential mechanism. Players are processed in a fixed order;
 each receives a utility-maximizing bundle at its incremental cost, which is
@@ -18,7 +19,7 @@ All three read and fill the instance's ``step_memo``, so the profiles of a
 misreport search reuse the steps they share. A step is keyed on the state
 it starts from and on declared valuations by value, never by id:
 - sm: ``(player, bundles so far, declared valuation) -> (mask, payment)``.
-- iacsm: a trie of iteration states. ``quote scale -> root``,
+- iacsm: a trie of iteration states. ``(quote scale,) -> root``,
   ``(node, declared valuation) -> covered ranks`` and
   ``(node, player, size) -> child``; a leaf keeps its Outcome, and
   ``iacsm_run`` builds the Trace from the leaf's path when it returns one.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Sequence
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
@@ -77,15 +79,9 @@ def greedy_bundle(v: SymmetricSubmodularValuation, shares: Sequence[Rat]) -> int
     return mask_of(ranking[:_covered_ranks(v.marginals, ranked)])
 
 
-def _declared_profile(inst: Instance, declared) -> list[ValuationFn]:
-    decl = list(inst.valuations) if declared is None else list(declared)
-    if len(decl) != inst.n:
+def _check_profile(inst: Instance, length: int, reports: Sequence[ValuationFn]) -> None:
+    if length != inst.n:
         raise MechanismPreconditionError("declared profile length differs from n")
-    _check_item_counts(inst, decl)
-    return decl
-
-
-def _check_item_counts(inst: Instance, reports: Sequence[ValuationFn]) -> None:
     if any(v.m != inst.m for v in reports):
         raise MechanismPreconditionError("declared valuation item count differs from m")
 
@@ -96,6 +92,20 @@ def _check_ascending(reports: Sequence[ValuationFn], scale: Rat) -> None:
         raise MechanismPreconditionError("quoted shares must be non-negative")
     if not all(isinstance(v, SymmetricSubmodularValuation) for v in reports):
         raise MechanismPreconditionError("iacsm-requires-symmetric-submodular")
+
+
+def _step(memo: dict, key: tuple, compute):
+    """The step memo's entry at ``key``, stored as ``compute(*key)`` on a
+    miss: a step is keyed on exactly what it is computed from."""
+    value = memo.get(key)
+    if value is None:
+        value = capped_store(memo, key, compute(*key), STEP_MEMO_CAP)
+    return value
+
+
+def _covered(node: "_IacsmNode", v: SymmetricSubmodularValuation) -> int:
+    """``v``'s bundle size at ``node``: the ranked items its marginals cover."""
+    return _covered_ranks(v.marginals, node.ranked)
 
 
 class _IacsmNode:
@@ -155,32 +165,66 @@ class _IacsmNode:
                      bundle_history=tuple(node.bundle for node in steps))
 
 
-def _iacsm_root(inst: Instance, scale: Rat) -> _IacsmNode:
-    memo, n = inst.step_memo, inst.n
-    node = memo.get(scale)
-    if node is None:
-        full = (1 << n) - 1
-        node = capped_store(memo, scale, _IacsmNode(
-            None, None, 0, [fn(full) / n for fn in inst.cost_model.items], [full] * inst.m,
-            scale), STEP_MEMO_CAP)
-    return node
+def _iacsm_leaves(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
+                  scale: Rat) -> Iterator[tuple[_IacsmNode, tuple[int, ...]]]:
+    """Every trie leaf some profile of ``product(*spaces)`` reaches, once,
+    with the first such profile in product order.
 
+    Player i reports from ``spaces[i]``. A report reaches a leaf only through
+    its covered count at each node where its player is still active, so the
+    profiles that reach one leaf form a product S_1 x ... x S_n of per-player
+    index sets; the leaf comes with ``(min S_1, ..., min S_n)``.
 
-def _covered(memo: dict, node: _IacsmNode, v: SymmetricSubmodularValuation) -> int:
-    """``v``'s bundle size at ``node``: the ranked items its marginals cover."""
-    key = (node, v)
-    size = memo.get(key)
-    if size is None:
-        size = capped_store(memo, key, _covered_ranks(v.marginals, node.ranked), STEP_MEMO_CAP)
-    return size
+    The walk runs depth-first from the scale's root. At each node it groups
+    each active player's indices by covered count and branches once per
+    finalization ``(size, player)`` that can be the least ``(count, player)``
+    among the active players: the smallest bundle wins, lowest index first.
+    The player then keeps the indices with count ``size``, and every other
+    active player those whose ``(count, q)`` lies above it. A player with
+    an empty space reaches no leaf. Every report is checked before the walk
+    starts.
+    """
+    if not inst.is_separable:
+        raise MechanismPreconditionError("iacsm-requires-separable-costs")
+    spaces = list(spaces)
+    reports = [v for space in spaces for v in space]
+    _check_profile(inst, len(spaces), reports)
+    _check_ascending(reports, scale)
 
+    n, m = inst.n, inst.m
+    memo, cost_fns = inst.step_memo, inst.cost_model.items
+    full = (1 << n) - 1
+    root = _step(memo, (scale,), lambda scale: _IacsmNode(
+        None, None, 0, [fn(full) / n for fn in cost_fns], [full] * m, scale))
 
-def _finalize(memo: dict, cost_fns, node: _IacsmNode, player: int, size: int) -> _IacsmNode:
-    key = (node, player, size)
-    child = memo.get(key)
-    if child is None:
-        child = capped_store(memo, key, node.child(cost_fns, player, size), STEP_MEMO_CAP)
-    return child
+    def finalize(node, player, size):
+        return node.child(cost_fns, player, size)
+
+    # (node, active players, each player's ascending index list)
+    stack = [(root, tuple(range(n)), tuple(map(range, map(len, spaces))))]
+    while stack:
+        node, active, sets = stack.pop()
+        if not active:
+            yield node, tuple(map(min, sets))
+            continue
+        counted = {}
+        for p in active:
+            space = spaces[p]
+            counted[p] = [(_step(memo, (node, space[k]), _covered), k) for k in sets[p]]
+        for size, player in sorted({(c, p) for p, pairs in counted.items() for c, _ in pairs}):
+            branch = list(sets)
+            for q, pairs in counted.items():
+                if q == player:
+                    branch[q] = [k for c, k in pairs if c == size]
+                else:
+                    # the lowest index wins ties: q's (count, q) lies above (size, player)
+                    low = size if q > player else size + 1
+                    branch[q] = [k for c, k in pairs if c >= low]
+            if not all(branch):
+                # a player with no key above this candidate has none above a later one
+                break
+            stack.append((_step(memo, (node, player, size), finalize),
+                          tuple(p for p in active if p != player), tuple(branch)))
 
 
 def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
@@ -191,94 +235,29 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
     ``first_iteration_quote_scale`` rescales the prices quoted for bundle
     selection in the first iteration only; anything other than 1 deliberately
     breaks the mechanism and exists as a negative control for the
-    strategyproofness search.
+    strategyproofness search. The run is the one leaf of the trie walk over
+    one-report spaces.
     """
-    if not inst.is_separable:
-        raise MechanismPreconditionError("iacsm-requires-separable-costs")
-    decl = _declared_profile(inst, declared)
-    _check_ascending(decl, first_iteration_quote_scale)
-
-    memo, cost_fns = inst.step_memo, inst.cost_model.items
-    node = _iacsm_root(inst, first_iteration_quote_scale)
-    active = list(range(inst.n))
-    for _ in range(inst.n):
-        # the smallest bundle wins, lowest index first
-        size, player = min((_covered(memo, node, decl[i]), i) for i in active)
-        active.remove(player)
-        node = _finalize(memo, cost_fns, node, player, size)
-    return node.outcome(inst.n, inst.m), node.trace(inst.m)
+    decl = inst.valuations if declared is None else declared
+    [(leaf, _)] = _iacsm_leaves(inst, [[v] for v in decl], first_iteration_quote_scale)
+    return leaf.outcome(inst.n, inst.m), leaf.trace(inst.m)
 
 
-def iacsm_classes(inst: Instance, coalition: Sequence[int],
-                  space: Sequence[ValuationFn], *,
+def iacsm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]], *,
                   first_iteration_quote_scale: Rat = Fraction(1)
                   ) -> Iterator[tuple[Outcome, tuple[int, ...]]]:
-    """The ``iacsm`` outcomes of every joint misreport of ``coalition``.
+    """The ``iacsm`` outcomes of every profile in which player i reports
+    from ``spaces[i]``.
 
-    A profile gives the coalition's t-th member ``space[k_t]`` and every
-    other player its true valuation. A report reaches an outcome only
-    through its covered count at each trie node where its player is still
-    active, so the profiles that reach one trie leaf form a product
-    S_1 x ... x S_k of per-member index sets, one class. Yields
-    ``(outcome, first)`` once per class that some profile reaches, with the
-    same ``Outcome`` object ``iacsm_run`` returns for any profile in it, and
-    ``first = (min S_1, ..., min S_k)``, the class's first profile in
-    product order.
-
-    The walk runs depth-first from the scale's root. At each node it groups
-    each active member's indices by covered count and branches once per
-    finalization ``(size, player)`` that can be the least among the active
-    players, as in ``iacsm_run``: smallest count first, lowest player on
-    ties. Every other active member then keeps the indices whose
-    ``(count, member)`` lies above it. Checks what ``iacsm_run`` checks of
-    every profile in the product, once, before the walk.
+    Yields ``(outcome, first)`` once per class of profiles that reach one
+    trie leaf, with the same ``Outcome`` object ``iacsm_run`` returns for any
+    profile in it, and ``first``, one index per player, the class's first
+    profile in product order. Checks what ``iacsm_run`` checks of every
+    profile in the product, once, before the walk.
     """
-    if not inst.is_separable:
-        raise MechanismPreconditionError("iacsm-requires-separable-costs")
-    try:
-        members = [operator.index(i) for i in coalition]
-    except TypeError:
-        raise MechanismPreconditionError("coalition entries must be player indices") from None
     n, m = inst.n, inst.m
-    if len(set(members)) != len(members) or not all(0 <= i < n for i in members):
-        raise MechanismPreconditionError("coalition must be distinct players")
-    space = list(space)
-    truthful = [v for i, v in enumerate(inst.valuations) if i not in members]
-    _check_item_counts(inst, truthful + space)
-    _check_ascending(truthful + space, first_iteration_quote_scale)
-
-    memo, cost_fns = inst.step_memo, inst.cost_model.items
-    slot = {p: t for t, p in enumerate(members)}
-    # (node, active players, each member's ascending index list)
-    stack = [(_iacsm_root(inst, first_iteration_quote_scale), tuple(range(n)),
-              (range(len(space)),) * len(members))]
-    while stack:
-        node, active, sets = stack.pop()
-        if not active:
-            yield node.outcome(n, m), tuple(s[0] for s in sets)
-            continue
-        # the least (count, player) of the truthful players bounds every finalization
-        fixed = min(((_covered(memo, node, inst.valuations[p]), p) for p in active
-                     if p not in slot), default=None)
-        counted = {p: [(_covered(memo, node, space[k]), k) for k in sets[slot[p]]]
-                   for p in active if p in slot}
-        candidates = {(c, p) for p, pairs in counted.items() for c, _ in pairs}
-        if fixed is not None:
-            candidates = {key for key in candidates if key < fixed} | {fixed}
-        for size, player in sorted(candidates):
-            branch = list(sets)
-            for q, pairs in counted.items():
-                if q == player:
-                    branch[slot[q]] = [k for c, k in pairs if c == size]
-                else:
-                    # q's own (count, q) must lie above (size, player)
-                    low = size if q > player else size + 1
-                    branch[slot[q]] = [k for c, k in pairs if c >= low]
-            if not all(branch):
-                # a member with no key above this candidate has none above a later one
-                break
-            stack.append((_finalize(memo, cost_fns, node, player, size),
-                          tuple(p for p in active if p != player), tuple(branch)))
+    for leaf, first in _iacsm_leaves(inst, spaces, first_iteration_quote_scale):
+        yield leaf.outcome(n, m), first
 
 
 def incremental_costs(inst: Instance, bundles: Sequence[int], i: int) -> list[Rat]:
@@ -301,7 +280,7 @@ def incremental_costs(inst: Instance, bundles: Sequence[int], i: int) -> list[Ra
     return [c - cost[0] for c in cost]
 
 
-def _sm_step(inst: Instance, bundles: Sequence[int], i: int,
+def _sm_step(inst: Instance, i: int, bundles: Sequence[int],
              v: ValuationFn) -> tuple[int, Rat]:
     """Player i's bundle mask and payment after ``bundles``."""
     price = incremental_costs(inst, bundles, i)
@@ -328,17 +307,14 @@ def sm_run(inst: Instance, order: Sequence[int] | None = None,
         raise MechanismPreconditionError("order entries must be player indices") from None
     if sorted(seq) != list(range(n)):
         raise MechanismPreconditionError("order must be a permutation of the players")
-    decl = _declared_profile(inst, declared)
+    decl = list(inst.valuations) if declared is None else list(declared)
+    _check_profile(inst, len(decl), decl)
 
-    memo = inst.step_memo
+    memo, step = inst.step_memo, partial(_sm_step, inst)
     bundles = [0] * n
     payments: list[Rat] = [Fraction(0)] * n
     for i in seq:
-        key = (i, tuple(bundles), decl[i])
-        step = memo.get(key)
-        if step is None:
-            step = capped_store(memo, key, _sm_step(inst, bundles, i, decl[i]), STEP_MEMO_CAP)
-        bundles[i], payments[i] = step
+        bundles[i], payments[i] = _step(memo, (i, tuple(bundles), decl[i]), step)
 
     return Outcome(Allocation(tuple(bundles), m), tuple(payments))
 

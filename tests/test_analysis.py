@@ -373,12 +373,10 @@ def shared_outcome_run(truth, deviation, quorum):
 def singleton_classes(run, scale):
     """A stand-in for iacsm_classes over a stand-in run: every profile is a
     class of its own, and the classes come in reverse product order."""
-    def classes(inst, coalition, space, *, first_iteration_quote_scale):
+    def classes(inst, spaces, *, first_iteration_quote_scale):
         assert first_iteration_quote_scale == scale
-        for first in reversed(list(product(range(len(space)), repeat=len(coalition)))):
-            declared = list(inst.valuations)
-            for member, k in zip(coalition, first):
-                declared[member] = space[k]
+        for first in reversed(list(product(*(range(len(s)) for s in spaces)))):
+            declared = [s[k] for s, k in zip(spaces, first)]
             yield run(inst, declared, first_iteration_quote_scale)[0], first
     return classes
 
@@ -429,6 +427,17 @@ def classes_instances(rng):
             yield Instance(valuations=vals, cost_model=SeparableCosts(items), m=m)
 
 
+def first_reach_of_product(inst, spaces, scale):
+    """id(outcome) -> (outcome, first profile in product order reaching it),
+    one iacsm_run per profile of ``product(*spaces)``."""
+    first_reach = {}
+    for first in product(*(range(len(s)) for s in spaces)):
+        outcome, _ = iacsm_run(inst, [s[k] for s, k in zip(spaces, first)],
+                               first_iteration_quote_scale=scale)
+        first_reach.setdefault(id(outcome), (outcome, first))
+    return first_reach
+
+
 @pytest.mark.parametrize("scale", [F(1), F(1, 2)], ids=["iacsm", "underquote"])
 def test_iacsm_classes_are_the_iacsm_run_leaves_of_the_product(scale):
     """Every profile of the product reaches the Outcome object of exactly one
@@ -438,17 +447,57 @@ def test_iacsm_classes_are_the_iacsm_run_leaves_of_the_product(scale):
     for inst in classes_instances(rng):
         space = symmetric_marginal_space(inst.m, [0, 1, 2, 4])
         for coalition in [c for size in (2, 3) for c in combinations(range(inst.n), size)]:
-            classes = list(iacsm_classes(inst, coalition, space,
-                                         first_iteration_quote_scale=scale))
-            first_reach = {}
-            for first in product(range(len(space)), repeat=len(coalition)):
-                declared = list(inst.valuations)
-                for member, k in zip(coalition, first):
-                    declared[member] = space[k]
-                outcome, _ = iacsm_run(inst, declared, first_iteration_quote_scale=scale)
-                first_reach.setdefault(id(outcome), (outcome, first))
+            spaces = [space if i in coalition else [v] for i, v in enumerate(inst.valuations)]
+            classes = list(iacsm_classes(inst, spaces, first_iteration_quote_scale=scale))
             assert len({id(outcome) for outcome, _ in classes}) == len(classes)
-            assert {id(outcome): (outcome, first) for outcome, first in classes} == first_reach
+            assert ({id(outcome): (outcome, first) for outcome, first in classes}
+                    == first_reach_of_product(inst, spaces, scale))
+
+
+@pytest.mark.parametrize("scale", [F(1), F(1, 2)], ids=["iacsm", "underquote"])
+def test_iacsm_walk_over_unequal_spaces_yields_each_iacsm_run_leaf_once(scale):
+    """Three or more players each report from their own list of 2-4
+    valuations: the walk yields exactly the leaves iacsm_run reaches over
+    the product, each once and with its first profile, and iacsm_run returns
+    the Outcome object of the walk's class for every profile."""
+    rng = random.Random(f"iacsm-unequal-{scale}")
+    for inst in classes_instances(rng):
+        pool = symmetric_marginal_space(inst.m, [0, F(1, 2), 1, 2, 3, 4])
+        for shift in range(3):
+            # sizes 2, 3 and 4 in turn, and a fourth player with one report
+            sizes = [2 + (i + shift) % 3 if i < 3 else 1 for i in range(inst.n)]
+            spaces = [rng.sample(pool, size) for size in sizes]
+            leaves = list(mechanisms._iacsm_leaves(inst, spaces, scale))
+            assert len({id(leaf) for leaf, _ in leaves}) == len(leaves)
+            assert all(len(first) == inst.n for _, first in leaves)
+            first_reach = first_reach_of_product(inst, spaces, scale)
+            assert {id(leaf.outcome(inst.n, inst.m)): (leaf.outcome(inst.n, inst.m), first)
+                    for leaf, first in leaves} == first_reach
+            classes = list(iacsm_classes(inst, spaces, first_iteration_quote_scale=scale))
+            assert [(id(o), first) for o, first in classes] == \
+                [(id(leaf.outcome(inst.n, inst.m)), first) for leaf, first in leaves]
+
+
+def test_iacsm_walk_with_an_empty_space_yields_no_class():
+    rng = random.Random("iacsm-empty-space")
+    for inst in classes_instances(rng):
+        space = symmetric_marginal_space(inst.m, [0, 1, 2, 4])
+        for empty in range(inst.n):
+            spaces = [[] if i == empty else space for i in range(inst.n)]
+            assert list(iacsm_classes(inst, spaces)) == []
+            assert list(mechanisms._iacsm_leaves(inst, spaces, F(1, 2))) == []
+
+
+def test_iacsm_walk_refuses_a_wrong_length_profile_as_iacsm_run_does():
+    inst = next(classes_instances(random.Random("iacsm-length")))
+    space = symmetric_marginal_space(inst.m, [0, 1, 2])
+    for length in (0, inst.n - 1, inst.n + 1):
+        with pytest.raises(MechanismPreconditionError) as run_error:
+            iacsm_run(inst, inst.valuations[:1] * length)
+        with pytest.raises(MechanismPreconditionError) as walk_error:
+            list(iacsm_classes(inst, [space] * length))
+        assert str(walk_error.value) == str(run_error.value) == \
+            "declared profile length differs from n"
 
 
 def test_wgsp_iacsm_search_runs_iacsm_once(monkeypatch):
@@ -487,12 +536,9 @@ def test_wgsp_iacsm_checks_the_space_before_any_profile(mechanism):
         assert str(search_error.value) == str(run_error.value)
     with pytest.raises(MechanismPreconditionError, match="iacsm-requires-symmetric-submodular"):
         wgsp_search(inst, mechanism, 2, space + [TableValuation.from_values([0, 1])])
-    for coalition in ((0, 0), (2,), (0.5,)):
-        with pytest.raises(MechanismPreconditionError, match="coalition"):
-            list(iacsm_classes(inst, coalition, space, first_iteration_quote_scale=scale))
     ns = Instance(valuations=inst.valuations, cost_model=count_served_cost(2, 1), m=1)
     with pytest.raises(MechanismPreconditionError, match="separable"):
-        list(iacsm_classes(ns, (0,), space, first_iteration_quote_scale=scale))
+        list(iacsm_classes(ns, [space, [sym(4)]], first_iteration_quote_scale=scale))
 
 
 @pytest.mark.parametrize("mechanism", analysis.MECHANISM_IDS)

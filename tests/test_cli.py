@@ -373,6 +373,22 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert "line 4" in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "{dir}"), ("check", "{dir}"), ("suite", "{dir}"),
+    ("run", "{binary}"), ("alpha", "{binary}"), ("gen", "set-cover", "--out", "{dir}"),
+], ids=["run-dir", "check-dir", "suite-dir", "run-binary", "alpha-binary", "gen-out-dir"])
+def test_cli_bad_path_exits_2_without_a_traceback(tmp_path, capsys, argv):
+    """A directory where a file is read or written, or a file that is not
+    text, ends in ``error: ...`` and exit status 2."""
+    binary = tmp_path / "program"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    capsys.readouterr()
+    assert main([a.format(dir=tmp_path, binary=binary) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_main_callable_in_process(capsys):
     code = main(["alpha", "decreasing-average"])
     out = capsys.readouterr().out
