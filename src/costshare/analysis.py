@@ -50,6 +50,12 @@ def social_cost(inst: Instance, a: Allocation) -> Rat:
     return allocation_cost(inst, a) + missed
 
 
+def _require_optimum_size(inst: Instance) -> None:
+    if inst.n * inst.m > MAX_OPTIMUM_CELLS:
+        raise GroundSetTooLargeError(
+            f"optimum enumerates (2^m)^n allocations; n*m <= {MAX_OPTIMUM_CELLS} required")
+
+
 def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     """Exact minimum social cost with the lexicographically smallest witness.
 
@@ -62,10 +68,8 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     non-separable. Index order is lexicographic bundle-tuple order, so
     argmin's first minimizer is the lexicographically smallest witness.
     """
+    _require_optimum_size(inst)
     n, m = inst.n, inst.m
-    if n * m > MAX_OPTIMUM_CELLS:
-        raise GroundSetTooLargeError(
-            f"optimum enumerates (2^m)^n allocations; n*m <= {MAX_OPTIMUM_CELLS} required")
     full = (1 << m) - 1
     tables = [(ints[full] - ints, denom) for ints, denom in
               (as_table(v).fn.int_table() for v in inst.valuations)]
@@ -114,8 +118,8 @@ class RunReport:
     total_payment: Rat
     budget_ratio: Rat | None
     social_cost: Rat
-    optimal_social_cost: Rat | None
-    optimal_allocation: Allocation | None
+    optimal_social_cost: Rat
+    optimal_allocation: Allocation
     approx_ratio: Rat | None
     flags: InvariantFlags
 
@@ -127,18 +131,15 @@ def _ratio(numer: Rat, denom: Rat) -> Rat | None:
 
 
 def evaluate_run(inst: Instance, mechanism: str = "iacsm", *,
-                 order: Sequence[int] | None = None,
-                 compute_optimum: bool = True) -> RunReport:
-    """Run a mechanism truthfully and assemble the full report."""
+                 order: Sequence[int] | None = None) -> RunReport:
+    """Run a mechanism truthfully and assemble the full report. An instance
+    too large for the exhaustive optimum is refused before the mechanism runs."""
+    _require_optimum_size(inst)
     outcome, trace = _run_mechanism(mechanism, inst, order=order)
     cost = allocation_cost(inst, outcome.allocation)
     total = outcome.total_payment
     social = social_cost(inst, outcome.allocation)
-
-    optimum = opt_alloc = approx = None
-    if compute_optimum:
-        optimum, opt_alloc = optimal_social_cost(inst)
-        approx = _ratio(social, optimum)
+    optimum, opt_alloc = optimal_social_cost(inst)
 
     npt = all(p >= 0 for p in outcome.payments)
     ir = all(p <= v.value(b) for v, b, p in
@@ -153,7 +154,7 @@ def evaluate_run(inst: Instance, mechanism: str = "iacsm", *,
                      cost=cost, total_payment=total,
                      budget_ratio=_ratio(total, cost),
                      social_cost=social, optimal_social_cost=optimum,
-                     optimal_allocation=opt_alloc, approx_ratio=approx,
+                     optimal_allocation=opt_alloc, approx_ratio=_ratio(social, optimum),
                      flags=flags)
 
 

@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial, reduce
+from operator import or_
 
 from ..core import (Instance, Rat, SeparableCosts, SetFunction, bits,
                     format_rat, mask_of)
 from ..costs import (count_served_cost, lifted_separable_cost, matching_cost,
                      max_item_cost, set_cover_cost, table_cost,
                      union_items_cost, vertex_cover_cost)
-from ..valuations import (SymmetricSubmodularValuation, TableValuation,
-                          ValuationFn)
+from ..valuations import SymmetricSubmodularValuation, TableValuation
 
 HEADER = "costshare-instance v1"
 
@@ -49,152 +51,135 @@ class InstanceParseError(ValueError):
         self.line = line
 
 
-def _rat(tok: str, line: int) -> Rat:
+def _rat(tok: str) -> Rat:
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceParseError(f"bad rational {tok!r}: {exc}", line)
+        raise ValueError(f"bad rational {tok!r}: {exc}")
 
 
-def _int(tok: str, line: int) -> int:
+def _int(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise InstanceParseError(f"bad integer {tok!r}", line)
+        raise ValueError(f"bad integer {tok!r}")
+
+
+@contextmanager
+def _faults_on(line: int):
+    """Report a ValueError raised in the block as an InstanceParseError on ``line``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InstanceParseError(str(exc), line)
+
+
+def _rats(toks: list[str], count: int, what: str, unit: str) -> list[Rat]:
+    if len(toks) != count:
+        raise ValueError(f"{what} needs {count} {unit}, got {len(toks)}")
+    return [_rat(v) for v in toks]
+
+
+def _set_cover_cost(n: int, groups: list[str]) -> SetFunction:
+    family = [mask_of(_int(e) for e in grp.split(",")) for grp in groups]
+    fn = set_cover_cost(n, family)  # refuses sets outside the universe first
+    uncovered = ~reduce(or_, family, 0) & ((1 << n) - 1)
+    if uncovered:
+        raise ValueError(f"no set-cover family set holds player {next(bits(uncovered))}")
+    return fn
+
+
+def _edge_cost(variant: str, build, n: int, groups: list[str]) -> SetFunction:
+    edges = [(_int(u), _int(v)) for u, _, v in (grp.partition("-") for grp in groups)]
+    if len(edges) != n:
+        raise ValueError(f"{variant} cost needs one edge per player ({n}), got {len(edges)}")
+    return build(edges)
+
+
+# directive: (the count that must precede it, {variant: builder(count, tokens)})
+_INDEXED = {
+    "valuation": ("m", {
+        "symmetric": lambda m, toks: SymmetricSubmodularValuation(
+            tuple(_rats(toks, m, "symmetric valuation", "marginals"))),
+        "table": lambda m, toks: TableValuation.from_values(
+            _rats(toks, 1 << m, "table valuation", "values"))}),
+    "cost": ("n", {
+        "table": lambda n, toks: table_cost(_rats(toks, 1 << n, "cost table", "values")),
+        "set-cover": _set_cover_cost,
+        "vertex-cover": partial(_edge_cost, "vertex-cover", vertex_cover_cost),
+        "matching": partial(_edge_cost, "matching", matching_cost)}),
+}
+# nonseparable builtins over the cost lines (None: separable), then those with a weight
+_OVER_COST_LINES = {None: lambda sep, n: sep, "lifted": lifted_separable_cost,
+                    "max-item": max_item_cost}
+_WEIGHTED = {"count-served": count_served_cost, "union-items": union_items_cost}
 
 
 def parse_instance(text: str) -> Instance:
+    """Parse an instance file. Every fault is one InstanceParseError that
+    names one line: its own, the last for a missing count, valuation or cost
+    line, or the ``nonseparable`` line for a bad builtin or weight."""
     lines = text.splitlines()
-    n = m = None
-    valuations: dict[int, ValuationFn] = {}
-    costs: dict[int, SetFunction] = {}
-    nonsep: tuple[str, list[str], int] | None = None
+    sizes: dict[str, int] = {}
+    found: dict[str, dict] = {"valuation": {}, "cost": {}}
+    name, args, at = None, [], len(lines)  # the nonseparable line, if any
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not line or line == HEADER and (lineno == 1 or not (sizes or found["valuation"])):
             continue
-        if lineno == 1 or (n is None and m is None and not valuations):
-            if line == HEADER:
-                continue
         toks = line.split()
         key = toks[0]
-        if key in ("n", "m", "valuation", "cost") and len(toks) < 2:
-            raise InstanceParseError(f"{key} needs a value", lineno)
-        if key in ("n", "m"):
-            if (n if key == "n" else m) is not None:
-                raise InstanceParseError(f"{key} given twice", lineno)
-            count = _int(toks[1], lineno)
-            if count < 1:
-                raise InstanceParseError(f"{key} must be at least 1, got {count}", lineno)
-            if key == "n":
-                n = count
+        with _faults_on(lineno):
+            if key in ("n", "m", *_INDEXED) and len(toks) < 2:
+                raise ValueError(f"{key} needs a value")
+            if key in ("n", "m"):
+                if key in sizes:
+                    raise ValueError(f"{key} given twice")
+                count = _int(toks[1])
+                if count < 1:
+                    raise ValueError(f"{key} must be at least 1, got {count}")
+                sizes[key] = count
+            elif key in _INDEXED:
+                size_key, builders = _INDEXED[key]
+                if size_key not in sizes:
+                    raise ValueError(f"{size_key} must precede {key} lines")
+                idx = _int(toks[1])
+                if idx in found[key]:
+                    raise ValueError(f"{key} {idx} given twice")
+                variant = toks[2] if len(toks) > 2 else ""
+                if variant not in builders:
+                    raise ValueError(f"unknown {key} variant {variant!r}")
+                found[key][idx] = builders[variant](sizes[size_key], toks[3:])
+            elif key == "nonseparable":
+                if len(toks) < 2:
+                    raise ValueError("nonseparable needs a builtin name")
+                name, args, at = toks[1], toks[2:], lineno
             else:
-                m = count
-        elif key == "valuation":
-            if m is None:
-                raise InstanceParseError("m must precede valuation lines", lineno)
-            idx = _int(toks[1], lineno)
-            if idx in valuations:
-                raise InstanceParseError(f"valuation {idx} given twice", lineno)
-            variant = toks[2] if len(toks) > 2 else ""
-            vals = toks[3:]
-            try:
-                if variant == "symmetric":
-                    if len(vals) != m:
-                        raise InstanceParseError(
-                            f"symmetric valuation needs {m} marginals, got {len(vals)}", lineno)
-                    valuations[idx] = SymmetricSubmodularValuation(
-                        tuple(_rat(v, lineno) for v in vals))
-                elif variant == "table":
-                    if len(vals) != 1 << m:
-                        raise InstanceParseError(
-                            f"table valuation needs {1 << m} values, got {len(vals)}", lineno)
-                    valuations[idx] = TableValuation.from_values([_rat(v, lineno) for v in vals])
-                else:
-                    raise InstanceParseError(f"unknown valuation variant {variant!r}", lineno)
-            except InstanceParseError:
-                raise
-            except ValueError as exc:
-                raise InstanceParseError(str(exc), lineno)
-        elif key == "cost":
-            if n is None:
-                raise InstanceParseError("n must precede cost lines", lineno)
-            idx = _int(toks[1], lineno)
-            if idx in costs:
-                raise InstanceParseError(f"cost {idx} given twice", lineno)
-            variant = toks[2] if len(toks) > 2 else ""
-            rest = toks[3:]
-            try:
-                if variant == "table":
-                    if len(rest) != 1 << n:
-                        raise InstanceParseError(
-                            f"cost table needs {1 << n} values, got {len(rest)}", lineno)
-                    costs[idx] = table_cost([_rat(v, lineno) for v in rest])
-                elif variant == "set-cover":
-                    family = [mask_of(_int(e, lineno) for e in grp.split(","))
-                              for grp in rest]
-                    costs[idx] = set_cover_cost(n, family)
-                    covered = 0
-                    for subset in family:
-                        covered |= subset
-                    if covered != (1 << n) - 1:
-                        missing = next(bits(~covered & ((1 << n) - 1)))
-                        raise InstanceParseError(
-                            f"no set-cover family set holds player {missing}", lineno)
-                elif variant in ("vertex-cover", "matching"):
-                    edges = []
-                    for grp in rest:
-                        u, _, v = grp.partition("-")
-                        edges.append((_int(u, lineno), _int(v, lineno)))
-                    if len(edges) != n:
-                        raise InstanceParseError(
-                            f"{variant} cost needs one edge per player ({n}), got {len(edges)}",
-                            lineno)
-                    builder = vertex_cover_cost if variant == "vertex-cover" else matching_cost
-                    costs[idx] = builder(edges)
-                else:
-                    raise InstanceParseError(f"unknown cost variant {variant!r}", lineno)
-            except InstanceParseError:
-                raise
-            except ValueError as exc:
-                raise InstanceParseError(str(exc), lineno)
-        elif key == "nonseparable":
-            if len(toks) < 2:
-                raise InstanceParseError("nonseparable needs a builtin name", lineno)
-            nonsep = (toks[1], toks[2:], lineno)
-        else:
-            raise InstanceParseError(f"unknown directive {key!r}", lineno)
+                raise ValueError(f"unknown directive {key!r}")
 
-    if n is None or m is None:
-        raise InstanceParseError("missing n or m", len(lines))
-    if sorted(valuations) != list(range(n)):
-        raise InstanceParseError(f"need valuations 0..{n - 1}", len(lines))
-
-    def separable() -> SeparableCosts:
-        if sorted(costs) != list(range(m)):
-            raise InstanceParseError(f"need costs 0..{m - 1}", len(lines))
-        return SeparableCosts(tuple(costs[j] for j in range(m)))
-
-    if nonsep is None:
-        cost_model = separable()
-    else:
-        name, args, at = nonsep
-        if name == "lifted":
-            cost_model = lifted_separable_cost(separable(), n)
-        elif name == "max-item":
-            cost_model = max_item_cost(separable(), n)
-        elif name in ("count-served", "union-items"):
+    valuations, costs = found["valuation"], found["cost"]
+    with _faults_on(len(lines)):
+        if "n" not in sizes or "m" not in sizes:
+            raise ValueError("missing n or m")
+        n, m = sizes["n"], sizes["m"]
+        if sorted(valuations) != list(range(n)):
+            raise ValueError(f"need valuations 0..{n - 1}")
+        if name in _OVER_COST_LINES and sorted(costs) != list(range(m)):
+            raise ValueError(f"need costs 0..{m - 1}")
+    with _faults_on(at):
+        if name in _OVER_COST_LINES:
+            sep = SeparableCosts(tuple(costs[j] for j in range(m)))
+            cost_model = _OVER_COST_LINES[name](sep, n)
+        elif name in _WEIGHTED:
             if costs:
-                raise InstanceParseError(
-                    f"cost lines are not allowed with nonseparable {name}", at)
-            weight = _rat(args[0], at) if args else Fraction(1)
+                raise ValueError(f"cost lines are not allowed with nonseparable {name}")
+            weight = _rat(args[0]) if args else Fraction(1)
             if weight < 0:
-                raise InstanceParseError(f"{name} weight must be non-negative", at)
-            builder = count_served_cost if name == "count-served" else union_items_cost
-            cost_model = builder(n, m, weight)
+                raise ValueError(f"{name} weight must be non-negative")
+            cost_model = _WEIGHTED[name](n, m, weight)
         else:
-            raise InstanceParseError(f"unknown nonseparable builtin {name!r}", at)
+            raise ValueError(f"unknown nonseparable builtin {name!r}")
 
     vs = tuple(valuations[i] for i in range(n))
     return Instance(valuations=vs, cost_model=cost_model, m=m)

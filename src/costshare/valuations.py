@@ -9,7 +9,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import GroundSetTooLargeError, Rat, SetFunction, as_rat
+from .core import GroundSetTooLargeError, Rat, SetFunction, as_rat, popcounts
 
 MAX_CLASSIFY_GROUND = 16
 PAIR_CHUNK_BITS = 8
@@ -123,44 +123,39 @@ def _subadditive_on_disjoint_pairs(arr: np.ndarray, n: int) -> bool:
     return True
 
 
+def _nondecreasing(arr: np.ndarray, n: int) -> bool:
+    """Whether adding any of the n elements never lowers the table arr."""
+    return all(bool(np.all((p := arr.reshape(-1, 2, 1 << i))[:, 1] >= p[:, 0]))
+               for i in range(n))
+
+
 def classify_set_function(fn: SetFunction) -> ClassFlags:
-    """Decide the standard function classes by exhaustive check of each definition."""
+    """Decide the standard function classes by exhaustive check of each definition;
+    submodularity as each element's marginal non-increasing in the other elements."""
     n = fn.ground_size
     if n > MAX_CLASSIFY_GROUND:
         raise GroundSetTooLargeError(
             f"class checks are exhaustive and limited to ground_size <= {MAX_CLASSIFY_GROUND}")
-    size = 1 << n
 
     # scaling by one positive constant keeps every comparison below; two
     # values under INT64_HEADROOM meet in one sum or difference at most
     arr = fn.int_table()[0]
-    idx = np.arange(size, dtype=np.int64)
-    nondec = all(
-        bool(np.all(arr[(idx | (1 << i))[(idx >> i) & 1 == 0]]
-                    >= arr[(idx >> i) & 1 == 0]))
-        for i in range(n))
-    submod = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            both = (1 << i) | (1 << j)
-            base = idx[(idx & both) == 0]
-            if not np.all(arr[base | (1 << i)] - arr[base]
-                          >= arr[base | both] - arr[base | (1 << j)]):
-                submod = False
-                break
-        if not submod:
-            break
+    nondec = _nondecreasing(arr, n)
+    submod = all(_nondecreasing((p[:, 0] - p[:, 1]).ravel(), n - 1)
+                 for p in (arr.reshape(-1, 2, 1 << i) for i in range(n)))
     if nondec:
         # f(S|T) <= f(S) + f(T minus S) <= f(S) + f(T): disjoint pairs decide
         subadd = _subadditive_on_disjoint_pairs(arr, n)
     else:
-        subadd = all(np.all(arr[s] + arr[s:] >= arr[idx[s:] | s]) for s in range(size))
+        idx = np.arange(1 << n, dtype=np.int64)
+        subadd = all(np.all(arr[s] + arr[s:] >= arr[idx[s:] | s]) for s in range(1 << n))
 
     # symmetric: every set costs what the set of its |S| lowest elements costs;
     # then xos-symmetric: level[k] / k is non-increasing, cross-multiplied
-    level = [int(arr[(1 << k) - 1]) for k in range(n + 1)]
-    symmetric = all(v == level[mask.bit_count()] for mask, v in enumerate(arr.tolist()))
-    xos_sym = symmetric and all(level[k] * (k + 1) >= level[k + 1] * k for k in range(1, n))
+    level = arr[(1 << np.arange(n + 1)) - 1]
+    symmetric = bool(np.array_equal(arr, level[popcounts(n)]))
+    xos_sym = symmetric and all(int(level[k]) * (k + 1) >= int(level[k + 1]) * k
+                                for k in range(1, n))
 
     return ClassFlags(nondecreasing=nondec, submodular=submod, symmetric=symmetric,
                       xos_symmetric=xos_sym, subadditive=subadd)

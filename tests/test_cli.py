@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costshare import core
+from costshare import analysis, core
 from costshare.core import SetFunction
 from costshare.cli.formats import (InstanceParseError, parse_instance,
                                    serialize_instance)
@@ -435,9 +435,32 @@ TWO_PLAYERS = ("costshare-instance v1\nn 2\nm 1\n"
      "line 5: bad rational 'x'"),
     ("costshare-instance v1\nn 2\nm 1\nvaluation 0 symmetric 1/1\nvaluation 1 table 0/1 x\n",
      "line 5: bad rational 'x'"),
+    ("costshare-instance v1\nn 2\nm 1\nm 1\n", "line 4: m given twice"),
+    ("costshare-instance v1\nn 0\nm 1\n", "line 2: n must be at least 1, got 0"),
+    ("costshare-instance v1\nn 2\nvaluation 0 symmetric 1/1\nm 1\n",
+     "line 3: m must precede valuation lines"),
+    ("costshare-instance v1\nm 1\ncost 0 table 0/1 1/1\nn 1\n",
+     "line 3: n must precede cost lines"),
+    (TWO_PLAYERS + "cost 0 table 0/1 1/1 1/1 2/1\nbudget 3/1\n",
+     "line 7: unknown directive 'budget'"),
+    ("costshare-instance v1\nn 2\nm 1\nvaluation 0 additive 1/1\n",
+     "line 4: unknown valuation variant 'additive'"),
+    (TWO_PLAYERS + "cost 0 steiner 0-1 1-2\n", "line 6: unknown cost variant 'steiner'"),
+    (TWO_PLAYERS + "nonseparable\n", "line 6: nonseparable needs a builtin name"),
+    (TWO_PLAYERS + "nonseparable count-served x\n", "line 6: bad rational 'x'"),
+    (TWO_PLAYERS + "cost 0 set-cover 0,x\n", "line 6: bad integer 'x'"),
+    (TWO_PLAYERS + "cost 0 vertex-cover 0-1\n",
+     "line 6: vertex-cover cost needs one edge per player (2), got 1"),
+    # the universe check precedes the coverage check: 5 lies outside {0, 1}
+    (TWO_PLAYERS + "cost 0 set-cover 0 1,5\n",
+     "line 6: family sets must be subsets of the player universe"),
 ], ids=["n-without-value", "repeated-valuation", "set-cover-misses-player",
         "negative-weight", "negative-vertex-id", "bad-rational-in-valuation-symmetric",
-        "bad-rational-in-valuation-table"])
+        "bad-rational-in-valuation-table", "repeated-m", "zero-n", "valuation-before-m",
+        "cost-before-n", "unknown-directive", "unknown-valuation-variant",
+        "unknown-cost-variant", "nonseparable-without-name", "bad-rational-weight",
+        "bad-integer-in-set-cover", "edge-count-differs-from-n",
+        "set-cover-set-outside-universe"])
 def test_cli_bad_instance_exits_2_with_line(tmp_path, capsys, text, message):
     path = tmp_path / "bad.inst"
     path.write_text(text)
@@ -531,6 +554,27 @@ def test_cli_run_past_optimum_size_limit_exits_2(tmp_path, capsys):
     assert main(["gen", "set-cover", "--param", "n=21", "--out", str(path)]) == 0
     assert main(["run", str(path), "--mechanism", "sm"]) == 2
     assert "n*m <= 20 required" in capsys.readouterr().err
+
+
+def test_cli_run_refuses_the_optimum_size_before_any_mechanism(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def spy(real):
+        def run(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return run
+
+    for name in ("sm_run", "iacsm_run"):
+        monkeypatch.setattr(analysis, name, spy(getattr(analysis, name)))
+    path = tmp_path / "sym6x4.inst"
+    assert main(["gen", "random-symmetric", "--param", "n=6", "--param", "m=4",
+                 "--out", str(path)]) == 0
+    for mechanism in ("iacsm", "sm"):
+        assert main(["run", str(path), "--mechanism", mechanism]) == 2
+        assert ("error: optimum enumerates (2^m)^n allocations; n*m <= 20 required"
+                in capsys.readouterr().err)
+    assert calls == []
 
 
 @pytest.mark.parametrize("config, message", [
