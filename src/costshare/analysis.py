@@ -50,7 +50,8 @@ def social_cost(inst: Instance, a: Allocation) -> Rat:
     return allocation_cost(inst, a) + missed
 
 
-def _require_optimum_size(inst: Instance) -> None:
+def require_optimum_size(inst: Instance) -> None:
+    """Refuse an instance too large for the exhaustive optimum."""
     if inst.n * inst.m > MAX_OPTIMUM_CELLS:
         raise GroundSetTooLargeError(
             f"optimum enumerates (2^m)^n allocations; n*m <= {MAX_OPTIMUM_CELLS} required")
@@ -68,7 +69,7 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     non-separable. Index order is lexicographic bundle-tuple order, so
     argmin's first minimizer is the lexicographically smallest witness.
     """
-    _require_optimum_size(inst)
+    require_optimum_size(inst)
     n, m = inst.n, inst.m
     full = (1 << m) - 1
     tables = [(ints[full] - ints, denom) for ints, denom in
@@ -134,7 +135,7 @@ def evaluate_run(inst: Instance, mechanism: str = "iacsm", *,
                  order: Sequence[int] | None = None) -> RunReport:
     """Run a mechanism truthfully and assemble the full report. An instance
     too large for the exhaustive optimum is refused before the mechanism runs."""
-    _require_optimum_size(inst)
+    require_optimum_size(inst)
     outcome, trace = _run_mechanism(mechanism, inst, order=order)
     cost = allocation_cost(inst, outcome.allocation)
     total = outcome.total_payment
@@ -280,6 +281,7 @@ def check_icb_bound(inst: Instance, order: Sequence[int] | None = None) -> bool:
     resulting sum is at most alpha*H_n*C(A*) for the min-bounded alpha and at
     most alpha*C(A*) for the max-bounded alpha (when finite).
     """
+    require_optimum_size(inst)
     n = inst.n
     seq = list(range(n)) if order is None else list(order)
     outcome = sm_run(inst, order=seq)

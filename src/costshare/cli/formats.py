@@ -211,11 +211,11 @@ def serialize_instance(inst: Instance) -> str:
             out.append(f"cost {j} {_serialize_cost(fn)}")
     else:
         C = inst.cost_model
-        if C.kind in ("lifted", "max-item"):
+        if C.kind in _OVER_COST_LINES:
             for j, fn in enumerate(C.meta["separable"].items):
                 out.append(f"cost {j} {_serialize_cost(fn)}")
             out.append(f"nonseparable {C.kind}")
-        elif C.kind in ("count-served", "union-items"):
+        elif C.kind in _WEIGHTED:
             out.append(f"nonseparable {C.kind} {format_rat(C.meta['weight'])}")
         else:
             raise ValueError(f"cannot serialize nonseparable cost kind {C.kind!r}")
@@ -234,14 +234,9 @@ def format_flag(x: bool | None) -> str:
     return "true" if x else "false"
 
 
-def write_report(rows: list[dict], stream) -> None:
-    writer = csv.DictWriter(stream, fieldnames=REPORT_FIELDS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-
-
 def report_text(rows: list[dict]) -> str:
     buf = io.StringIO()
-    write_report(rows, buf)
+    writer = csv.DictWriter(buf, fieldnames=REPORT_FIELDS)
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()

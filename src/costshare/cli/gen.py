@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ..core import Instance, SeparableCosts, mask_of
+from ..core import Instance, SeparableCosts, SetFunction, mask_of
 from ..costs import (capped_reciprocal_cost, decreasing_average_table,
                      matching_cost, set_cover_cost, sqrt_max_cost,
                      symmetric_submodular_cost, vertex_cover_cost)
@@ -89,9 +89,12 @@ def _symmetric_marginals(rng: random.Random, count: int, grid) -> tuple:
     return tuple(sorted((rng.choice(grid) for _ in range(count)), reverse=True))
 
 
-def _single_item_valuations(rng: random.Random, n: int, grid) -> tuple:
-    return tuple(TableValuation.from_values([Fraction(0), rng.choice(grid)])
-                 for _ in range(n))
+def _single_item(rng: random.Random, cost: SetFunction, grid) -> Instance:
+    """The one-item instance of ``cost``: one value from ``grid`` per player,
+    drawn after whatever the cost drew."""
+    vals = tuple(TableValuation.from_values([Fraction(0), rng.choice(grid)])
+                 for _ in range(cost.ground_size))
+    return Instance(valuations=vals, cost_model=SeparableCosts((cost,)), m=1)
 
 
 def gen_random_symmetric(params: dict, seed: int) -> Instance:
@@ -142,10 +145,7 @@ def gen_vertex_cover(params: dict, seed: int) -> Instance:
         k = _int_param(params, "k", 3)
         e = _int_param(params, "e", 6)
         edges = _grow_graph(rng, vertices, e, k, bipartite=False)
-    cost = vertex_cover_cost(edges)
-    n = cost.ground_size
-    return Instance(valuations=_single_item_valuations(rng, n, vgrid),
-                    cost_model=SeparableCosts((cost,)), m=1)
+    return _single_item(rng, vertex_cover_cost(edges), vgrid)
 
 
 def gen_matching(params: dict, seed: int) -> Instance:
@@ -156,10 +156,7 @@ def gen_matching(params: dict, seed: int) -> Instance:
     e = _int_param(params, "e", 6)
     bipartite = _choice(params, "shape", ("bipartite", "general")) == "bipartite"
     edges = _grow_graph(rng, vertices, e, k, bipartite=bipartite)
-    cost = matching_cost(edges)
-    n = cost.ground_size
-    return Instance(valuations=_single_item_valuations(rng, n, vgrid),
-                    cost_model=SeparableCosts((cost,)), m=1)
+    return _single_item(rng, matching_cost(edges), vgrid)
 
 
 def gen_set_cover(params: dict, seed: int) -> Instance:
@@ -178,9 +175,7 @@ def gen_set_cover(params: dict, seed: int) -> Instance:
     for e in range(n):
         if not (covered >> e) & 1:
             family.append(1 << e)
-    cost = set_cover_cost(n, family)
-    return Instance(valuations=_single_item_valuations(rng, n, vgrid),
-                    cost_model=SeparableCosts((cost,)), m=1)
+    return _single_item(rng, set_cover_cost(n, family), vgrid)
 
 
 def gen_paper_tight(params: dict, seed: int) -> Instance:
@@ -200,16 +195,13 @@ def gen_paper_intersection(params: dict, seed: int) -> Instance:
     rng = random.Random(seed)
     n = _int_param(params, "n", 4)
     vgrid = _grid(params, "vgrid")
-    return Instance(valuations=_single_item_valuations(rng, n, vgrid),
-                    cost_model=SeparableCosts((sqrt_max_cost(n),)), m=1)
+    return _single_item(rng, sqrt_max_cost(n), vgrid)
 
 
 def gen_paper_subadditivity(params: dict, seed: int) -> Instance:
     rng = random.Random(seed)
     vgrid = _grid(params, "vgrid")
-    cost = decreasing_average_table()
-    return Instance(valuations=_single_item_valuations(rng, 3, vgrid),
-                    cost_model=SeparableCosts((cost,)), m=1)
+    return _single_item(rng, decreasing_average_table(), vgrid)
 
 
 _GENERATORS = {

@@ -14,27 +14,23 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from ..core import (GroundSetTooLargeError, Instance, Rat, bits, format_rat,
+from ..core import (GroundSetTooLargeError, Instance, bits, format_rat,
                     harmonic)
 from ..costs import (MAX_ESTIMATOR_GROUND, MAX_NS_CELLS, AlphaReport,
                      alpha_average_decreasing, alpha_max_bounded,
                      alpha_max_bounded_ns, alpha_min_bounded,
                      alpha_min_bounded_ns, additive_cost,
                      capped_reciprocal_cost, decreasing_average_table,
-                     public_good_cost, sqrt_max_cost, two_tier_step_cost)
+                     public_good_cost, require_estimator_size,
+                     sqrt_max_cost, two_tier_step_cost)
 from ..mechanisms import MechanismPreconditionError
-from ..analysis import MECHANISM_IDS, evaluate_run, max_alpha
+from ..analysis import (MECHANISM_IDS, evaluate_run, max_alpha,
+                        require_optimum_size)
 from ..valuations import MAX_CLASSIFY_GROUND, check_class, classify_set_function
 from .formats import (InstanceParseError, format_flag, format_opt_rat,
                       parse_instance, report_text, serialize_instance)
 from .gen import (GEN_KINDS, GenParamError, _grid, _int_param, _rat_param,
                   generate)
-
-SUITE_CHECKS = (
-    "budget-exact", "budget-alpha", "approx-hn", "approx-2a3hn",
-    "approx-alpha-hn", "approx-alpha-max", "approx-n", "trace", "ir", "npt",
-    "alpha-combinatorial-bound",
-)
 
 
 def _mask_set(mask: int) -> str:
@@ -60,8 +56,12 @@ def _fmt_alpha(a) -> str:
 
 
 def _evaluated_row(instance_id: str, inst: Instance, mechanism: str, order):
-    """Run one instance: its report, alphas and CSV row. The row's
-    ``wall_time_s`` times ``evaluate_run`` only."""
+    """Run one instance: its report, alphas and CSV row. The optimum's size
+    limit, then the average-decreasing estimator's, refuse it before the
+    mechanism runs. The row's ``wall_time_s`` times ``evaluate_run`` only."""
+    require_optimum_size(inst)
+    if inst.is_separable:
+        require_estimator_size(inst.n)
     start = time.perf_counter()
     report = evaluate_run(inst, mechanism, order=order)
     wall = time.perf_counter() - start
@@ -98,8 +98,19 @@ def _trace_dump(report) -> str:
     return "\n".join(out) + "\n"
 
 
-def _combinatorial_alpha_bound(inst: Instance) -> Rat | None:
-    """Structural bound on the max-bounded parameter for cover/matching costs."""
+def _finite(alpha) -> bool:
+    """Whether an ``_instance_alphas`` entry is a number: not unbounded, not n/a."""
+    return alpha not in ("", None)
+
+
+def _within(report, factor) -> bool:
+    """Whether the social cost is at most ``factor`` times the optimum."""
+    return report.social_cost <= factor * report.optimal_social_cost
+
+
+def _within_combinatorial_bound(inst: Instance, max_b) -> bool | None:
+    """Whether the max-bounded parameter is within the structural bound of
+    the cover/matching costs; None when the instance has no such cost."""
     if not inst.is_separable:
         return None
     bound = None
@@ -119,48 +130,24 @@ def _combinatorial_alpha_bound(inst: Instance) -> Rat | None:
         else:
             continue
         bound = this if bound is None else max(bound, this)
-    return bound
+    return None if bound is None else _finite(max_b) and max_b <= bound
 
 
-def _check_passes(name: str, inst: Instance, report, alphas) -> bool | None:
-    """Evaluate one named suite check; None means not applicable."""
-    avg_dec, min_b, max_b = alphas
-    n = inst.n
-    social, opt = report.social_cost, report.optimal_social_cost
-    if name == "budget-exact":
-        return report.total_payment == report.cost
-    if name == "budget-alpha":
-        if avg_dec in ("", None):
-            return False
-        return report.cost <= report.total_payment <= avg_dec * report.cost
-    if name == "approx-hn":
-        return social <= harmonic(n) * opt
-    if name == "approx-2a3hn":
-        if avg_dec in ("", None):
-            return False
-        return social <= 2 * avg_dec ** 3 * harmonic(n) * opt
-    if name == "approx-alpha-hn":
-        if min_b in ("", None):
-            return False
-        return social <= min_b * harmonic(n) * opt
-    if name == "approx-alpha-max":
-        if max_b in ("", None):
-            return None
-        return social <= max_b * opt
-    if name == "approx-n":
-        return social <= n * opt
-    if name == "trace":
-        return bool(report.flags.p1 and report.flags.p2 and report.flags.final_set)
-    if name == "ir":
-        return report.flags.ir
-    if name == "npt":
-        return report.flags.npt
-    if name == "alpha-combinatorial-bound":
-        bound = _combinatorial_alpha_bound(inst)
-        if bound is None:
-            return None
-        return max_b not in ("", None) and max_b <= bound
-    raise ValueError(f"unknown check {name!r}")
+# name -> check(inst, report, alphas): True, False, or None when it does not apply
+_SUITE_CHECKS = {
+    "budget-exact": lambda i, r, a: r.total_payment == r.cost,
+    "budget-alpha": lambda i, r, a: _finite(a[0]) and r.cost <= r.total_payment <= a[0] * r.cost,
+    "approx-hn": lambda i, r, a: _within(r, harmonic(i.n)),
+    "approx-2a3hn": lambda i, r, a: _finite(a[0]) and _within(r, 2 * a[0] ** 3 * harmonic(i.n)),
+    "approx-alpha-hn": lambda i, r, a: _finite(a[1]) and _within(r, a[1] * harmonic(i.n)),
+    "approx-alpha-max": lambda i, r, a: _within(r, a[2]) if _finite(a[2]) else None,
+    "approx-n": lambda i, r, a: _within(r, i.n),
+    "trace": lambda i, r, a: bool(r.flags.p1 and r.flags.p2 and r.flags.final_set),
+    "ir": lambda i, r, a: r.flags.ir,
+    "npt": lambda i, r, a: r.flags.npt,
+    "alpha-combinatorial-bound": lambda i, r, a: _within_combinatorial_bound(i, a[2]),
+}
+SUITE_CHECKS = tuple(_SUITE_CHECKS)
 
 
 def _load_instance(path: str) -> Instance:
@@ -340,7 +327,7 @@ def cmd_suite(args) -> int:
         report, alphas, row = _evaluated_row(instance_id, inst, mechanism, order)
         rows.append(row)
         for check in checks:
-            verdict = _check_passes(check, inst, report, alphas)
+            verdict = _SUITE_CHECKS[check](inst, report, alphas)
             if verdict is False:
                 failures.append((instance_id, check))
 
@@ -363,10 +350,9 @@ def cmd_suite(args) -> int:
 
 def cmd_check(args) -> int:
     inst = _load_instance(args.instance)
-    names = ["nondecreasing", "submodular", "symmetric", "xos_symmetric", "subadditive"]
 
     def fmt(flags) -> str:
-        return " ".join(f"{k}={'true' if getattr(flags, k) else 'false'}" for k in names)
+        return " ".join(f"{k}={'true' if v else 'false'}" for k, v in vars(flags).items())
 
     # every valuation has m items; refuse before any line is printed
     if inst.m > MAX_CLASSIFY_GROUND:

@@ -91,6 +91,15 @@ def capped_store(memo: dict, key, value, cap: int):
     return value
 
 
+def subset_sums(values: Sequence[Rat], op) -> list[Rat]:
+    """``op`` folded over each subset of ``values`` from Fraction(0), in mask
+    order: by doubling, entry mask | 1 << j is op(entry mask, values[j])."""
+    out = [Fraction(0)]
+    for d in values:
+        out += [op(p, d) for p in out]
+    return out
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:

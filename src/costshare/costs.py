@@ -18,13 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from .core import (INT64_HEADROOM, Allocation, AllocationCostFn,
                    GroundSetTooLargeError, Rat, SeparableCosts, SetFunction,
-                   align_ints, as_rat, bits, bundle_shifts, popcounts)
+                   align_ints, as_rat, bits, bundle_shifts, popcounts,
+                   subset_sums)
+from .valuations import SymmetricSubmodularValuation
 
 MAX_ESTIMATOR_GROUND = 16
 MAX_NS_CELLS = 12
@@ -42,6 +45,12 @@ class InfeasibleCoverError(RuntimeError):
 def table_cost(values: Sequence) -> SetFunction:
     """Dense cost table over player subsets; c(empty) must be 0."""
     return SetFunction.from_table(values, require_zero_empty=True, kind="table")
+
+
+def _size_indexed_cost(n: int, levels: Sequence) -> SetFunction:
+    """Cost that depends only on the set size: c(T) = levels[|T|], with
+    levels[0] = 0, for the n + 1 sizes of an n-player ground set."""
+    return table_cost([levels[mask.bit_count()] for mask in range(1 << n)])
 
 
 def set_cover_cost(n: int, family: Sequence[int]) -> SetFunction:
@@ -191,6 +200,13 @@ def _report(num: int, den: int, witness: tuple, kind: str) -> AlphaReport:
     return AlphaReport(Fraction(num, den) if den else None, witness, kind)
 
 
+def require_estimator_size(n: int) -> None:
+    """Refuse a ground set too large for the average-decreasing estimator."""
+    if n > MAX_ESTIMATOR_GROUND:
+        raise GroundSetTooLargeError(
+            f"average-decreasing estimator limited to n <= {MAX_ESTIMATOR_GROUND}")
+
+
 def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     """Least a with a*c(S)/|S| >= c(T)/|T| for every nonempty S <= T.
 
@@ -201,9 +217,7 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     e with g[T - e] = g[T].
     """
     n = c.ground_size
-    if n > MAX_ESTIMATOR_GROUND:
-        raise GroundSetTooLargeError(
-            f"average-decreasing estimator limited to n <= {MAX_ESTIMATOR_GROUND}")
+    require_estimator_size(n)
     # one positive factor scales both sides of every ratio compared below;
     # lcm(1..n) makes every average c(T)/|T| an integer
     vals = c.int_table()[0]
@@ -345,11 +359,7 @@ def decreasing_average_table() -> SetFunction:
 def two_tier_step_cost(n: int) -> SetFunction:
     """Per-cardinality cost 0, 1, 1, 3, 3, ...: 2-average-decreasing but not
     subadditive."""
-    def level(k: int) -> int:
-        if k == 0:
-            return 0
-        return 1 if k <= 2 else 3
-    return table_cost([level(mask.bit_count()) for mask in range(1 << n)])
+    return _size_indexed_cost(n, [0, 1, 1] + [3] * (n - 2))
 
 
 def capped_reciprocal_cost(n: int, k) -> SetFunction:
@@ -361,9 +371,7 @@ def capped_reciprocal_cost(n: int, k) -> SetFunction:
     cap = as_rat(k)
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    sums = [Fraction(0)]
-    for standalone in (cap / (i + 1) for i in range(n)):
-        sums += [v + standalone for v in sums]
+    sums = subset_sums([cap / (i + 1) for i in range(n)], add)
     return table_cost([min(cap, v) for v in sums])
 
 
@@ -380,37 +388,27 @@ def sqrt_max_cost(n: int) -> SetFunction:
     for any fixed parameter as n grows. Values are rationalized square roots,
     flagged via ``approximate``.
     """
-    vals = [Fraction(0)]
-    for standalone in map(sqrt_player_index, range(n)):
-        vals += [max(v, standalone) for v in vals]
+    vals = subset_sums([sqrt_player_index(i) for i in range(n)], max)
     return SetFunction.from_table(vals, require_zero_empty=True,
                                   kind="table", approximate=True)
 
 
 def public_good_cost(n: int, price) -> SetFunction:
     """Constant cost for any non-empty served set (public excludable good)."""
-    p = as_rat(price)
-    return table_cost([Fraction(0) if mask == 0 else p for mask in range(1 << n)])
+    return _size_indexed_cost(n, [Fraction(0)] + [as_rat(price)] * n)
 
 
 def additive_cost(weights: Sequence) -> SetFunction:
-    vals = [Fraction(0)]
-    for w in map(as_rat, weights):
-        vals += [v + w for v in vals]
-    return table_cost(vals)
+    return table_cost(subset_sums([as_rat(w) for w in weights], add))
 
 
 def symmetric_submodular_cost(n: int, marginals: Sequence) -> SetFunction:
-    """Cardinality-based cost with non-increasing marginal costs."""
+    """Cardinality-based cost with non-increasing marginal costs: the levels
+    of the symmetric submodular valuation with the same marginals."""
     margs = [as_rat(d) for d in marginals]
     if len(margs) != n:
         raise ValueError("need one marginal per player")
-    if any(margs[t] < margs[t + 1] for t in range(n - 1)) or any(d < 0 for d in margs):
-        raise ValueError("marginals must be non-negative and non-increasing")
-    prefix = [Fraction(0)]
-    for d in margs:
-        prefix.append(prefix[-1] + d)
-    return table_cost([prefix[mask.bit_count()] for mask in range(1 << n)])
+    return _size_indexed_cost(n, SymmetricSubmodularValuation(margs).levels)
 
 
 def reference_costs(n: int = 3, k=6) -> dict[str, SetFunction]:

@@ -34,7 +34,7 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, bits, capped_store, mask_of)
+                   Trace, bits, capped_store, mask_of, subset_sums)
 from .valuations import SymmetricSubmodularValuation, ValuationFn
 
 
@@ -270,11 +270,7 @@ def incremental_costs(inst: Instance, bundles: Sequence[int], i: int) -> list[Ra
     if inst.is_separable:
         served = Allocation(tuple(bundles), m).served()
         marginal = [fn(t | (1 << i)) - fn(t) for fn, t in zip(inst.cost_model.items, served)]
-        # doubling over items: the masks holding item j are those without it, plus its marginal
-        price = [Fraction(0)]
-        for d in marginal:
-            price += [p + d for p in price]
-        return price
+        return subset_sums(marginal, operator.add)
     C = inst.cost_model
     cost = [C(Allocation((*bundles[:i], mask, *bundles[i + 1:]), m)) for mask in range(1 << m)]
     return [c - cost[0] for c in cost]

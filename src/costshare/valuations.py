@@ -20,7 +20,8 @@ class SymmetricSubmodularValuation:
     """Value depends only on bundle size: v(S) = sum of the first |S| marginals.
 
     Marginals must be non-increasing and non-negative, which is exactly
-    submodularity for cardinality-based functions.
+    submodularity for cardinality-based functions. ``levels[k]`` is the value
+    of every k-item bundle.
     """
 
     marginals: tuple[Rat, ...]
@@ -35,7 +36,7 @@ class SymmetricSubmodularValuation:
         prefix = [Fraction(0)]
         for d in margs:
             prefix.append(prefix[-1] + d)
-        object.__setattr__(self, "_prefix", tuple(prefix))
+        object.__setattr__(self, "levels", tuple(prefix))
         # the mechanisms' step memo hashes declared valuations on every step
         object.__setattr__(self, "_hash", hash(margs))
 
@@ -49,7 +50,7 @@ class SymmetricSubmodularValuation:
     def value(self, item_mask: int) -> Rat:
         if item_mask < 0 or item_mask >> self.m:
             raise ValueError("item mask outside the item ground set")
-        return self._prefix[item_mask.bit_count()]
+        return self.levels[item_mask.bit_count()]
 
 
 @dataclass(frozen=True)

@@ -132,12 +132,18 @@ def test_optimum_nonseparable():
     assert alloc.bundles == (1, 0)  # serving player 1 costs 3/2 for value 1
 
 
-def test_optimum_size_guard():
+def test_optimum_size_guard(monkeypatch):
     inst = Instance(valuations=tuple(sym(*([1] * 4)) for _ in range(6)),
                     cost_model=SeparableCosts(tuple(
                         public_good_cost(6, 1) for _ in range(4))), m=4)
     with pytest.raises(GroundSetTooLargeError):
         optimal_social_cost(inst)
+    # the icb check refuses a 21-player cover before it runs the mechanism
+    calls = []
+    monkeypatch.setattr(analysis, "sm_run", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(GroundSetTooLargeError, match="n\\*m <= 20"):
+        check_icb_bound(generate("set-cover", {"n": "21"}, 0))
+    assert calls == []
 
 
 # --- evaluate_run -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -85,6 +86,26 @@ def test_graph_cost_round_trip():
 
 # --- generators -----------------------------------------------------------------
 
+# SHA-256 of the text each kind generates at seeds 13 and 14; a change to the
+# order of the rng draws changes them
+GEN_DIGESTS = {
+    "random-symmetric": ("2a56da1baca02191e68ba3dd7568e191da99c8b6d4fde66d9ae33e037077c186",
+                         "ea50d61176e11d8e31c51f0b7c1113cd00d08f2080282ae5ebbfead3aeb13f32"),
+    "vertex-cover": ("e49caac84dc6afd2f9e27c488d235aa8b44194d14d5a8e65624c722eaf8e44d4",
+                     "bea2346c645938456a8fffde9dbc0b28c876fb34dcc29b4167d774acc51ad052"),
+    "set-cover": ("3c90071a423733aee1798e46cb7b2188635d99cbdd76cca2ae6cc1bedaafd930",
+                  "f4e1629dd84bfd55c98c2df3c8287330b36e0f27d0ca58d10a52d32a16442660"),
+    "matching": ("d63364e92dadc2d1167b0e6ddf2aaf0a214843c0571ec3f9992951413c0d37b5",
+                 "fe870f062c4fce16fd53c64133cc0f5dbcd308e2c226a9fdd4e4de9cc5c90b1b"),
+    "paper-tight": ("23587e56e9d97022d5f113b2cb937e3f8fb954ce8bf80de67fd6c683785fd375",
+                    "23587e56e9d97022d5f113b2cb937e3f8fb954ce8bf80de67fd6c683785fd375"),
+    "paper-intersection": ("ca372eee9b7753f412875c062f2ba3521f963865aaa19ec008ff3d4bf10a17b4",
+                           "dc16297a63c3896d524c9787579f3de17b5e106cd35f4bbcae16249b694ba27e"),
+    "paper-subadditivity": ("21c2ec364e5d5ffba952411d52d560deadd2401d846c57085b070f60911fc8cc",
+                            "fe388a784f72b950ffd1a3045f25b589f4d2c810199637bc770e220f0812f081"),
+}
+
+
 @pytest.mark.parametrize("kind", GEN_KINDS)
 def test_generators_deterministic_per_seed(kind):
     params = {"n": "4", "m": "2"} if kind == "random-symmetric" else {}
@@ -93,6 +114,7 @@ def test_generators_deterministic_per_seed(kind):
     c = serialize_instance(generate(kind, params, 14))
     assert a == b
     assert a != c or kind == "paper-tight"  # tight construction ignores the seed
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in (a, c)) == GEN_DIGESTS[kind]
 
 
 def test_gen_paper_tight_matches_reference_construction():
@@ -573,6 +595,15 @@ def test_cli_run_refuses_the_optimum_size_before_any_mechanism(tmp_path, capsys,
     for mechanism in ("iacsm", "sm"):
         assert main(["run", str(path), "--mechanism", mechanism]) == 2
         assert ("error: optimum enumerates (2^m)^n allocations; n*m <= 20 required"
+                in capsys.readouterr().err)
+    # 17 players fit the optimum but not the average-decreasing estimator
+    cover = tmp_path / "cover17.inst"
+    assert main(["gen", "set-cover", "--param", "n=17", "--out", str(cover)]) == 0
+    suite = tmp_path / "cover17.json"
+    suite.write_text(json.dumps({"instances": [str(cover)], "mechanism": "sm"}))
+    for argv in (["run", str(cover), "--mechanism", "sm"], ["suite", str(suite)]):
+        assert main(argv) == 2
+        assert ("error: average-decreasing estimator limited to n <= 16"
                 in capsys.readouterr().err)
     assert calls == []
 

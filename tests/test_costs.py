@@ -406,6 +406,10 @@ def test_symmetric_xos_tables_are_average_decreasing():
         margs = sorted((Fraction(rng.randint(0, 5)) for _ in range(n)), reverse=True)
         fn = symmetric_submodular_cost(n, margs)
         assert alpha_average_decreasing(fn).alpha == 1
+    # the marginals of a submodular table are non-negative and non-increasing
+    for margs, message in (([1, 2], "non-increasing"), ([1, -1], "non-negative")):
+        with pytest.raises(ValueError, match=message):
+            symmetric_submodular_cost(2, margs)
 
 
 @st.composite
