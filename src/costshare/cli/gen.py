@@ -17,9 +17,6 @@ from ..valuations import SymmetricSubmodularValuation, TableValuation
 
 DEFAULT_GRID = "0,1/2,1,3/2,2,5/2,3,7/2,4"
 
-GEN_KINDS = ("random-symmetric", "vertex-cover", "set-cover", "matching",
-             "paper-tight", "paper-intersection", "paper-subadditivity")
-
 
 class GenParamError(ValueError):
     pass
@@ -213,6 +210,7 @@ _GENERATORS = {
     "paper-intersection": gen_paper_intersection,
     "paper-subadditivity": gen_paper_subadditivity,
 }
+GEN_KINDS = tuple(_GENERATORS)
 
 
 def generate(kind: str, params: dict, seed: int) -> Instance:

@@ -91,9 +91,17 @@ def capped_store(memo: dict, key, value, cap: int):
     return value
 
 
+def require_dense_size(ground: int) -> None:
+    """Refuse a dense table over more than MAX_DENSE_GROUND elements."""
+    if ground > MAX_DENSE_GROUND:
+        raise GroundSetTooLargeError(
+            f"dense tables limited to ground_size <= {MAX_DENSE_GROUND}")
+
+
 def subset_sums(values: Sequence[Rat], op) -> list[Rat]:
     """``op`` folded over each subset of ``values`` from Fraction(0), in mask
     order: by doubling, entry mask | 1 << j is op(entry mask, values[j])."""
+    require_dense_size(len(values))
     out = [Fraction(0)]
     for d in values:
         out += [op(p, d) for p in out]
@@ -147,16 +155,14 @@ class SetFunction:
     consumers read; ``to_table()`` is its public ``Fraction`` view.
 
     ``kind`` and ``meta`` carry construction data (e.g. a set-cover family)
-    for serialization; ``approximate`` marks functions whose values were
-    rationalized from irrational definitions.
+    for serialization.
     """
 
-    __slots__ = ("ground_size", "kind", "meta", "approximate",
-                 "_table", "_oracle", "_fill", "_cache", "_ints")
+    __slots__ = ("ground_size", "kind", "meta", "_table", "_oracle", "_fill",
+                 "_cache", "_ints")
 
     def __init__(self, ground_size: int, *, table=None, oracle=None, fill=None,
-                 kind: str = "table", meta: dict | None = None,
-                 approximate: bool = False):
+                 kind: str = "table", meta: dict | None = None):
         if ground_size < 0:
             raise ValueError("ground_size must be non-negative")
         if (table is None) == (oracle is None):
@@ -164,7 +170,6 @@ class SetFunction:
         self.ground_size = ground_size
         self.kind = kind
         self.meta = meta or {}
-        self.approximate = approximate
         self._table = table
         self._oracle = oracle
         self._fill = fill
@@ -172,29 +177,23 @@ class SetFunction:
         self._ints: tuple[np.ndarray, int] | None = None
 
     @classmethod
-    def from_table(cls, values: Sequence, *, require_zero_empty: bool = False,
-                   kind: str = "table", meta: dict | None = None,
-                   approximate: bool = False) -> "SetFunction":
+    def from_table(cls, values: Sequence, *, require_zero_empty: bool = False) -> "SetFunction":
         vals = [as_rat(v) for v in values]
         size = len(vals)
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
         ground = size.bit_length() - 1
-        if ground > MAX_DENSE_GROUND:
-            raise GroundSetTooLargeError(
-                f"dense tables limited to ground_size <= {MAX_DENSE_GROUND}")
+        require_dense_size(ground)
         if any(v < 0 for v in vals):
             raise ValueError("set function values must be non-negative")
         if require_zero_empty and vals[0] != 0:
             raise ValueError("cost functions must satisfy f(empty) = 0")
-        return cls(ground, table=vals, kind=kind, meta=meta, approximate=approximate)
+        return cls(ground, table=vals)
 
     @classmethod
     def from_oracle(cls, ground_size: int, fn: Callable[[int], Rat], *,
-                    require_zero_empty: bool = False, kind: str = "oracle",
-                    meta: dict | None = None, approximate: bool = False) -> "SetFunction":
-        obj = cls(ground_size, oracle=lambda sf, mask: sf._store(mask, fn(mask)),
-                  kind=kind, meta=meta, approximate=approximate)
+                    require_zero_empty: bool = False, kind: str = "oracle") -> "SetFunction":
+        obj = cls(ground_size, oracle=lambda sf, mask: sf._store(mask, fn(mask)), kind=kind)
         if require_zero_empty and obj(0) != 0:
             raise ValueError("cost functions must satisfy f(empty) = 0")
         return obj
@@ -280,9 +279,7 @@ class SetFunction:
         only), built once: int64 while every value is under INT64_HEADROOM,
         Python ints otherwise. A fill's ints are checked once, as a whole."""
         if self._ints is None:
-            if self.ground_size > MAX_DENSE_GROUND:
-                raise GroundSetTooLargeError(
-                    f"cannot materialize ground_size {self.ground_size} > {MAX_DENSE_GROUND}")
+            require_dense_size(self.ground_size)
             ints, denom = self._fill() if self._fill else (
                 self._table or [self(mask) for mask in range(1 << self.ground_size)], 1)
             arr = np.asarray(ints)

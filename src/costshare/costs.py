@@ -26,7 +26,7 @@ import numpy as np
 from .core import (INT64_HEADROOM, Allocation, AllocationCostFn,
                    GroundSetTooLargeError, Rat, SeparableCosts, SetFunction,
                    align_ints, as_rat, bits, bundle_shifts, popcounts,
-                   subset_sums)
+                   require_dense_size, subset_sums)
 from .valuations import SymmetricSubmodularValuation
 
 MAX_ESTIMATOR_GROUND = 16
@@ -44,12 +44,13 @@ class InfeasibleCoverError(RuntimeError):
 
 def table_cost(values: Sequence) -> SetFunction:
     """Dense cost table over player subsets; c(empty) must be 0."""
-    return SetFunction.from_table(values, require_zero_empty=True, kind="table")
+    return SetFunction.from_table(values, require_zero_empty=True)
 
 
 def _size_indexed_cost(n: int, levels: Sequence) -> SetFunction:
     """Cost that depends only on the set size: c(T) = levels[|T|], with
     levels[0] = 0, for the n + 1 sizes of an n-player ground set."""
+    require_dense_size(n)
     return table_cost([levels[mask.bit_count()] for mask in range(1 << n)])
 
 
@@ -385,12 +386,9 @@ def sqrt_max_cost(n: int) -> SetFunction:
     standalone cost inside it.
 
     Escapes both the average-decreasing and the average-min-bounded classes
-    for any fixed parameter as n grows. Values are rationalized square roots,
-    flagged via ``approximate``.
+    for any fixed parameter as n grows. Values are rationalized square roots.
     """
-    vals = subset_sums([sqrt_player_index(i) for i in range(n)], max)
-    return SetFunction.from_table(vals, require_zero_empty=True,
-                                  kind="table", approximate=True)
+    return table_cost(subset_sums([sqrt_player_index(i) for i in range(n)], max))
 
 
 def public_good_cost(n: int, price) -> SetFunction:

@@ -9,7 +9,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import GroundSetTooLargeError, Rat, SetFunction, as_rat, popcounts
+from .core import (GroundSetTooLargeError, Rat, SetFunction, as_rat, popcounts,
+                   require_dense_size)
 
 MAX_CLASSIFY_GROUND = 16
 PAIR_CHUNK_BITS = 8
@@ -86,6 +87,7 @@ def as_table(v: ValuationFn) -> TableValuation:
     """Materialize any valuation as a dense table (used by the class checkers)."""
     if isinstance(v, TableValuation):
         return v
+    require_dense_size(v.m)
     vals = [v.value(mask) for mask in range(1 << v.m)]
     return TableValuation(SetFunction.from_table(vals))
 

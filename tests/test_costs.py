@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from costshare.costs import (InfeasibleCoverError, additive_cost,
                              sqrt_max_cost, symmetric_submodular_cost,
                              table_cost, two_tier_step_cost, union_items_cost,
                              vertex_cover_cost)
-from costshare.cli.gen import generate
+from costshare.cli.gen import GenParamError, generate
 from costshare.mechanisms import sm_run
-from costshare.valuations import classify_set_function
+from costshare.valuations import (SymmetricSubmodularValuation, as_table,
+                                  classify_set_function)
 
 from oracles import (BIG_PRIMES, naive_alpha_avg_decreasing, naive_alpha_bounded,
                      permuted_table,
@@ -525,6 +527,68 @@ def test_estimator_size_limits():
                                      require_zero_empty=True))
 
 
+def _counted(calls: list, fn):
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counting
+
+
+class _CountedLevels:
+    """Size-indexed levels that record every read."""
+
+    def __init__(self, calls: list):
+        self.calls = calls
+
+    def __getitem__(self, k):
+        self.calls.append(k)
+        return Fraction(k)
+
+
+def _subset_sums_case(calls, monkeypatch):
+    return lambda: core.subset_sums([Fraction(1)] * 21, _counted(calls, add))
+
+
+def _size_indexed_case(calls, monkeypatch):
+    return lambda: costs._size_indexed_cost(21, _CountedLevels(calls))
+
+
+def _as_table_case(calls, monkeypatch):
+    monkeypatch.setattr(SymmetricSubmodularValuation, "value",
+                        _counted(calls, SymmetricSubmodularValuation.value))
+    return lambda: as_table(SymmetricSubmodularValuation([Fraction(1)] * 21))
+
+
+def _gen_case(kind: str, params: dict):
+    def build(calls, monkeypatch):
+        # a refusal before any 2^n list also never reaches from_table
+        monkeypatch.setattr(SetFunction, "from_table",
+                            classmethod(_counted(calls, SetFunction.from_table.__func__)))
+        return lambda: generate(kind, params, 0)
+    return build
+
+
+DENSE_GUARD_CASES = {
+    "subset-sums": (_subset_sums_case, GroundSetTooLargeError),
+    "size-indexed": (_size_indexed_case, GroundSetTooLargeError),
+    "as-table": (_as_table_case, GroundSetTooLargeError),
+    "gen-paper-tight": (_gen_case("paper-tight", {"n": "21"}), GenParamError),
+    "gen-paper-intersection": (_gen_case("paper-intersection", {"n": "21"}), GenParamError),
+    "gen-random-symmetric": (_gen_case("random-symmetric", {"n": "21", "m": "1"}),
+                             GenParamError),
+}
+
+
+@pytest.mark.parametrize("case", list(DENSE_GUARD_CASES.values()), ids=list(DENSE_GUARD_CASES))
+def test_dense_builders_refuse_past_twenty_before_any_exponential_step(case, monkeypatch):
+    build, error = case
+    calls: list = []
+    run = build(calls, monkeypatch)
+    with pytest.raises(error, match="dense tables limited to ground_size <= 20"):
+        run()
+    assert calls == []
+
+
 # --- reference catalog values ----------------------------------------------
 
 def test_capped_reciprocal_values():
@@ -544,7 +608,6 @@ def test_two_tier_step_values():
 
 def test_sqrt_max_values():
     fn = sqrt_max_cost(4)
-    assert fn.approximate
     assert fn(0b1000) == 2  # sqrt(4) is exact
     root3 = fn(0b110)
     assert abs(root3 * root3 - 3) < Fraction(1, 10 ** 5)
