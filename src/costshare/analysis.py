@@ -29,16 +29,14 @@ QUOTE_SCALES = {"iacsm": Fraction(1), "iacsm-underquote": Fraction(1, 2)}
 
 
 def _run_mechanism(mechanism: str, inst: Instance,
-                   declared: Sequence[ValuationFn] | None = None,
                    order: Sequence[int] | None = None) -> tuple[Outcome, Trace | None]:
     if order is not None and mechanism in QUOTE_SCALES:
         raise MechanismPreconditionError(
             f"{mechanism} takes no player order; an order applies to sm only")
     if mechanism in QUOTE_SCALES:
-        return iacsm_run(inst, declared,
-                         first_iteration_quote_scale=QUOTE_SCALES[mechanism])
+        return iacsm_run(inst, first_iteration_quote_scale=QUOTE_SCALES[mechanism])
     if mechanism == "sm":
-        return sm_run(inst, order=order, declared=declared), None
+        return sm_run(inst, order=order), None
     raise ValueError(f"unknown mechanism id {mechanism!r}")
 
 

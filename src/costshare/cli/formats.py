@@ -13,10 +13,11 @@ written as ``p/q`` so files round-trip losslessly:
 
 Cost variants: ``table`` (2^n values in mask order), ``set-cover`` (family
 sets as comma-separated player lists), ``vertex-cover`` and ``matching``
-(edges as ``u-v`` pairs; player i is the i-th edge). The optional
-``nonseparable`` line names a built-in allocation cost: ``lifted`` and
-``max-item`` consume the per-item cost lines, ``count-served`` and
-``union-items`` take an optional rational weight and no cost lines.
+(edges as ``u-v`` pairs; player i is the i-th edge). A table's first value,
+f(empty), must be 0. The optional ``nonseparable`` line, at most one, names a
+built-in allocation cost: ``lifted`` and ``max-item`` take no argument and
+consume the per-item cost lines; ``count-served`` and ``union-items`` take an
+optional non-negative rational weight (default 1) and no cost lines.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ def parse_instance(text: str) -> Instance:
                     raise ValueError(f"unknown {key} variant {variant!r}")
                 found[key][idx] = builders[variant](sizes[size_key], toks[3:])
             elif key == "nonseparable":
+                if name is not None:
+                    raise ValueError("nonseparable given twice")
                 if len(toks) < 2:
                     raise ValueError("nonseparable needs a builtin name")
                 name, args, at = toks[1], toks[2:], lineno
@@ -169,15 +172,16 @@ def parse_instance(text: str) -> Instance:
             raise ValueError(f"need costs 0..{m - 1}")
     with _faults_on(at):
         if name in _OVER_COST_LINES:
+            if args:
+                raise ValueError(f"nonseparable {name} takes no argument")
             sep = SeparableCosts(tuple(costs[j] for j in range(m)))
             cost_model = _OVER_COST_LINES[name](sep, n)
         elif name in _WEIGHTED:
             if costs:
                 raise ValueError(f"cost lines are not allowed with nonseparable {name}")
-            weight = _rat(args[0]) if args else Fraction(1)
-            if weight < 0:
-                raise ValueError(f"{name} weight must be non-negative")
-            cost_model = _WEIGHTED[name](n, m, weight)
+            if len(args) > 1:
+                raise ValueError(f"nonseparable {name} takes at most one weight")
+            cost_model = _WEIGHTED[name](n, m, *map(_rat, args))
         else:
             raise ValueError(f"unknown nonseparable builtin {name!r}")
 

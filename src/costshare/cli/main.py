@@ -288,6 +288,8 @@ def _suite_problems(config) -> list[str]:
     for key in ("seed", "count"):
         if any(not _is_int(spec.get(key, 0)) for spec in generate_specs):
             problems.append(f'"generate" {key}s must be integers')
+    if any(_is_int(spec.get("count", 1)) and spec.get("count", 1) < 0 for spec in generate_specs):
+        problems.append('"generate" counts must be non-negative')
     if any(not isinstance(spec.get("params", {}), dict) for spec in generate_specs):
         problems.append('"generate" params must be an object, e.g. {"n": "3"}')
     if order is not None and not (isinstance(order, list) and all(map(_is_int, order))):

@@ -141,7 +141,8 @@ def bundle_shifts(n: int, m: int) -> list[int]:
 
 
 class SetFunction:
-    """A map from subsets of a ground set to non-negative exact rationals.
+    """A map from subsets of a ground set to non-negative exact rationals
+    with f(empty) = 0, which ``from_table`` and ``from_oracle`` enforce.
 
     Backed either by a dense table (ground_size <= 20) or by a memoizing
     oracle with a cache cap: a callback, or a subset recurrence. An oracle
@@ -177,7 +178,7 @@ class SetFunction:
         self._ints: tuple[np.ndarray, int] | None = None
 
     @classmethod
-    def from_table(cls, values: Sequence, *, require_zero_empty: bool = False) -> "SetFunction":
+    def from_table(cls, values: Sequence) -> "SetFunction":
         vals = [as_rat(v) for v in values]
         size = len(vals)
         if size == 0 or size & (size - 1):
@@ -186,16 +187,16 @@ class SetFunction:
         require_dense_size(ground)
         if any(v < 0 for v in vals):
             raise ValueError("set function values must be non-negative")
-        if require_zero_empty and vals[0] != 0:
-            raise ValueError("cost functions must satisfy f(empty) = 0")
+        if vals[0] != 0:
+            raise ValueError("set functions must satisfy f(empty) = 0")
         return cls(ground, table=vals)
 
     @classmethod
     def from_oracle(cls, ground_size: int, fn: Callable[[int], Rat], *,
-                    require_zero_empty: bool = False, kind: str = "oracle") -> "SetFunction":
+                    kind: str = "oracle") -> "SetFunction":
         obj = cls(ground_size, oracle=lambda sf, mask: sf._store(mask, fn(mask)), kind=kind)
-        if require_zero_empty and obj(0) != 0:
-            raise ValueError("cost functions must satisfy f(empty) = 0")
+        if obj(0) != 0:
+            raise ValueError("set functions must satisfy f(empty) = 0")
         return obj
 
     @classmethod
@@ -358,11 +359,6 @@ class SeparableCosts:
 
     items: tuple[SetFunction, ...]
 
-    def __post_init__(self):
-        for fn in self.items:
-            if fn(0) != 0:
-                raise ValueError("per-item cost functions must satisfy c(empty) = 0")
-
     @property
     def m(self) -> int:
         return len(self.items)
@@ -385,8 +381,7 @@ class AllocationCostFn:
         self.kind = kind
         self.meta = meta or {}
         self._costs = SetFunction.from_oracle(
-            n * m, lambda k: fn(Allocation.from_index(k, n, m).bundles),
-            require_zero_empty=True, kind="allocation")
+            n * m, lambda k: fn(Allocation.from_index(k, n, m).bundles), kind="allocation")
 
     @classmethod
     def _with_fill(cls, n: int, m: int, fn: Callable[[tuple[int, ...]], Rat],

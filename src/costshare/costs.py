@@ -42,9 +42,17 @@ class InfeasibleCoverError(RuntimeError):
     """A set-cover query asked for players that the family cannot cover."""
 
 
+def _non_negative(value, what: str) -> Rat:
+    """A built-in cost's parameter as a rational, refused before any 2^n list."""
+    out = as_rat(value)
+    if out < 0:
+        raise ValueError(f"{what} must be non-negative")
+    return out
+
+
 def table_cost(values: Sequence) -> SetFunction:
     """Dense cost table over player subsets; c(empty) must be 0."""
-    return SetFunction.from_table(values, require_zero_empty=True)
+    return SetFunction.from_table(values)
 
 
 def _size_indexed_cost(n: int, levels: Sequence) -> SetFunction:
@@ -369,9 +377,7 @@ def capped_reciprocal_cost(n: int, k) -> SetFunction:
     1-average-min-bounded; the tight cost model for the sequential
     mechanism's harmonic approximation factor.
     """
-    cap = as_rat(k)
-    if cap < 0:
-        raise ValueError("cap must be non-negative")
+    cap = _non_negative(k, "cap")
     sums = subset_sums([cap / (i + 1) for i in range(n)], add)
     return table_cost([min(cap, v) for v in sums])
 
@@ -393,11 +399,11 @@ def sqrt_max_cost(n: int) -> SetFunction:
 
 def public_good_cost(n: int, price) -> SetFunction:
     """Constant cost for any non-empty served set (public excludable good)."""
-    return _size_indexed_cost(n, [Fraction(0)] + [as_rat(price)] * n)
+    return _size_indexed_cost(n, [Fraction(0)] + [_non_negative(price, "price")] * n)
 
 
 def additive_cost(weights: Sequence) -> SetFunction:
-    return table_cost(subset_sums([as_rat(w) for w in weights], add))
+    return table_cost(subset_sums([_non_negative(w, "weight") for w in weights], add))
 
 
 def symmetric_submodular_cost(n: int, marginals: Sequence) -> SetFunction:
@@ -470,7 +476,7 @@ def _weighted_count(n: int, m: int, weight, count, kind: str) -> AllocationCostF
     or the rows of ``_bundles(n, m)`` to count every allocation at once, so
     one definition answers point queries and fills the table, over Python
     ints: a numerator near 2^62 times a count wraps in int64."""
-    w = as_rat(weight)
+    w = _non_negative(weight, f"{kind} weight")
     return AllocationCostFn._with_fill(
         n, m, lambda bundles: w * count(bundles),
         lambda: (count(_bundles(n, m)).astype(object) * w.numerator, w.denominator),

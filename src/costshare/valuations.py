@@ -58,15 +58,10 @@ class SymmetricSubmodularValuation:
 class TableValuation:
     """Arbitrary valuation given as a dense table over item subsets.
 
-    Monotonicity is not required. v(empty) = 0 is required as a
-    normalization convention.
+    Monotonicity is not required; v(empty) = 0, as for every SetFunction.
     """
 
     fn: SetFunction
-
-    def __post_init__(self):
-        if self.fn(0) != 0:
-            raise ValueError("table valuations must satisfy v(empty) = 0")
 
     @property
     def m(self) -> int:

@@ -476,13 +476,26 @@ TWO_PLAYERS = ("costshare-instance v1\nn 2\nm 1\n"
     # the universe check precedes the coverage check: 5 lies outside {0, 1}
     (TWO_PLAYERS + "cost 0 set-cover 0 1,5\n",
      "line 6: family sets must be subsets of the player universe"),
+    (TWO_PLAYERS + "cost 0 table 0/1 1/1 1/1 2/1\nnonseparable lifted 3/1 junk\n",
+     "line 7: nonseparable lifted takes no argument"),
+    (TWO_PLAYERS + "nonseparable count-served 1/2 junk\n",
+     "line 6: nonseparable count-served takes at most one weight"),
+    (TWO_PLAYERS + "cost 0 table 0/1 1/1 1/1 2/1\nnonseparable lifted\nnonseparable max-item\n",
+     "line 8: nonseparable given twice"),
+    (TWO_PLAYERS + "nonseparable foo 1\n", "line 6: unknown nonseparable builtin 'foo'"),
+    (TWO_PLAYERS + "cost 0 table 1/1 1/1 1/1 2/1\n",
+     "line 6: set functions must satisfy f(empty) = 0"),
+    ("costshare-instance v1\nn 2\nm 1\nvaluation 0 table 1/1 1/1\n",
+     "line 4: set functions must satisfy f(empty) = 0"),
 ], ids=["n-without-value", "repeated-valuation", "set-cover-misses-player",
         "negative-weight", "negative-vertex-id", "bad-rational-in-valuation-symmetric",
         "bad-rational-in-valuation-table", "repeated-m", "zero-n", "valuation-before-m",
         "cost-before-n", "unknown-directive", "unknown-valuation-variant",
         "unknown-cost-variant", "nonseparable-without-name", "bad-rational-weight",
         "bad-integer-in-set-cover", "edge-count-differs-from-n",
-        "set-cover-set-outside-universe"])
+        "set-cover-set-outside-universe", "argument-to-lifted", "two-weights",
+        "repeated-nonseparable", "unknown-builtin-with-argument", "cost-table-nonzero-empty",
+        "valuation-table-nonzero-empty"])
 def test_cli_bad_instance_exits_2_with_line(tmp_path, capsys, text, message):
     path = tmp_path / "bad.inst"
     path.write_text(text)
@@ -636,10 +649,12 @@ def test_cli_run_refuses_the_optimum_size_before_any_mechanism(tmp_path, capsys,
      "parameter vgrid must be a string or an integer, got [1, 2]"),
     ({"generate": [{"kind": "random-symmetric", "params": {"n": [2], "m": "1"}}]},
      "parameter n must be a string or an integer, got [2]"),
+    ({"generate": [{"kind": "paper-tight", "count": -2}]},
+     '"generate" counts must be non-negative'),
 ], ids=["unknown-check", "generate-without-kind", "order-as-string", "top-level-list",
         "generate-as-object", "seed-as-string", "seed-not-integer", "count-as-string",
         "count-as-bool", "params-as-list", "instances-as-string", "checks-as-string",
-        "grid-as-list", "n-as-list"])
+        "grid-as-list", "n-as-list", "negative-count"])
 def test_cli_suite_config_checked_before_any_instance(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
     if isinstance(config, dict):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +14,7 @@ from costshare.core import (INT64_HEADROOM, Allocation, AllocationCostFn,
                             align_ints, allocation_cost, harmonic,
                             restrict_allocation, scale_to_ints)
 from costshare.costs import decreasing_average_table, table_cost
-from costshare.valuations import SymmetricSubmodularValuation
+from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
 from oracles import BIG_PRIMES
 
@@ -136,7 +137,7 @@ def test_oracle_memoization_counts_calls():
         calls.append(mask)
         return Fraction(mask.bit_count())
 
-    sf = SetFunction.from_oracle(3, fn, require_zero_empty=True)
+    sf = SetFunction.from_oracle(3, fn)
     for _ in range(3):
         assert sf(0b101) == 2
     assert calls.count(0b101) == 1
@@ -263,10 +264,15 @@ def test_oracle_values_are_checked_for_sign():
 
 
 def test_cost_of_the_empty_set_must_be_zero():
-    with pytest.raises(ValueError, match="empty"):
-        SetFunction.from_oracle(2, lambda mask: Fraction(1), require_zero_empty=True)
-    with pytest.raises(ValueError, match="empty"):
-        AllocationCostFn(2, 2, lambda b: Fraction(1))
+    # every value source refuses f(empty) != 0, with one message
+    rule = re.escape("set functions must satisfy f(empty) = 0")
+    for build in (lambda: SetFunction.from_table([1, 1]),
+                  lambda: SetFunction.from_oracle(2, lambda mask: Fraction(1)),
+                  lambda: AllocationCostFn(2, 2, lambda b: Fraction(1)),
+                  lambda: table_cost([1, 1]),
+                  lambda: TableValuation.from_values([1, 1])):
+        with pytest.raises(ValueError, match=rule):
+            build()
 
 
 def test_allocation_cost_evaluates_each_allocation_once():

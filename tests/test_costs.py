@@ -519,12 +519,10 @@ def test_estimator_size_limits():
     object.__setattr__  # no-op; size guard is on ground_size below
     with pytest.raises(GroundSetTooLargeError):
         alpha_average_decreasing(
-            type(fn_big).from_oracle(17, lambda mask: Fraction(1) if mask else Fraction(0),
-                                     require_zero_empty=True))
+            type(fn_big).from_oracle(17, lambda mask: Fraction(1) if mask else Fraction(0)))
     with pytest.raises(GroundSetTooLargeError):
         alpha_min_bounded(
-            type(fn_big).from_oracle(big, lambda mask: Fraction(1) if mask else Fraction(0),
-                                     require_zero_empty=True))
+            type(fn_big).from_oracle(big, lambda mask: Fraction(1) if mask else Fraction(0)))
 
 
 def _counted(calls: list, fn):
@@ -532,6 +530,22 @@ def _counted(calls: list, fn):
         calls.append(args)
         return fn(*args, **kwargs)
     return counting
+
+
+@pytest.mark.parametrize("build", [
+    lambda: additive_cost([1] * 19 + [-1]),
+    lambda: public_good_cost(20, -1),
+    lambda: capped_reciprocal_cost(20, -1),
+    lambda: count_served_cost(2, 2, -1),
+    lambda: union_items_cost(2, 2, -1),
+], ids=["additive", "public-good", "capped-reciprocal", "count-served", "union-items"])
+def test_builtin_cost_parameters_are_checked_before_any_subset_list(monkeypatch, build):
+    calls = []
+    monkeypatch.setattr(costs, "subset_sums", _counted(calls, costs.subset_sums))
+    monkeypatch.setattr(costs, "_size_indexed_cost", _counted(calls, costs._size_indexed_cost))
+    with pytest.raises(ValueError, match="must be non-negative"):
+        build()
+    assert calls == []
 
 
 class _CountedLevels:
@@ -768,9 +782,8 @@ def test_builtin_allocation_tables_match_point_queries_and_naive(monkeypatch, ca
 
 def test_allocation_fill_values_pass_the_negativity_check():
     for build in (count_served_cost, union_items_cost):
-        C = build(2, 2, -1)
         with pytest.raises(ValueError, match="negative"):
-            C.to_table()
+            build(2, 2, -1).to_table()
     C = AllocationCostFn._with_fill(1, 1, lambda bundles: Fraction(bundles[0]),
                                     lambda: ([0, -1], 1), kind="negative-fill")
     assert C(Allocation((1,), 1)) == 1
