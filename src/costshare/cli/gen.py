@@ -1,13 +1,16 @@
 """Seeded instance generators behind the ``gen`` subcommand.
 
-All randomness flows through one ``random.Random(seed)``, so a (kind,
-params, seed) triple always produces a byte-identical instance file.
+A generator reads its parameters and returns a builder; the builder's
+randomness flows through one ``random.Random(seed)``, so a (kind, params,
+seed) triple always produces a byte-identical instance file.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from ..core import Instance, SeparableCosts, SetFunction, mask_of
 from ..costs import (capped_reciprocal_cost, decreasing_average_table,
@@ -86,25 +89,30 @@ def _symmetric_marginals(rng: random.Random, count: int, grid) -> tuple:
     return tuple(sorted((rng.choice(grid) for _ in range(count)), reverse=True))
 
 
-def _single_item(rng: random.Random, cost: SetFunction, grid) -> Instance:
-    """The one-item instance of ``cost``: one value from ``grid`` per player,
-    drawn after whatever the cost drew."""
-    vals = tuple(TableValuation.from_values([Fraction(0), rng.choice(grid)])
-                 for _ in range(cost.ground_size))
-    return Instance(valuations=vals, cost_model=SeparableCosts((cost,)), m=1)
+def _single_item(cost_of, grid):
+    """The builder of the one-item instance of the cost ``cost_of(rng)``: one
+    value from ``grid`` per player, drawn after whatever the cost drew."""
+    def build(rng: random.Random) -> Instance:
+        cost = cost_of(rng)
+        vals = tuple(TableValuation.from_values([Fraction(0), rng.choice(grid)])
+                     for _ in range(cost.ground_size))
+        return Instance(valuations=vals, cost_model=SeparableCosts((cost,)), m=1)
+    return build
 
 
-def gen_random_symmetric(params: dict, seed: int) -> Instance:
-    rng = random.Random(seed)
+def gen_random_symmetric(params: dict):
     n = _int_param(params, "n")
     m = _int_param(params, "m")
     vgrid = _grid(params, "vgrid")
     cgrid = _grid(params, "cgrid", default="0,1/2,1,3/2,2,3")
-    vals = tuple(SymmetricSubmodularValuation(_symmetric_marginals(rng, m, vgrid))
-                 for _ in range(n))
-    costs = tuple(symmetric_submodular_cost(n, _symmetric_marginals(rng, n, cgrid))
-                  for _ in range(m))
-    return Instance(valuations=vals, cost_model=SeparableCosts(costs), m=m)
+
+    def build(rng: random.Random) -> Instance:
+        vals = tuple(SymmetricSubmodularValuation(_symmetric_marginals(rng, m, vgrid))
+                     for _ in range(n))
+        costs = tuple(symmetric_submodular_cost(n, _symmetric_marginals(rng, n, cgrid))
+                      for _ in range(m))
+        return Instance(valuations=vals, cost_model=SeparableCosts(costs), m=m)
+    return build
 
 
 def _grow_graph(rng: random.Random, vertices: int, edges: int, degree_cap: int,
@@ -131,51 +139,42 @@ def _grow_graph(rng: random.Random, vertices: int, edges: int, degree_cap: int,
     return out
 
 
-def gen_vertex_cover(params: dict, seed: int) -> Instance:
-    rng = random.Random(seed)
+def gen_vertex_cover(params: dict):
     vgrid = _grid(params, "vgrid")
     if _choice(params, "shape", ("random", "star")) == "star":
         k = _int_param(params, "k", 3)
-        edges = [(0, i + 1) for i in range(k)]
-    else:
-        vertices = _int_param(params, "v", 6)
-        k = _int_param(params, "k", 3)
-        e = _int_param(params, "e", 6)
-        edges = _grow_graph(rng, vertices, e, k, bipartite=False)
-    return _single_item(rng, vertex_cover_cost(edges), vgrid)
+        return _single_item(lambda rng: vertex_cover_cost([(0, i + 1) for i in range(k)]), vgrid)
+    vertices = _int_param(params, "v", 6)
+    k = _int_param(params, "k", 3)
+    e = _int_param(params, "e", 6)
+    return _single_item(lambda rng: vertex_cover_cost(
+        _grow_graph(rng, vertices, e, k, bipartite=False)), vgrid)
 
 
-def gen_matching(params: dict, seed: int) -> Instance:
-    rng = random.Random(seed)
+def gen_matching(params: dict):
     vgrid = _grid(params, "vgrid")
     vertices = _int_param(params, "v", 6)
     k = _int_param(params, "k", 3)
     e = _int_param(params, "e", 6)
     bipartite = _choice(params, "shape", ("bipartite", "general")) == "bipartite"
-    edges = _grow_graph(rng, vertices, e, k, bipartite=bipartite)
-    return _single_item(rng, matching_cost(edges), vgrid)
+    return _single_item(lambda rng: matching_cost(
+        _grow_graph(rng, vertices, e, k, bipartite=bipartite)), vgrid)
 
 
-def gen_set_cover(params: dict, seed: int) -> Instance:
-    rng = random.Random(seed)
+def gen_set_cover(params: dict):
     vgrid = _grid(params, "vgrid")
     n = _int_param(params, "n", 6)
     sets = _int_param(params, "s", 5)
     d = _int_param(params, "d", 3)
-    family = []
-    for _ in range(sets):
-        size = rng.randint(1, d)
-        family.append(mask_of(rng.sample(range(n), min(size, n))))
-    covered = 0
-    for s in family:
-        covered |= s
-    for e in range(n):
-        if not (covered >> e) & 1:
-            family.append(1 << e)
-    return _single_item(rng, set_cover_cost(n, family), vgrid)
+
+    def cover(rng: random.Random) -> SetFunction:
+        family = [mask_of(rng.sample(range(n), min(rng.randint(1, d), n))) for _ in range(sets)]
+        covered = reduce(or_, family, 0)
+        return set_cover_cost(n, family + [1 << e for e in range(n) if not (covered >> e) & 1])
+    return _single_item(cover, vgrid)
 
 
-def gen_paper_tight(params: dict, seed: int) -> Instance:
+def gen_paper_tight(params: dict):
     n = _int_param(params, "n", 3)
     k = _rat_param(params, "k", 6)
     eps = _rat_param(params, "eps", "1/10")
@@ -183,22 +182,18 @@ def gen_paper_tight(params: dict, seed: int) -> Instance:
         raise GenParamError("n must be at least 1")
     if eps <= 0 or eps >= k / n:
         raise GenParamError("eps must satisfy 0 < eps < k/n")
-    vals = tuple(SymmetricSubmodularValuation((k / (i + 1) - eps,)) for i in range(n))
-    return Instance(valuations=vals,
-                    cost_model=SeparableCosts((capped_reciprocal_cost(n, k),)), m=1)
+    return lambda rng: Instance(
+        valuations=tuple(SymmetricSubmodularValuation((k / (i + 1) - eps,)) for i in range(n)),
+        cost_model=SeparableCosts((capped_reciprocal_cost(n, k),)), m=1)
 
 
-def gen_paper_intersection(params: dict, seed: int) -> Instance:
-    rng = random.Random(seed)
+def gen_paper_intersection(params: dict):
     n = _int_param(params, "n", 4)
-    vgrid = _grid(params, "vgrid")
-    return _single_item(rng, sqrt_max_cost(n), vgrid)
+    return _single_item(lambda rng: sqrt_max_cost(n), _grid(params, "vgrid"))
 
 
-def gen_paper_subadditivity(params: dict, seed: int) -> Instance:
-    rng = random.Random(seed)
-    vgrid = _grid(params, "vgrid")
-    return _single_item(rng, decreasing_average_table(), vgrid)
+def gen_paper_subadditivity(params: dict):
+    return _single_item(lambda rng: decreasing_average_table(), _grid(params, "vgrid"))
 
 
 _GENERATORS = {
@@ -214,19 +209,21 @@ GEN_KINDS = tuple(_GENERATORS)
 
 
 def generate(kind: str, params: dict, seed: int) -> Instance:
+    """The instance of ``kind`` at ``seed``. Every parameter is read and
+    checked, and an unread one refused, before anything is built."""
     if kind not in _GENERATORS:
         raise GenParamError(f"unknown generator kind {kind!r}; "
                             f"choose from {', '.join(GEN_KINDS)}")
     tracked = _Params(params)
+    build = _GENERATORS[kind](tracked)
+    unused = sorted(set(params) - tracked.asked)
+    if unused:
+        raise GenParamError(f"{kind} does not use parameter {unused[0]!r}; "
+                            f"it reads {', '.join(sorted(tracked.asked))}")
     try:
-        inst = _GENERATORS[kind](tracked, seed)
+        return build(random.Random(seed))
     except GenParamError:
         raise
     except ValueError as exc:
         # parameters that parse but describe no instance, e.g. n=0
         raise GenParamError(f"bad parameters for {kind}: {exc}") from exc
-    unused = sorted(set(params) - tracked.asked)
-    if unused:
-        raise GenParamError(f"{kind} does not use parameter {unused[0]!r}; "
-                            f"it reads {', '.join(sorted(tracked.asked))}")
-    return inst

@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
+from collections import Counter
 from pathlib import Path
 
 from ..core import (GroundSetTooLargeError, Instance, bits, format_rat,
@@ -22,7 +22,7 @@ from ..costs import (MAX_ESTIMATOR_GROUND, MAX_NS_CELLS, AlphaReport,
                      alpha_min_bounded_ns, additive_cost,
                      capped_reciprocal_cost, decreasing_average_table,
                      public_good_cost, require_estimator_size,
-                     sqrt_max_cost, two_tier_step_cost)
+                     sqrt_max_cost, structural_alpha_bound, two_tier_step_cost)
 from ..mechanisms import MechanismPreconditionError
 from ..analysis import (MECHANISM_IDS, evaluate_run, max_alpha,
                         require_optimum_size)
@@ -108,29 +108,15 @@ def _within(report, factor) -> bool:
     return report.social_cost <= factor * report.optimal_social_cost
 
 
-def _within_combinatorial_bound(inst: Instance, max_b) -> bool | None:
-    """Whether the max-bounded parameter is within the structural bound of
-    the cover/matching costs; None when the instance has no such cost."""
-    if not inst.is_separable:
+def _within_combinatorial_bound(inst: Instance) -> bool | None:
+    """Whether each cover/matching cost's max-bounded parameter is within its
+    own structural bound; None when the instance has no such cost."""
+    items = inst.cost_model.items if inst.is_separable else ()
+    bounded = [(fn, bound) for fn in items if (bound := structural_alpha_bound(fn)) is not None]
+    if not bounded:
         return None
-    bound = None
-    for fn in inst.cost_model.items:
-        if fn.kind == "set-cover":
-            this = Fraction(max(s.bit_count() for s in fn.meta["family"]))
-        elif fn.kind in ("vertex-cover", "matching"):
-            degree = {}
-            for u, v in fn.meta["edges"]:
-                degree[u] = degree.get(u, 0) + 1
-                degree[v] = degree.get(v, 0) + 1
-            k = max(degree.values())
-            if fn.kind == "vertex-cover" or fn.meta.get("bipartite"):
-                this = Fraction(k)
-            else:
-                this = Fraction(5 * k + 3, 4)
-        else:
-            continue
-        bound = this if bound is None else max(bound, this)
-    return None if bound is None else _finite(max_b) and max_b <= bound
+    return all(not (rep := alpha_max_bounded(fn)).unbounded and rep.alpha <= bound
+               for fn, bound in bounded)
 
 
 # name -> check(inst, report, alphas): True, False, or None when it does not apply
@@ -145,7 +131,7 @@ _SUITE_CHECKS = {
     "trace": lambda i, r, a: bool(r.flags.p1 and r.flags.p2 and r.flags.final_set),
     "ir": lambda i, r, a: r.flags.ir,
     "npt": lambda i, r, a: r.flags.npt,
-    "alpha-combinatorial-bound": lambda i, r, a: _within_combinatorial_bound(i, a[2]),
+    "alpha-combinatorial-bound": lambda i, r, a: _within_combinatorial_bound(i),
 }
 SUITE_CHECKS = tuple(_SUITE_CHECKS)
 
@@ -294,7 +280,17 @@ def _suite_problems(config) -> list[str]:
         problems.append('"generate" params must be an object, e.g. {"n": "3"}')
     if order is not None and not (isinstance(order, list) and all(map(_is_int, order))):
         problems.append('"order" must be a list of player indices, e.g. [1, 0]')
+    if not problems:  # a FAIL line names its instance by id
+        ids = Counter([Path(p).stem for p in instances]
+                      + [i for spec in generate_specs for i, _ in _generated(spec)])
+        problems += [f"instance id {i!r} is used more than once" for i, k in ids.items() if k > 1]
     return problems
+
+
+def _generated(spec: dict) -> list[tuple[str, int]]:
+    """The id and seed of each instance a well-formed "generate" entry makes."""
+    seed = spec.get("seed", 0)
+    return [(f"{spec['kind']}-{seed + i:04d}", seed + i) for i in range(spec.get("count", 1))]
 
 
 def cmd_suite(args) -> int:
@@ -316,11 +312,8 @@ def cmd_suite(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
     for spec in config.get("generate", []):
-        kind = spec["kind"]
-        base_seed = spec.get("seed", 0)
-        for i in range(spec.get("count", 1)):
-            inst = generate(kind, spec.get("params", {}), base_seed + i)
-            jobs.append((f"{kind}-{base_seed + i:04d}", inst))
+        jobs += [(instance_id, generate(spec["kind"], spec.get("params", {}), seed))
+                 for instance_id, seed in _generated(spec)]
     jobs.sort(key=lambda job: job[0])
 
     rows = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -56,31 +56,22 @@ def harmonic(k: int) -> Rat:
     return sum((Fraction(1, t) for t in range(1, k + 1)), start=Fraction(0))
 
 
-def scale_to_ints(values: Sequence[Rat], terms: int) -> tuple[np.ndarray, int]:
-    """Scale exact rationals to integers over their least common denominator.
-
-    Returns ``(scaled, denom)`` with ``scaled[k] == values[k] * denom``.
-    ``terms`` is the most entries the caller adds or subtracts in one
-    expression. The array is int64 when that many entries of the largest
-    magnitude stay under INT64_HEADROOM, and holds Python ints
-    (``dtype=object``) otherwise, so the same numpy code is exact either way.
-    """
-    denom = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (denom // v.denominator) for v in values]
-    fits = max(map(abs, scaled), default=0) * terms < INT64_HEADROOM
-    return np.array(scaled, dtype=np.int64 if fits else object), denom
+def exact_ints(values, reach: int) -> np.ndarray:
+    """The ints ``values`` as int64 when ``reach``, the largest magnitude any
+    expression over them reaches, is under INT64_HEADROOM, else as Python ints
+    (``dtype=object``); no copy when the dtype already fits. The one rule."""
+    return np.asarray(values, dtype=np.int64 if reach < INT64_HEADROOM else object)
 
 
 def align_ints(tables: Sequence[tuple], terms: int) -> tuple[list[np.ndarray], int]:
-    """``scale_to_ints`` for integer tables ``(ints, denom)``: all of them over
-    their least common denominator, int64 exactly when ``terms`` entries of
-    the largest magnitude stay under INT64_HEADROOM."""
+    """Integer tables ``(ints, denom)`` all over their least common
+    denominator, for expressions that add or subtract up to ``terms``
+    entries: ``exact_ints`` with reach ``terms`` times the largest magnitude."""
     denom = lcm(*(d for _, d in tables))
     # an all-zero table keeps factor 1, so no factor outgrows the values
     factors = [denom // d if ints.any() else 1 for ints, d in tables]
     top = max(int(abs(ints).max()) * f for (ints, _), f in zip(tables, factors))
-    dtype = np.int64 if top * terms < INT64_HEADROOM else object
-    return [ints.astype(dtype) * f for (ints, _), f in zip(tables, factors)], denom
+    return [exact_ints(ints, top * terms) * f for (ints, _), f in zip(tables, factors)], denom
 
 
 def capped_store(memo: dict, key, value, cap: int):
@@ -213,10 +204,11 @@ class SetFunction:
         ``combine`` works elementwise and returns exact non-negative
         rationals. ``int_table()`` calls it once per element, n-1 down to 0
         (those without branches first), on int arrays over every T with lowest
-        element e: int64 while all values are under 2^31, so that sums and
-        products of two stay exact, Python ints after. Point queries call it on
-        Fractions, walking the same children with a stack (no recursion limit),
-        each value stored once in the capped cache; ``point`` replaces them.
+        element e, moving them once to Python ints past ``exact_ints`` of reach
+        (largest value)^2, as sums and products of two occur. Point queries
+        call it on Fractions, walking the same children with a stack (no
+        recursion limit), each value stored once in the capped cache; ``point``
+        replaces them.
         """
         branches = [list(rs) for rs in branches]
         for e, rs in enumerate(branches):
@@ -249,9 +241,9 @@ class SetFunction:
                 masks = np.arange(size >> e + 1, dtype=np.int64) << e + 1 | 1 << e
                 out = np.asarray(combine(e, [table[masks & (size - 1 & ~r)]
                                              for r in branches[e]]))
-                if table.dtype != object and (
-                        out.dtype != np.int64 or out.size and abs(out).max() >= 1 << 31):
-                    table = table.astype(object)
+                if table.dtype != object:  # out of int64: Python ints or Fractions
+                    table = exact_ints(table, int(abs(out).max(initial=0)) ** 2
+                                       if out.dtype == np.int64 else inf)
                 table[masks] = out
             return table, 1
 
@@ -277,7 +269,8 @@ class SetFunction:
 
     def int_table(self) -> tuple[np.ndarray, int]:
         """``(ints, denom)`` with f(S) = ints[S] / denom (ground_size <= 20
-        only), built once: int64 while every value is under INT64_HEADROOM,
+        only), built once. Its guarantee: ``exact_ints`` of reach the largest
+        value, so int64 exactly when every value is under INT64_HEADROOM,
         Python ints otherwise. A fill's ints are checked once, as a whole."""
         if self._ints is None:
             require_dense_size(self.ground_size)
@@ -287,12 +280,13 @@ class SetFunction:
             if arr.dtype.kind not in "iu" and not all(type(v) is int for v in arr.flat):
                 # Fractions: a table, point queries or a rational combine;
                 # as_rat refuses floats
-                arr, scale = scale_to_ints([as_rat(v) for v in arr.flat], terms=1)
+                vals = [as_rat(v) for v in arr.flat]
+                scale = lcm(*(v.denominator for v in vals))
+                arr = np.array([v.numerator * (scale // v.denominator) for v in vals], object)
                 denom *= scale
             if arr.min() < 0:
                 raise ValueError("set function fill returned a negative value")
-            [arr], denom = align_ints([(arr, denom)], terms=1)
-            self._ints = arr, denom
+            self._ints = exact_ints(arr, int(arr.max())), denom
         return self._ints
 
     def to_table(self) -> list[Rat]:

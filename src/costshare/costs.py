@@ -23,10 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (INT64_HEADROOM, Allocation, AllocationCostFn,
-                   GroundSetTooLargeError, Rat, SeparableCosts, SetFunction,
-                   align_ints, as_rat, bits, bundle_shifts, popcounts,
-                   require_dense_size, subset_sums)
+from .core import (Allocation, AllocationCostFn, GroundSetTooLargeError, Rat,
+                   SeparableCosts, SetFunction, align_ints, as_rat, bits,
+                   bundle_shifts, exact_ints, popcounts, require_dense_size,
+                   subset_sums)
 from .valuations import SymmetricSubmodularValuation
 
 MAX_ESTIMATOR_GROUND = 16
@@ -148,11 +148,11 @@ def matching_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
 
     The lowest edge e of t is unused or matched, so c(t) = max(c(t minus e),
     1 + c(t minus every edge touching e's endpoints)); these two removal
-    masks fill ``int_table()`` on every graph, one pass per edge. On bipartite graphs
-    (``meta["bipartite"]``, which also selects the structural alpha bound) a
-    point query is answered with augmenting paths, which stay polynomial: on
-    the full edge set of a 60-edge bipartite graph the recurrence visits over
-    200,000 subsets. Otherwise point queries use the recurrence too; blossom
+    masks fill ``int_table()`` on every graph, one pass per edge. On bipartite
+    graphs (``meta["bipartite"]``, which also makes ``structural_alpha_bound``
+    k, not (5k+3)/4) a point query is answered with augmenting paths, which
+    stay polynomial: on the full edge set of a 60-edge bipartite graph the
+    recurrence visits over 200,000 subsets. Otherwise point queries use the recurrence too; blossom
     machinery is deliberately out of scope at this scale.
     """
     edge_list = _edge_list(edges)
@@ -184,6 +184,21 @@ def matching_cost(edges: Sequence[tuple[int, int]]) -> SetFunction:
         len(edge_list), [[1 << e, inc[u] | inc[v]] for e, (u, v) in enumerate(edge_list)],
         lambda e, vals: np.maximum(vals[0], 1 + vals[1]), kind="matching", meta=meta,
         point=None if colors is None else solve_augmenting)
+
+
+def structural_alpha_bound(fn: SetFunction) -> Rat | None:
+    """The structural bound on a cover or matching cost's average max-bounded
+    parameter: the largest family set for set cover, the largest degree k for
+    vertex cover and bipartite matching, (5k+3)/4 for other matching; None
+    for any other cost."""
+    if fn.kind == "set-cover":
+        return Fraction(max(s.bit_count() for s in fn.meta["family"]))
+    if fn.kind not in ("vertex-cover", "matching"):
+        return None
+    k = max(edges.bit_count() for edges in _incidence(fn.meta["edges"]).values())
+    if fn.kind == "vertex-cover" or fn.meta["bipartite"]:
+        return Fraction(k)
+    return Fraction(5 * k + 3, 4)
 
 
 @dataclass(frozen=True)
@@ -231,8 +246,7 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     # lcm(1..n) makes every average c(T)/|T| an integer
     vals = c.int_table()[0]
     q = lcm(*range(1, n + 1))
-    if (int(vals.max()) * q) ** 2 >= INT64_HEADROOM:  # averages are cross-multiplied
-        vals = vals.astype(object)
+    vals = exact_ints(vals, (int(vals.max()) * q) ** 2)  # averages are cross-multiplied
     avg = vals * (q // np.maximum(popcounts(n), 1))
     g = avg.copy()
     g[0] = avg.max()  # the empty set has no average; this one never wins
@@ -280,9 +294,7 @@ def _first_max_ratio(table: np.ndarray, keep: np.ndarray, rows: np.ndarray,
     """
     width = len(keep)
     n = width.bit_length() - 1
-    top = int(table.max())
-    if n * top * top >= INT64_HEADROOM:
-        table = table.astype(object)
+    table = exact_ints(table, n * int(table.max()) ** 2)
     sizes = popcounts(n)
     best = None
     best_num, best_den = 1, 1
@@ -474,12 +486,13 @@ def max_item_cost(sep: SeparableCosts, n: int) -> AllocationCostFn:
 def _weighted_count(n: int, m: int, weight, count, kind: str) -> AllocationCostFn:
     """C(A) = weight * count(bundles). ``count`` takes the bundles as ints,
     or the rows of ``_bundles(n, m)`` to count every allocation at once, so
-    one definition answers point queries and fills the table, over Python
-    ints: a numerator near 2^62 times a count wraps in int64."""
+    one definition answers point queries and fills the table. A count is at
+    most max(n, m), which times the weight's numerator is the fill's reach."""
     w = _non_negative(weight, f"{kind} weight")
     return AllocationCostFn._with_fill(
         n, m, lambda bundles: w * count(bundles),
-        lambda: (count(_bundles(n, m)).astype(object) * w.numerator, w.denominator),
+        lambda: (exact_ints(count(_bundles(n, m)), max(n, m) * w.numerator) * w.numerator,
+                 w.denominator),
         kind=kind, meta={"weight": w})
 
 

@@ -17,7 +17,9 @@ also her payment, so total payments telescope to the allocation cost.
 
 All three read and fill the instance's ``step_memo``, so the profiles of a
 misreport search reuse the steps they share. A step is keyed on the state
-it starts from and on declared valuations by value, never by id:
+it starts from and on the declared valuation as a dict key: symmetric
+valuations compare by value, table valuations by their ``SetFunction``
+object, so two equal tables built apart key two steps (never a wrong one):
 - sm: ``(player, bundles so far, declared valuation) -> (mask, payment)``.
 - iacsm: a trie of iteration states. ``(quote scale,) -> root``,
   ``(node, declared valuation) -> covered ranks`` and

@@ -135,8 +135,8 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
         raise GroundSetTooLargeError(
             f"class checks are exhaustive and limited to ground_size <= {MAX_CLASSIFY_GROUND}")
 
-    # scaling by one positive constant keeps every comparison below; two
-    # values under INT64_HEADROOM meet in one sum or difference at most
+    # scaling by one positive constant keeps every comparison below; two values
+    # meet in one sum at most, and int_table() is int64 only under INT64_HEADROOM
     arr = fn.int_table()[0]
     nondec = _nondecreasing(arr, n)
     submod = all(_nondecreasing((p[:, 0] - p[:, 1]).ravel(), n - 1)

@@ -19,8 +19,8 @@ from costshare.costs import (alpha_average_decreasing, alpha_max_bounded,
                              alpha_min_bounded_ns, count_served_cost,
                              lifted_separable_cost, max_item_cost,
                              public_good_cost, sqrt_max_cost,
-                             symmetric_submodular_cost, table_cost,
-                             two_tier_step_cost, union_items_cost)
+                             structural_alpha_bound, symmetric_submodular_cost,
+                             table_cost, two_tier_step_cost, union_items_cost)
 from costshare.mechanisms import verify_p1
 from costshare.analysis import (evaluate_run, symmetric_marginal_space,
                                 table_space, wgsp_search)
@@ -276,6 +276,7 @@ def test_criterion_6_combinatorial_alpha_bounds(capfd):
                 else:
                     k = _max_degree(fn.meta["edges"])
                     bound = F(5 * k + 3, 4)
+                assert structural_alpha_bound(fn) == bound
                 assert rep.alpha <= bound
 
                 report = evaluate_run(inst, "sm")

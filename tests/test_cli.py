@@ -1,32 +1,42 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costshare import analysis, core
+from costshare import analysis
 from costshare.core import SetFunction
+from costshare.cli import gen as gen_module
 from costshare.cli.formats import (InstanceParseError, parse_instance,
                                    serialize_instance)
 from costshare.cli.gen import GEN_KINDS, GenParamError, generate
 from costshare.cli.main import build_parser, main
+from costshare.costs import alpha_max_bounded, structural_alpha_bound
+
+# costshare.cli re-exports the function main under its module's name
+main_module = sys.modules["costshare.cli.main"]
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = sorted((REPO / "instances").glob("*.inst"))
 
 
 def run_cli(*argv, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-c",
                            "import sys; from costshare.cli.main import main; "
                            "sys.exit(main(sys.argv[1:]))", *argv],
-                          capture_output=True, text=True, cwd=cwd or REPO)
+                          capture_output=True, text=True, cwd=cwd or REPO, env=env)
 
 
 # --- instance format ----------------------------------------------------------
@@ -171,6 +181,24 @@ def test_gen_refuses_unused_params_and_unknown_shapes(tmp_path, capsys, kind, pa
     assert main(["suite", str(config)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("paper-intersection", {"n": "20", "typo": "1"}),
+    ("random-symmetric", {"n": "20", "m": "2", "typo": "1"}),
+    # the unread parameter is reported before the build's own ValueError
+    ("random-symmetric", {"n": "0", "m": "1", "typo": "1"}),
+], ids=["paper-intersection", "random-symmetric", "before-build-error"])
+def test_gen_refuses_an_unread_parameter_before_any_build(monkeypatch, kind, params):
+    calls = []
+    for name in ("sqrt_max_cost", "symmetric_submodular_cost"):
+        def spy(*args, real=getattr(gen_module, name)):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(gen_module, name, spy)
+    with pytest.raises(GenParamError, match="does not use parameter 'typo'"):
+        generate(kind, params, 0)
+    assert calls == []
 
 
 def test_gen_accepts_every_bundled_param_set():
@@ -324,6 +352,52 @@ def test_cli_suite_vertex_cover(tmp_path):
     out = tmp_path / "report.csv"
     res = run_cli("suite", "suites/thm_appl_vc.json", "--out", str(out))
     assert res.returncode == 0, res.stderr
+
+
+MIXED_BOUND_INSTANCE = """costshare-instance v1
+n 3
+m 2
+valuation 0 symmetric 2/1 1/1
+valuation 1 symmetric 3/1 1/1
+valuation 2 symmetric 1/1 1/1
+cost 0 vertex-cover 0-1 0-2 0-3
+cost 1 table 0/1 4/1 1/1 4/1 1/1 4/1 1/1 1/1
+"""
+
+
+def _bound_suite(tmp_path, **config) -> Path:
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({"name": "bound", "mechanism": "sm",
+                                "checks": ["alpha-combinatorial-bound"], **config}))
+    return path
+
+
+def test_cli_suite_combinatorial_bound_is_checked_per_item(tmp_path, capsys):
+    # the star's alpha_max is its degree 3; the table item has alpha_max 12
+    # and no structural bound, so it must not be held to the star's
+    inst = tmp_path / "mixed.inst"
+    inst.write_text(MIXED_BOUND_INSTANCE)
+    fns = parse_instance(MIXED_BOUND_INSTANCE).cost_model.items
+    assert [alpha_max_bounded(fn).alpha for fn in fns] == [3, 12]
+    assert [structural_alpha_bound(fn) for fn in fns] == [3, None]
+    assert main(["suite", str(_bound_suite(tmp_path, instances=[str(inst)]))]) == 0
+    assert "all checks passed on 1 instance" in capsys.readouterr().err
+
+
+def test_cli_suite_combinatorial_bound_on_cover_and_matching(tmp_path, capsys, monkeypatch):
+    path = _bound_suite(tmp_path, generate=[
+        {"kind": "set-cover", "count": 3, "params": {"n": "7", "s": "4", "d": "4"}},
+        {"kind": "matching", "count": 3, "params": {"shape": "bipartite", "e": "8"}},
+        {"kind": "matching", "count": 3, "seed": 10, "params": {"shape": "general", "e": "8"}}])
+    assert main(["suite", str(path)]) == 0
+    assert "all checks passed on 9 instance(s)" in capsys.readouterr().err
+    # negative control: a bound below every alpha fails every instance
+    real = main_module.structural_alpha_bound
+    monkeypatch.setattr(main_module, "structural_alpha_bound",
+                        lambda fn: None if real(fn) is None else Fraction(1, 2))
+    assert main(["suite", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("alpha-combinatorial-bound") == 9
 
 
 def test_cli_suite_empty_config(tmp_path):
@@ -541,32 +615,16 @@ def test_cli_gen_empty_instance_exits_2(capsys):
 
 
 def _count_table_builds(monkeypatch) -> Counter:
-    """Per set function, the fill calls and ``scale_to_ints`` calls made
-    while its int table is built; a call outside any build fails."""
+    """Per set function, the ``int_table`` calls that find no table built yet."""
     builds: Counter = Counter()
-    building = []
-    real_int_table, real_scale = SetFunction.int_table, core.scale_to_ints
+    real_int_table = SetFunction.int_table
 
     def int_table(fn):
-        fill = fn._fill
-        if fill is not None:
-            def counted():
-                builds[fn] += 1
-                return fill()
-            fn._fill = counted
-        building.append(fn)
-        try:
-            return real_int_table(fn)
-        finally:
-            building.pop()
-            fn._fill = fill
-
-    def scale_to_ints(values, terms):
-        builds[building[-1]] += 1
-        return real_scale(values, terms)
+        if fn._ints is None:
+            builds[fn] += 1
+        return real_int_table(fn)
 
     monkeypatch.setattr(SetFunction, "int_table", int_table)
-    monkeypatch.setattr(core, "scale_to_ints", scale_to_ints)
     return builds
 
 
@@ -651,10 +709,13 @@ def test_cli_run_refuses_the_optimum_size_before_any_mechanism(tmp_path, capsys,
      "parameter n must be a string or an integer, got [2]"),
     ({"generate": [{"kind": "paper-tight", "count": -2}]},
      '"generate" counts must be non-negative'),
+    ({"generate": [{"kind": "random-symmetric", "params": {"n": "2", "m": "1"}},
+                   {"kind": "random-symmetric", "params": {"n": "3", "m": "1"}}]},
+     "instance id 'random-symmetric-0000' is used more than once"),
 ], ids=["unknown-check", "generate-without-kind", "order-as-string", "top-level-list",
         "generate-as-object", "seed-as-string", "seed-not-integer", "count-as-string",
         "count-as-bool", "params-as-list", "instances-as-string", "checks-as-string",
-        "grid-as-list", "n-as-list", "negative-count"])
+        "grid-as-list", "n-as-list", "negative-count", "repeated-id"])
 def test_cli_suite_config_checked_before_any_instance(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
     if isinstance(config, dict):

@@ -11,8 +11,8 @@ from costshare import core
 from costshare.core import (INT64_HEADROOM, Allocation, AllocationCostFn,
                             DimensionMismatchError, GroundSetTooLargeError,
                             Instance, SeparableCosts, SetFunction,
-                            align_ints, allocation_cost, harmonic,
-                            restrict_allocation, scale_to_ints)
+                            align_ints, allocation_cost, exact_ints, harmonic,
+                            restrict_allocation)
 from costshare.costs import decreasing_average_table, table_cost
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
@@ -300,24 +300,27 @@ def test_allocation_cost_past_the_cache_cap_stays_exact(monkeypatch):
     assert C.to_table() == [Fraction(sum(b), 7) for b in order]
 
 
-def test_scale_to_ints_object_dtype_past_int64_headroom():
-    vals = [Fraction(k, p) for k, p in zip(range(-2, 3), BIG_PRIMES)]
-    arr, denom = scale_to_ints(vals, terms=1)
+def test_int_table_object_dtype_past_int64_headroom():
+    vals = [Fraction(0)] + [Fraction(k, p) for k, p in zip(range(1, 8), BIG_PRIMES)]
+    arr, denom = SetFunction.from_table(vals).int_table()
     assert arr.dtype == object
     assert denom > INT64_HEADROOM
     assert [Fraction(int(x), denom) for x in arr] == vals
-
-
-def test_scale_to_ints_int64_just_under_headroom():
-    # terms copies of the largest magnitude must stay below the headroom
-    top = (INT64_HEADROOM - 1) // 3
-    arr, denom = scale_to_ints([Fraction(0), Fraction(-top), Fraction(top, 1)], terms=3)
-    assert arr.dtype == np.int64 and denom == 1
-    assert arr.tolist() == [0, -top, top]
-    arr, _ = scale_to_ints([Fraction(0), Fraction(-(top + 1))], terms=3)
-    assert arr.dtype == object
-    arr, denom = scale_to_ints([Fraction(1, 3), Fraction(top - 1, 3)], terms=3)
+    arr, denom = SetFunction.from_table([Fraction(0), Fraction(1, 3)]).int_table()
     assert arr.dtype == np.int64 and denom == 3
+
+
+def test_exact_ints_int64_just_under_headroom():
+    # the reach, here 3 copies of the largest magnitude, must stay below the headroom
+    top = (INT64_HEADROOM - 1) // 3
+    arr = exact_ints([0, -top, top], 3 * top)
+    assert arr.dtype == np.int64 and arr.tolist() == [0, -top, top]
+    arr = exact_ints([0, -(top + 1)], 3 * (top + 1))
+    assert arr.dtype == object and arr.tolist() == [0, -(top + 1)]
+    assert exact_ints([1], INT64_HEADROOM - 1).dtype == np.int64
+    assert exact_ints([1], INT64_HEADROOM).dtype == object
+    ints = np.array([0, 1], dtype=np.int64)
+    assert exact_ints(ints, 1) is ints  # no copy when the dtype already fits
 
 
 def test_align_ints_over_the_least_common_denominator():
