@@ -7,14 +7,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
                    Trace, align_ints, allocation_cost, harmonic)
-from .costs import (alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
-                    alpha_min_bounded_ns)
+from .costs import (AlphaReport, alpha_max_bounded, alpha_max_bounded_ns,
+                    alpha_min_bounded, alpha_min_bounded_ns)
 from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
                          incremental_costs, sm_run, verify_final_set_structure,
                          verify_p1, verify_p2)
@@ -252,23 +252,13 @@ def table_space(m: int, grid: Sequence) -> list[TableValuation]:
     return out
 
 
-def max_alpha(inst: Instance, estimator, ns_estimator) -> Rat | None:
-    """One cost parameter for a whole instance.
-
-    Separable costs take the max of ``estimator`` over the items, clamped at
-    1, which is how the guarantee bounds combine per-item parameters; None
-    when any item is unbounded. Non-separable costs use ``ns_estimator``.
-    """
-    if inst.is_separable:
-        worst = Fraction(1)
-        for fn in inst.cost_model.items:
-            rep = estimator(fn)
-            if rep.unbounded:
-                return None
-            worst = max(worst, rep.alpha)
-        return worst
-    rep = ns_estimator(inst.cost_model)
-    return rep.alpha
+def combined_alpha(reports: Iterable[AlphaReport]) -> Rat | None:
+    """One parameter for a whole instance from the reports of its costs: the
+    largest alpha, which is how the guarantee bounds combine per-cost
+    parameters, or None when any report is unbounded. Every estimator reports
+    at least 1."""
+    alphas = [rep.alpha for rep in reports]
+    return None if any(a is None for a in alphas) else max(alphas)
 
 
 def check_icb_bound(inst: Instance, order: Sequence[int] | None = None) -> bool:
@@ -292,8 +282,11 @@ def check_icb_bound(inst: Instance, order: Sequence[int] | None = None) -> bool:
         icb_sum += incremental_costs(inst, prefix, i)[opt_alloc.bundles[i]]
         prefix[i] = outcome.allocation.bundles[i]
 
-    alpha_min = max_alpha(inst, alpha_min_bounded, alpha_min_bounded_ns)
-    alpha_max = max_alpha(inst, alpha_max_bounded, alpha_max_bounded_ns)
+    costs, min_bounded, max_bounded = (
+        (inst.cost_model.items, alpha_min_bounded, alpha_max_bounded) if inst.is_separable
+        else ((inst.cost_model,), alpha_min_bounded_ns, alpha_max_bounded_ns))
+    alpha_min = combined_alpha(map(min_bounded, costs))
+    alpha_max = combined_alpha(map(max_bounded, costs))
     ok_min = alpha_min is None or icb_sum <= alpha_min * harmonic(n) * opt_cost
     ok_max = alpha_max is None or icb_sum <= alpha_max * opt_cost
     return ok_min and ok_max

@@ -24,7 +24,7 @@ from ..costs import (MAX_ESTIMATOR_GROUND, MAX_NS_CELLS, AlphaReport,
                      public_good_cost, require_estimator_size,
                      sqrt_max_cost, structural_alpha_bound, two_tier_step_cost)
 from ..mechanisms import MechanismPreconditionError
-from ..analysis import (MECHANISM_IDS, evaluate_run, max_alpha,
+from ..analysis import (MECHANISM_IDS, combined_alpha, evaluate_run,
                         require_optimum_size)
 from ..valuations import MAX_CLASSIFY_GROUND, check_class, classify_set_function
 from .formats import (InstanceParseError, format_flag, format_opt_rat,
@@ -37,35 +37,41 @@ def _mask_set(mask: int) -> str:
     return "{" + ",".join(str(i) for i in bits(mask)) + "}"
 
 
+def _estimators(separable: bool) -> dict:
+    """Label -> estimator of each cost-share parameter that applies to a
+    separable cost, or to a non-separable one. Built at each call, so it
+    reads the module's attributes as they are then."""
+    if separable:
+        return {"avg-decreasing": alpha_average_decreasing,
+                "min-bounded": alpha_min_bounded, "max-bounded": alpha_max_bounded}
+    return {"min-bounded": alpha_min_bounded_ns, "max-bounded": alpha_max_bounded_ns}
+
+
 def _instance_alphas(inst: Instance):
-    """(avg-decreasing, min-bounded, max-bounded), each Rat | None | '' (n/a)."""
-    if inst.is_separable:
-        avg_dec = max_alpha(inst, alpha_average_decreasing, None)
-    elif inst.n * inst.m > MAX_NS_CELLS:
-        return ("", "", "")
-    else:
-        avg_dec = ""
-    return (avg_dec, max_alpha(inst, alpha_min_bounded, alpha_min_bounded_ns),
-            max_alpha(inst, alpha_max_bounded, alpha_max_bounded_ns))
-
-
-def _fmt_alpha(a) -> str:
-    if a == "":
-        return ""
-    return format_opt_rat(a)
+    """By ``_estimators`` label: the reports of the instance's costs, one per
+    cost, and the instance value (``combined_alpha``). A label that does not
+    apply is absent; a non-separable instance past MAX_NS_CELLS has none."""
+    if not inst.is_separable and inst.n * inst.m > MAX_NS_CELLS:
+        return {}, {}
+    costs = inst.cost_model.items if inst.is_separable else (inst.cost_model,)
+    reports = {label: [estimate(fn) for fn in costs]
+               for label, estimate in _estimators(inst.is_separable).items()}
+    return reports, {label: combined_alpha(reps) for label, reps in reports.items()}
 
 
 def _evaluated_row(instance_id: str, inst: Instance, mechanism: str, order):
-    """Run one instance: its report, alphas and CSV row. The optimum's size
-    limit, then the average-decreasing estimator's, refuse it before the
-    mechanism runs. The row's ``wall_time_s`` times ``evaluate_run`` only."""
+    """Run one instance: its report, reports and alphas (``_instance_alphas``)
+    and CSV row. The optimum's size limit, then the average-decreasing
+    estimator's, refuse it before the mechanism runs. The row's
+    ``wall_time_s`` times ``evaluate_run`` only; a parameter that does not
+    apply leaves its column blank."""
     require_optimum_size(inst)
     if inst.is_separable:
         require_estimator_size(inst.n)
     start = time.perf_counter()
     report = evaluate_run(inst, mechanism, order=order)
     wall = time.perf_counter() - start
-    alphas = _instance_alphas(inst)
+    reports, alphas = _instance_alphas(inst)
     row = {
         "instance": instance_id,
         "mechanism": mechanism,
@@ -73,17 +79,11 @@ def _evaluated_row(instance_id: str, inst: Instance, mechanism: str, order):
         "social_cost": format_rat(report.social_cost),
         "optimal_social_cost": format_rat(report.optimal_social_cost),
         "approx_ratio": format_opt_rat(report.approx_ratio),
-        "alpha_avg_decreasing": _fmt_alpha(alphas[0]),
-        "alpha_min_bounded": _fmt_alpha(alphas[1]),
-        "alpha_max_bounded": _fmt_alpha(alphas[2]),
-        "p1": format_flag(report.flags.p1),
-        "p2": format_flag(report.flags.p2),
-        "final_set": format_flag(report.flags.final_set),
-        "ir": format_flag(report.flags.ir),
-        "npt": format_flag(report.flags.npt),
+        **{"alpha_" + label.replace("-", "_"): format_opt_rat(a) for label, a in alphas.items()},
+        **{flag: format_flag(v) for flag, v in vars(report.flags).items()},
         "wall_time_s": f"{wall:.3f}",
     }
-    return report, alphas, row
+    return report, reports, alphas, row
 
 
 def _trace_dump(report) -> str:
@@ -98,40 +98,43 @@ def _trace_dump(report) -> str:
     return "\n".join(out) + "\n"
 
 
-def _finite(alpha) -> bool:
-    """Whether an ``_instance_alphas`` entry is a number: not unbounded, not n/a."""
-    return alpha not in ("", None)
-
-
 def _within(report, factor) -> bool:
     """Whether the social cost is at most ``factor`` times the optimum."""
     return report.social_cost <= factor * report.optimal_social_cost
 
 
-def _within_combinatorial_bound(inst: Instance) -> bool | None:
-    """Whether each cover/matching cost's max-bounded parameter is within its
-    own structural bound; None when the instance has no such cost."""
+def _within_combinatorial_bound(inst: Instance, reports) -> bool | None:
+    """Whether each cover/matching cost's max-bounded parameter, read from its
+    report, is within its own structural bound; None when the instance has no
+    such cost."""
     items = inst.cost_model.items if inst.is_separable else ()
-    bounded = [(fn, bound) for fn in items if (bound := structural_alpha_bound(fn)) is not None]
-    if not bounded:
-        return None
-    return all(not (rep := alpha_max_bounded(fn)).unbounded and rep.alpha <= bound
-               for fn, bound in bounded)
+    verdicts = [rep.alpha is not None and rep.alpha <= bound
+                for fn, rep in zip(items, reports.get("max-bounded", ()))
+                if (bound := structural_alpha_bound(fn)) is not None]
+    return all(verdicts) if verdicts else None
 
 
-# name -> check(inst, report, alphas): True, False, or None when it does not apply
+# name -> check(inst, run report, alphas, reports): True, False, or None when it
+# does not apply; alphas and reports as ``_instance_alphas`` gives them, so
+# alphas.get(label) is None for a parameter unbounded or not applicable
 _SUITE_CHECKS = {
-    "budget-exact": lambda i, r, a: r.total_payment == r.cost,
-    "budget-alpha": lambda i, r, a: _finite(a[0]) and r.cost <= r.total_payment <= a[0] * r.cost,
-    "approx-hn": lambda i, r, a: _within(r, harmonic(i.n)),
-    "approx-2a3hn": lambda i, r, a: _finite(a[0]) and _within(r, 2 * a[0] ** 3 * harmonic(i.n)),
-    "approx-alpha-hn": lambda i, r, a: _finite(a[1]) and _within(r, a[1] * harmonic(i.n)),
-    "approx-alpha-max": lambda i, r, a: _within(r, a[2]) if _finite(a[2]) else None,
-    "approx-n": lambda i, r, a: _within(r, i.n),
-    "trace": lambda i, r, a: bool(r.flags.p1 and r.flags.p2 and r.flags.final_set),
-    "ir": lambda i, r, a: r.flags.ir,
-    "npt": lambda i, r, a: r.flags.npt,
-    "alpha-combinatorial-bound": lambda i, r, a: _within_combinatorial_bound(i),
+    "budget-exact": lambda i, r, a, p: r.total_payment == r.cost,
+    "budget-alpha": lambda i, r, a, p: (
+        a.get("avg-decreasing") is not None
+        and r.cost <= r.total_payment <= a["avg-decreasing"] * r.cost),
+    "approx-hn": lambda i, r, a, p: _within(r, harmonic(i.n)),
+    "approx-2a3hn": lambda i, r, a, p: (
+        a.get("avg-decreasing") is not None
+        and _within(r, 2 * a["avg-decreasing"] ** 3 * harmonic(i.n))),
+    "approx-alpha-hn": lambda i, r, a, p: (
+        a.get("min-bounded") is not None and _within(r, a["min-bounded"] * harmonic(i.n))),
+    "approx-alpha-max": lambda i, r, a, p: (
+        None if a.get("max-bounded") is None else _within(r, a["max-bounded"])),
+    "approx-n": lambda i, r, a, p: _within(r, i.n),
+    "trace": lambda i, r, a, p: bool(r.flags.p1 and r.flags.p2 and r.flags.final_set),
+    "ir": lambda i, r, a, p: r.flags.ir,
+    "npt": lambda i, r, a, p: r.flags.npt,
+    "alpha-combinatorial-bound": lambda i, r, a, p: _within_combinatorial_bound(i, p),
 }
 SUITE_CHECKS = tuple(_SUITE_CHECKS)
 
@@ -144,8 +147,8 @@ def cmd_run(args) -> int:
     if args.trace_out and args.mechanism == "sm":
         print("error: no trace: the sm mechanism is not iterative", file=sys.stderr)
         return 2
-    report, _, row = _evaluated_row(Path(args.instance).stem, _load_instance(args.instance),
-                                    args.mechanism, args.order)
+    report, _, _, row = _evaluated_row(Path(args.instance).stem, _load_instance(args.instance),
+                                       args.mechanism, args.order)
     text = report_text([row])
     if args.out:
         Path(args.out).write_text(text)
@@ -212,17 +215,16 @@ def cmd_alpha(args) -> int:
     target = args.target
     builtin = None if Path(target).exists() else _parse_descriptor(target)
     inst = None if builtin is not None else _load_instance(target)
-    if inst is None or inst.is_separable:
-        estimators = (("avg-decreasing", alpha_average_decreasing),
-                      ("min-bounded", alpha_min_bounded), ("max-bounded", alpha_max_bounded))
-        costs = ([(f"cost descriptor {target}", builtin)] if inst is None else
-                 [(f"cost {j} kind={fn.kind}", fn) for j, fn in enumerate(inst.cost_model.items)])
+    separable = inst is None or inst.is_separable
+    if inst is None:
+        costs = [(f"cost descriptor {target}", builtin)]
+    elif separable:
+        costs = [(f"cost {j} kind={fn.kind}", fn) for j, fn in enumerate(inst.cost_model.items)]
     else:
-        estimators = (("min-bounded", alpha_min_bounded_ns), ("max-bounded", alpha_max_bounded_ns))
         costs = [(f"nonseparable cost kind={inst.cost_model.kind}", inst.cost_model)]
     for title, cost in costs:
         # a title is printed only once every estimator of its cost has succeeded
-        reports = [(label, estimate(cost)) for label, estimate in estimators]
+        reports = [(label, estimate(cost)) for label, estimate in _estimators(separable).items()]
         print(title)
         for label, rep in reports:
             _print_alpha_report(label, rep)
@@ -319,10 +321,10 @@ def cmd_suite(args) -> int:
     rows = []
     failures = []
     for instance_id, inst in jobs:
-        report, alphas, row = _evaluated_row(instance_id, inst, mechanism, order)
+        report, reports, alphas, row = _evaluated_row(instance_id, inst, mechanism, order)
         rows.append(row)
         for check in checks:
-            verdict = _SUITE_CHECKS[check](inst, report, alphas)
+            verdict = _SUITE_CHECKS[check](inst, report, alphas, reports)
             if verdict is False:
                 failures.append((instance_id, check))
 

@@ -138,8 +138,8 @@ class SetFunction:
     Backed either by a dense table (ground_size <= 20) or by a memoizing
     oracle with a cache cap: a callback, or a subset recurrence. An oracle
     checks and caches each value it computes through ``_store``, once. An
-    oracle may also carry a fill (``_fill``) that computes all 2^n values at
-    once as ``(ints, denom)``, such as a recurrence's bottom-up pass. Oracles
+    oracle may also carry a fill that computes all 2^n values at once as
+    ``(ints, denom)``, such as a recurrence's bottom-up pass. Oracles
     are called with the function itself as first argument and fills with
     none, so no closure refers back to it: a function nothing uses is freed
     at once, cache and all, not at the next cyclic garbage collection.
@@ -184,8 +184,10 @@ class SetFunction:
 
     @classmethod
     def from_oracle(cls, ground_size: int, fn: Callable[[int], Rat], *,
-                    kind: str = "oracle") -> "SetFunction":
-        obj = cls(ground_size, oracle=lambda sf, mask: sf._store(mask, fn(mask)), kind=kind)
+                    fill: Callable[[], tuple[Sequence, int]] | None = None,
+                    kind: str = "oracle", meta: dict | None = None) -> "SetFunction":
+        obj = cls(ground_size, oracle=lambda sf, mask: sf._store(mask, fn(mask)), fill=fill,
+                  kind=kind, meta=meta)
         if obj(0) != 0:
             raise ValueError("set functions must satisfy f(empty) = 0")
         return obj
@@ -247,8 +249,9 @@ class SetFunction:
                 table[masks] = out
             return table, 1
 
-        oracle = solve if point is None else lambda sf, mask: sf._store(mask, point(mask))
-        return cls(ground_size, oracle=oracle, fill=fill, kind=kind, meta=meta)
+        if point is not None:
+            return cls.from_oracle(ground_size, point, fill=fill, kind=kind, meta=meta)
+        return cls(ground_size, oracle=solve, fill=fill, kind=kind, meta=meta)
 
     def _store(self, mask: int, val) -> Rat:
         """Check an oracle value and cache it while the cache is under its cap."""
@@ -363,31 +366,23 @@ class AllocationCostFn:
 
     An allocation is a subset of the n*m (player, item) pairs, so C is a set
     function over them, keyed on the allocation index (``bundle_shifts``).
-    C of the empty allocation must be 0; values are non-negative.
+    C of the empty allocation must be 0; values are non-negative. A ``fill``
+    gives ``int_table()`` all 2^(n*m) values in one call, as ``(ints, denom)``
+    in index order; point queries still call ``fn``.
     """
 
     __slots__ = ("n", "m", "kind", "meta", "_costs")
 
     def __init__(self, n: int, m: int, fn: Callable[[tuple[int, ...]], Rat], *,
+                 fill: Callable[[], tuple[Sequence, int]] | None = None,
                  kind: str = "oracle", meta: dict | None = None):
         self.n = n
         self.m = m
         self.kind = kind
         self.meta = meta or {}
         self._costs = SetFunction.from_oracle(
-            n * m, lambda k: fn(Allocation.from_index(k, n, m).bundles), kind="allocation")
-
-    @classmethod
-    def _with_fill(cls, n: int, m: int, fn: Callable[[tuple[int, ...]], Rat],
-                   fill: Callable[[], tuple[Sequence, int]], *, kind: str,
-                   meta: dict | None = None) -> "AllocationCostFn":
-        """The cost ``fn`` whose ``int_table()`` takes all 2^(n*m) values
-        from one call of ``fill()``, as ``(ints, denom)`` in index order;
-        point queries still call ``fn``. For the built-in costs, which can
-        compute every allocation's cost at once."""
-        obj = cls(n, m, fn, kind=kind, meta=meta)
-        obj._costs._fill = fill
-        return obj
+            n * m, lambda k: fn(Allocation.from_index(k, n, m).bundles), fill=fill,
+            kind="allocation")
 
     def __call__(self, a: Allocation) -> Rat:
         if a.n != self.n or a.m != self.m:

@@ -469,7 +469,7 @@ def _per_item_cost(sep: SeparableCosts, n: int, combine, reduce, terms: int,
         per_item = np.stack(ints)[np.arange(m)[:, None], _served(n, m)]
         return reduce(per_item, axis=0), denom
 
-    return AllocationCostFn._with_fill(n, m, fn, fill, kind=kind, meta={"separable": sep})
+    return AllocationCostFn(n, m, fn, fill=fill, kind=kind, meta={"separable": sep})
 
 
 def lifted_separable_cost(sep: SeparableCosts, n: int) -> AllocationCostFn:
@@ -489,10 +489,10 @@ def _weighted_count(n: int, m: int, weight, count, kind: str) -> AllocationCostF
     one definition answers point queries and fills the table. A count is at
     most max(n, m), which times the weight's numerator is the fill's reach."""
     w = _non_negative(weight, f"{kind} weight")
-    return AllocationCostFn._with_fill(
+    return AllocationCostFn(
         n, m, lambda bundles: w * count(bundles),
-        lambda: (exact_ints(count(_bundles(n, m)), max(n, m) * w.numerator) * w.numerator,
-                 w.denominator),
+        fill=lambda: (exact_ints(count(_bundles(n, m)), max(n, m) * w.numerator) * w.numerator,
+                      w.denominator),
         kind=kind, meta={"weight": w})
 
 

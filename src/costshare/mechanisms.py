@@ -35,8 +35,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterator, Sequence
 
-from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, bits, capped_store, mask_of, subset_sums)
+from .core import (Allocation, Instance, Outcome, Rat, Trace, bits, capped_store,
+                   mask_of, require_dense_size, subset_sums)
 from .valuations import SymmetricSubmodularValuation, ValuationFn
 
 
@@ -44,7 +44,6 @@ class MechanismPreconditionError(ValueError):
     """An instance violates a mechanism's stated preconditions."""
 
 
-MAX_SM_ITEMS = 20
 # Entries an instance's step_memo stops growing at. At the 200-340 bytes an
 # entry takes, 2^18 entries stay under about 90 MB; a misreport search
 # reaches a few hundred per instance.
@@ -296,9 +295,7 @@ def sm_run(inst: Instance, order: Sequence[int] | None = None,
     that incremental cost.
     """
     n, m = inst.n, inst.m
-    if m > MAX_SM_ITEMS:
-        raise GroundSetTooLargeError(
-            f"bundle search enumerates 2^m subsets; m <= {MAX_SM_ITEMS} required")
+    require_dense_size(m)  # each step prices all 2^m bundles
     try:
         seq = list(range(n)) if order is None else [operator.index(i) for i in order]
     except TypeError:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import costshare.cli.main as main_module
 from costshare import analysis
 from costshare.core import SetFunction
 from costshare.cli import gen as gen_module
@@ -20,10 +22,7 @@ from costshare.cli.formats import (InstanceParseError, parse_instance,
                                    serialize_instance)
 from costshare.cli.gen import GEN_KINDS, GenParamError, generate
 from costshare.cli.main import build_parser, main
-from costshare.costs import alpha_max_bounded, structural_alpha_bound
-
-# costshare.cli re-exports the function main under its module's name
-main_module = sys.modules["costshare.cli.main"]
+from costshare.costs import AlphaReport, alpha_max_bounded, structural_alpha_bound
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = sorted((REPO / "instances").glob("*.inst"))
@@ -400,6 +399,30 @@ def test_cli_suite_combinatorial_bound_on_cover_and_matching(tmp_path, capsys, m
     assert err.count("alpha-combinatorial-bound") == 9
 
 
+def test_cli_suite_bound_check_reads_each_items_max_bounded_report(tmp_path, capsys,
+                                                                  monkeypatch):
+    calls = []
+
+    def spy(fn):
+        calls.append(fn)
+        return alpha_max_bounded(fn)
+
+    monkeypatch.setattr(main_module, "alpha_max_bounded", spy)
+    inst = tmp_path / "mixed.inst"
+    inst.write_text(MIXED_BOUND_INSTANCE)
+    path = _bound_suite(tmp_path, instances=[str(inst)], generate=[
+        {"kind": "vertex-cover", "count": 3, "params": {"v": "6", "k": "3", "e": "7"}}])
+    assert main(["suite", str(path)]) == 0
+    assert "all checks passed on 4 instance(s)" in capsys.readouterr().err
+    # one estimate per item: the mixed instance's two and one per vertex-cover instance
+    assert len(calls) == len(set(map(id, calls))) == 5
+    # the check reads those reports: unbounded ones fail every instance with a bounded item
+    monkeypatch.setattr(main_module, "alpha_max_bounded",
+                        lambda fn: AlphaReport(None, (1,), "average-max-bounded"))
+    assert main(["suite", str(path)]) == 1
+    assert capsys.readouterr().err.count("alpha-combinatorial-bound") == 4
+
+
 def test_cli_suite_empty_config(tmp_path):
     config = tmp_path / "empty.json"
     config.write_text(json.dumps({"name": "empty", "mechanism": "sm",
@@ -640,6 +663,38 @@ def test_each_command_builds_one_int_table_per_function(tmp_path, monkeypatch, c
         assert sorted(fn.kind for fn in builds) == ["set-cover"] + ["table"] * 12
         assert set(builds.values()) == {1}
     capsys.readouterr()
+
+
+def _players(n: int, m: int) -> str:
+    return (f"costshare-instance v1\nn {n}\nm {m}\n"
+            + "".join(f"valuation {i} symmetric {' '.join(['1/1'] * m)}\n" for i in range(n)))
+
+
+ASCENDING_FLAGS = ["true"] * 5
+SEQUENTIAL_FLAGS = ["", "", "", "true", "true"]
+
+
+@pytest.mark.parametrize("text, mechanism, alphas, flags", [
+    # c({1}) = 0 < c({0,1})/2: no finite average-decreasing parameter
+    (_players(2, 1) + "cost 0 table 0/1 0/1 1/1 1/1\n", "iacsm",
+     ["unbounded", "1/1", "2/1"], ASCENDING_FLAGS),
+    # c({0,1}) = 0 under positive standalone costs: no finite bounded parameter
+    (_players(2, 1) + "cost 0 table 0/1 1/1 1/1 0/1\n", "sm",
+     ["1/1", "unbounded", "unbounded"], SEQUENTIAL_FLAGS),
+    (_players(2, 2) + "nonseparable count-served 3/2\n", "sm",
+     ["", "1/1", "2/1"], SEQUENTIAL_FLAGS),
+    # n*m = 14 is past the non-separable estimators' 12 cells
+    (_players(7, 2) + "nonseparable count-served\n", "sm", ["", "", ""], SEQUENTIAL_FLAGS),
+], ids=["avg-decreasing-unbounded", "min-bounded-unbounded", "nonseparable",
+        "nonseparable-past-estimator-size"])
+def test_cli_run_alpha_columns(tmp_path, capsys, text, mechanism, alphas, flags):
+    path = tmp_path / "case.inst"
+    path.write_text(text)
+    assert main(["run", str(path), "--mechanism", mechanism]) == 0
+    [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert [row[f"alpha_{label}"] for label in
+            ("avg_decreasing", "min_bounded", "max_bounded")] == alphas
+    assert [row[flag] for flag in ("p1", "p2", "final_set", "ir", "npt")] == flags
 
 
 def test_cli_run_past_optimum_size_limit_exits_2(tmp_path, capsys):

@@ -784,12 +784,12 @@ def test_allocation_fill_values_pass_the_negativity_check():
     for build in (count_served_cost, union_items_cost):
         with pytest.raises(ValueError, match="negative"):
             build(2, 2, -1).to_table()
-    C = AllocationCostFn._with_fill(1, 1, lambda bundles: Fraction(bundles[0]),
-                                    lambda: ([0, -1], 1), kind="negative-fill")
+    C = AllocationCostFn(1, 1, lambda bundles: Fraction(bundles[0]),
+                         fill=lambda: ([0, -1], 1), kind="negative-fill")
     assert C(Allocation((1,), 1)) == 1
     with pytest.raises(ValueError, match="negative"):
-        AllocationCostFn._with_fill(1, 1, lambda bundles: Fraction(bundles[0]),
-                                    lambda: ([0, -1], 1), kind="negative-fill").to_table()
+        AllocationCostFn(1, 1, lambda bundles: Fraction(bundles[0]),
+                         fill=lambda: ([0, -1], 1), kind="negative-fill").to_table()
 
 
 def _chunked_ns_cost(values):

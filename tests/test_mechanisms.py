@@ -318,6 +318,18 @@ def test_sm_order_is_validated():
         sm_run(inst, order=[0.9, 1.5])
 
 
+def test_sm_refuses_more_items_than_the_dense_rule_before_any_cost_query():
+    queries = []
+    items = tuple(core.SetFunction.from_oracle(1, lambda mask: queries.append(mask) or F(mask))
+                  for _ in range(21))
+    inst = Instance(valuations=(sym(*[1] * 21),), cost_model=SeparableCosts(items), m=21)
+    queries.clear()  # from_oracle has asked each item for f(empty)
+    with pytest.raises(core.GroundSetTooLargeError,
+                       match=r"dense tables limited to ground_size <= 20"):
+        sm_run(inst)
+    assert queries == []
+
+
 def test_sm_order_changes_outcome():
     # public good with cost 2: whoever goes first pays the full standalone cost
     inst = separable_instance([sym(3), sym(3)], [[0, 2, 2, 2]])
