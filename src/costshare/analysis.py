@@ -5,16 +5,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, align_ints, allocation_cost, harmonic)
+                   Trace, align_ints, allocation_cost, harmonic, symmetric_levels)
 from .costs import (AlphaReport, alpha_max_bounded, alpha_max_bounded_ns,
-                    alpha_min_bounded, alpha_min_bounded_ns)
+                    alpha_min_bounded, alpha_min_bounded_ns, require_ns_estimator_size)
 from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
                          incremental_costs, sm_run, verify_final_set_structure,
                          verify_p1, verify_p2)
@@ -58,14 +60,23 @@ def require_optimum_size(inst: Instance) -> None:
 def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     """Exact minimum social cost with the lexicographically smallest witness.
 
-    The social cost of all 2^(n*m) allocations is one array of shape
-    (2,)*(n*m) over a common denominator (see ``core.align_ints``), with
-    axis i*m + (m-1-j) for item j of player i's bundle, so that ravel order
-    is allocation index order (``core.bundle_shifts``). It is the sum of each
-    player's loss table on that player's axes, plus each item's cost table on
-    the item's axes (player 0 first), or C(A) reshaped when costs are
-    non-separable. Index order is lexicographic bundle-tuple order, so
-    argmin's first minimizer is the lexicographically smallest witness.
+    The social cost is Σ_i L_i(A_i) + Σ_j c_j(T_j), with the loss L_i(b) =
+    v_i(all items) - v_i(b), all over one common denominator (see
+    ``core.align_ints``). A backward DP takes the players one at a time:
+    h_n(s) = Σ_j c_j(s_j), and h_i(s) = min over bundles b of L_i[b] +
+    h_{i+1}(s after player i takes b), so the optimum is h_0 at the empty state.
+
+    Each h_i is one int array over the states of players 0..i-1, with one
+    axis group per item: a count axis, |T_j| so far, when c_j is symmetric
+    (``core.symmetric_levels``), so that taking b shifts it by bit j of b;
+    else one 0/1 axis per player. A non-separable C(A) has one axis of 2^m
+    bundles per player instead. Each step adds L_i to h_{i+1} seen over
+    (state, player i's bundle) and takes the minimum over the bundle.
+
+    The witness is one forward pass: each player takes the first bundle that
+    attains the minimum, given the bundles before it. Index order is
+    lexicographic bundle-tuple order with player 0 first, so this is the
+    lexicographically smallest minimizer.
     """
     require_optimum_size(inst)
     n, m = inst.n, inst.m
@@ -76,21 +87,62 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
         tables += [fn.int_table() for fn in inst.cost_model.items]
     else:
         tables.append(inst.cost_model.int_table())
+    # each h value is a partial sum of these terms, so it keeps their reach
     scaled, denom = align_ints(tables, terms=len(tables))
 
-    total = np.zeros((2,) * (n * m), dtype=scaled[0].dtype)
-    for i in range(n):
-        total += scaled[i].reshape((1,) * (i * m) + (2,) * m + (1,) * ((n - 1 - i) * m))
     if inst.is_separable:
-        for j in range(m):
-            axes = tuple(2 if a % m == m - 1 - j else 1 for a in range(n * m))
-            total += scaled[n + j].reshape((2,) * n).transpose().reshape(axes)
+        losses = [loss.reshape((2,) * m) for loss in scaled[:n]]  # item m-1's bit first
+        levels = [symmetric_levels(c, n) for c in scaled[n:]]
+        counted = [lv is not None for lv in levels]
+        h = reduce(np.add.outer, [c.reshape((2,) * n).transpose() if lv is None else lv
+                                  for c, lv in zip(scaled[n:], levels)])
+        view = partial(_separable_view, counted)
+        state = partial(_separable_state, counted)
     else:
-        total += scaled[n].reshape(total.shape)
+        losses = scaled[:n]
+        h = scaled[n].reshape((1 << m,) * n)
+        view, state = (lambda h, i: h), tuple
 
-    flat_total = total.ravel()
-    k = int(np.argmin(flat_total))
-    return Fraction(int(flat_total[k]), denom), Allocation.from_index(k, n, m)
+    hs = [h]  # h_n, then h_{n-1} down to h_1
+    for i in reversed(range(1, n)):
+        h = view(hs[-1], i) + losses[i]
+        hs.append(h.reshape(h.shape[:h.ndim - losses[i].ndim] + (-1,)).min(axis=-1))
+    bundles: list[int] = []
+    for i, h in enumerate(reversed(hs)):
+        candidates = (view(h, i)[state(bundles)] + losses[i]).ravel()
+        bundles.append(int(candidates.argmin()))
+        if i == 0:
+            optimum = int(candidates[bundles[0]])
+    return Fraction(optimum, denom), Allocation(tuple(bundles), m)
+
+
+def _separable_view(counted: Sequence[bool], h: np.ndarray, i: int) -> np.ndarray:
+    """h_{i+1} of separable costs as a view over (the state of players 0..i-1,
+    then player i's bit of item m-1, ..., of item 0). A counted item's axis
+    gives a window of two neighbouring counts; any other item's axes end
+    with player i's."""
+    count_axes, bit_axes, start = [], [], 0
+    for c in counted:
+        if c:
+            bit_axes.append(h.ndim + len(count_axes))
+            count_axes.append(start)
+            start += 1
+        else:
+            start += i + 1
+            bit_axes.append(start - 1)
+    windows = (sliding_window_view(h, (2,) * len(count_axes), axis=count_axes)
+               if count_axes else h)
+    states = [a for a in range(h.ndim) if a not in bit_axes]
+    return windows.transpose(states + bit_axes[::-1])
+
+
+def _separable_state(counted: Sequence[bool], bundles: Sequence[int]) -> tuple[int, ...]:
+    """The index of the bundles taken so far in a ``_separable_view``."""
+    out: list[int] = []
+    for j, c in enumerate(counted):
+        taken = [b >> j & 1 for b in bundles]
+        out += [sum(taken)] if c else taken
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -267,9 +319,13 @@ def check_icb_bound(inst: Instance, order: Sequence[int] | None = None) -> bool:
     Runs the sequential mechanism, replays each player's optimal-allocation
     bundle against the mechanism's own prefix allocations, and verifies the
     resulting sum is at most alpha*H_n*C(A*) for the min-bounded alpha and at
-    most alpha*C(A*) for the max-bounded alpha (when finite).
+    most alpha*C(A*) for the max-bounded alpha (when finite). The size limits
+    of the optimum and, for a non-separable cost, of its estimators refuse an
+    instance before the mechanism runs.
     """
     require_optimum_size(inst)
+    if not inst.is_separable:
+        require_ns_estimator_size(inst.n, inst.m)
     n = inst.n
     seq = list(range(n)) if order is None else list(order)
     outcome = sm_run(inst, order=seq)

@@ -115,6 +115,14 @@ def popcounts(n: int) -> np.ndarray:
     return sizes
 
 
+def symmetric_levels(arr: np.ndarray, n: int) -> np.ndarray | None:
+    """The level table ``level[k] = arr[2^k - 1]`` of a table over every
+    subset of an n-element ground set when each set's entry is the level of
+    its size, ``arr == level[popcounts(n)]``; None when some set's is not."""
+    level = arr[(1 << np.arange(n + 1)) - 1]
+    return level if np.array_equal(arr, level[popcounts(n)]) else None
+
+
 def mask_of(indices: Iterable[int]) -> int:
     out = 0
     for i in indices:

@@ -231,6 +231,13 @@ def require_estimator_size(n: int) -> None:
             f"average-decreasing estimator limited to n <= {MAX_ESTIMATOR_GROUND}")
 
 
+def require_ns_estimator_size(n: int, m: int) -> None:
+    """Refuse an allocation cost too large for the non-separable estimators."""
+    if n * m > MAX_NS_CELLS:
+        raise GroundSetTooLargeError(
+            f"exhaustive allocation enumeration needs n*m <= {MAX_NS_CELLS}")
+
+
 def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     """Least a with a*c(S)/|S| >= c(T)/|T| for every nonempty S <= T.
 
@@ -341,9 +348,7 @@ def alpha_max_bounded(c: SetFunction) -> AlphaReport:
 
 def _alpha_bounded_ns(C: AllocationCostFn, pick, kind: str) -> AlphaReport:
     n, m = C.n, C.m
-    if n * m > MAX_NS_CELLS:
-        raise GroundSetTooLargeError(
-            f"exhaustive allocation enumeration needs n*m <= {MAX_NS_CELLS}")
+    require_ns_estimator_size(n, m)
     table = C.int_table()[0]
     # C(A restricted to the players in T) is table[k & keep[T]] for the
     # allocation at index k; singleton T have ratio 1 or 0/0, so scanning

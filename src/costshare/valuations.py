@@ -9,8 +9,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import (GroundSetTooLargeError, Rat, SetFunction, as_rat, popcounts,
-                   require_dense_size)
+from .core import (GroundSetTooLargeError, Rat, SetFunction, as_rat, require_dense_size,
+                   symmetric_levels)
 
 MAX_CLASSIFY_GROUND = 16
 PAIR_CHUNK_BITS = 8
@@ -150,8 +150,8 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
 
     # symmetric: every set costs what the set of its |S| lowest elements costs;
     # then xos-symmetric: level[k] / k is non-increasing, cross-multiplied
-    level = arr[(1 << np.arange(n + 1)) - 1]
-    symmetric = bool(np.array_equal(arr, level[popcounts(n)]))
+    level = symmetric_levels(arr, n)
+    symmetric = level is not None
     xos_sym = symmetric and all(int(level[k]) * (k + 1) >= int(level[k + 1]) * k
                                 for k in range(1, n))
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -132,6 +133,62 @@ def test_optimum_nonseparable():
     assert alloc.bundles == (1, 0)  # serving player 1 costs 3/2 for value 1
 
 
+def test_optimum_matches_enumeration_on_every_state_kind():
+    """Count states (symmetric items), set states (table items), both in one
+    instance, and allocation states (lifted and max-item costs), on small
+    denominators and on prime ones past int64, n = 1 and m = 1 included; 0/1
+    values make ties common, so the witness must be the smallest one."""
+    rng = random.Random(21)
+
+    def rat(top, big):
+        return F(rng.randint(0, top), rng.choice(BIG_PRIMES) if big else rng.randint(1, 3))
+
+    for n, m in ((1, 1), (1, 3), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2)):
+        for big, top in ((False, 1), (False, 6), (True, 6)):
+            for kinds in ("s" * m, "t" * m, ("st" * m)[:m]):
+                vals = tuple(TableValuation.from_values(
+                    [0] + [rat(top, big) for _ in range((1 << m) - 1)]) for _ in range(n))
+                sep = SeparableCosts(tuple(
+                    symmetric_submodular_cost(n, sorted((rat(top, big) for _ in range(n)),
+                                                        reverse=True)) if kind == "s"
+                    else table_cost([0] + [rat(top, big) for _ in range((1 << n) - 1)])
+                    for kind in kinds))
+                for cost_model in (sep, lifted_separable_cost(sep, n), max_item_cost(sep, n)):
+                    inst = Instance(valuations=vals, cost_model=cost_model, m=m)
+                    assert optimal_social_cost(inst) == naive_optimal_social_cost(inst)
+
+
+@pytest.mark.parametrize("weights", [(0, 0, 0), (1, 1, 1), (1, 2, 3)],
+                         ids=["all-zero", "equal", "weighted"])
+def test_optimum_all_allocations_tie(weights):
+    """v_i(b) = w_i |b| and c_j(T) = Σ_{i in T} w_i make every allocation's
+    social cost m Σ_i w_i; the witness is the all-empty one, with count
+    states (equal weights) and set states (unequal weights) alike."""
+    n, m = len(weights), 2
+    vals = tuple(sym(w, w) for w in weights)
+    cost = table_cost([sum(w for i, w in enumerate(weights) if t >> i & 1)
+                       for t in range(1 << n)])
+    sep = SeparableCosts((cost,) * m)
+    for cost_model in (sep, lifted_separable_cost(sep, n)):
+        inst = Instance(valuations=vals, cost_model=cost_model, m=m)
+        assert optimal_social_cost(inst) == (m * sum(weights), Allocation((0,) * n, m))
+
+
+def test_optimum_peak_memory_is_far_below_the_allocation_table():
+    """The optimum of a 4x5 random-symmetric instance holds count states, not
+    the 8 MB int64 array over all 2^20 allocations."""
+    inst = generate("random-symmetric", {"n": "4", "m": "5"}, 11)
+    for fn in inst.cost_model.items:
+        fn.int_table()
+    tracemalloc.start()
+    try:
+        optimal_social_cost(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_optimum_size_guard(monkeypatch):
     inst = Instance(valuations=tuple(sym(*([1] * 4)) for _ in range(6)),
                     cost_model=SeparableCosts(tuple(
@@ -143,6 +200,14 @@ def test_optimum_size_guard(monkeypatch):
     monkeypatch.setattr(analysis, "sm_run", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(GroundSetTooLargeError, match="n\\*m <= 20"):
         check_icb_bound(generate("set-cover", {"n": "21"}, 0))
+    assert calls == []
+    # a 7x2 non-separable cost fits the optimum but not its estimators
+    monkeypatch.setattr(analysis, "optimal_social_cost",
+                        lambda *args, **kwargs: calls.append(args))
+    inst = Instance(valuations=tuple(sym(1, 1) for _ in range(7)),
+                    cost_model=count_served_cost(7, 2), m=2)
+    with pytest.raises(GroundSetTooLargeError, match="n\\*m <= 12"):
+        check_icb_bound(inst)
     assert calls == []
 
 
