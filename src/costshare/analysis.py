@@ -15,8 +15,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
                    Trace, align_ints, allocation_cost, harmonic, symmetric_levels)
-from .costs import (AlphaReport, alpha_max_bounded, alpha_max_bounded_ns,
-                    alpha_min_bounded, alpha_min_bounded_ns, require_ns_estimator_size)
+# perfbench/test_perfbench.py reads costshare.analysis.alpha_min_bounded
+from .costs import AlphaReport, alpha_min_bounded  # noqa: F401
 from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
                          incremental_costs, sm_run, verify_final_set_structure,
                          verify_p1, verify_p2)
@@ -103,17 +103,15 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
         h = scaled[n].reshape((1 << m,) * n)
         view, state = (lambda h, i: h), tuple
 
-    hs = [h]  # h_n, then h_{n-1} down to h_1
-    for i in reversed(range(1, n)):
-        h = view(hs[-1], i) + losses[i]
-        hs.append(h.reshape(h.shape[:h.ndim - losses[i].ndim] + (-1,)).min(axis=-1))
+    views = []  # player i's view of h_{i+1}, for i = n-1 down to 0
+    for i in reversed(range(n)):
+        views.append(view(h, i))
+        h = views[-1] + losses[i]
+        h = h.reshape(h.shape[:h.ndim - losses[i].ndim] + (-1,)).min(axis=-1)
     bundles: list[int] = []
-    for i, h in enumerate(reversed(hs)):
-        candidates = (view(h, i)[state(bundles)] + losses[i]).ravel()
-        bundles.append(int(candidates.argmin()))
-        if i == 0:
-            optimum = int(candidates[bundles[0]])
-    return Fraction(optimum, denom), Allocation(tuple(bundles), m)
+    for i, v in enumerate(reversed(views)):
+        bundles.append(int((v[state(bundles)] + losses[i]).argmin()))
+    return Fraction(int(np.min(h)), denom), Allocation(tuple(bundles), m)  # h_0: one state
 
 
 def _separable_view(counted: Sequence[bool], h: np.ndarray, i: int) -> np.ndarray:
@@ -165,6 +163,7 @@ class RunReport:
     mechanism: str
     outcome: Outcome
     trace: Trace | None
+    order: tuple[int, ...] | None  # the player order of sm; None for iacsm
     cost: Rat
     total_payment: Rat
     budget_ratio: Rat | None
@@ -187,6 +186,8 @@ def evaluate_run(inst: Instance, mechanism: str = "iacsm", *,
     too large for the exhaustive optimum is refused before the mechanism runs."""
     require_optimum_size(inst)
     outcome, trace = _run_mechanism(mechanism, inst, order=order)
+    if mechanism == "sm":
+        order = tuple(range(inst.n) if order is None else order)
     cost = allocation_cost(inst, outcome.allocation)
     total = outcome.total_payment
     social = social_cost(inst, outcome.allocation)
@@ -201,7 +202,7 @@ def evaluate_run(inst: Instance, mechanism: str = "iacsm", *,
         p2=verify_p2(outcome, trace) if trace else None,
         final_set=verify_final_set_structure(outcome, trace) if trace else None)
 
-    return RunReport(mechanism=mechanism, outcome=outcome, trace=trace,
+    return RunReport(mechanism=mechanism, outcome=outcome, trace=trace, order=order,
                      cost=cost, total_payment=total,
                      budget_ratio=_ratio(total, cost),
                      social_cost=social, optimal_social_cost=optimum,
@@ -313,36 +314,21 @@ def combined_alpha(reports: Iterable[AlphaReport]) -> Rat | None:
     return None if any(a is None for a in alphas) else max(alphas)
 
 
-def check_icb_bound(inst: Instance, order: Sequence[int] | None = None) -> bool:
-    """Check the incremental-cost sum at the optimum against both parameter bounds.
-
-    Runs the sequential mechanism, replays each player's optimal-allocation
-    bundle against the mechanism's own prefix allocations, and verifies the
-    resulting sum is at most alpha*H_n*C(A*) for the min-bounded alpha and at
-    most alpha*C(A*) for the max-bounded alpha (when finite). The size limits
-    of the optimum and, for a non-separable cost, of its estimators refuse an
-    instance before the mechanism runs.
-    """
-    require_optimum_size(inst)
-    if not inst.is_separable:
-        require_ns_estimator_size(inst.n, inst.m)
-    n = inst.n
-    seq = list(range(n)) if order is None else list(order)
-    outcome = sm_run(inst, order=seq)
-    _, opt_alloc = optimal_social_cost(inst)
-    opt_cost = allocation_cost(inst, opt_alloc)
-
+def check_icb_bound(inst: Instance, report: RunReport, alpha_min: Rat | None,
+                    alpha_max: Rat | None) -> bool | None:
+    """The incremental-cost lemma on an ``sm`` run's own results: the players'
+    bundles in the report's optimum A*, each priced by its incremental cost
+    after the run's bundles of the players before it in the run's order, sum
+    to at most alpha_min*H_n*C(A*) and at most alpha_max*C(A*). A None alpha
+    bounds nothing; None for a report not from ``sm``."""
+    if report.order is None:
+        return None
+    optimal, bundles = report.optimal_allocation, report.outcome.allocation.bundles
     icb_sum = Fraction(0)
-    prefix = [0] * n
-    for i in seq:
-        icb_sum += incremental_costs(inst, prefix, i)[opt_alloc.bundles[i]]
-        prefix[i] = outcome.allocation.bundles[i]
-
-    costs, min_bounded, max_bounded = (
-        (inst.cost_model.items, alpha_min_bounded, alpha_max_bounded) if inst.is_separable
-        else ((inst.cost_model,), alpha_min_bounded_ns, alpha_max_bounded_ns))
-    alpha_min = combined_alpha(map(min_bounded, costs))
-    alpha_max = combined_alpha(map(max_bounded, costs))
-    ok_min = alpha_min is None or icb_sum <= alpha_min * harmonic(n) * opt_cost
-    ok_max = alpha_max is None or icb_sum <= alpha_max * opt_cost
-    return ok_min and ok_max
+    prefix = [0] * inst.n
+    for i in report.order:
+        icb_sum += incremental_costs(inst, prefix, i)[optimal.bundles[i]]
+        prefix[i] = bundles[i]
+    opt_cost = allocation_cost(inst, optimal)
+    return ((alpha_min is None or icb_sum <= alpha_min * harmonic(inst.n) * opt_cost)
+            and (alpha_max is None or icb_sum <= alpha_max * opt_cost))

@@ -16,7 +16,7 @@ from ..core import Instance, SeparableCosts, SetFunction, mask_of
 from ..costs import (capped_reciprocal_cost, decreasing_average_table,
                      matching_cost, set_cover_cost, sqrt_max_cost,
                      symmetric_submodular_cost, vertex_cover_cost)
-from ..valuations import SymmetricSubmodularValuation, TableValuation
+from ..valuations import SymmetricSubmodularValuation, TableValuation, draw_marginals
 
 DEFAULT_GRID = "0,1/2,1,3/2,2,5/2,3,7/2,4"
 
@@ -85,10 +85,6 @@ def _choice(params: dict, key: str, choices: tuple[str, ...]) -> str:
     return val
 
 
-def _symmetric_marginals(rng: random.Random, count: int, grid) -> tuple:
-    return tuple(sorted((rng.choice(grid) for _ in range(count)), reverse=True))
-
-
 def _single_item(cost_of, grid):
     """The builder of the one-item instance of the cost ``cost_of(rng)``: one
     value from ``grid`` per player, drawn after whatever the cost drew."""
@@ -107,9 +103,9 @@ def gen_random_symmetric(params: dict):
     cgrid = _grid(params, "cgrid", default="0,1/2,1,3/2,2,3")
 
     def build(rng: random.Random) -> Instance:
-        vals = tuple(SymmetricSubmodularValuation(_symmetric_marginals(rng, m, vgrid))
+        vals = tuple(SymmetricSubmodularValuation(draw_marginals(rng, m, vgrid))
                      for _ in range(n))
-        costs = tuple(symmetric_submodular_cost(n, _symmetric_marginals(rng, n, cgrid))
+        costs = tuple(symmetric_submodular_cost(n, draw_marginals(rng, n, cgrid))
                       for _ in range(m))
         return Instance(valuations=vals, cost_model=SeparableCosts(costs), m=m)
     return build

@@ -16,16 +16,16 @@ from pathlib import Path
 
 from ..core import (GroundSetTooLargeError, Instance, bits, format_rat,
                     harmonic)
-from ..costs import (MAX_ESTIMATOR_GROUND, MAX_NS_CELLS, AlphaReport,
+from ..costs import (MAX_ESTIMATOR_GROUND, AlphaReport,
                      alpha_average_decreasing, alpha_max_bounded,
                      alpha_max_bounded_ns, alpha_min_bounded,
                      alpha_min_bounded_ns, additive_cost,
                      capped_reciprocal_cost, decreasing_average_table,
-                     public_good_cost, require_estimator_size,
+                     public_good_cost, require_ns_estimator_size,
                      sqrt_max_cost, structural_alpha_bound, two_tier_step_cost)
 from ..mechanisms import MechanismPreconditionError
-from ..analysis import (MECHANISM_IDS, combined_alpha, evaluate_run,
-                        require_optimum_size)
+from ..analysis import (MECHANISM_IDS, check_icb_bound, combined_alpha,
+                        evaluate_run, require_optimum_size)
 from ..valuations import MAX_CLASSIFY_GROUND, check_class, classify_set_function
 from .formats import (InstanceParseError, format_flag, format_opt_rat,
                       parse_instance, report_text, serialize_instance)
@@ -50,9 +50,13 @@ def _estimators(separable: bool) -> dict:
 def _instance_alphas(inst: Instance):
     """By ``_estimators`` label: the reports of the instance's costs, one per
     cost, and the instance value (``combined_alpha``). A label that does not
-    apply is absent; a non-separable instance past MAX_NS_CELLS has none."""
-    if not inst.is_separable and inst.n * inst.m > MAX_NS_CELLS:
-        return {}, {}
+    apply is absent; a non-separable instance too large for its estimators
+    has none. An estimator's own size limit refuses any other instance."""
+    if not inst.is_separable:
+        try:
+            require_ns_estimator_size(inst.n, inst.m)
+        except GroundSetTooLargeError:
+            return {}, {}
     costs = inst.cost_model.items if inst.is_separable else (inst.cost_model,)
     reports = {label: [estimate(fn) for fn in costs]
                for label, estimate in _estimators(inst.is_separable).items()}
@@ -61,17 +65,15 @@ def _instance_alphas(inst: Instance):
 
 def _evaluated_row(instance_id: str, inst: Instance, mechanism: str, order):
     """Run one instance: its report, reports and alphas (``_instance_alphas``)
-    and CSV row. The optimum's size limit, then the average-decreasing
-    estimator's, refuse it before the mechanism runs. The row's
+    and CSV row. The optimum's size limit refuses it before the estimators
+    run, and their own limits refuse it before the mechanism runs. The row's
     ``wall_time_s`` times ``evaluate_run`` only; a parameter that does not
     apply leaves its column blank."""
     require_optimum_size(inst)
-    if inst.is_separable:
-        require_estimator_size(inst.n)
+    reports, alphas = _instance_alphas(inst)
     start = time.perf_counter()
     report = evaluate_run(inst, mechanism, order=order)
     wall = time.perf_counter() - start
-    reports, alphas = _instance_alphas(inst)
     row = {
         "instance": instance_id,
         "mechanism": mechanism,
@@ -115,8 +117,9 @@ def _within_combinatorial_bound(inst: Instance, reports) -> bool | None:
 
 
 # name -> check(inst, run report, alphas, reports): True, False, or None when it
-# does not apply; alphas and reports as ``_instance_alphas`` gives them, so
-# alphas.get(label) is None for a parameter unbounded or not applicable
+# does not apply (icb-bound: to a run not from sm, or to costs without reports);
+# alphas and reports as ``_instance_alphas`` gives them, so alphas.get(label)
+# is None for a parameter unbounded or not applicable
 _SUITE_CHECKS = {
     "budget-exact": lambda i, r, a, p: r.total_payment == r.cost,
     "budget-alpha": lambda i, r, a, p: (
@@ -135,6 +138,9 @@ _SUITE_CHECKS = {
     "ir": lambda i, r, a, p: r.flags.ir,
     "npt": lambda i, r, a, p: r.flags.npt,
     "alpha-combinatorial-bound": lambda i, r, a, p: _within_combinatorial_bound(i, p),
+    "icb-bound": lambda i, r, a, p: (
+        None if "min-bounded" not in p
+        else check_icb_bound(i, r, a["min-bounded"], a["max-bounded"])),
 }
 SUITE_CHECKS = tuple(_SUITE_CHECKS)
 

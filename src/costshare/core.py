@@ -117,10 +117,14 @@ def popcounts(n: int) -> np.ndarray:
 
 def symmetric_levels(arr: np.ndarray, n: int) -> np.ndarray | None:
     """The level table ``level[k] = arr[2^k - 1]`` of a table over every
-    subset of an n-element ground set when each set's entry is the level of
-    its size, ``arr == level[popcounts(n)]``; None when some set's is not."""
-    level = arr[(1 << np.arange(n + 1)) - 1]
-    return level if np.array_equal(arr, level[popcounts(n)]) else None
+    subset of an n-element ground set when each set's entry depends on its
+    size only, else None: when swapping elements i and i + 1 leaves the table
+    as it is for every i, as those swaps generate every permutation."""
+    for i in range(n - 1):
+        quads = arr.reshape(-1, 2, 2, 1 << i)  # (bit i+1, bit i) in the middle
+        if not np.array_equal(quads[:, 0, 1], quads[:, 1, 0]):
+            return None
+    return arr[(1 << np.arange(n + 1)) - 1]
 
 
 def mask_of(indices: Iterable[int]) -> int:

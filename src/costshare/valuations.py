@@ -164,13 +164,17 @@ def check_class(v: ValuationFn) -> ClassFlags:
     return classify_set_function(as_table(v).fn)
 
 
+def draw_marginals(rng: random.Random, count: int, grid: Sequence) -> tuple:
+    """``count`` values drawn uniformly from ``grid``, sorted non-increasing:
+    the marginals of a random symmetric submodular function."""
+    return tuple(sorted((rng.choice(grid) for _ in range(count)), reverse=True))
+
+
 def gen_symmetric_submodular(m: int, grid: Sequence, seed: int) -> SymmetricSubmodularValuation:
-    """Draw m marginals uniformly from ``grid`` and sort them non-increasing."""
+    """Draw m marginals from ``grid`` (``draw_marginals``) with a fresh seeded rng."""
     choices = [as_rat(g) for g in grid]
     if not choices:
         raise ValueError("marginal grid must be non-empty")
     if any(g < 0 for g in choices):
         raise ValueError("marginal grid values must be non-negative")
-    rng = random.Random(seed)
-    draws = sorted((rng.choice(choices) for _ in range(m)), reverse=True)
-    return SymmetricSubmodularValuation(tuple(draws))
+    return SymmetricSubmodularValuation(draw_marginals(random.Random(seed), m, choices))

@@ -326,6 +326,33 @@ def naive_optimal_social_cost(inst):
     return best_val, best
 
 
+def naive_icb_bound(inst, order, alpha_min, alpha_max):
+    """The incremental-cost lemma from its definitions: run sm in ``order``
+    (0..n-1 when None) and charge each player's bundle in the optimum A* at
+    C(prefix with that bundle) - C(prefix), the prefix holding the sm bundles
+    of the players before it. The charges must sum to at most
+    alpha_min * H_n * C(A*) and at most alpha_max * C(A*); a None alpha bounds
+    nothing."""
+    from costshare.core import Allocation, allocation_cost
+
+    n, m = inst.n, inst.m
+    seq = list(range(n)) if order is None else list(order)
+    outcome = naive_sm_run(inst, seq)
+    _, optimum = naive_optimal_social_cost(inst)
+    total = Fraction(0)
+    prefix = [0] * n
+    for i in seq:
+        charged = list(prefix)
+        charged[i] = optimum.bundles[i]
+        total += (allocation_cost(inst, Allocation(tuple(charged), m))
+                  - allocation_cost(inst, Allocation(tuple(prefix), m)))
+        prefix[i] = outcome.allocation.bundles[i]
+    opt_cost = allocation_cost(inst, optimum)
+    h_n = sum(Fraction(1, k) for k in range(1, n + 1))
+    return ((alpha_min is None or total <= alpha_min * h_n * opt_cost)
+            and (alpha_max is None or total <= alpha_max * opt_cost))
+
+
 def shares_from_withdrawal_prefixes(inst, trace):
     """Re-derive each item's share history as the max average cost over the
     withdrawal-prefix player sets, straight from the defining formula."""

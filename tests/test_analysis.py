@@ -3,16 +3,18 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from costshare import analysis, mechanisms
+from costshare import analysis, costs, mechanisms
+from costshare.cli import main as cli_main
 from costshare.cli.formats import parse_instance, serialize_instance
 from costshare.cli.gen import generate
 from costshare.core import (Allocation, GroundSetTooLargeError, Instance, Outcome,
                             SeparableCosts, align_ints, harmonic)
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
-                             lifted_separable_cost, max_item_cost,
+                             alpha_min_bounded_ns, lifted_separable_cost, max_item_cost,
                              public_good_cost, symmetric_submodular_cost,
                              table_cost, union_items_cost, vertex_cover_cost)
 from costshare.analysis import (DeviationWitness, check_icb_bound, evaluate_run,
@@ -24,10 +26,12 @@ from costshare.mechanisms import (MechanismPreconditionError, iacsm_classes, iac
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
 import oracles
-from oracles import (BIG_PRIMES, naive_iacsm_run, naive_optimal_social_cost,
-                     naive_sm_run, naive_wgsp_search, permuted_table)
+from oracles import (BIG_PRIMES, naive_iacsm_run, naive_icb_bound,
+                     naive_optimal_social_cost, naive_sm_run, naive_wgsp_search,
+                     permuted_table)
 
 F = Fraction
+REPO = Path(__file__).resolve().parent.parent
 
 
 def sym(*margs):
@@ -195,20 +199,23 @@ def test_optimum_size_guard(monkeypatch):
                         public_good_cost(6, 1) for _ in range(4))), m=4)
     with pytest.raises(GroundSetTooLargeError):
         optimal_social_cost(inst)
-    # the icb check refuses a 21-player cover before it runs the mechanism
+    # the sm run that icb-bound reads refuses a 21-player cover before the mechanism
     calls = []
     monkeypatch.setattr(analysis, "sm_run", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(GroundSetTooLargeError, match="n\\*m <= 20"):
-        check_icb_bound(generate("set-cover", {"n": "21"}, 0))
+        evaluate_run(generate("set-cover", {"n": "21"}, 0), "sm")
     assert calls == []
-    # a 7x2 non-separable cost fits the optimum but not its estimators
-    monkeypatch.setattr(analysis, "optimal_social_cost",
-                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.undo()
+    # a 7x2 non-separable cost fits the optimum but not its estimators, so it
+    # has no reports and icb-bound does not apply
     inst = Instance(valuations=tuple(sym(1, 1) for _ in range(7)),
                     cost_model=count_served_cost(7, 2), m=2)
     with pytest.raises(GroundSetTooLargeError, match="n\\*m <= 12"):
-        check_icb_bound(inst)
-    assert calls == []
+        alpha_min_bounded_ns(inst.cost_model)
+    reports, alphas = cli_main._instance_alphas(inst)
+    assert reports == alphas == {}
+    check = cli_main._SUITE_CHECKS["icb-bound"]
+    assert check(inst, evaluate_run(inst, "sm"), alphas, reports) is None
 
 
 # --- evaluate_run -------------------------------------------------------------
@@ -631,29 +638,85 @@ def test_wgsp_empty_space_and_coalitions_larger_than_n(mechanism):
 
 # --- icb bound ----------------------------------------------------------------
 
+def icb_holds(inst):
+    """``check_icb_bound`` on an sm run of ``inst``, with its costs' alphas."""
+    _, alphas = cli_main._instance_alphas(inst)
+    return check_icb_bound(inst, evaluate_run(inst, "sm"),
+                           alphas["min-bounded"], alphas["max-bounded"])
+
+
 def test_icb_zero_costs():
     inst = Instance(valuations=(sym(1), sym(2)),
                     cost_model=SeparableCosts((table_cost([0, 0, 0, 0]),)), m=1)
-    assert check_icb_bound(inst)
+    assert icb_holds(inst)
 
 
 def test_icb_tight_instance():
     # incremental sum at the optimum is exactly H_3 * C(A*)
-    assert check_icb_bound(tight_instance())
+    assert icb_holds(tight_instance())
+
+
+def test_icb_tight_instance_file_fails_at_half_alpha_min():
+    inst = parse_instance((REPO / "instances/prop_tight_n3_k6.inst").read_text())
+    report = evaluate_run(inst, "sm")
+    _, alphas = cli_main._instance_alphas(inst)
+    alpha_min, alpha_max = alphas["min-bounded"], alphas["max-bounded"]
+    assert check_icb_bound(inst, report, alpha_min, alpha_max)
+    assert not check_icb_bound(inst, report, alpha_min / 2, alpha_max)
+    assert naive_icb_bound(inst, None, alpha_min / 2, alpha_max) is False
 
 
 def test_icb_vertex_cover_star():
     cost = vertex_cover_cost([(0, 1), (0, 2), (0, 3)])
     vals = tuple(TableValuation.from_values([0, F(1, 2)]) for _ in range(3))
     inst = Instance(valuations=vals, cost_model=SeparableCosts((cost,)), m=1)
-    assert check_icb_bound(inst)
+    assert icb_holds(inst)
 
 
 def test_icb_nonseparable():
     inst = Instance(valuations=(TableValuation.from_values([0, 2]),
                                 TableValuation.from_values([0, 1])),
                     cost_model=count_served_cost(2, 1), m=1)
-    assert check_icb_bound(inst)
+    assert icb_holds(inst)
+
+
+def test_icb_bound_matches_naive_definition():
+    rng = random.Random("icb-naive")
+    verdicts = set()
+    for inst in search_instances(rng):
+        order = rng.sample(range(inst.n), inst.n)
+        report = evaluate_run(inst, "sm", order=order)
+        _, alphas = cli_main._instance_alphas(inst)
+        # below the estimated alphas the lemma may fail; None bounds nothing
+        alpha_min, alpha_max = (None if a is None or rng.random() < 0.2
+                                else a * rng.choice((F(1, 4), F(1, 2), F(1)))
+                                for a in (alphas["min-bounded"], alphas["max-bounded"]))
+        got = check_icb_bound(inst, report, alpha_min, alpha_max)
+        assert got == naive_icb_bound(inst, order, alpha_min, alpha_max)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_icb_bound_is_none_off_sm_and_reads_only_the_report(monkeypatch):
+    inst = tight_instance()
+    _, alphas = cli_main._instance_alphas(inst)
+    report = evaluate_run(inst, "sm", order=[2, 0, 1])
+    assert report.order == (2, 0, 1)
+    assert evaluate_run(inst, "sm").order == (0, 1, 2)
+    ascending = evaluate_run(inst, "iacsm")
+    assert ascending.order is None
+    assert check_icb_bound(inst, ascending, alphas["min-bounded"], alphas["max-bounded"]) is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_icb_bound recomputed a result of the run")
+    for mod, name in [(analysis, "sm_run"), (mechanisms, "sm_run"),
+                      (analysis, "optimal_social_cost")] + [
+                      (mod, label) for mod in (costs, analysis, cli_main)
+                      for label in ("alpha_average_decreasing", "alpha_min_bounded",
+                                    "alpha_max_bounded", "alpha_min_bounded_ns",
+                                    "alpha_max_bounded_ns") if hasattr(mod, label)]:
+        monkeypatch.setattr(mod, name, refuse)
+    assert check_icb_bound(inst, report, alphas["min-bounded"], alphas["max-bounded"])
 
 
 # three primes near 1e9: K is above 2^62, so the optimum adds Python ints

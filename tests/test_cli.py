@@ -16,13 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 import costshare.cli.main as main_module
 from costshare import analysis
-from costshare.core import SetFunction
+from costshare.core import Instance, SetFunction
 from costshare.cli import gen as gen_module
 from costshare.cli.formats import (InstanceParseError, parse_instance,
                                    serialize_instance)
 from costshare.cli.gen import GEN_KINDS, GenParamError, generate
 from costshare.cli.main import build_parser, main
-from costshare.costs import AlphaReport, alpha_max_bounded, structural_alpha_bound
+from costshare.costs import (AlphaReport, alpha_max_bounded, count_served_cost,
+                             structural_alpha_bound)
+from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = sorted((REPO / "instances").glob("*.inst"))
@@ -421,6 +423,66 @@ def test_cli_suite_bound_check_reads_each_items_max_bounded_report(tmp_path, cap
                         lambda fn: AlphaReport(None, (1,), "average-max-bounded"))
     assert main(["suite", str(path)]) == 1
     assert capsys.readouterr().err.count("alpha-combinatorial-bound") == 4
+
+
+def test_cli_suite_icb_bound_reads_the_runs_results(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def spy(name, real, key=lambda *args: ()):
+        def run(*args, **kwargs):
+            calls[(name, *key(*args))] += 1
+            return real(*args, **kwargs)
+        return run
+
+    for name in ("sm_run", "optimal_social_cost"):
+        monkeypatch.setattr(analysis, name, spy(name, getattr(analysis, name)))
+    labels = ("alpha_average_decreasing", "alpha_min_bounded", "alpha_max_bounded",
+              "alpha_min_bounded_ns", "alpha_max_bounded_ns")
+    for name in labels:
+        monkeypatch.setattr(main_module, name,
+                            spy(name, getattr(main_module, name), key=lambda fn: (id(fn),)))
+    mixed = tmp_path / "mixed.inst"
+    mixed.write_text(MIXED_BOUND_INSTANCE)
+    shared = tmp_path / "shared.inst"
+    shared.write_text(serialize_instance(Instance(
+        valuations=(TableValuation.from_values([0, 2, 1, 3]),
+                    TableValuation.from_values([0, 1, 2, 2])),
+        cost_model=count_served_cost(2, 2, Fraction(3, 2)), m=2)))
+    path = tmp_path / "icb.json"
+    path.write_text(json.dumps({"name": "icb", "mechanism": "sm", "checks": ["icb-bound"],
+                                "instances": [str(mixed), str(shared)], "generate": [
+        {"kind": "vertex-cover", "count": 3, "params": {"v": "6", "k": "3", "e": "7"}}]}))
+    assert main(["suite", str(path)]) == 0
+    assert "all checks passed on 5 instance(s)" in capsys.readouterr().err
+    # per instance one run and one optimum; per cost and label one estimate:
+    # three labels for each of the five separable items, two for the shared cost
+    assert calls.pop(("sm_run",)) == calls.pop(("optimal_social_cost",)) == 5
+    assert set(calls.values()) == {1}
+    assert Counter(name for name, _ in calls) == {
+        "alpha_average_decreasing": 5, "alpha_min_bounded": 5, "alpha_max_bounded": 5,
+        "alpha_min_bounded_ns": 1, "alpha_max_bounded_ns": 1}
+    # negative control: a min-bounded alpha far below the estimate fails the lemma
+    for name in ("alpha_min_bounded", "alpha_min_bounded_ns"):
+        monkeypatch.setattr(main_module, name,
+                            lambda fn: AlphaReport(Fraction(1, 100), (1,), "stub"))
+    assert main(["suite", str(path)]) == 1
+    assert "icb-bound" in capsys.readouterr().err
+
+
+def test_cli_suite_icb_bound_is_none_without_estimates_or_sm(tmp_path, capsys):
+    # a 7x2 non-separable cost is past the estimators' limit; iacsm is not sm
+    big = tmp_path / "big.inst"
+    big.write_text(serialize_instance(Instance(
+        valuations=tuple(SymmetricSubmodularValuation((Fraction(1), Fraction(1)))
+                         for _ in range(7)),
+        cost_model=count_served_cost(7, 2), m=2)))
+    for mechanism, instances in (("sm", [str(big)]),
+                                 ("iacsm", [str(REPO / "instances/prop_tight_n3_k6.inst")])):
+        path = tmp_path / f"icb-{mechanism}.json"
+        path.write_text(json.dumps({"mechanism": mechanism, "checks": ["icb-bound"],
+                                    "instances": instances}))
+        assert main(["suite", str(path)]) == 0, capsys.readouterr().err
+        capsys.readouterr()
 
 
 def test_cli_suite_empty_config(tmp_path):

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +13,7 @@ from costshare.core import (INT64_HEADROOM, Allocation, AllocationCostFn,
                             DimensionMismatchError, GroundSetTooLargeError,
                             Instance, SeparableCosts, SetFunction,
                             align_ints, allocation_cost, exact_ints, harmonic,
-                            restrict_allocation)
+                            restrict_allocation, symmetric_levels)
 from costshare.costs import decreasing_average_table, table_cost
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
@@ -337,3 +338,42 @@ def test_align_ints_over_the_least_common_denominator():
                                      (np.array([0, 1]), huge)], terms=2)
     assert denom == huge and zero.dtype == np.int64
     assert zero.tolist() == [0, 0] and one.tolist() == [0, 1]
+
+
+def test_symmetric_levels_match_the_size_definition():
+    rng = random.Random("symmetric-levels")
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(0, 7)
+        levels = [0] + [rng.randint(0, 3) for _ in range(n)]
+        table = [levels[bin(mask).count("1")] for mask in range(1 << n)]
+        if n and rng.random() < 0.6:  # break symmetry at one set, or not
+            mask = rng.randrange(1, 1 << n)
+            table[mask] += rng.choice((0, 1))
+        by_size = {}
+        symmetric = all(by_size.setdefault(bin(mask).count("1"), v) == v
+                        for mask, v in enumerate(table))
+        for dtype in (np.int64, object):
+            got = symmetric_levels(np.array(table, dtype=dtype), n)
+            assert (got is not None) == symmetric
+            if symmetric:
+                assert [int(x) for x in got] == [by_size[k] for k in range(n + 1)]
+        seen.add(symmetric)
+    assert seen == {True, False}
+
+
+def test_symmetric_levels_needs_no_index_array_over_the_table():
+    # a 2^20 int64 table is 8 MB; one index array over it would be as large
+    n = 20
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
+    table = 3 * sizes
+    tracemalloc.start()
+    try:
+        levels = symmetric_levels(table, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(levels) == [3 * k for k in range(n + 1)]
+    assert peak < 1 << 20
