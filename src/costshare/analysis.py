@@ -18,8 +18,8 @@ from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
 # perfbench/test_perfbench.py reads costshare.analysis.alpha_min_bounded
 from .costs import AlphaReport, alpha_min_bounded  # noqa: F401
 from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
-                         incremental_costs, sm_run, verify_final_set_structure,
-                         verify_p1, verify_p2)
+                         incremental_costs, require_ascending, sm_order, sm_run,
+                         verify_final_set_structure, verify_p1, verify_p2)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
                          ValuationFn, as_rat, as_table)
 
@@ -30,16 +30,28 @@ MECHANISM_IDS = ("iacsm", "sm", "iacsm-underquote")
 QUOTE_SCALES = {"iacsm": Fraction(1), "iacsm-underquote": Fraction(1, 2)}
 
 
+def require_mechanism(inst: Instance, mechanism: str,
+                      order: Sequence[int] | None = None) -> None:
+    """Refuse a truthful run that the mechanism's own preconditions refuse
+    (``mechanisms.require_ascending``, ``mechanisms.sm_order``), or an order
+    given to an iacsm variant, before any work."""
+    if mechanism in QUOTE_SCALES:
+        if order is not None:
+            raise MechanismPreconditionError(
+                f"{mechanism} takes no player order; an order applies to sm only")
+        require_ascending(inst, [[v] for v in inst.valuations], QUOTE_SCALES[mechanism])
+    elif mechanism == "sm":
+        sm_order(inst, order)
+    else:
+        raise ValueError(f"unknown mechanism id {mechanism!r}")
+
+
 def _run_mechanism(mechanism: str, inst: Instance,
                    order: Sequence[int] | None = None) -> tuple[Outcome, Trace | None]:
-    if order is not None and mechanism in QUOTE_SCALES:
-        raise MechanismPreconditionError(
-            f"{mechanism} takes no player order; an order applies to sm only")
+    require_mechanism(inst, mechanism, order)
     if mechanism in QUOTE_SCALES:
         return iacsm_run(inst, first_iteration_quote_scale=QUOTE_SCALES[mechanism])
-    if mechanism == "sm":
-        return sm_run(inst, order=order), None
-    raise ValueError(f"unknown mechanism id {mechanism!r}")
+    return sm_run(inst, order=order), None
 
 
 def social_cost(inst: Instance, a: Allocation) -> Rat:

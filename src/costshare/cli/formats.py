@@ -18,6 +18,12 @@ f(empty), must be 0. The optional ``nonseparable`` line, at most one, names a
 built-in allocation cost: ``lifted`` and ``max-item`` take no argument and
 consume the per-item cost lines; ``count-served`` and ``union-items`` take an
 optional non-negative rational weight (default 1) and no cost lines.
+
+A rational is any token ``fractions.Fraction`` reads (``3``, ``2/4``,
+``1_0/3``, ``1.5``), with its messages for the tokens it refuses. Dense
+``table`` lines, cost and valuation, are read as ints: each ``p/q`` split and
+reduced, all put over one lcm, and the set function built from that int
+table (``SetFunction.from_ints``), not from one ``Fraction`` per value.
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ import io
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial, reduce
+from math import gcd, lcm
 from operator import or_
 
 from ..core import (Instance, Rat, SeparableCosts, SetFunction, bits,
                     format_rat, mask_of)
 from ..costs import (count_served_cost, lifted_separable_cost, matching_cost,
-                     max_item_cost, set_cover_cost, table_cost,
-                     union_items_cost, vertex_cover_cost)
+                     max_item_cost, set_cover_cost, union_items_cost,
+                     vertex_cover_cost)
 from ..valuations import SymmetricSubmodularValuation, TableValuation
 
 HEADER = "costshare-instance v1"
@@ -75,10 +82,38 @@ def _faults_on(line: int):
         raise InstanceParseError(str(exc), line)
 
 
-def _rats(toks: list[str], count: int, what: str, unit: str) -> list[Rat]:
+def _counted(toks: list[str], count: int, what: str, unit: str) -> list[str]:
+    """``toks``, refused unless there are ``count`` of them."""
     if len(toks) != count:
         raise ValueError(f"{what} needs {count} {unit}, got {len(toks)}")
-    return [_rat(v) for v in toks]
+    return toks
+
+
+def _ratio(tok: str) -> tuple[int, int]:
+    """``Fraction(tok)`` as its (numerator, denominator): ``p/q`` and ``p``
+    split into ints and reduced by their gcd. ``int`` takes a sign on ``q``
+    that ``Fraction`` refuses, so such a token, a zero ``q`` and any token
+    ``int`` refuses (``1.5``, ``1e3``) go through ``_rat`` instead."""
+    p, slash, q = tok.partition("/")
+    if not slash or q[:1] not in "+-":  # "3/" falls back too: "" is in "+-"
+        try:
+            num, den = int(p), int(q) if slash else 1
+        except ValueError:
+            den = 0
+        if den:
+            g = gcd(num, den)
+            return num // g, den // g
+    r = _rat(tok)
+    return r.numerator, r.denominator
+
+
+def _dense(toks: list[str], count: int, what: str) -> SetFunction:
+    """The dense table of ``count`` values as ``SetFunction.from_ints``: each
+    token read by ``_ratio``, then all put over one lcm. Checks and messages
+    are those of ``_rat`` and ``from_table``, in their order."""
+    pairs = [_ratio(tok) for tok in _counted(toks, count, what, "values")]
+    denom = lcm(*(den for _, den in pairs))
+    return SetFunction.from_ints([num * (denom // den) for num, den in pairs], denom)
 
 
 def _set_cover_cost(n: int, groups: list[str]) -> SetFunction:
@@ -101,11 +136,10 @@ def _edge_cost(variant: str, build, n: int, groups: list[str]) -> SetFunction:
 _INDEXED = {
     "valuation": ("m", {
         "symmetric": lambda m, toks: SymmetricSubmodularValuation(
-            tuple(_rats(toks, m, "symmetric valuation", "marginals"))),
-        "table": lambda m, toks: TableValuation.from_values(
-            _rats(toks, 1 << m, "table valuation", "values"))}),
+            tuple(map(_rat, _counted(toks, m, "symmetric valuation", "marginals")))),
+        "table": lambda m, toks: TableValuation(_dense(toks, 1 << m, "table valuation"))}),
     "cost": ("n", {
-        "table": lambda n, toks: table_cost(_rats(toks, 1 << n, "cost table", "values")),
+        "table": lambda n, toks: _dense(toks, 1 << n, "cost table"),
         "set-cover": _set_cover_cost,
         "vertex-cover": partial(_edge_cost, "vertex-cover", vertex_cover_cost),
         "matching": partial(_edge_cost, "matching", matching_cost)}),

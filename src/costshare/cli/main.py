@@ -25,7 +25,7 @@ from ..costs import (MAX_ESTIMATOR_GROUND, AlphaReport,
                      sqrt_max_cost, structural_alpha_bound, two_tier_step_cost)
 from ..mechanisms import MechanismPreconditionError
 from ..analysis import (MECHANISM_IDS, check_icb_bound, combined_alpha,
-                        evaluate_run, require_optimum_size)
+                        evaluate_run, require_mechanism, require_optimum_size)
 from ..valuations import MAX_CLASSIFY_GROUND, check_class, classify_set_function
 from .formats import (InstanceParseError, format_flag, format_opt_rat,
                       parse_instance, report_text, serialize_instance)
@@ -65,11 +65,13 @@ def _instance_alphas(inst: Instance):
 
 def _evaluated_row(instance_id: str, inst: Instance, mechanism: str, order):
     """Run one instance: its report, reports and alphas (``_instance_alphas``)
-    and CSV row. The optimum's size limit refuses it before the estimators
-    run, and their own limits refuse it before the mechanism runs. The row's
-    ``wall_time_s`` times ``evaluate_run`` only; a parameter that does not
-    apply leaves its column blank."""
+    and CSV row. The optimum's size limit and the mechanism's preconditions
+    refuse it before the estimators run, and their own limits refuse it
+    before the mechanism runs. The row's ``wall_time_s`` times
+    ``evaluate_run`` only; a parameter that does not apply leaves its column
+    blank."""
     require_optimum_size(inst)
+    require_mechanism(inst, mechanism, order)
     reports, alphas = _instance_alphas(inst)
     start = time.perf_counter()
     report = evaluate_run(inst, mechanism, order=order)

@@ -145,7 +145,8 @@ def bundle_shifts(n: int, m: int) -> list[int]:
 
 class SetFunction:
     """A map from subsets of a ground set to non-negative exact rationals
-    with f(empty) = 0, which ``from_table`` and ``from_oracle`` enforce.
+    with f(empty) = 0, which ``from_table``, ``from_ints`` and ``from_oracle``
+    enforce.
 
     Backed either by a dense table (ground_size <= 20) or by a memoizing
     oracle with a cache cap: a callback, or a subset recurrence. An oracle
@@ -156,7 +157,10 @@ class SetFunction:
     none, so no closure refers back to it: a function nothing uses is freed
     at once, cache and all, not at the next cyclic garbage collection.
     ``int_table()`` is the exact view of all 2^n values that the exhaustive
-    consumers read; ``to_table()`` is its public ``Fraction`` view.
+    consumers read; ``to_table()`` is its public ``Fraction`` view. A table
+    ``from_table`` keeps its ``Fraction`` list in ``_table`` (the library's
+    builders and ``gen`` hand it back); a parsed one, ``from_ints``, carries
+    only ``_ints``, and its point queries take the oracle path.
 
     ``kind`` and ``meta`` carry construction data (e.g. a set-cover family)
     for serialization.
@@ -180,19 +184,40 @@ class SetFunction:
         self._cache: dict[int, Rat] = {}
         self._ints: tuple[np.ndarray, int] | None = None
 
-    @classmethod
-    def from_table(cls, values: Sequence) -> "SetFunction":
-        vals = [as_rat(v) for v in values]
-        size = len(vals)
+    @staticmethod
+    def _dense_ground(values: Sequence) -> int:
+        """The ground size of a dense table's values, once they are checked:
+        a power-of-two count within MAX_DENSE_GROUND, then no negative value,
+        then f(empty) = 0."""
+        size = len(values)
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
         ground = size.bit_length() - 1
         require_dense_size(ground)
-        if any(v < 0 for v in vals):
+        if any(v < 0 for v in values):
             raise ValueError("set function values must be non-negative")
-        if vals[0] != 0:
+        if values[0] != 0:
             raise ValueError("set functions must satisfy f(empty) = 0")
-        return cls(ground, table=vals)
+        return ground
+
+    @classmethod
+    def from_table(cls, values: Sequence) -> "SetFunction":
+        vals = [as_rat(v) for v in values]
+        return cls(cls._dense_ground(vals), table=vals)
+
+    @classmethod
+    def from_ints(cls, ints: list[int], denom: int) -> "SetFunction":
+        """The dense table f(S) = ints[S] / denom, with ``denom`` the least
+        common denominator of its values (as ``int_table()`` gives them).
+        Checked as ``from_table`` checks, then held only as ``int_table()``,
+        ``exact_ints`` of reach the largest value; a point query reads it as
+        a Fraction into the capped cache."""
+        ground = cls._dense_ground(ints)
+        table = exact_ints(ints, max(ints))
+        obj = cls(ground, oracle=lambda sf, mask: capped_store(
+            sf._cache, mask, Fraction(int(table[mask]), denom), DEFAULT_CACHE_CAP))
+        obj._ints = table, denom
+        return obj
 
     @classmethod
     def from_oracle(cls, ground_size: int, fn: Callable[[int], Rat], *,

@@ -87,12 +87,31 @@ def _check_profile(inst: Instance, length: int, reports: Sequence[ValuationFn]) 
         raise MechanismPreconditionError("declared valuation item count differs from m")
 
 
-def _check_ascending(reports: Sequence[ValuationFn], scale: Rat) -> None:
-    """iacsm's preconditions on the quote scale and the declared valuations."""
+def require_ascending(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
+                      scale: Rat) -> None:
+    """iacsm's preconditions, for every profile in which player i reports from
+    ``spaces[i]``: separable costs, a space per player, symmetric submodular
+    reports over the m items, and a non-negative quote scale."""
+    if not inst.is_separable:
+        raise MechanismPreconditionError("iacsm-requires-separable-costs")
+    reports = [v for space in spaces for v in space]
+    _check_profile(inst, len(spaces), reports)
     if scale < 0:
         raise MechanismPreconditionError("quoted shares must be non-negative")
     if not all(isinstance(v, SymmetricSubmodularValuation) for v in reports):
         raise MechanismPreconditionError("iacsm-requires-symmetric-submodular")
+
+
+def sm_order(inst: Instance, order: Sequence[int] | None) -> list[int]:
+    """sm's player order: ``order``, 0..n-1 when None, refused unless it is a
+    permutation of the players."""
+    try:
+        seq = list(range(inst.n)) if order is None else [operator.index(i) for i in order]
+    except TypeError:
+        raise MechanismPreconditionError("order entries must be player indices") from None
+    if sorted(seq) != list(range(inst.n)):
+        raise MechanismPreconditionError("order must be a permutation of the players")
+    return seq
 
 
 def _step(memo: dict, key: tuple, compute):
@@ -185,12 +204,8 @@ def _iacsm_leaves(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
     an empty space reaches no leaf. Every report is checked before the walk
     starts.
     """
-    if not inst.is_separable:
-        raise MechanismPreconditionError("iacsm-requires-separable-costs")
     spaces = list(spaces)
-    reports = [v for space in spaces for v in space]
-    _check_profile(inst, len(spaces), reports)
-    _check_ascending(reports, scale)
+    require_ascending(inst, spaces, scale)
 
     n, m = inst.n, inst.m
     memo, cost_fns = inst.step_memo, inst.cost_model.items
@@ -296,12 +311,7 @@ def sm_run(inst: Instance, order: Sequence[int] | None = None,
     """
     n, m = inst.n, inst.m
     require_dense_size(m)  # each step prices all 2^m bundles
-    try:
-        seq = list(range(n)) if order is None else [operator.index(i) for i in order]
-    except TypeError:
-        raise MechanismPreconditionError("order entries must be player indices") from None
-    if sorted(seq) != list(range(n)):
-        raise MechanismPreconditionError("order must be a permutation of the players")
+    seq = sm_order(inst, order)
     decl = list(inst.valuations) if declared is None else list(declared)
     _check_profile(inst, len(decl), decl)
 

@@ -189,15 +189,23 @@ def naive_alpha_avg_decreasing(vals, n):
 
 def naive_alpha_bounded(vals, n, pick):
     """Least a with a*c(T)/|T| >= pick of standalone costs in T, or None."""
-    best = Fraction(1)
+    return naive_alpha_bounded_report(vals, n, pick)[0]
+
+
+def naive_alpha_bounded_report(vals, n, pick):
+    """``naive_alpha_bounded`` with the estimator's witness: (alpha, (T,)),
+    T the first set with a positive pick over c(T) = 0, else the first
+    strict maximum of |T| * pick / c(T) above 1, else {0}."""
+    best, witness = Fraction(1), (1,)
     for t in range(1, 1 << n):
         extreme = pick(vals[1 << i] for i in bits_of(t))
         if vals[t] == 0:
             if extreme > 0:
-                return None
+                return None, (t,)
             continue
-        best = max(best, t.bit_count() * extreme / vals[t])
-    return best
+        if t.bit_count() * extreme / vals[t] > best:
+            best, witness = t.bit_count() * extreme / vals[t], (t,)
+    return best, witness
 
 
 def naive_alpha_bounded_ns(C, pick):
@@ -269,6 +277,40 @@ def naive_submodular(vals, n):
                 if vals[s | (1 << i)] - vals[s] < vals[t | (1 << i)] - vals[t]:
                     ok = False
     return ok
+
+
+def naive_symmetric(vals, n):
+    """Whether every two sets of one size have one value."""
+    return all(vals[s] == vals[t] for s in range(1 << n) for t in range(1 << n)
+               if s.bit_count() == t.bit_count())
+
+
+def naive_xos_symmetric(vals, n):
+    """Symmetric, with the average value per element of a k-set
+    non-increasing in k >= 1."""
+    level = [vals[(1 << k) - 1] for k in range(n + 1)]
+    return naive_symmetric(vals, n) and all(level[k] / k >= level[k + 1] / (k + 1)
+                                            for k in range(1, n))
+
+
+def naive_trace_flags(outcome, trace):
+    """(p1, p2, final-set) of an iacsm run from their definitions: every
+    item's quoted shares never fall; each player's final bundle is its
+    finalized one and these grow along the finalization order; each served
+    item's players are all those finalized from the first whose bundle
+    holds it on."""
+    bundles = outcome.allocation.bundles
+    p1 = all(a <= b for h in trace.share_history for a, b in zip(h, h[1:]))
+    hist = trace.bundle_history
+    p2 = (all(bundles[p] == b for p, b in zip(trace.order, hist))
+          and all(set(bits_of(a)) <= set(bits_of(b)) for a, b in zip(hist, hist[1:])))
+    final_set = True
+    for j in range(outcome.allocation.m):
+        holders = {i for i, b in enumerate(bundles) if (b >> j) & 1}
+        firsts = [t for t, b in enumerate(hist) if (b >> j) & 1]
+        if holders and (not firsts or holders != set(trace.order[firsts[0]:])):
+            final_set = False
+    return p1, p2, final_set
 
 
 def naive_min_vertex_cover(edges, mask):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,17 +14,19 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import BIG_PRIMES
 
+import costshare.cli.formats as formats_module
 import costshare.cli.main as main_module
 from costshare import analysis
-from costshare.core import Instance, SetFunction
+from costshare.core import INT64_HEADROOM, Instance, SetFunction
 from costshare.cli import gen as gen_module
 from costshare.cli.formats import (InstanceParseError, parse_instance,
                                    serialize_instance)
 from costshare.cli.gen import GEN_KINDS, GenParamError, generate
 from costshare.cli.main import build_parser, main
 from costshare.costs import (AlphaReport, alpha_max_bounded, count_served_cost,
-                             structural_alpha_bound)
+                             structural_alpha_bound, table_cost)
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
 REPO = Path(__file__).resolve().parent.parent
@@ -56,6 +59,92 @@ def test_parse_error_reports_line():
     with pytest.raises(InstanceParseError) as err:
         parse_instance(bad)
     assert "line 4" in str(err.value)
+
+
+# tokens Fraction takes and refuses, those int() takes that Fraction refuses
+# (3/+2, 3/-2), and unreduced ones (2/4, +12/08)
+GRAMMAR_TOKENS = ("3/2", "+3/2", "-3/2", "3/+2", "3/-2", "2/4", "3/0", "0/0", "1.5", "1e3",
+                  "1_0/3", "1__0/3", "\u0663/2", "/2", "3/", "3/2/1", "-0/1", "0x10/1", "7",
+                  "-0", "+12/08", f"{BIG_PRIMES[0]}/{2 * BIG_PRIMES[1]}",
+                  f"{INT64_HEADROOM - 1}/1", f"{INT64_HEADROOM}/1", f"{2 * INT64_HEADROOM}/2",
+                  f"{3 * INT64_HEADROOM}/{3 * BIG_PRIMES[2]}", "1" * 4301)
+# four-value lines: three BIG_PRIMES denominators put the lcm past INT64_HEADROOM
+GRAMMAR_LINES = ([("0/1", tok) for tok in GRAMMAR_TOKENS]
+                 + [(tok, "0/1") for tok in GRAMMAR_TOKENS]
+                 + [("0/5", *(f"{k}/{k * p}" for k, p in zip((1, 2, 3), BIG_PRIMES))),
+                    ("0/1", f"1/{BIG_PRIMES[3]}", f"2/{2 * BIG_PRIMES[4]}", "5/10"),
+                    ("0/1", "1/2", f"-1/{BIG_PRIMES[5]}", "3/2"), ("0/1", "1/2", "3/4")])
+
+
+def _one_table_line(directive: str, toks) -> tuple[str, int]:
+    """An instance whose one dense line, ``directive`` 0, holds ``toks`` as
+    its values (2^k of them for k players or items), and that line's number."""
+    k = max(len(toks).bit_length() - 1, 1)
+    if directive == "cost":
+        head = f"n {k}\nm 1\n" + "".join(f"valuation {i} symmetric 1/1\n" for i in range(k))
+    else:
+        head = f"n 1\nm {k}\n" + "".join(f"cost {j} table 0/1 1/1\n" for j in range(k))
+    text = f"costshare-instance v1\n{head}{directive} 0 table {' '.join(toks)}\n"
+    return text, text.count("\n")
+
+
+@pytest.mark.parametrize("directive", ["cost", "valuation"])
+@pytest.mark.parametrize("toks", GRAMMAR_LINES, ids=lambda toks: " ".join(toks)[:40])
+def test_dense_line_reads_what_fraction_and_from_table_read(directive, toks):
+    """A dense line gives the InstanceParseError that Fraction(tok) and then
+    table_cost / TableValuation.from_values would give, on its line, or the
+    set function they would build: the same values and int table."""
+    text, line = _one_table_line(directive, toks)
+    count = 1 << max(len(toks).bit_length() - 1, 1)
+    what = "cost table" if directive == "cost" else "table valuation"
+    try:
+        values = [Fraction(tok) for tok in toks]
+    except (ValueError, ZeroDivisionError) as exc:
+        bad = next(tok for tok in toks if not _fraction_takes(tok))
+        expected = f"line {line}: bad rational {bad!r}: {exc}"
+    else:
+        try:
+            want = (table_cost(values) if directive == "cost"
+                    else TableValuation.from_values(values).fn)
+            expected = None
+        except ValueError as exc:
+            expected = f"line {line}: {exc}"
+    if len(toks) != count:
+        expected = f"line {line}: {what} needs {count} values, got {len(toks)}"
+    if expected is not None:
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(text)
+        assert (str(err.value), err.value.line) == (expected, line)
+        return
+    inst = parse_instance(text)
+    got = inst.cost_model.items[0] if directive == "cost" else inst.valuations[0].fn
+    assert [got(s) for s in range(len(values))] == values
+    (ints, denom), (want_ints, want_denom) = got.int_table(), want.int_table()
+    assert (ints.tolist(), ints.dtype, denom) == (want_ints.tolist(), want_ints.dtype, want_denom)
+    assert got.to_table() == values
+
+
+def _fraction_takes(tok: str) -> bool:
+    try:
+        Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def test_well_formed_dense_line_reads_no_token_through_fraction(monkeypatch):
+    rng = random.Random(23)
+    toks = ["0/1"] + [f"{k * rng.randrange(10 ** 6)}/{k * rng.choice((1, 3, 7))}"
+                      for k in (rng.randrange(1, 4) for _ in range(1023))]
+    text = ("costshare-instance v1\nn 10\nm 1\n"
+            + "".join(f"valuation {i} table 0/1 {i}\n" for i in range(10))
+            + f"cost 0 table {' '.join(toks)}\n")
+    calls = []
+    real = formats_module._rat
+    monkeypatch.setattr(formats_module, "_rat", lambda tok: calls.append(tok) or real(tok))
+    inst = parse_instance(text)
+    assert calls == []
+    assert inst.cost_model.items[0].to_table() == [Fraction(tok) for tok in toks]
 
 
 def test_parse_rejects_wrong_table_size():
@@ -700,16 +789,23 @@ def test_cli_gen_empty_instance_exits_2(capsys):
 
 
 def _count_table_builds(monkeypatch) -> Counter:
-    """Per set function, the ``int_table`` calls that find no table built yet."""
+    """Per set function, its int table builds: at construction by
+    ``from_ints``, and each ``int_table`` call that finds no table built yet."""
     builds: Counter = Counter()
-    real_int_table = SetFunction.int_table
+    real_int_table, real_from_ints = SetFunction.int_table, SetFunction.from_ints
 
     def int_table(fn):
         if fn._ints is None:
             builds[fn] += 1
         return real_int_table(fn)
 
+    def from_ints(ints, denom):
+        fn = real_from_ints(ints, denom)
+        builds[fn] += 1
+        return fn
+
     monkeypatch.setattr(SetFunction, "int_table", int_table)
+    monkeypatch.setattr(SetFunction, "from_ints", from_ints)
     return builds
 
 
@@ -718,7 +814,8 @@ def test_each_command_builds_one_int_table_per_function(tmp_path, monkeypatch, c
     assert main(["gen", "set-cover", "--param", "n=12", "--out", str(path)]) == 0
     builds = _count_table_builds(monkeypatch)
     # run reads the cover's table for the optimum and all three estimators,
-    # check for the class flags; each valuation's table is read by one consumer
+    # check for the class flags; each valuation's table line is read into
+    # its int table as it is parsed
     for argv in (["run", str(path), "--mechanism", "sm"], ["check", str(path)]):
         builds.clear()
         assert main(argv) == 0
@@ -766,17 +863,18 @@ def test_cli_run_past_optimum_size_limit_exits_2(tmp_path, capsys):
     assert "n*m <= 20 required" in capsys.readouterr().err
 
 
+def _spy(calls: list, real):
+    """``real``, appending its name to ``calls`` at each call."""
+    def spied(*args, **kwargs):
+        calls.append(real.__name__)
+        return real(*args, **kwargs)
+    return spied
+
+
 def test_cli_run_refuses_the_optimum_size_before_any_mechanism(tmp_path, capsys, monkeypatch):
     calls = []
-
-    def spy(real):
-        def run(*args, **kwargs):
-            calls.append(real.__name__)
-            return real(*args, **kwargs)
-        return run
-
     for name in ("sm_run", "iacsm_run"):
-        monkeypatch.setattr(analysis, name, spy(getattr(analysis, name)))
+        monkeypatch.setattr(analysis, name, _spy(calls, getattr(analysis, name)))
     path = tmp_path / "sym6x4.inst"
     assert main(["gen", "random-symmetric", "--param", "n=6", "--param", "m=4",
                  "--out", str(path)]) == 0
@@ -793,6 +891,26 @@ def test_cli_run_refuses_the_optimum_size_before_any_mechanism(tmp_path, capsys,
         assert main(argv) == 2
         assert ("error: average-decreasing estimator limited to n <= 16"
                 in capsys.readouterr().err)
+    assert calls == []
+
+
+def test_cli_run_refuses_a_mechanism_precondition_before_any_estimator(tmp_path, capsys,
+                                                                      monkeypatch):
+    calls = []
+    for name in ("alpha_average_decreasing", "alpha_min_bounded", "alpha_max_bounded",
+                 "alpha_min_bounded_ns", "alpha_max_bounded_ns"):
+        monkeypatch.setattr(main_module, name, _spy(calls, getattr(main_module, name)))
+    # 12 cells: the non-separable estimators would run, for about half a second
+    served = tmp_path / "served12.inst"
+    served.write_text(_players(12, 1) + "nonseparable count-served\n")
+    cover = tmp_path / "cover3.inst"
+    assert main(["gen", "set-cover", "--param", "n=3", "--out", str(cover)]) == 0
+    for argv, message in (
+            (["run", str(served), "--mechanism", "iacsm"], "iacsm-requires-separable-costs"),
+            (["run", str(cover), "--mechanism", "sm", "--order", "0,0,1"],
+             "order must be a permutation of the players")):
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
     assert calls == []
 
 
