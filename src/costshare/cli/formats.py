@@ -23,7 +23,8 @@ A rational is any token ``fractions.Fraction`` reads (``3``, ``2/4``,
 ``1_0/3``, ``1.5``), with its messages for the tokens it refuses. Dense
 ``table`` lines, cost and valuation, are read as ints: each ``p/q`` split and
 reduced, all put over one lcm, and the set function built from that int
-table (``SetFunction.from_ints``), not from one ``Fraction`` per value.
+table (``SetFunction.from_ints``), not from one ``Fraction`` per value. They
+are written from the same int table (``int_table()``), each value reduced.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _ratio(tok: str) -> tuple[int, int]:
 def _dense(toks: list[str], count: int, what: str) -> SetFunction:
     """The dense table of ``count`` values as ``SetFunction.from_ints``: each
     token read by ``_ratio``, then all put over one lcm. Checks and messages
-    are those of ``_rat`` and ``from_table``, in their order."""
+    are those of ``_rat`` and ``from_ints``, in their order."""
     pairs = [_ratio(tok) for tok in _counted(toks, count, what, "values")]
     denom = lcm(*(den for _, den in pairs))
     return SetFunction.from_ints([num * (denom // den) for num, den in pairs], denom)
@@ -223,6 +224,14 @@ def parse_instance(text: str) -> Instance:
     return Instance(valuations=vs, cost_model=cost_model, m=m)
 
 
+def _dense_text(fn: SetFunction) -> str:
+    """The values of a dense table line, each ``format_rat`` of its value,
+    written from ``int_table()``: v/denom reduced by their gcd."""
+    ints, denom = fn.int_table()
+    return " ".join(f"{v // g}/{denom // g}"
+                    for v, g in ((v, gcd(v, denom)) for v in ints.tolist()))
+
+
 def _serialize_cost(fn: SetFunction) -> str:
     if fn.kind == "set-cover":
         body = " ".join(",".join(str(e) for e in bits(s))
@@ -231,8 +240,7 @@ def _serialize_cost(fn: SetFunction) -> str:
     if fn.kind in ("vertex-cover", "matching"):
         body = " ".join(f"{u}-{v}" for u, v in fn.meta["edges"])
         return f"{fn.kind} {body}"
-    vals = " ".join(format_rat(v) for v in fn.to_table())
-    return f"table {vals}"
+    return f"table {_dense_text(fn)}"
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -242,8 +250,7 @@ def serialize_instance(inst: Instance) -> str:
             out.append(f"valuation {i} symmetric "
                        + " ".join(format_rat(d) for d in v.marginals))
         else:
-            out.append(f"valuation {i} table "
-                       + " ".join(format_rat(v.value(s)) for s in range(1 << inst.m)))
+            out.append(f"valuation {i} table {_dense_text(v.fn)}")
     if inst.is_separable:
         for j, fn in enumerate(inst.cost_model.items):
             out.append(f"cost {j} {_serialize_cost(fn)}")

@@ -61,12 +61,16 @@ def _grid(params: dict, key: str, default: str = DEFAULT_GRID) -> list[Fraction]
     return vals
 
 
-def _int_param(params: dict, key: str, default=None) -> int:
+def _int_param(params: dict, key: str, default=None, least: int = 1) -> int:
+    """A count: an integer parameter, refused below ``least``."""
     text = _text(params, key, default)
     try:
-        return int(text)
+        val = int(text)
     except ValueError:
         raise GenParamError(f"parameter {key} must be an integer")
+    if val < least:
+        raise GenParamError(f"parameter {key} must be at least {least}, got {val}")
+    return val
 
 
 def _rat_param(params: dict, key: str, default=None) -> Fraction:
@@ -160,7 +164,7 @@ def gen_matching(params: dict):
 def gen_set_cover(params: dict):
     vgrid = _grid(params, "vgrid")
     n = _int_param(params, "n", 6)
-    sets = _int_param(params, "s", 5)
+    sets = _int_param(params, "s", 5, least=0)
     d = _int_param(params, "d", 3)
 
     def cover(rng: random.Random) -> SetFunction:
@@ -174,8 +178,6 @@ def gen_paper_tight(params: dict):
     n = _int_param(params, "n", 3)
     k = _rat_param(params, "k", 6)
     eps = _rat_param(params, "eps", "1/10")
-    if n < 1:
-        raise GenParamError("n must be at least 1")
     if eps <= 0 or eps >= k / n:
         raise GenParamError("eps must satisfy 0 < eps < k/n")
     return lambda rng: Instance(

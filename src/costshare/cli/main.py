@@ -198,7 +198,7 @@ def _parse_descriptor(text: str):
         params[key] = val
     # checked before the builder materializes a 2^n table; every default n is small
     size = len(params["weights"].split(",")) if "weights" in params else _int_param(params, "n", 1)
-    if not 1 <= size <= MAX_ESTIMATOR_GROUND:
+    if size > MAX_ESTIMATOR_GROUND:
         raise GenParamError(f"descriptor costs are limited to 1..{MAX_ESTIMATOR_GROUND} "
                             f"players, got {size}")
     try:

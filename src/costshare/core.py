@@ -74,6 +74,14 @@ def align_ints(tables: Sequence[tuple], terms: int) -> tuple[list[np.ndarray], i
     return [exact_ints(ints, top * terms) * f for (ints, _), f in zip(tables, factors)], denom
 
 
+def over_lcm(values: Iterable) -> tuple[list[int], int]:
+    """Exact rationals as ``(ints, denom)``, each value ints[i] / denom over
+    their least common denominator; ``as_rat`` refuses any other value."""
+    pairs = [as_rat(v).as_integer_ratio() for v in values]
+    denom = lcm(*[d for _, d in pairs])
+    return [p * (denom // d) for p, d in pairs], denom
+
+
 def capped_store(memo: dict, key, value, cap: int):
     """Keep ``value`` under ``key`` unless ``memo`` already holds ``cap``
     entries, and return it: the policy of every memo."""
@@ -145,76 +153,73 @@ def bundle_shifts(n: int, m: int) -> list[int]:
 
 class SetFunction:
     """A map from subsets of a ground set to non-negative exact rationals
-    with f(empty) = 0, which ``from_table``, ``from_ints`` and ``from_oracle``
-    enforce.
+    with f(empty) = 0, which ``from_ints`` and ``from_oracle`` enforce.
 
-    Backed either by a dense table (ground_size <= 20) or by a memoizing
-    oracle with a cache cap: a callback, or a subset recurrence. An oracle
-    checks and caches each value it computes through ``_store``, once. An
-    oracle may also carry a fill that computes all 2^n values at once as
-    ``(ints, denom)``, such as a recurrence's bottom-up pass. Oracles
-    are called with the function itself as first argument and fills with
-    none, so no closure refers back to it: a function nothing uses is freed
-    at once, cache and all, not at the next cyclic garbage collection.
-    ``int_table()`` is the exact view of all 2^n values that the exhaustive
-    consumers read; ``to_table()`` is its public ``Fraction`` view. A table
-    ``from_table`` keeps its ``Fraction`` list in ``_table`` (the library's
-    builders and ``gen`` hand it back); a parsed one, ``from_ints``, carries
-    only ``_ints``, and its point queries take the oracle path.
+    A dense table (ground_size <= 20) is its int table alone: ``from_ints``
+    holds ``(ints, denom)``, and ``from_table`` and ``from_levels`` end in
+    it. Otherwise it is a memoizing oracle with a cache cap: a callback, or
+    a subset recurrence. An oracle checks and caches each value it computes
+    through ``_store``, once. An oracle may also carry a fill that computes
+    all 2^n values at once as ``(ints, denom)``, such as a recurrence's
+    bottom-up pass. Oracles are called with the function itself as first
+    argument and fills with none, so no closure refers back to it: a
+    function nothing uses is freed at once, cache and all, not at the next
+    cyclic garbage collection. ``int_table()`` is the exact view of all 2^n
+    values that the exhaustive consumers and the serializer read;
+    ``to_table()`` is its public ``Fraction`` view. A dense table answers
+    point queries through the oracle path, reading its int table.
 
     ``kind`` and ``meta`` carry construction data (e.g. a set-cover family)
     for serialization.
     """
 
-    __slots__ = ("ground_size", "kind", "meta", "_table", "_oracle", "_fill",
-                 "_cache", "_ints")
+    __slots__ = ("ground_size", "kind", "meta", "_oracle", "_fill", "_cache", "_ints")
 
-    def __init__(self, ground_size: int, *, table=None, oracle=None, fill=None,
-                 kind: str = "table", meta: dict | None = None):
+    def __init__(self, ground_size: int, oracle, *, fill=None, kind: str = "table",
+                 meta: dict | None = None):
         if ground_size < 0:
             raise ValueError("ground_size must be non-negative")
-        if (table is None) == (oracle is None):
-            raise ValueError("exactly one of table/oracle required")
         self.ground_size = ground_size
         self.kind = kind
         self.meta = meta or {}
-        self._table = table
         self._oracle = oracle
         self._fill = fill
         self._cache: dict[int, Rat] = {}
         self._ints: tuple[np.ndarray, int] | None = None
 
-    @staticmethod
-    def _dense_ground(values: Sequence) -> int:
-        """The ground size of a dense table's values, once they are checked:
-        a power-of-two count within MAX_DENSE_GROUND, then no negative value,
-        then f(empty) = 0."""
-        size = len(values)
-        if size == 0 or size & (size - 1):
-            raise ValueError("table length must be a power of two")
-        ground = size.bit_length() - 1
-        require_dense_size(ground)
-        if any(v < 0 for v in values):
-            raise ValueError("set function values must be non-negative")
-        if values[0] != 0:
-            raise ValueError("set functions must satisfy f(empty) = 0")
-        return ground
-
     @classmethod
     def from_table(cls, values: Sequence) -> "SetFunction":
-        vals = [as_rat(v) for v in values]
-        return cls(cls._dense_ground(vals), table=vals)
+        """The dense table f(S) = values[S] of exact rationals."""
+        return cls.from_ints(*over_lcm(values))
+
+    @classmethod
+    def from_levels(cls, n: int, levels: Sequence) -> "SetFunction":
+        """The dense table f(T) = levels[|T|] over an n-element ground set,
+        reading only levels[0..n]; the gather by set size is Python's, which
+        beats numpy's object arrays at the sizes in use (n <= 10)."""
+        require_dense_size(n)
+        ints, denom = over_lcm(levels[k] for k in range(n + 1))
+        return cls.from_ints([ints[mask.bit_count()] for mask in range(1 << n)], denom)
 
     @classmethod
     def from_ints(cls, ints: list[int], denom: int) -> "SetFunction":
         """The dense table f(S) = ints[S] / denom, with ``denom`` the least
         common denominator of its values (as ``int_table()`` gives them).
-        Checked as ``from_table`` checks, then held only as ``int_table()``,
-        ``exact_ints`` of reach the largest value; a point query reads it as
-        a Fraction into the capped cache."""
-        ground = cls._dense_ground(ints)
+        Checked in this order: a power-of-two count within
+        MAX_DENSE_GROUND, then no negative value, then f(empty) = 0. Held
+        only as ``int_table()``, ``exact_ints`` of reach the largest value; a
+        point query reads it as a Fraction into the capped cache."""
+        size = len(ints)
+        if size == 0 or size & (size - 1):
+            raise ValueError("table length must be a power of two")
+        ground = size.bit_length() - 1
+        require_dense_size(ground)
+        if min(ints) < 0:
+            raise ValueError("set function values must be non-negative")
+        if ints[0] != 0:
+            raise ValueError("set functions must satisfy f(empty) = 0")
         table = exact_ints(ints, max(ints))
-        obj = cls(ground, oracle=lambda sf, mask: capped_store(
+        obj = cls(ground, lambda sf, mask: capped_store(
             sf._cache, mask, Fraction(int(table[mask]), denom), DEFAULT_CACHE_CAP))
         obj._ints = table, denom
         return obj
@@ -223,7 +228,7 @@ class SetFunction:
     def from_oracle(cls, ground_size: int, fn: Callable[[int], Rat], *,
                     fill: Callable[[], tuple[Sequence, int]] | None = None,
                     kind: str = "oracle", meta: dict | None = None) -> "SetFunction":
-        obj = cls(ground_size, oracle=lambda sf, mask: sf._store(mask, fn(mask)), fill=fill,
+        obj = cls(ground_size, lambda sf, mask: sf._store(mask, fn(mask)), fill=fill,
                   kind=kind, meta=meta)
         if obj(0) != 0:
             raise ValueError("set functions must satisfy f(empty) = 0")
@@ -288,7 +293,7 @@ class SetFunction:
 
         if point is not None:
             return cls.from_oracle(ground_size, point, fill=fill, kind=kind, meta=meta)
-        return cls(ground_size, oracle=solve, fill=fill, kind=kind, meta=meta)
+        return cls(ground_size, solve, fill=fill, kind=kind, meta=meta)
 
     def _store(self, mask: int, val) -> Rat:
         """Check an oracle value and cache it while the cache is under its cap."""
@@ -300,8 +305,6 @@ class SetFunction:
     def __call__(self, mask: int) -> Rat:
         if mask < 0 or mask >> self.ground_size:
             raise ValueError(f"mask {mask:#x} outside ground set of size {self.ground_size}")
-        if self._table is not None:
-            return self._table[mask]
         hit = self._cache.get(mask)
         if hit is not None:
             return hit
@@ -315,14 +318,12 @@ class SetFunction:
         if self._ints is None:
             require_dense_size(self.ground_size)
             ints, denom = self._fill() if self._fill else (
-                self._table or [self(mask) for mask in range(1 << self.ground_size)], 1)
+                [self(mask) for mask in range(1 << self.ground_size)], 1)
             arr = np.asarray(ints)
             if arr.dtype.kind not in "iu" and not all(type(v) is int for v in arr.flat):
-                # Fractions: a table, point queries or a rational combine;
-                # as_rat refuses floats
-                vals = [as_rat(v) for v in arr.flat]
-                scale = lcm(*(v.denominator for v in vals))
-                arr = np.array([v.numerator * (scale // v.denominator) for v in vals], object)
+                # Fractions: point queries or a rational combine
+                ints, scale = over_lcm(arr.flat)
+                arr = np.array(ints, dtype=object)
                 denom *= scale
             if arr.min() < 0:
                 raise ValueError("set function fill returned a negative value")
@@ -332,8 +333,6 @@ class SetFunction:
     def to_table(self) -> list[Rat]:
         """All 2^ground values as Fractions, read from ``int_table()``; an
         oracle's values also go into its capped point cache."""
-        if self._table is not None:
-            return list(self._table)
         ints, denom = self.int_table()
         return [capped_store(self._cache, mask, Fraction(v, denom), DEFAULT_CACHE_CAP)
                 for mask, v in enumerate(ints.tolist())]

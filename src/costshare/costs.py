@@ -25,8 +25,7 @@ import numpy as np
 
 from .core import (Allocation, AllocationCostFn, GroundSetTooLargeError, Rat,
                    SeparableCosts, SetFunction, align_ints, as_rat, bits,
-                   bundle_shifts, exact_ints, popcounts, require_dense_size,
-                   subset_sums)
+                   bundle_shifts, exact_ints, popcounts, subset_sums)
 from .valuations import SymmetricSubmodularValuation
 
 MAX_ESTIMATOR_GROUND = 16
@@ -53,13 +52,6 @@ def _non_negative(value, what: str) -> Rat:
 def table_cost(values: Sequence) -> SetFunction:
     """Dense cost table over player subsets; c(empty) must be 0."""
     return SetFunction.from_table(values)
-
-
-def _size_indexed_cost(n: int, levels: Sequence) -> SetFunction:
-    """Cost that depends only on the set size: c(T) = levels[|T|], with
-    levels[0] = 0, for the n + 1 sizes of an n-player ground set."""
-    require_dense_size(n)
-    return table_cost([levels[mask.bit_count()] for mask in range(1 << n)])
 
 
 def set_cover_cost(n: int, family: Sequence[int]) -> SetFunction:
@@ -385,7 +377,7 @@ def decreasing_average_table() -> SetFunction:
 def two_tier_step_cost(n: int) -> SetFunction:
     """Per-cardinality cost 0, 1, 1, 3, 3, ...: 2-average-decreasing but not
     subadditive."""
-    return _size_indexed_cost(n, [0, 1, 1] + [3] * (n - 2))
+    return SetFunction.from_levels(n, [0, 1, 1] + [3] * (n - 2))
 
 
 def capped_reciprocal_cost(n: int, k) -> SetFunction:
@@ -416,7 +408,7 @@ def sqrt_max_cost(n: int) -> SetFunction:
 
 def public_good_cost(n: int, price) -> SetFunction:
     """Constant cost for any non-empty served set (public excludable good)."""
-    return _size_indexed_cost(n, [Fraction(0)] + [_non_negative(price, "price")] * n)
+    return SetFunction.from_levels(n, [Fraction(0)] + [_non_negative(price, "price")] * n)
 
 
 def additive_cost(weights: Sequence) -> SetFunction:
@@ -429,7 +421,7 @@ def symmetric_submodular_cost(n: int, marginals: Sequence) -> SetFunction:
     margs = [as_rat(d) for d in marginals]
     if len(margs) != n:
         raise ValueError("need one marginal per player")
-    return _size_indexed_cost(n, SymmetricSubmodularValuation(margs).levels)
+    return SetFunction.from_levels(n, SymmetricSubmodularValuation(margs).levels)
 
 
 def reference_costs(n: int = 3, k=6) -> dict[str, SetFunction]:

@@ -9,8 +9,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import (GroundSetTooLargeError, Rat, SetFunction, as_rat, require_dense_size,
-                   symmetric_levels)
+from .core import GroundSetTooLargeError, Rat, SetFunction, as_rat, symmetric_levels
 
 MAX_CLASSIFY_GROUND = 16
 PAIR_CHUNK_BITS = 8
@@ -79,12 +78,11 @@ ValuationFn = Union[SymmetricSubmodularValuation, TableValuation]
 
 
 def as_table(v: ValuationFn) -> TableValuation:
-    """Materialize any valuation as a dense table (used by the class checkers)."""
+    """Any valuation as a dense table, the view of the class checkers and of
+    the social-cost optimum: a symmetric one from its levels by bundle size."""
     if isinstance(v, TableValuation):
         return v
-    require_dense_size(v.m)
-    vals = [v.value(mask) for mask in range(1 << v.m)]
-    return TableValuation(SetFunction.from_table(vals))
+    return TableValuation(SetFunction.from_levels(v.m, v.levels))
 
 
 @dataclass(frozen=True)

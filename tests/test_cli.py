@@ -19,7 +19,7 @@ from oracles import BIG_PRIMES
 import costshare.cli.formats as formats_module
 import costshare.cli.main as main_module
 from costshare import analysis
-from costshare.core import INT64_HEADROOM, Instance, SetFunction
+from costshare.core import INT64_HEADROOM, Instance, SetFunction, format_rat
 from costshare.cli import gen as gen_module
 from costshare.cli.formats import (InstanceParseError, parse_instance,
                                    serialize_instance)
@@ -122,6 +122,13 @@ def test_dense_line_reads_what_fraction_and_from_table_read(directive, toks):
     (ints, denom), (want_ints, want_denom) = got.int_table(), want.int_table()
     assert (ints.tolist(), ints.dtype, denom) == (want_ints.tolist(), want_ints.dtype, want_denom)
     assert got.to_table() == values
+    # written back from the int table: each value reduced, as format_rat writes it
+    text_out = serialize_instance(inst)
+    assert f"{directive} 0 table {' '.join(map(format_rat, values))}\n" in text_out
+    again = parse_instance(text_out)
+    back = again.cost_model.items[0] if directive == "cost" else again.valuations[0].fn
+    back_ints, back_denom = back.int_table()
+    assert (back_ints.tolist(), back_ints.dtype, back_denom) == (ints.tolist(), ints.dtype, denom)
 
 
 def _fraction_takes(tok: str) -> bool:
@@ -231,13 +238,45 @@ def test_gen_vertex_cover_star():
     assert fn((1 << 3) - 1) == 1
 
 
-def test_gen_bad_params():
+def test_gen_bad_params(monkeypatch, capsys):
     with pytest.raises(GenParamError):
         generate("random-symmetric", {"n": "x", "m": "2"}, 0)
     with pytest.raises(GenParamError):
         generate("paper-tight", {"n": "3", "k": "6", "eps": "5"}, 0)
     with pytest.raises(GenParamError):
         generate("nope", {}, 0)
+    # counts are range-checked as they are read, before anything is built;
+    # s, the number of random sets, may be 0
+    builds = []
+    for name in ("_grow_graph", "set_cover_cost", "sqrt_max_cost",
+                 "symmetric_submodular_cost", "capped_reciprocal_cost"):
+        def spy(*args, real=getattr(gen_module, name)):
+            builds.append(args)
+            return real(*args)
+        monkeypatch.setattr(gen_module, name, spy)
+    for kind, params, message in [
+            ("vertex-cover", {"e": "-1"}, "parameter e must be at least 1, got -1"),
+            ("vertex-cover", {"v": "0"}, "parameter v must be at least 1, got 0"),
+            ("vertex-cover", {"shape": "star", "k": "0"}, "parameter k must be at least 1, got 0"),
+            ("matching", {"e": "-1", "v": "12", "k": "11"},
+             "parameter e must be at least 1, got -1"),
+            ("matching", {"k": "-2"}, "parameter k must be at least 1, got -2"),
+            ("set-cover", {"s": "-3"}, "parameter s must be at least 0, got -3"),
+            ("set-cover", {"d": "0"}, "parameter d must be at least 1, got 0"),
+            ("set-cover", {"n": "-1"}, "parameter n must be at least 1, got -1"),
+            ("random-symmetric", {"n": "2", "m": "0"}, "parameter m must be at least 1, got 0"),
+            ("paper-tight", {"n": "0"}, "parameter n must be at least 1, got 0"),
+            ("paper-intersection", {"n": "-4"}, "parameter n must be at least 1, got -4")]:
+        with pytest.raises(GenParamError) as excinfo:
+            generate(kind, params, 0)
+        assert str(excinfo.value) == message
+        argv = [arg for key, val in params.items() for arg in ("--param", f"{key}={val}")]
+        assert main(["gen", kind, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+    assert builds == []
+    assert generate("set-cover", {"s": "0"}, 0).cost_model.items[0].meta["family"] == [
+        1 << e for e in range(6)]
 
 
 GEN_REFUSALS = [
@@ -277,7 +316,7 @@ def test_gen_refuses_unused_params_and_unknown_shapes(tmp_path, capsys, kind, pa
     ("paper-intersection", {"n": "20", "typo": "1"}),
     ("random-symmetric", {"n": "20", "m": "2", "typo": "1"}),
     # the unread parameter is reported before the build's own ValueError
-    ("random-symmetric", {"n": "0", "m": "1", "typo": "1"}),
+    ("random-symmetric", {"n": "21", "m": "1", "typo": "1"}),
 ], ids=["paper-intersection", "random-symmetric", "before-build-error"])
 def test_gen_refuses_an_unread_parameter_before_any_build(monkeypatch, kind, params):
     calls = []
@@ -392,7 +431,7 @@ def test_cli_alpha_size_limit_message():
 
 @pytest.mark.parametrize("descriptor, message", [
     ("two-tier-step:n=x", "parameter n must be an integer"),
-    ("two-tier-step:n=-1", "limited to 1..16 players, got -1"),
+    ("two-tier-step:n=-1", "parameter n must be at least 1, got -1"),
     ("capped-reciprocal:k=1/0", "parameter k must be a rational p/q"),
     ("two-tier-step:n=4,bogus=1", "two-tier-step takes no parameter 'bogus'"),
 ], ids=["non-integer-n", "negative-n", "zero-denominator-k", "unknown-key"])
@@ -785,7 +824,7 @@ def test_cli_suite_refuses_an_order_for_ascending_mechanisms(tmp_path, capsys):
 
 def test_cli_gen_empty_instance_exits_2(capsys):
     assert main(["gen", "random-symmetric", "--param", "n=0", "--param", "m=1"]) == 2
-    assert "need at least one player and one item" in capsys.readouterr().err
+    assert "parameter n must be at least 1, got 0" in capsys.readouterr().err
 
 
 def _count_table_builds(monkeypatch) -> Counter:

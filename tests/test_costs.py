@@ -542,7 +542,8 @@ def _counted(calls: list, fn):
 def test_builtin_cost_parameters_are_checked_before_any_subset_list(monkeypatch, build):
     calls = []
     monkeypatch.setattr(costs, "subset_sums", _counted(calls, costs.subset_sums))
-    monkeypatch.setattr(costs, "_size_indexed_cost", _counted(calls, costs._size_indexed_cost))
+    monkeypatch.setattr(SetFunction, "from_levels",
+                        classmethod(_counted(calls, SetFunction.from_levels.__func__)))
     with pytest.raises(ValueError, match="must be non-negative"):
         build()
     assert calls == []
@@ -564,20 +565,26 @@ def _subset_sums_case(calls, monkeypatch):
 
 
 def _size_indexed_case(calls, monkeypatch):
-    return lambda: costs._size_indexed_cost(21, _CountedLevels(calls))
+    return lambda: SetFunction.from_levels(21, _CountedLevels(calls))
+
+
+def _count_dense_tables(calls, monkeypatch):
+    """Count the calls of ``core.over_lcm`` and ``SetFunction.from_ints``,
+    the first and the last step of every dense table ``from_table`` and
+    ``from_levels`` build: a refusal before any 2^n list reaches neither."""
+    monkeypatch.setattr(core, "over_lcm", _counted(calls, core.over_lcm))
+    monkeypatch.setattr(SetFunction, "from_ints",
+                        classmethod(_counted(calls, SetFunction.from_ints.__func__)))
 
 
 def _as_table_case(calls, monkeypatch):
-    monkeypatch.setattr(SymmetricSubmodularValuation, "value",
-                        _counted(calls, SymmetricSubmodularValuation.value))
+    _count_dense_tables(calls, monkeypatch)
     return lambda: as_table(SymmetricSubmodularValuation([Fraction(1)] * 21))
 
 
 def _gen_case(kind: str, params: dict):
     def build(calls, monkeypatch):
-        # a refusal before any 2^n list also never reaches from_table
-        monkeypatch.setattr(SetFunction, "from_table",
-                            classmethod(_counted(calls, SetFunction.from_table.__func__)))
+        _count_dense_tables(calls, monkeypatch)
         return lambda: generate(kind, params, 0)
     return build
 

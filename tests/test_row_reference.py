@@ -3,8 +3,11 @@ instance, from the text the test writes through the CLI, against references
 built on the same data from the ``naive_*`` oracles alone.
 
 The reference instance is built from the drawn tables with the library's
-plain constructors, never through the parser; a non-separable cost is a
-``naive_builtin_allocation_cost`` object, not the library's.
+plain constructors, never through the parser: a ``set-cover``,
+``vertex-cover`` or ``matching`` cost line is the table of its
+``naive_min_set_cover``, ``naive_min_vertex_cover`` or ``naive_max_matching``
+values, and a non-separable cost is a ``naive_builtin_allocation_cost``
+object, not the library's.
 """
 
 import csv
@@ -18,7 +21,8 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 from oracles import (BIG_PRIMES, naive_alpha_avg_decreasing, naive_alpha_bounded_ns,
                      naive_alpha_bounded_report, naive_builtin_allocation_cost,
-                     naive_iacsm_run, naive_nondecreasing, naive_optimal_social_cost,
+                     naive_iacsm_run, naive_max_matching, naive_min_set_cover,
+                     naive_min_vertex_cover, naive_nondecreasing, naive_optimal_social_cost,
                      naive_sm_run, naive_subadditive, naive_submodular, naive_symmetric,
                      naive_trace_flags, naive_xos_symmetric)
 
@@ -37,6 +41,11 @@ NS_KINDS = ("lifted", "max-item", "count-served", "union-items")
 SMALL = st.builds(Fraction, st.integers(0, 5), st.sampled_from((1, 2, 3) + BIG_PRIMES[:4]))
 NEAR_HEADROOM = st.sampled_from((0, 1, INT64_HEADROOM - 1, INT64_HEADROOM)).map(Fraction)
 FLAG_NAMES = ("nondecreasing", "submodular", "symmetric", "xos_symmetric", "subadditive")
+# a cost line's values at every player set, from its drawn data
+NAIVE_LINES = {"set-cover": naive_min_set_cover, "vertex-cover": naive_min_vertex_cover,
+               "matching": naive_max_matching}
+# edges join vertices 0..3, so graphs may be bipartite or not
+VERTICES = 4
 
 
 @st.composite
@@ -46,10 +55,37 @@ def _values(draw, count: int, zero_first: bool):
 
 
 @st.composite
+def _cost_line(draw, n: int):
+    """(variant, data): ("table", values), ("set-cover", family masks that
+    cover every player) or (graph variant, one (u, v) edge per player)."""
+    variant = draw(st.sampled_from(("table", "table", *NAIVE_LINES)))
+    if variant == "table":
+        return variant, draw(_values(1 << n, True))
+    if variant == "set-cover":
+        family = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3))
+        covered = 0
+        for s in family:
+            covered |= s
+        return variant, family + [1 << e for e in range(n) if not (covered >> e) & 1]
+    edges = []
+    for _ in range(n):
+        u, step = draw(st.integers(0, VERTICES - 1)), draw(st.integers(1, VERTICES - 1))
+        edges.append((u, (u + step) % VERTICES))
+    return variant, edges
+
+
+def _line_table(n: int, variant: str, data) -> list:
+    if variant == "table":
+        return data
+    return [Fraction(NAIVE_LINES[variant](data, t)) for t in range(1 << n)]
+
+
+@st.composite
 def drawn_instances(draw):
     """(n, m, valuations, cost): a valuation is ("symmetric", marginals) or
-    ("table", values); the cost is (None, tables) when separable, (kind,
-    tables) for lifted and max-item, and (kind, weight) otherwise."""
+    ("table", values); the cost is (None, lines) when separable, (kind,
+    lines) for lifted and max-item, and (kind, weight) otherwise, each line
+    a ``_cost_line``."""
     kind = draw(st.sampled_from((None,) * 4 + NS_KINDS))
     n, m = draw(st.sampled_from(SHAPES if kind is None else NS_SHAPES))
     # every valuation symmetric half the time, so that iacsm applies
@@ -64,7 +100,7 @@ def drawn_instances(draw):
     if kind in ("count-served", "union-items"):
         cost = (kind, draw(_values(1, False))[0])
     else:
-        cost = (kind, [draw(_values(1 << n, True)) for _ in range(m)])
+        cost = (kind, [draw(_cost_line(n)) for _ in range(m)])
     return n, m, valuations, cost
 
 
@@ -81,7 +117,14 @@ def _write(rng: random.Random, n, m, valuations, cost) -> str:
     if kind in ("count-served", "union-items"):
         lines.append(f"nonseparable {kind} {toks([data])}")
     else:
-        lines += [f"cost {j} table {toks(table)}" for j, table in enumerate(data)]
+        for j, (variant, line) in enumerate(data):
+            if variant == "table":
+                body = toks(line)
+            elif variant == "set-cover":
+                body = " ".join(",".join(str(e) for e in range(n) if (s >> e) & 1) for s in line)
+            else:
+                body = " ".join(f"{u}-{v}" for u, v in line)
+            lines.append(f"cost {j} {variant} {body}")
         if kind is not None:
             lines.append(f"nonseparable {kind}")
     return "\n".join(lines) + "\n"
@@ -103,7 +146,7 @@ def _reference_instance(n, m, valuations, cost) -> Instance:
     kind, data = cost
     if kind in ("count-served", "union-items"):
         return Instance(vs, _NaiveCost(n, m, kind, data), m)
-    separable = SeparableCosts(tuple(table_cost(table) for table in data))
+    separable = SeparableCosts(tuple(table_cost(_line_table(n, *line)) for line in data))
     return Instance(vs, separable if kind is None else _NaiveCost(n, m, kind, separable), m)
 
 
@@ -121,10 +164,10 @@ def _set(mask: int) -> str:
     return "{" + ",".join(str(i) for i in range(mask.bit_length()) if (mask >> i) & 1) + "}"
 
 
-def _reference_reports(inst: Instance, tables):
+def _reference_reports(inst: Instance, cost_lines):
     """Per cost: its title and (label, alpha, witness text) lines."""
     n = inst.n
-    if tables is None:
+    if cost_lines is None:
         C = inst.cost_model
         lines = []
         for label, pick in (("min-bounded", min), ("max-bounded", max)):
@@ -132,13 +175,14 @@ def _reference_reports(inst: Instance, tables):
             lines.append((label, alpha, f"A={','.join(map(bin, bundles))} T={_set(t)}"))
         return [(f"nonseparable cost kind={C.kind}", lines)]
     out = []
-    for j, vals in enumerate(tables):
+    for j, (variant, data) in enumerate(cost_lines):
+        vals = _line_table(n, variant, data)
         alpha, (s, t) = naive_alpha_avg_decreasing(vals, n)
         lines = [("avg-decreasing", alpha, f"S={_set(s)} T={_set(t)}")]
         for label, pick in (("min-bounded", min), ("max-bounded", max)):
             alpha, (t,) = naive_alpha_bounded_report(vals, n, pick)
             lines.append((label, alpha, f"T={_set(t)}"))
-        out.append((f"cost {j} kind=table", lines))
+        out.append((f"cost {j} kind={variant}", lines))
     return out
 
 
@@ -190,7 +234,24 @@ def _cli(argv):
 # two singletons at INT64_HEADROOM: their sum is past int64, so the class
 # checker's int table must hold Python ints
 @example(drawn=(2, 1, [("symmetric", [Fraction(1)])] * 2,
-                (None, [[Fraction(0)] + [Fraction(INT64_HEADROOM)] * 3])),
+                (None, [("table", [Fraction(0)] + [Fraction(INT64_HEADROOM)] * 3)])),
+         rng=random.Random(0))
+# cover lines whose recurrences branch: a path, overlapping sets, a 4-cycle
+# (bipartite: augmenting-path point queries) and a triangle with a pendant
+# edge; and lifted over a table line and a matching line, which the draws miss
+@example(drawn=(3, 2, [("symmetric", [Fraction(3), Fraction(1)])] * 3,
+                (None, [("vertex-cover", [(0, 1), (1, 2), (2, 3)]),
+                        ("set-cover", [0b011, 0b110, 0b001])])),
+         rng=random.Random(0))
+@example(drawn=(4, 2, [("symmetric", [Fraction(2), Fraction(2)]),
+                       ("table", [Fraction(0), Fraction(1), Fraction(3), Fraction(3)])] * 2,
+                (None, [("matching", [(0, 1), (1, 2), (2, 3), (3, 0)]),
+                        ("matching", [(0, 1), (1, 2), (2, 0), (2, 3)])])),
+         rng=random.Random(0))
+@example(drawn=(2, 2, [("table", [Fraction(0), Fraction(2), Fraction(1, 3), Fraction(3)]),
+                       ("symmetric", [Fraction(2), Fraction(1)])],
+                ("lifted", [("table", [Fraction(0), Fraction(1), Fraction(1), Fraction(3, 2)]),
+                            ("matching", [(0, 1), (1, 2)])])),
          rng=random.Random(0))
 @given(drawn_instances(), st.randoms(use_true_random=False))
 def test_cli_output_matches_the_naive_reference(drawn, rng):
@@ -203,8 +264,8 @@ def test_cli_output_matches_the_naive_reference(drawn, rng):
 
 def _check_against_reference(path, n, m, valuations, cost):
     inst = _reference_instance(n, m, valuations, cost)
-    kind, tables = cost
-    reports = _reference_reports(inst, tables if kind is None else None)
+    kind, cost_lines = cost
+    reports = _reference_reports(inst, cost_lines if kind is None else None)
 
     ascending = kind is None and all(variant == "symmetric" for variant, _ in valuations)
     for mechanism in ("sm", "iacsm", "iacsm-underquote"):
@@ -229,7 +290,8 @@ def _check_against_reference(path, n, m, valuations, cost):
 
     code, out = _cli(["check", str(path)])
     assert code == 0
-    expected = ([f"cost {j} {_flags_text(table, n)}" for j, table in enumerate(tables)]
+    expected = ([f"cost {j} {_flags_text(_line_table(n, *line), n)}"
+                 for j, line in enumerate(cost_lines)]
                 if kind is None else
                 ["nonseparable cost: class checks apply to separable costs only"])
     expected += [f"valuation {i} {_flags_text([v.value(s) for s in range(1 << m)], m)}"
