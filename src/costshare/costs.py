@@ -26,7 +26,7 @@ import numpy as np
 from .core import (Allocation, AllocationCostFn, GroundSetTooLargeError, Rat,
                    SeparableCosts, SetFunction, align_ints, as_rat, bits,
                    bundle_shifts, exact_ints, popcounts, subset_sums)
-from .valuations import SymmetricSubmodularValuation
+from .valuations import submodular_levels
 
 MAX_ESTIMATOR_GROUND = 16
 MAX_NS_CELLS = 12
@@ -421,7 +421,7 @@ def symmetric_submodular_cost(n: int, marginals: Sequence) -> SetFunction:
     margs = [as_rat(d) for d in marginals]
     if len(margs) != n:
         raise ValueError("need one marginal per player")
-    return SetFunction.from_levels(n, SymmetricSubmodularValuation(margs).levels)
+    return SetFunction.from_levels(n, submodular_levels(margs))
 
 
 def reference_costs(n: int = 3, k=6) -> dict[str, SetFunction]:

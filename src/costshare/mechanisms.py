@@ -20,7 +20,8 @@ misreport search reuse the steps they share. A step is keyed on the state
 it starts from and on the declared valuation as a dict key: symmetric
 valuations compare by value, table valuations by their ``SetFunction``
 object, so two equal tables built apart key two steps (never a wrong one):
-- sm: ``(player, bundles so far, declared valuation) -> (mask, payment)``.
+- sm: ``(player, bundles so far, declared valuation) -> (mask, payment)``
+  and ``(player, bundles so far) -> price vector``.
 - iacsm: a trie of iteration states. ``(quote scale,) -> root``,
   ``(node, declared valuation) -> covered ranks`` and
   ``(node, player, size) -> child``; a leaf keeps its Outcome, and
@@ -294,8 +295,10 @@ def incremental_costs(inst: Instance, bundles: Sequence[int], i: int) -> list[Ra
 
 def _sm_step(inst: Instance, i: int, bundles: Sequence[int],
              v: ValuationFn) -> tuple[int, Rat]:
-    """Player i's bundle mask and payment after ``bundles``."""
-    price = incremental_costs(inst, bundles, i)
+    """Player i's bundle mask and payment after ``bundles``, on the price
+    vector every report of player i after ``bundles`` shares."""
+    price = _step(inst.step_memo, (i, bundles),
+                  lambda i, bundles: incremental_costs(inst, bundles, i))
     # max keeps the first maximum: the numerically smallest optimal mask
     best = max(range(1 << inst.m), key=lambda mask: v.value(mask) - price[mask])
     return best, price[best]

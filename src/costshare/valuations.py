@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
 import numpy as np
@@ -13,6 +14,17 @@ from .core import GroundSetTooLargeError, Rat, SetFunction, as_rat, symmetric_le
 
 MAX_CLASSIFY_GROUND = 16
 PAIR_CHUNK_BITS = 8
+
+
+def submodular_levels(marginals: Sequence[Rat]) -> tuple[Rat, ...]:
+    """The values by set size, 0, d1, d1 + d2, ..., of the symmetric
+    submodular function with marginals d1, d2, ...: refused unless they are
+    non-negative, then unless they are non-increasing."""
+    if any(d < 0 for d in marginals):
+        raise ValueError("marginals must be non-negative")
+    if any(marginals[t] < marginals[t + 1] for t in range(len(marginals) - 1)):
+        raise ValueError("marginals must be non-increasing")
+    return tuple(accumulate(marginals, initial=Fraction(0)))
 
 
 @dataclass(frozen=True)
@@ -29,14 +41,7 @@ class SymmetricSubmodularValuation:
     def __post_init__(self):
         margs = tuple(as_rat(d) for d in self.marginals)
         object.__setattr__(self, "marginals", margs)
-        if any(d < 0 for d in margs):
-            raise ValueError("marginals must be non-negative")
-        if any(margs[t] < margs[t + 1] for t in range(len(margs) - 1)):
-            raise ValueError("marginals must be non-increasing")
-        prefix = [Fraction(0)]
-        for d in margs:
-            prefix.append(prefix[-1] + d)
-        object.__setattr__(self, "levels", tuple(prefix))
+        object.__setattr__(self, "levels", submodular_levels(margs))
         # the mechanisms' step memo hashes declared valuations on every step
         object.__setattr__(self, "_hash", hash(margs))
 
@@ -103,19 +108,48 @@ def _subset_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return u, s
 
 
-def _subadditive_on_disjoint_pairs(arr: np.ndarray, n: int) -> bool:
-    """Whether arr[U] <= arr[S] + arr[U minus S] for every S <= U.
+def _critical(arr: np.ndarray, n: int) -> np.ndarray:
+    """The mask of the sets U with arr[U - e] < arr[U] for every e in U."""
+    crit = np.ones(1 << n, dtype=bool)
+    for i in range(n):
+        p, c = arr.reshape(-1, 2, 1 << i), crit.reshape(-1, 2, 1 << i)
+        c[:, 1] &= p[:, 1] > p[:, 0]
+    return crit
 
-    The low PAIR_CHUNK_BITS bits of (U, S) are one vectorized chunk; the
-    pairs of the higher bits are looped over, so memory stays
-    O(3^PAIR_CHUNK_BITS + 2^n)."""
+
+def _subadditive_on_disjoint_pairs(arr: np.ndarray, n: int) -> bool:
+    """Whether arr[U] <= arr[S] + arr[U minus S] for every S <= U, where arr
+    is non-decreasing.
+
+    Only critical unions U (``_critical``) need checking. Take a violation
+    at disjoint S, T whose union U has an e with arr[U - e] = arr[U], say e
+    in S. Then arr[(S - e) | T] = arr[U] > arr[S] + arr[T] >= arr[S - e] +
+    arr[T]: a violation on a smaller union. It never reaches an empty part,
+    as arr[empty] = 0, so it ends at a critical union.
+
+    The low PAIR_CHUNK_BITS bits of (U, S) are one vectorized chunk; for
+    each setting of the high bits of U, the chunk is cut to its critical
+    unions, and the high bits of S are looped over. (U, S) and (U, U minus
+    S) check one inequality, and the chunk holds both low parts, so S's
+    high bits range over the subsets of U's without its top bit. Memory
+    stays O(3^PAIR_CHUNK_BITS + 2^n)."""
     low = min(n, PAIR_CHUNK_BITS)
     lo_u, lo_s = _subset_pairs(low)
     lo_t = lo_u ^ lo_s
-    hi_u, hi_s = _subset_pairs(n - low)
-    for hu, hs in zip((hi_u << low).tolist(), (hi_s << low).tolist()):
-        if not np.all(arr[hu | lo_u] <= arr[hs | lo_s] + arr[(hu ^ hs) | lo_t]):
-            return False
+    crit = _critical(arr, n)
+    for hu in range(0, 1 << n, 1 << low):
+        keep = crit[hu:hu + (1 << low)][lo_u]
+        if not keep.any():
+            continue
+        u, s, t = lo_u[keep], lo_s[keep], lo_t[keep]
+        union = arr[hu | u]
+        hs = rest = hu ^ (1 << hu.bit_length() >> 1)
+        while True:
+            if not np.all(union <= arr[hs | s] + arr[(hu ^ hs) | t]):
+                return False
+            if not hs:
+                break
+            hs = (hs - 1) & rest
     return True
 
 
@@ -127,7 +161,10 @@ def _nondecreasing(arr: np.ndarray, n: int) -> bool:
 
 def classify_set_function(fn: SetFunction) -> ClassFlags:
     """Decide the standard function classes by exhaustive check of each definition;
-    submodularity as each element's marginal non-increasing in the other elements."""
+    submodularity as each element's marginal non-increasing in the other elements.
+    A submodular table is subadditive, as f >= 0; on any other non-decreasing
+    table ``_subadditive_on_disjoint_pairs`` checks the disjoint pairs of its
+    critical unions, and on a non-monotone one every pair is checked."""
     n = fn.ground_size
     if n > MAX_CLASSIFY_GROUND:
         raise GroundSetTooLargeError(
@@ -139,7 +176,10 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
     nondec = _nondecreasing(arr, n)
     submod = all(_nondecreasing((p[:, 0] - p[:, 1]).ravel(), n - 1)
                  for p in (arr.reshape(-1, 2, 1 << i) for i in range(n)))
-    if nondec:
+    if submod:
+        # f(S|T) <= f(S) + f(T) - f(S&T) <= f(S) + f(T), as f >= 0
+        subadd = True
+    elif nondec:
         # f(S|T) <= f(S) + f(T minus S) <= f(S) + f(T): disjoint pairs decide
         subadd = _subadditive_on_disjoint_pairs(arr, n)
     else:

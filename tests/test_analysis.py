@@ -22,7 +22,7 @@ from costshare.analysis import (DeviationWitness, check_icb_bound, evaluate_run,
                                 symmetric_marginal_space, table_space,
                                 wgsp_search)
 from costshare.mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
-                                  sm_run)
+                                  incremental_costs, sm_run)
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
 import oracles
@@ -435,6 +435,31 @@ def test_wgsp_sm_search_without_lone_witness_runs_the_lone_pass_only(monkeypatch
             calls.clear()
             assert wgsp_search(inst, "sm", coalition_max, space, order=order) is None
             assert len(calls) == 1 + inst.n * len(space)
+
+
+def test_wgsp_sm_search_prices_each_prefix_once(monkeypatch):
+    # every report of a player after one truthful prefix shares its price vector
+    calls = []
+
+    def counting_incremental_costs(inst, bundles, i):
+        calls.append((i, tuple(bundles)))
+        return incremental_costs(inst, bundles, i)
+
+    monkeypatch.setattr(mechanisms, "incremental_costs", counting_incremental_costs)
+    rng = random.Random("sm-prices")
+    for inst in search_instances(rng):
+        order = rng.sample(range(inst.n), inst.n)
+        for space in (symmetric_marginal_space(inst.m, [0, F(1, 2), 2, 4]),
+                      table_space(inst.m, [0, 2])):
+            calls.clear()
+            got = wgsp_search(inst, "sm", 1, space, order=order)
+            assert witness_fields(got) == naive_wgsp_search(inst, "sm", 1, space, order)
+            assert len(calls) == len(set(calls))
+            # a warm memo prices nothing again
+            calls.clear()
+            assert witness_fields(wgsp_search(inst, "sm", 1, space, order=order)) \
+                == witness_fields(got)
+            assert calls == []
 
 
 def shared_outcome_run(truth, deviation, quorum):

@@ -408,10 +408,17 @@ def test_symmetric_xos_tables_are_average_decreasing():
         margs = sorted((Fraction(rng.randint(0, 5)) for _ in range(n)), reverse=True)
         fn = symmetric_submodular_cost(n, margs)
         assert alpha_average_decreasing(fn).alpha == 1
-    # the marginals of a submodular table are non-negative and non-increasing
-    for margs, message in (([1, 2], "non-increasing"), ([1, -1], "non-negative")):
+        # the table of the valuation with the same marginals
+        ints, denom = as_table(SymmetricSubmodularValuation(margs)).fn.int_table()
+        assert fn.int_table()[0].tolist() == ints.tolist() and fn.int_table()[1] == denom
+    # the marginals of a submodular table are non-negative and non-increasing,
+    # checked in that order, as a valuation checks them
+    for margs, message in (([1, 2], "non-increasing"), ([1, -1], "non-negative"),
+                           ([-1, 2], "non-negative")):
         with pytest.raises(ValueError, match=message):
             symmetric_submodular_cost(2, margs)
+        with pytest.raises(ValueError, match=message):
+            SymmetricSubmodularValuation(margs)
 
 
 @st.composite

@@ -2,17 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from costshare import valuations
-from costshare.core import SetFunction
+from costshare.core import INT64_HEADROOM, SetFunction
 from costshare.costs import decreasing_average_table
-from costshare.valuations import (SymmetricSubmodularValuation, TableValuation,
+from costshare.valuations import (ClassFlags, SymmetricSubmodularValuation, TableValuation,
                                   as_table, check_class, classify_set_function,
                                   gen_symmetric_submodular)
 
-from oracles import (BIG_PRIMES, naive_nondecreasing, naive_subadditive,
-                     naive_submodular)
+from oracles import (BIG_PRIMES, naive_nondecreasing, naive_subadditive, naive_submodular,
+                     naive_symmetric, naive_xos_symmetric)
 
 
 def test_symmetric_value_by_cardinality():
@@ -126,16 +126,17 @@ def test_subadditivity_over_disjoint_pairs_on_large_nondecreasing_tables(monkeyp
     rng = random.Random("disjoint-pairs")
     verdicts = []
     for n in (9, 9, 9, 10, 10):
-        # the most of random weights over a set, plus random extras that keep
-        # f non-decreasing: subadditive or not depending on the extras
+        # the most of random weights over a set plus half its size rounded up,
+        # subadditive and not submodular, plus random extras that keep f
+        # non-decreasing: subadditive or not depending on the extras
         weight = [Fraction(rng.randint(1, 6)) for _ in range(n)]
         table = [max((weight[i] for i in range(n) if (mask >> i) & 1), default=Fraction(0))
-                 for mask in range(1 << n)]
+                 + (mask.bit_count() + 1) // 2 for mask in range(1 << n)]
         for _ in range(rng.choice((0, 1, 3))):
             extra, base = Fraction(rng.randint(1, 4)), rng.randrange(1, 1 << n)
             table = [v + extra if mask & base == base else v for mask, v in enumerate(table)]
         flags = classify_set_function(SetFunction.from_table(table))
-        assert flags.nondecreasing
+        assert flags.nondecreasing and not flags.submodular
         assert flags.subadditive == naive_subadditive(table, n)
         verdicts.append(flags.subadditive)
     assert set(verdicts) == {True, False}
@@ -144,19 +145,94 @@ def test_subadditivity_over_disjoint_pairs_on_large_nondecreasing_tables(monkeyp
     assert valuations.PAIR_CHUNK_BITS < 9
 
 
+def _size_and_half(k: int) -> int:
+    """k + ceil(k / 2): by set size, subadditive, strictly increasing and not
+    submodular, so every set is critical and no union is pruned."""
+    return k + (k + 1) // 2
+
+
 @pytest.mark.parametrize("scale", [1, 10 ** 18], ids=["int64", "object"])
 @pytest.mark.parametrize("pair", [(8, 9), (0, 9), (0, 1)])
 def test_subadditivity_finds_its_only_violating_pair(monkeypatch, scale, pair):
-    # f(X) = |X|, but f({a, b}) = 3 > f({a}) + f({b}): non-decreasing, and
-    # {a}, {b} is the only violating pair; (8, 9) lies wholly in the high bits
+    # f(X) = |X| + ceil(|X| / 2), but f({a, b}) = 5 > f({a}) + f({b}) = 4:
+    # still non-decreasing, as f of a triple is 5, and {a}, {b} is the only
+    # violating pair; (8, 9) lies wholly in the high bits
     calls = _spy_disjoint_pairs(monkeypatch)
     n, bad = 10, (1 << pair[0]) | (1 << pair[1])
-    table = [Fraction(scale * (mask.bit_count() + (mask == bad))) for mask in range(1 << n)]
+    table = [Fraction(scale * (_size_and_half(mask.bit_count()) + 2 * (mask == bad)))
+             for mask in range(1 << n)]
     flags = classify_set_function(SetFunction.from_table(table))
     assert flags.nondecreasing and not flags.subadditive
-    table[bad] -= scale
-    assert classify_set_function(SetFunction.from_table(table)).subadditive
+    table[bad] -= 2 * scale
+    flags = classify_set_function(SetFunction.from_table(table))
+    assert flags.subadditive and not flags.submodular
     assert [dtype == object for _, dtype in calls] == [scale > 1] * 2
+
+
+def test_subadditivity_when_every_set_is_critical():
+    # nothing is pruned: the verdicts of the whole pair loop at n = 12
+    n = 12
+    table = [_size_and_half(mask.bit_count()) for mask in range(1 << n)]
+    fn = SetFunction.from_table(table)
+    assert valuations._critical(fn.int_table()[0], n).all()
+    assert classify_set_function(fn) == ClassFlags(
+        nondecreasing=True, submodular=False, symmetric=True, xos_symmetric=False,
+        subadditive=True)
+    table[0b11 << 10] += 2  # two singletons of the high bits now beat their pair
+    assert not classify_set_function(SetFunction.from_table(table)).subadditive
+
+
+def test_submodular_tables_skip_the_pair_loop(monkeypatch):
+    calls = _spy_disjoint_pairs(monkeypatch)
+    rng = random.Random("submodular")
+    n = 10
+    weight = [rng.randint(1, 6) for _ in range(n)]
+    tables = [
+        # additive, the most of weights, and a symmetric submodular table
+        [sum(weight[i] for i in range(n) if (mask >> i) & 1) for mask in range(1 << n)],
+        [max((weight[i] for i in range(n) if (mask >> i) & 1), default=0)
+         for mask in range(1 << n)],
+        [min(mask.bit_count(), 4) for mask in range(1 << n)],
+    ]
+    for scale in (1, INT64_HEADROOM):
+        for table in tables:
+            flags = classify_set_function(SetFunction.from_table([scale * v for v in table]))
+            assert flags.nondecreasing and flags.submodular and flags.subadditive
+    assert calls == []
+
+
+def _nondecreasing_table(seed: int) -> tuple[int, list[int]]:
+    """(n, table): each set's value the larger of ``half`` * ceil(|X| / 2)
+    plus a bump of 0..top, drawn with probability ``rate``, and the most over
+    its one-smaller subsets; scaled past INT64_HEADROOM half the time, so
+    that int tables hold Python ints. Every choice comes from the seeded rng,
+    as derandomized hypothesis draws crowd at a few small values."""
+    rng = random.Random(seed)
+    n, half = rng.randint(2, 9), rng.choice((0, 1, 1, 3))
+    rate, top = rng.choice((0.005, 0.02, 0.1, 1.0)), rng.randint(1, 6)
+    table = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        bump = rng.randint(0, top) if rng.random() < rate else 0
+        table[mask] = max(half * ((mask.bit_count() + 1) // 2) + bump,
+                          *(table[mask & ~(1 << i)] for i in range(n) if (mask >> i) & 1))
+    scale = rng.choice((1, INT64_HEADROOM + 1))
+    return n, [scale * v for v in table]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_classifier_matches_naive_flags_on_nondecreasing_tables(seed):
+    n, table = _nondecreasing_table(seed)
+    fn = SetFunction.from_table(table)
+    arr = fn.int_table()[0]
+    assert (arr.dtype == object) == (max(table) >= INT64_HEADROOM)
+    critical = [all(table[u & ~(1 << e)] < table[u] for e in range(n) if (u >> e) & 1)
+                for u in range(1 << n)]
+    assert valuations._critical(arr, n).tolist() == critical
+    assert classify_set_function(fn) == ClassFlags(
+        nondecreasing=naive_nondecreasing(table, n), submodular=naive_submodular(table, n),
+        symmetric=naive_symmetric(table, n), xos_symmetric=naive_xos_symmetric(table, n),
+        subadditive=naive_subadditive(table, n))
 
 
 def test_subadditivity_of_non_monotone_tables_checks_all_pairs(monkeypatch):
