@@ -110,11 +110,12 @@ def _ratio(tok: str) -> tuple[int, int]:
 
 def _dense(toks: list[str], count: int, what: str) -> SetFunction:
     """The dense table of ``count`` values as ``SetFunction.from_ints``: each
-    token read by ``_ratio``, then all put over one lcm. Checks and messages
-    are those of ``_rat`` and ``from_ints``, in their order."""
-    pairs = [_ratio(tok) for tok in _counted(toks, count, what, "values")]
-    denom = lcm(*(den for _, den in pairs))
-    return SetFunction.from_ints([num * (denom // den) for num, den in pairs], denom)
+    distinct token read once by ``_ratio``, then all put over one lcm. Checks
+    and messages are those of ``_rat`` and ``from_ints``, in their order."""
+    pairs = {tok: _ratio(tok) for tok in dict.fromkeys(_counted(toks, count, what, "values"))}
+    denom = lcm(*(den for _, den in pairs.values()))
+    scaled = {tok: num * (denom // den) for tok, (num, den) in pairs.items()}
+    return SetFunction.from_ints([scaled[tok] for tok in toks], denom)
 
 
 def _set_cover_cost(n: int, groups: list[str]) -> SetFunction:

@@ -166,8 +166,9 @@ class SetFunction:
     function nothing uses is freed at once, cache and all, not at the next
     cyclic garbage collection. ``int_table()`` is the exact view of all 2^n
     values that the exhaustive consumers and the serializer read;
-    ``to_table()`` is its public ``Fraction`` view. A dense table answers
-    point queries through the oracle path, reading its int table.
+    ``to_table()`` is its public ``Fraction`` view. A point query missing the
+    cache reads the int table once it is built; an oracle answers until then,
+    so no point query builds a table.
 
     ``kind`` and ``meta`` carry construction data (e.g. a set-cover family)
     for serialization.
@@ -218,10 +219,8 @@ class SetFunction:
             raise ValueError("set function values must be non-negative")
         if ints[0] != 0:
             raise ValueError("set functions must satisfy f(empty) = 0")
-        table = exact_ints(ints, max(ints))
-        obj = cls(ground, lambda sf, mask: capped_store(
-            sf._cache, mask, Fraction(int(table[mask]), denom), DEFAULT_CACHE_CAP))
-        obj._ints = table, denom
+        obj = cls(ground, None)
+        obj._ints = exact_ints(ints, max(ints)), denom
         return obj
 
     @classmethod
@@ -249,10 +248,10 @@ class SetFunction:
         rationals. ``int_table()`` calls it once per element, n-1 down to 0
         (those without branches first), on int arrays over every T with lowest
         element e, moving them once to Python ints past ``exact_ints`` of reach
-        (largest value)^2, as sums and products of two occur. Point queries
-        call it on Fractions, walking the same children with a stack (no
-        recursion limit), each value stored once in the capped cache; ``point``
-        replaces them.
+        (largest value)^2, as sums and products of two occur. Until that table
+        is built, point queries call it on Fractions, walking the same children
+        with a stack (no recursion limit), each value stored once in the capped
+        cache; ``point`` replaces them.
         """
         branches = [list(rs) for rs in branches]
         for e, rs in enumerate(branches):
@@ -308,7 +307,10 @@ class SetFunction:
         hit = self._cache.get(mask)
         if hit is not None:
             return hit
-        return self._oracle(self, mask)
+        if self._ints is None:  # no point query builds the 2^n table
+            return self._oracle(self, mask)
+        ints, denom = self._ints
+        return capped_store(self._cache, mask, Fraction(int(ints[mask]), denom), DEFAULT_CACHE_CAP)
 
     def int_table(self) -> tuple[np.ndarray, int]:
         """``(ints, denom)`` with f(S) = ints[S] / denom (ground_size <= 20
@@ -404,7 +406,7 @@ class AllocationCostFn:
     function over them, keyed on the allocation index (``bundle_shifts``).
     C of the empty allocation must be 0; values are non-negative. A ``fill``
     gives ``int_table()`` all 2^(n*m) values in one call, as ``(ints, denom)``
-    in index order; point queries still call ``fn``.
+    in index order; point queries call ``fn`` until the table is built.
     """
 
     __slots__ = ("n", "m", "kind", "meta", "_costs")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt, lcm
 from operator import add
 from typing import Sequence
@@ -25,7 +26,7 @@ import numpy as np
 
 from .core import (Allocation, AllocationCostFn, GroundSetTooLargeError, Rat,
                    SeparableCosts, SetFunction, align_ints, as_rat, bits,
-                   bundle_shifts, exact_ints, popcounts, subset_sums)
+                   bundle_shifts, exact_ints, popcounts, subset_sums, symmetric_levels)
 from .valuations import submodular_levels
 
 MAX_ESTIMATOR_GROUND = 16
@@ -237,13 +238,21 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     transform of the averages, one pass per player. The witness T is the first
     with a positive average over g[T] = 0, else the first maximum of avg/g
     above 1; its S is T when avg[T] = g[T], else the S of T - e for the first
-    e with g[T - e] = g[T].
+    e with g[T - e] = g[T]. On a symmetric c of levels L, T is 2^t - 1 and S
+    its top j bits, j the largest size <= t with L[j] / j = g[T] = min L[i] / i.
     """
     n = c.ground_size
     require_estimator_size(n)
+    vals = c.int_table()[0]
+    if (level := symmetric_levels(vals, n)) is not None:
+        L = level.tolist()  # least[k - 1] is j for |T| = k, ties to the larger
+        least = list(accumulate(range(2, n + 1), lambda j, k: k if L[k] * j <= L[j] * k else j,
+                                initial=1))
+        num, den, t = _first_max_level((L[k] * j, L[j] * k) for k, j in enumerate(least[:n], 1))
+        return _report(num, den, ((1 << t) - (1 << t - least[t - 1]), (1 << t) - 1),
+                       "average-decreasing")
     # one positive factor scales both sides of every ratio compared below;
     # lcm(1..n) makes every average c(T)/|T| an integer
-    vals = c.int_table()[0]
     q = lcm(*range(1, n + 1))
     vals = exact_ints(vals, (int(vals.max()) * q) ** 2)  # averages are cross-multiplied
     avg = vals * (q // np.maximum(popcounts(n), 1))
@@ -264,6 +273,19 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     while avg[s] != g[s]:
         s = next(s ^ 1 << e for e in bits(s) if g[s ^ 1 << e] == g[s])
     return _report(int(avg[t]), int(g[t]), (s, t), "average-decreasing")
+
+
+def _first_max_level(ratios) -> tuple[int, int, int]:
+    """``_first_max_ratio``'s rule where the sets of size k share the ratio
+    ``ratios[k - 1]`` and the first is 2^k - 1: ``(num, den, k)`` for the first
+    den = 0 < num, else the first maximum of num/den above 1, else (1, 1, 1)."""
+    best = 1, 1, 1
+    for k, (num, den) in enumerate(ratios, start=1):
+        if den == 0 < num:
+            return num, den, k
+        if num * best[1] > best[0] * den:
+            best = num, den, k
+    return best
 
 
 def _first_max(num: np.ndarray, den: np.ndarray) -> int:
@@ -323,6 +345,10 @@ def _first_max_ratio(table: np.ndarray, keep: np.ndarray, rows: np.ndarray,
 def _alpha_bounded(c: SetFunction, pick, kind: str) -> AlphaReport:
     # int_table refuses ground sets past MAX_DENSE_GROUND; the scan is one row
     vals = c.int_table()[0]
+    if (level := symmetric_levels(vals, c.ground_size)) is not None:
+        L = level.tolist()  # each standalone cost is L[1]: size k has ratio k*L[1]/L[k]
+        num, den, k = _first_max_level((k * L[1], L[k]) for k in range(1, len(L)))
+        return _report(num, den, ((1 << k) - 1,), kind)
     hit = _first_max_ratio(vals, np.arange(len(vals)), np.array([len(vals) - 1]), pick)
     num, den, _, t = hit or (1, 1, 0, 1)
     return _report(num, den, (t,), kind)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from typing import Sequence, Union
 
@@ -99,13 +100,16 @@ class ClassFlags:
     subadditive: bool
 
 
-def _subset_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 3^k pairs (U, S) of masks over k bits with S a subset of U."""
+@cache
+def _subset_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All 3^k triples (U, S, U minus S) over k bits, S <= U; built once, read-only."""
     u = s = np.zeros(1, dtype=np.int64)
     for i in range(k):
         u = np.concatenate((u, u | 1 << i, u | 1 << i))
         s = np.concatenate((s, s, s | 1 << i))
-    return u, s
+    for a in (u, s, t := u ^ s):
+        a.setflags(write=False)
+    return u, s, t
 
 
 def _critical(arr: np.ndarray, n: int) -> np.ndarray:
@@ -134,8 +138,7 @@ def _subadditive_on_disjoint_pairs(arr: np.ndarray, n: int) -> bool:
     high bits range over the subsets of U's without its top bit. Memory
     stays O(3^PAIR_CHUNK_BITS + 2^n)."""
     low = min(n, PAIR_CHUNK_BITS)
-    lo_u, lo_s = _subset_pairs(low)
-    lo_t = lo_u ^ lo_s
+    lo_u, lo_s, lo_t = _subset_pairs(low)
     crit = _critical(arr, n)
     for hu in range(0, 1 << n, 1 << low):
         keep = crit[hu:hu + (1 << low)][lo_u]
@@ -159,8 +162,22 @@ def _nondecreasing(arr: np.ndarray, n: int) -> bool:
                for i in range(n))
 
 
+def _level_flags(level: list[int], n: int) -> ClassFlags:
+    """The flags of f(T) = level[|T|]: no increment negative, or none above the
+    one before; level[k] <= level[a] + level[b] for 1 <= a <= b <= k <= min(n,
+    a + b), the sizes of two sets and of their union; level[k] / k not rising."""
+    inc = [hi - lo for lo, hi in zip(level, level[1:])]
+    submod = all(d >= e for d, e in zip(inc, inc[1:]))
+    subadd = submod or all(level[k] <= level[a] + level[b] for b in range(1, n + 1)
+                           for a in range(1, b + 1) for k in range(b, min(n, a + b) + 1))
+    return ClassFlags(nondecreasing=min(inc, default=0) >= 0, submodular=submod,
+                      symmetric=True, subadditive=subadd, xos_symmetric=all(
+                          level[k] * (k + 1) >= level[k + 1] * k for k in range(1, n)))
+
+
 def classify_set_function(fn: SetFunction) -> ClassFlags:
-    """Decide the standard function classes by exhaustive check of each definition;
+    """Decide the standard function classes: a symmetric table from its
+    levels (``_level_flags``), any other by exhaustive check of each definition;
     submodularity as each element's marginal non-increasing in the other elements.
     A submodular table is subadditive, as f >= 0; on any other non-decreasing
     table ``_subadditive_on_disjoint_pairs`` checks the disjoint pairs of its
@@ -173,6 +190,8 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
     # scaling by one positive constant keeps every comparison below; two values
     # meet in one sum at most, and int_table() is int64 only under INT64_HEADROOM
     arr = fn.int_table()[0]
+    if (level := symmetric_levels(arr, n)) is not None:
+        return _level_flags(level.tolist(), n)
     nondec = _nondecreasing(arr, n)
     submod = all(_nondecreasing((p[:, 0] - p[:, 1]).ravel(), n - 1)
                  for p in (arr.reshape(-1, 2, 1 << i) for i in range(n)))
@@ -185,16 +204,8 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
     else:
         idx = np.arange(1 << n, dtype=np.int64)
         subadd = all(np.all(arr[s] + arr[s:] >= arr[idx[s:] | s]) for s in range(1 << n))
-
-    # symmetric: every set costs what the set of its |S| lowest elements costs;
-    # then xos-symmetric: level[k] / k is non-increasing, cross-multiplied
-    level = symmetric_levels(arr, n)
-    symmetric = level is not None
-    xos_sym = symmetric and all(int(level[k]) * (k + 1) >= int(level[k + 1]) * k
-                                for k in range(1, n))
-
-    return ClassFlags(nondecreasing=nondec, submodular=submod, symmetric=symmetric,
-                      xos_symmetric=xos_sym, subadditive=subadd)
+    return ClassFlags(nondecreasing=nondec, submodular=submod, symmetric=False,
+                      xos_symmetric=False, subadditive=subadd)
 
 
 def check_class(v: ValuationFn) -> ClassFlags:

@@ -73,7 +73,11 @@ GRAMMAR_LINES = ([("0/1", tok) for tok in GRAMMAR_TOKENS]
                  + [(tok, "0/1") for tok in GRAMMAR_TOKENS]
                  + [("0/5", *(f"{k}/{k * p}" for k, p in zip((1, 2, 3), BIG_PRIMES))),
                     ("0/1", f"1/{BIG_PRIMES[3]}", f"2/{2 * BIG_PRIMES[4]}", "5/10"),
-                    ("0/1", "1/2", f"-1/{BIG_PRIMES[5]}", "3/2"), ("0/1", "1/2", "3/4")])
+                    ("0/1", "1/2", f"-1/{BIG_PRIMES[5]}", "3/2"), ("0/1", "1/2", "3/4"),
+                    # each distinct token is read once: the first bad one in line
+                    # order faults, also when it repeats behind another bad one
+                    ("0/1", "x", "3/0", "x"), ("0/1", "3/0", "x", "3/0"),
+                    ("0/1", "1/2", "2/4", "1/2")])
 
 
 def _one_table_line(directive: str, toks) -> tuple[str, int]:

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from operator import add
 
 import numpy as np
@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from costshare import core, costs
-from costshare.core import (Allocation, AllocationCostFn,
+from costshare import valuations
+from costshare.core import (INT64_HEADROOM, Allocation, AllocationCostFn,
                             GroundSetTooLargeError, SeparableCosts, SetFunction,
                             allocation_cost)
-from costshare.costs import (InfeasibleCoverError, additive_cost,
+from costshare.costs import (AlphaReport, InfeasibleCoverError, additive_cost,
                              alpha_average_decreasing, alpha_max_bounded,
                              alpha_max_bounded_ns, alpha_min_bounded,
                              alpha_min_bounded_ns, capped_reciprocal_cost,
@@ -24,15 +25,16 @@ from costshare.costs import (InfeasibleCoverError, additive_cost,
                              vertex_cover_cost)
 from costshare.cli.gen import GenParamError, generate
 from costshare.mechanisms import sm_run
-from costshare.valuations import (SymmetricSubmodularValuation, as_table,
+from costshare.valuations import (ClassFlags, SymmetricSubmodularValuation, as_table,
                                   classify_set_function)
 
 from oracles import (BIG_PRIMES, naive_alpha_avg_decreasing, naive_alpha_bounded,
-                     permuted_table,
+                     naive_alpha_bounded_report, permuted_table,
                      naive_alpha_bounded_ns, naive_builtin_allocation_cost,
                      naive_max_matching,
                      naive_min_set_cover, naive_min_vertex_cover,
-                     naive_subadditive)
+                     naive_nondecreasing, naive_subadditive, naive_submodular,
+                     naive_symmetric, naive_xos_symmetric)
 
 
 # --- eval_cost ------------------------------------------------------------
@@ -498,8 +500,9 @@ def test_average_decreasing_leaves_int64_past_its_headroom(monkeypatch, factor):
         assert seen == ([] if low == 0 else [np.dtype(object)])
         assert (got.alpha, got.witness) == (want.alpha, want.witness)
         assert want.unbounded == (low == 0)
-    # a bounded case reaches the comparison on Python ints
-    vals = [t.bit_count() ** 2 for t in range(1 << n)]
+    # a bounded case reaches the comparison on Python ints: |T|^2, with {0}
+    # one dearer so that the table is not symmetric and takes the dense pass
+    vals = [t.bit_count() ** 2 + (t == 1) for t in range(1 << n)]
     del seen[:]
     got = alpha_average_decreasing(table_cost([v * factor for v in vals]))
     assert seen == [np.dtype(object)]
@@ -860,6 +863,108 @@ def test_subadditivity_flag_matches_naive_all_pairs():
         vals = [Fraction(0)] + [Fraction(rng.randint(0, 6)) for _ in range((1 << n) - 1)]
         fn = table_cost(vals)
         assert classify_set_function(fn).subadditive == naive_subadditive(fn.to_table(), n)
+
+
+def _random_levels(seed: int) -> tuple[list[Fraction], int]:
+    """The n + 1 levels, 0 <= n <= 10, of a symmetric table: free values
+    (non-monotone, most often), values within a factor 2 of each other
+    (subadditive, rarely monotone), or the sums of non-negative increments,
+    sorted non-increasing half the time (submodular); some of them 0, and
+    scaled by 3 * INT64_HEADROOM a third of the time, so that the int table
+    holds Python ints. Returns the levels and the scale. Every choice comes
+    from the seeded rng, as derandomized hypothesis draws crowd at a few
+    small values."""
+    rng = random.Random(seed)
+    n, den = rng.randint(0, 10), rng.choice((1, 2, 3))
+    shape = rng.choice(("free", "within-2", "increments", "submodular"))
+    low, high = (3, 6) if shape == "within-2" else (0, 6 if shape == "free" else 3)
+    draws = [Fraction(rng.randint(low, high), den) for _ in range(n)]
+    if shape == "submodular":
+        draws.sort(reverse=True)
+    levels = list(accumulate(draws, initial=Fraction(0))) if shape in (
+        "increments", "submodular") else [Fraction(0)] + draws
+    scale = rng.choice((1, 1, 3 * INT64_HEADROOM))
+    return [scale * v for v in levels], scale
+
+
+def _check_levels_against_naive(levels: list[Fraction]) -> np.dtype:
+    """The flags and the three estimators' reports of the symmetric table
+    of ``levels`` equal the naive_* definitions on its dense table; returns
+    the dtype of its int table."""
+    n = len(levels) - 1
+    fn = SetFunction.from_levels(n, levels)
+    table = fn.to_table()
+    arr = fn.int_table()[0]
+    ints = arr.tolist()
+    assert classify_set_function(fn) == ClassFlags(
+        nondecreasing=naive_nondecreasing(ints, n), submodular=naive_submodular(ints, n),
+        symmetric=naive_symmetric(ints, n), xos_symmetric=naive_xos_symmetric(table, n),
+        subadditive=naive_subadditive(ints, n))
+    assert alpha_average_decreasing(fn) == AlphaReport(
+        *naive_alpha_avg_decreasing(table, n), "average-decreasing")
+    for estimator, pick, kind in ((alpha_min_bounded, min, "average-min-bounded"),
+                                  (alpha_max_bounded, max, "average-max-bounded")):
+        assert estimator(fn) == AlphaReport(*naive_alpha_bounded_report(table, n, pick), kind)
+    return arr.dtype
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_symmetric_tables_decided_from_levels_match_naive(seed):
+    levels, scale = _random_levels(seed)
+    dtype = _check_levels_against_naive(levels)
+    assert dtype == (object if scale > 1 and any(levels) else np.int64)
+
+
+@pytest.mark.parametrize("levels", [
+    # {0, 1} and {1, 2} overlap, and f of their union, 3, is above 1 + 1;
+    # no disjoint pair breaks subadditivity: L[4] = 2 <= L[2] + L[2]
+    [0, 5, 1, 3, 2],
+    # the least average is 1 from size 2 on, last at size 3: the best ratio,
+    # 3/1 at size 4, has S = 0b1110, the top three bits of 0b1111, not 0b111
+    [0, 2, 2, 3, 12, 10],
+    # size 3 is free: average-decreasing is unbounded at size 4 and the
+    # bounded estimators at size 3, over the ratio 2 at size 2
+    [0, 1, 4, 0, 2],
+    [0, 0, 0], [0], [0, 7],
+])
+def test_symmetric_level_cases(levels):
+    _check_levels_against_naive([Fraction(v) for v in levels])
+
+
+def test_symmetric_tables_take_no_dense_pass(monkeypatch):
+    reached = []
+    for module, name in ((valuations, "_nondecreasing"),
+                         (valuations, "_subadditive_on_disjoint_pairs"),
+                         (costs, "_first_max_ratio"), (costs, "_first_max")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: reached.append(name))
+    for levels in ([0, 5, 1, 3, 2], [0, 3, 5, 6], [0, 1, 3, 4, 4], [0, 2, 2, 3, 12, 10]):
+        fn = SetFunction.from_levels(len(levels) - 1, levels)
+        classify_set_function(fn)
+        alpha_average_decreasing(fn)
+        alpha_min_bounded(fn)
+        alpha_max_bounded(fn)
+    assert reached == []
+    # a table that is not symmetric reaches them
+    classify_set_function(decreasing_average_table())
+    alpha_min_bounded(decreasing_average_table())
+    assert set(reached) == {"_nondecreasing", "_first_max_ratio"}
+
+
+def test_point_queries_read_the_int_table_once_it_is_built():
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    family = [0b0011, 0b0110, 0b1100, 0b1001]
+    for fn, naive in ((set_cover_cost(4, family), lambda t: naive_min_set_cover(family, t)),
+                      (matching_cost(edges), lambda t: naive_max_matching(edges, t))):
+        assert fn.meta.get("bipartite", True)
+        calls, oracle = [], fn._oracle
+        fn._oracle = lambda sf, t, oracle=oracle: calls.append(t) or oracle(sf, t)
+        # before any table build the oracle answers, and builds no table
+        assert fn(0b0101) == naive(0b0101) and calls == [0b0101]
+        assert fn._ints is None
+        fn.int_table()
+        assert [fn(t) for t in range(16)] == [naive(t) for t in range(16)]
+        assert calls == [0b0101]
 
 
 # --- metamorphic checks past the naive references -------------------------

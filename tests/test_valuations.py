@@ -156,10 +156,13 @@ def _size_and_half(k: int) -> int:
 def test_subadditivity_finds_its_only_violating_pair(monkeypatch, scale, pair):
     # f(X) = |X| + ceil(|X| / 2), but f({a, b}) = 5 > f({a}) + f({b}) = 4:
     # still non-decreasing, as f of a triple is 5, and {a}, {b} is the only
-    # violating pair; (8, 9) lies wholly in the high bits
+    # violating pair; (8, 9) lies wholly in the high bits. Player 5 costs 1
+    # more in every set, which moves no disjoint pair's verdict and keeps
+    # the repaired table from being symmetric, so both take the pair loop
     calls = _spy_disjoint_pairs(monkeypatch)
     n, bad = 10, (1 << pair[0]) | (1 << pair[1])
-    table = [Fraction(scale * (_size_and_half(mask.bit_count()) + 2 * (mask == bad)))
+    table = [Fraction(scale * (_size_and_half(mask.bit_count()) + 2 * (mask == bad)
+                               + (mask >> 5 & 1)))
              for mask in range(1 << n)]
     flags = classify_set_function(SetFunction.from_table(table))
     assert flags.nondecreasing and not flags.subadditive
@@ -169,17 +172,22 @@ def test_subadditivity_finds_its_only_violating_pair(monkeypatch, scale, pair):
     assert [dtype == object for _, dtype in calls] == [scale > 1] * 2
 
 
-def test_subadditivity_when_every_set_is_critical():
-    # nothing is pruned: the verdicts of the whole pair loop at n = 12
+def test_subadditivity_when_every_set_is_critical(monkeypatch):
+    # nothing is pruned: the verdicts of the whole pair loop at n = 12, which
+    # a symmetric table skips for its levels; player 0 costing 1 more in every
+    # set keeps each verdict but symmetry and reaches the loop
+    calls = _spy_disjoint_pairs(monkeypatch)
     n = 12
-    table = [_size_and_half(mask.bit_count()) for mask in range(1 << n)]
-    fn = SetFunction.from_table(table)
-    assert valuations._critical(fn.int_table()[0], n).all()
-    assert classify_set_function(fn) == ClassFlags(
-        nondecreasing=True, submodular=False, symmetric=True, xos_symmetric=False,
-        subadditive=True)
-    table[0b11 << 10] += 2  # two singletons of the high bits now beat their pair
-    assert not classify_set_function(SetFunction.from_table(table)).subadditive
+    for extra in (0, 1):
+        table = [_size_and_half(mask.bit_count()) + extra * (mask & 1) for mask in range(1 << n)]
+        fn = SetFunction.from_table(table)
+        assert valuations._critical(fn.int_table()[0], n).all()
+        assert classify_set_function(fn) == ClassFlags(
+            nondecreasing=True, submodular=False, symmetric=not extra, xos_symmetric=False,
+            subadditive=True)
+        table[0b11 << 10] += 2  # two singletons of the high bits now beat their pair
+        assert not classify_set_function(SetFunction.from_table(table)).subadditive
+    assert len(calls) == 3
 
 
 def test_submodular_tables_skip_the_pair_loop(monkeypatch):
