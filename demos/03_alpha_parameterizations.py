@@ -7,7 +7,21 @@ separates the two mechanisms' comfort zones.
 """
 
 from costshare.costs import (alpha_average_decreasing, alpha_max_bounded,
-                             alpha_min_bounded, reference_costs, sqrt_max_cost)
+                             alpha_min_bounded, capped_reciprocal_cost,
+                             decreasing_average_table, public_good_cost,
+                             sqrt_max_cost, two_tier_step_cost)
+
+
+def reference_costs(n: int = 3, k=6):
+    """Named catalog of the built-in cost functions at the given size."""
+    return {
+        "decreasing-average": decreasing_average_table(),
+        "two-tier-step": two_tier_step_cost(n),
+        "capped-reciprocal": capped_reciprocal_cost(n, k),
+        "sqrt-max": sqrt_max_cost(n),
+        "public-good": public_good_cost(n, k),
+    }
+
 
 print(f"{'cost':<22} {'avg-decreasing':>15} {'min-bounded':>12} {'max-bounded':>12}")
 for name, fn in reference_costs(n=4, k=6).items():

@@ -13,7 +13,7 @@ from .core import (Allocation, AllocationCostFn, DimensionMismatchError,
                    SeparableCosts, SetFunction, Trace, allocation_cost,
                    harmonic, restrict_allocation)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
-                         ValuationFn, check_class, gen_symmetric_submodular)
+                         ValuationFn, check_class)
 from .costs import (AlphaReport, InfeasibleCoverError, alpha_average_decreasing,
                     alpha_max_bounded, alpha_max_bounded_ns, alpha_min_bounded,
                     alpha_min_bounded_ns, matching_cost, set_cover_cost,

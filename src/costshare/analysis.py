@@ -14,12 +14,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, align_ints, allocation_cost, harmonic, symmetric_levels)
+                   Trace, align_ints, allocation_cost, harmonic)
 # perfbench/test_perfbench.py reads costshare.analysis.alpha_min_bounded
 from .costs import AlphaReport, alpha_min_bounded  # noqa: F401
 from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
-                         incremental_costs, require_ascending, sm_order, sm_run,
-                         verify_final_set_structure, verify_p1, verify_p2)
+                         incremental_costs, require_ascending, sm_classes, sm_order,
+                         sm_run, verify_final_set_structure, verify_p1, verify_p2)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
                          ValuationFn, as_rat, as_table)
 
@@ -66,7 +66,7 @@ def require_optimum_size(inst: Instance) -> None:
     """Refuse an instance too large for the exhaustive optimum."""
     if inst.n * inst.m > MAX_OPTIMUM_CELLS:
         raise GroundSetTooLargeError(
-            f"optimum enumerates (2^m)^n allocations; n*m <= {MAX_OPTIMUM_CELLS} required")
+            f"optimum's DP keeps up to 2^(n*m) states; n*m <= {MAX_OPTIMUM_CELLS} required")
 
 
 def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
@@ -80,7 +80,7 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
 
     Each h_i is one int array over the states of players 0..i-1, with one
     axis group per item: a count axis, |T_j| so far, when c_j is symmetric
-    (``core.symmetric_levels``), so that taking b shifts it by bit j of b;
+    (``SetFunction.levels``), so that taking b shifts it by bit j of b;
     else one 0/1 axis per player. A non-separable C(A) has one axis of 2^m
     bundles per player instead. Each step adds L_i to h_{i+1} seen over
     (state, player i's bundle) and takes the minimum over the bundle.
@@ -104,10 +104,10 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
 
     if inst.is_separable:
         losses = [loss.reshape((2,) * m) for loss in scaled[:n]]  # item m-1's bit first
-        levels = [symmetric_levels(c, n) for c in scaled[n:]]
-        counted = [lv is not None for lv in levels]
-        h = reduce(np.add.outer, [c.reshape((2,) * n).transpose() if lv is None else lv
-                                  for c, lv in zip(scaled[n:], levels)])
+        counted = [fn.levels() is not None for fn in inst.cost_model.items]
+        first_of_size = (1 << np.arange(n + 1)) - 1  # the aligned levels, by set size
+        h = reduce(np.add.outer, [c[first_of_size] if lv else c.reshape((2,) * n).transpose()
+                                  for c, lv in zip(scaled[n:], counted)])
         view = partial(_separable_view, counted)
         state = partial(_separable_state, counted)
     else:
@@ -251,15 +251,17 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
 
     - ``iacsm`` and ``iacsm-underquote`` run once, truthfully, then take
       one ``mechanisms.iacsm_classes`` walk of the trie per coalition.
-    - Under ``sm`` each profile is one ``sm_run``. A player's bundle and
-      payment depend only on the players before it in ``order``. The
-      coalition member first in ``order`` faces truthful players only, so its
-      bundle, payment and gain are those of a lone deviation with the same
-      report, which the size-1 pass computed. A larger coalition is a witness
-      only if its lead member's report is a lone witness, and the size-1
-      pass returns at the first of those. So an ``sm`` search that gets past
-      the size-1 pass stops there, after 1 + n*len(space) runs for any
-      ``coalition_max`` >= 1.
+    - ``sm`` runs once, truthfully, then takes one ``mechanisms.sm_classes``
+      walk along ``order`` per coalition, one ``sm_run`` per class. A
+      player's bundle and payment depend only on the players before it in
+      ``order``. The coalition member first in ``order`` faces truthful
+      players only, so its bundle, payment and gain are those of a lone
+      deviation with the same report, which the size-1 pass computed. A
+      larger coalition is a witness only if its lead member's report is a
+      lone witness, and the size-1 pass returns at the first of those. So an
+      ``sm`` search that gets past the size-1 pass stops there, for any
+      ``coalition_max`` >= 1, after one run per distinct lone step
+      ``(bundle, payment)`` of each player, and the truthful one.
     """
     truth_outcome, _ = _run_mechanism(mechanism, inst, order=order)
     true_vals = inst.valuations
@@ -285,9 +287,7 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
         for coalition in combinations(range(inst.n), size):
             spaces = [space if i in coalition else [v] for i, v in enumerate(true_vals)]
             if mechanism == "sm":
-                # sm_run builds a fresh Outcome on every call: each profile is a class
-                classes = ((sm_run(inst, order, profile), first) for profile, first in
-                           zip(product(*spaces), product(*map(range, map(len, spaces)))))
+                classes = sm_classes(inst, spaces, order)
             else:
                 classes = iacsm_classes(inst, spaces,
                                         first_iteration_quote_scale=QUOTE_SCALES[mechanism])

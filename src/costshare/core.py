@@ -168,13 +168,15 @@ class SetFunction:
     values that the exhaustive consumers and the serializer read;
     ``to_table()`` is its public ``Fraction`` view. A point query missing the
     cache reads the int table once it is built; an oracle answers until then,
-    so no point query builds a table.
+    so no point query builds a table. ``levels()`` is the int table's
+    ``symmetric_levels``, found once per function.
 
     ``kind`` and ``meta`` carry construction data (e.g. a set-cover family)
     for serialization.
     """
 
-    __slots__ = ("ground_size", "kind", "meta", "_oracle", "_fill", "_cache", "_ints")
+    __slots__ = ("ground_size", "kind", "meta", "_oracle", "_fill", "_cache", "_ints",
+                 "_levels")
 
     def __init__(self, ground_size: int, oracle, *, fill=None, kind: str = "table",
                  meta: dict | None = None):
@@ -187,6 +189,7 @@ class SetFunction:
         self._fill = fill
         self._cache: dict[int, Rat] = {}
         self._ints: tuple[np.ndarray, int] | None = None
+        self._levels: tuple[np.ndarray | None] | None = None  # (levels,) once found
 
     @classmethod
     def from_table(cls, values: Sequence) -> "SetFunction":
@@ -200,7 +203,9 @@ class SetFunction:
         beats numpy's object arrays at the sizes in use (n <= 10)."""
         require_dense_size(n)
         ints, denom = over_lcm(levels[k] for k in range(n + 1))
-        return cls.from_ints([ints[mask.bit_count()] for mask in range(1 << n)], denom)
+        obj = cls.from_ints([ints[mask.bit_count()] for mask in range(1 << n)], denom)
+        obj._levels = exact_ints(ints, max(ints)),
+        return obj
 
     @classmethod
     def from_ints(cls, ints: list[int], denom: int) -> "SetFunction":
@@ -331,6 +336,14 @@ class SetFunction:
                 raise ValueError("set function fill returned a negative value")
             self._ints = exact_ints(arr, int(arr.max())), denom
         return self._ints
+
+    def levels(self) -> np.ndarray | None:
+        """``symmetric_levels`` of ``int_table()``: f(T) = levels[|T|] / denom
+        for every T, or None when f is not symmetric. Found once, and known
+        without a pass for a function built ``from_levels``."""
+        if self._levels is None:
+            self._levels = symmetric_levels(self.int_table()[0], self.ground_size),
+        return self._levels[0]
 
     def to_table(self) -> list[Rat]:
         """All 2^ground values as Fractions, read from ``int_table()``; an

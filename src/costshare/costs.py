@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (Allocation, AllocationCostFn, GroundSetTooLargeError, Rat,
                    SeparableCosts, SetFunction, align_ints, as_rat, bits,
-                   bundle_shifts, exact_ints, popcounts, subset_sums, symmetric_levels)
+                   bundle_shifts, exact_ints, popcounts, subset_sums)
 from .valuations import submodular_levels
 
 MAX_ESTIMATOR_GROUND = 16
@@ -244,7 +244,7 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     n = c.ground_size
     require_estimator_size(n)
     vals = c.int_table()[0]
-    if (level := symmetric_levels(vals, n)) is not None:
+    if (level := c.levels()) is not None:
         L = level.tolist()  # least[k - 1] is j for |T| = k, ties to the larger
         least = list(accumulate(range(2, n + 1), lambda j, k: k if L[k] * j <= L[j] * k else j,
                                 initial=1))
@@ -345,7 +345,7 @@ def _first_max_ratio(table: np.ndarray, keep: np.ndarray, rows: np.ndarray,
 def _alpha_bounded(c: SetFunction, pick, kind: str) -> AlphaReport:
     # int_table refuses ground sets past MAX_DENSE_GROUND; the scan is one row
     vals = c.int_table()[0]
-    if (level := symmetric_levels(vals, c.ground_size)) is not None:
+    if (level := c.levels()) is not None:
         L = level.tolist()  # each standalone cost is L[1]: size k has ratio k*L[1]/L[k]
         num, den, k = _first_max_level((k * L[1], L[k]) for k in range(1, len(L)))
         return _report(num, den, ((1 << k) - 1,), kind)
@@ -448,17 +448,6 @@ def symmetric_submodular_cost(n: int, marginals: Sequence) -> SetFunction:
     if len(margs) != n:
         raise ValueError("need one marginal per player")
     return SetFunction.from_levels(n, submodular_levels(margs))
-
-
-def reference_costs(n: int = 3, k=6) -> dict[str, SetFunction]:
-    """Named catalog of the built-in cost functions at the given size."""
-    return {
-        "decreasing-average": decreasing_average_table(),
-        "two-tier-step": two_tier_step_cost(n),
-        "capped-reciprocal": capped_reciprocal_cost(n, k),
-        "sqrt-max": sqrt_max_cost(n),
-        "public-good": public_good_cost(n, k),
-    }
 
 
 # ---------------------------------------------------------------------------

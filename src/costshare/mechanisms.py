@@ -15,17 +15,22 @@ sm_run: the sequential mechanism. Players are processed in a fixed order;
 each receives a utility-maximizing bundle at its incremental cost, which is
 also her payment, so total payments telescope to the allocation cost.
 
-All three read and fill the instance's ``step_memo``, so the profiles of a
-misreport search reuse the steps they share. A step is keyed on the state
-it starts from and on the declared valuation as a dict key: symmetric
-valuations compare by value, table valuations by their ``SetFunction``
-object, so two equal tables built apart key two steps (never a wrong one):
+sm_classes: every ``sm`` run in which each player reports from its own
+list, walked along the order once, with one branch per step class.
+
+All of them read and fill the instance's ``step_memo``, so the profiles of
+a misreport search reuse the steps they share. A step is keyed on the state
+it starts from and, for ``sm``, on the declared valuation as a dict key:
+symmetric valuations compare by value, table valuations by their
+``SetFunction`` object, so two equal tables built apart key two steps (never
+a wrong one):
 - sm: ``(player, bundles so far, declared valuation) -> (mask, payment)``
-  and ``(player, bundles so far) -> price vector``.
-- iacsm: a trie of iteration states. ``(quote scale,) -> root``,
-  ``(node, declared valuation) -> covered ranks`` and
+  and ``(player, bundles so far) -> price vector``, as Fractions and as
+  ints over their lcm.
+- iacsm: a trie of iteration states. ``(quote scale,) -> root`` and
   ``(node, player, size) -> child``; a leaf keeps its Outcome, and
   ``iacsm_run`` builds the Trace from the leaf's path when it returns one.
+  Shares are ints on one unit per instance and scale (``_quote_items``).
 Every precondition is checked on every call, before any lookup.
 """
 
@@ -34,10 +39,11 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Iterator, Sequence
 
 from .core import (Allocation, Instance, Outcome, Rat, Trace, bits, capped_store,
-                   mask_of, require_dense_size, subset_sums)
+                   mask_of, over_lcm, require_dense_size, subset_sums)
 from .valuations import SymmetricSubmodularValuation, ValuationFn
 
 
@@ -45,9 +51,9 @@ class MechanismPreconditionError(ValueError):
     """An instance violates a mechanism's stated preconditions."""
 
 
-# Entries an instance's step_memo stops growing at. At the 200-340 bytes an
-# entry takes, 2^18 entries stay under about 90 MB; a misreport search
-# reaches a few hundred per instance.
+# Entries an instance's step_memo stops growing at. At the 180-490 bytes an
+# entry takes (an iacsm node is the largest), 2^18 entries stay under about
+# 130 MB; a misreport search reaches a few hundred per instance.
 STEP_MEMO_CAP = 1 << 18
 
 
@@ -91,10 +97,12 @@ def _check_profile(inst: Instance, length: int, reports: Sequence[ValuationFn]) 
 def require_ascending(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
                       scale: Rat) -> None:
     """iacsm's preconditions, for every profile in which player i reports from
-    ``spaces[i]``: separable costs, a space per player, symmetric submodular
-    reports over the m items, and a non-negative quote scale."""
+    ``spaces[i]``: separable costs over at most MAX_DENSE_GROUND players, as
+    the walk reads each item's int table, a space per player, symmetric
+    submodular reports over the m items, and a non-negative quote scale."""
     if not inst.is_separable:
         raise MechanismPreconditionError("iacsm-requires-separable-costs")
+    require_dense_size(inst.n)
     reports = [v for space in spaces for v in space]
     _check_profile(inst, len(spaces), reports)
     if scale < 0:
@@ -124,38 +132,36 @@ def _step(memo: dict, key: tuple, compute):
     return value
 
 
-def _covered(node: "_IacsmNode", v: SymmetricSubmodularValuation) -> int:
-    """``v``'s bundle size at ``node``: the ranked items its marginals cover."""
-    return _covered_ranks(v.marginals, node.ranked)
-
-
 class _IacsmNode:
-    """The state after some iterations: quoted shares, tentative player sets
-    per item, and the (share, index) item ranking used to quote the next
-    iteration. ``player``/``bundle`` is the finalization that led here."""
+    """The state after some iterations: quoted shares as ints over ``unit``,
+    tentative player sets per item, and the (share, index) item ranking used
+    to quote the next iteration, of the ``quoted`` shares at the root (the
+    shares times the first iteration's quote scale). ``player``/``bundle``
+    is the finalization that led here."""
 
-    __slots__ = ("parent", "player", "bundle", "shares", "tentative",
+    __slots__ = ("parent", "player", "bundle", "shares", "tentative", "unit",
                  "ranking", "ranked", "result")
 
-    def __init__(self, parent, player, bundle, shares, tentative, scale=1):
+    def __init__(self, parent, player, bundle, shares, tentative, unit, quoted=None):
         self.parent, self.player, self.bundle = parent, player, bundle
-        self.shares, self.tentative = shares, tentative
-        self.ranking, self.ranked = _rank(shares if scale == 1 else [s * scale for s in shares])
+        self.shares, self.tentative, self.unit = shares, tentative, unit
+        self.ranking, self.ranked = _rank(shares if quoted is None else quoted)
         self.result = None
 
-    def child(self, cost_fns, player: int, size: int) -> "_IacsmNode":
+    def child(self, items, player: int, size: int) -> "_IacsmNode":
         """Finalize ``player`` with the first ``size`` ranked items; every
         other item drops the player and quotes the larger of its old share
-        and its remaining players' average cost."""
+        and its remaining players' average cost (``_quote_items``)."""
         bundle = mask_of(self.ranking[:size])
         shares, tentative = list(self.shares), list(self.tentative)
-        for j, fn in enumerate(cost_fns):
+        for j, (ints, per_size) in enumerate(items):
             if not (bundle >> j) & 1:
                 tentative[j] &= ~(1 << player)
                 remaining = tentative[j]
                 if remaining:
-                    shares[j] = max(shares[j], fn(remaining) / remaining.bit_count())
-        return _IacsmNode(self, player, bundle, shares, tentative)
+                    shares[j] = max(shares[j],
+                                    ints.item(remaining) * per_size[remaining.bit_count()])
+        return _IacsmNode(self, player, bundle, shares, tentative, self.unit)
 
     def outcome(self, n: int, m: int) -> Outcome:
         """The Outcome of the run that ends at this leaf, built once."""
@@ -165,7 +171,7 @@ class _IacsmNode:
             while node.parent is not None:
                 final_bundles[node.player] = node.bundle
                 node = node.parent
-            payments = tuple(sum((self.shares[j] for j in bits(b)), start=Fraction(0))
+            payments = tuple(Fraction(sum(self.shares[j] for j in bits(b)), self.unit)
                              for b in final_bundles)
             self.result = Outcome(Allocation(tuple(final_bundles), m), payments)
         return self.result
@@ -181,9 +187,25 @@ class _IacsmNode:
                      withdrawals=tuple(tuple(node.player for node in steps
                                              if not (node.bundle >> j) & 1)
                                        for j in range(m)),
-                     share_history=tuple(tuple(node.shares[j] for node in path)
+                     share_history=tuple(tuple(Fraction(node.shares[j], self.unit)
+                                               for node in path)
                                          for j in range(m)),
                      bundle_history=tuple(node.bundle for node in steps))
+
+
+def _quote_items(inst: Instance, scale: Rat) -> tuple[int, list]:
+    """The unit K on which every quoted share is an int, and per item its
+    int table with K / (D_j * k) for each size k, so that the share
+    c_j(T) / |T| is ``ints[T] * per_size[|T|] / K``.
+
+    K = lcm(the items' denominators D_j) * lcm(1..n) * (scale's
+    denominator): each share times K, and each root share times K * scale,
+    is an int."""
+    n = inst.n
+    tables = [fn.int_table() for fn in inst.cost_model.items]
+    unit = lcm(*(d for _, d in tables)) * lcm(*range(1, n + 1)) * scale.denominator
+    return unit, [(ints, [0] + [unit // (d * k) for k in range(1, n + 1)])
+                  for ints, d in tables]
 
 
 def _iacsm_leaves(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
@@ -204,19 +226,30 @@ def _iacsm_leaves(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
     active player those whose ``(count, q)`` lies above it. A player with
     an empty space reaches no leaf. Every report is checked before the walk
     starts.
+
+    Shares are ints over the unit K of ``_quote_items``, and each marginal
+    d is floor(d * K) once per walk: for an int s, d >= s / K exactly when
+    floor(d * K) >= s, so ``_covered_ranks`` compares ints.
     """
     spaces = list(spaces)
     require_ascending(inst, spaces, scale)
 
     n, m = inst.n, inst.m
-    memo, cost_fns = inst.step_memo, inst.cost_model.items
+    memo = inst.step_memo
+    unit, items = _quote_items(inst, scale)
     full = (1 << n) - 1
-    root = _step(memo, (scale,), lambda scale: _IacsmNode(
-        None, None, 0, [fn(full) / n for fn in cost_fns], [full] * m, scale))
+
+    def make_root(scale):
+        shares = [ints.item(full) * per_size[n] for ints, per_size in items]
+        quoted = [s * scale.numerator // scale.denominator for s in shares]
+        return _IacsmNode(None, None, 0, shares, [full] * m, unit, quoted)
 
     def finalize(node, player, size):
-        return node.child(cost_fns, player, size)
+        return node.child(items, player, size)
 
+    root = _step(memo, (scale,), make_root)
+    floors = [[[d.numerator * unit // d.denominator for d in v.marginals] for v in space]
+              for space in spaces]
     # (node, active players, each player's ascending index list)
     stack = [(root, tuple(range(n)), tuple(map(range, map(len, spaces))))]
     while stack:
@@ -224,10 +257,11 @@ def _iacsm_leaves(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
         if not active:
             yield node, tuple(map(min, sets))
             continue
+        ranked = node.ranked
         counted = {}
         for p in active:
-            space = spaces[p]
-            counted[p] = [(_step(memo, (node, space[k]), _covered), k) for k in sets[p]]
+            marginals = floors[p]
+            counted[p] = [(_covered_ranks(marginals[k], ranked), k) for k in sets[p]]
         for size, player in sorted({(c, p) for p, pairs in counted.items() for c, _ in pairs}):
             branch = list(sets)
             for q, pairs in counted.items():
@@ -293,14 +327,33 @@ def incremental_costs(inst: Instance, bundles: Sequence[int], i: int) -> list[Ra
     return [c - cost[0] for c in cost]
 
 
+def _price(inst: Instance, i: int, bundles: Sequence[int]) -> tuple[list[Rat], list[int], int]:
+    """Player i's incremental costs after ``bundles``, as Fractions and as
+    ints over their lcm (``core.over_lcm``)."""
+    price = incremental_costs(inst, bundles, i)
+    return price, *over_lcm(price)
+
+
+def _value_ints(v: ValuationFn, m: int) -> tuple[list[int], int]:
+    """``v`` of every item mask as ints over one denominator: a symmetric
+    report's levels by bundle size, a table report's ``int_table()``."""
+    if isinstance(v, SymmetricSubmodularValuation):
+        levels, denom = v.int_levels
+        return [levels[mask.bit_count()] for mask in range(1 << m)], denom
+    ints, denom = v.fn.int_table()
+    return ints.tolist(), denom
+
+
 def _sm_step(inst: Instance, i: int, bundles: Sequence[int],
              v: ValuationFn) -> tuple[int, Rat]:
     """Player i's bundle mask and payment after ``bundles``, on the price
     vector every report of player i after ``bundles`` shares."""
-    price = _step(inst.step_memo, (i, bundles),
-                  lambda i, bundles: incremental_costs(inst, bundles, i))
-    # max keeps the first maximum: the numerically smallest optimal mask
-    best = max(range(1 << inst.m), key=lambda mask: v.value(mask) - price[mask])
+    price, ints, denom = _step(inst.step_memo, (i, bundles), partial(_price, inst))
+    values, vdenom = _value_ints(v, inst.m)
+    # utilities times denom * vdenom; index keeps the first maximum: the
+    # numerically smallest optimal mask
+    utils = [a * denom - p * vdenom for a, p in zip(values, ints)]
+    best = utils.index(max(utils))
     return best, price[best]
 
 
@@ -325,6 +378,46 @@ def sm_run(inst: Instance, order: Sequence[int] | None = None,
         bundles[i], payments[i] = _step(memo, (i, tuple(bundles), decl[i]), step)
 
     return Outcome(Allocation(tuple(bundles), m), tuple(payments))
+
+
+def sm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
+               order: Sequence[int] | None = None
+               ) -> Iterator[tuple[Outcome, tuple[int, ...]]]:
+    """The ``sm`` outcomes, in ``order``, of every profile in which player i
+    reports from ``spaces[i]``.
+
+    A player's step, its ``(mask, payment)``, depends only on its report and
+    the bundles before it. The walk follows ``order`` depth-first; at each
+    player it groups the indices left to it by their step and branches once
+    per group. So the profiles that reach one leaf form a product S_1 x ...
+    x S_n of per-player index sets, and share one outcome. Yields
+    ``(outcome, first)`` once per leaf, with ``first`` = ``(min S_1, ...,
+    min S_n)``, the class's first profile in product order, and ``outcome``
+    the ``sm_run`` of it. Checks what ``sm_run`` checks of every profile in
+    the product, once, before the walk.
+    """
+    require_dense_size(inst.m)
+    seq = sm_order(inst, order)
+    spaces = list(spaces)
+    _check_profile(inst, len(spaces), [v for space in spaces for v in space])
+
+    memo, step = inst.step_memo, partial(_sm_step, inst)
+    # (players done in order, bundles so far, each player's index list)
+    stack = [(0, (0,) * inst.n, tuple(map(range, map(len, spaces))))]
+    while stack:
+        done, bundles, sets = stack.pop()
+        if done == len(seq):
+            first = tuple(map(min, sets))
+            yield sm_run(inst, seq, [space[k] for space, k in zip(spaces, first)]), first
+            continue
+        i = seq[done]
+        space, groups = spaces[i], {}
+        for k in sets[i]:
+            # the payment is the price of the mask after these bundles
+            groups.setdefault(_step(memo, (i, bundles, space[k]), step)[0], []).append(k)
+        for mask, ks in groups.items():
+            stack.append((done + 1, bundles[:i] + (mask,) + bundles[i + 1:],
+                          sets[:i] + (ks,) + sets[i + 1:]))
 
 
 def verify_p1(trace: Trace) -> bool:

@@ -5,13 +5,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import GroundSetTooLargeError, Rat, SetFunction, as_rat, symmetric_levels
+from .core import GroundSetTooLargeError, Rat, SetFunction, as_rat, over_lcm
 
 MAX_CLASSIFY_GROUND = 16
 PAIR_CHUNK_BITS = 8
@@ -57,6 +57,11 @@ class SymmetricSubmodularValuation:
         if item_mask < 0 or item_mask >> self.m:
             raise ValueError("item mask outside the item ground set")
         return self.levels[item_mask.bit_count()]
+
+    @cached_property
+    def int_levels(self) -> tuple[list[int], int]:
+        """``levels`` as ints over their lcm (``core.over_lcm``)."""
+        return over_lcm(self.levels)
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
     # scaling by one positive constant keeps every comparison below; two values
     # meet in one sum at most, and int_table() is int64 only under INT64_HEADROOM
     arr = fn.int_table()[0]
-    if (level := symmetric_levels(arr, n)) is not None:
+    if (level := fn.levels()) is not None:
         return _level_flags(level.tolist(), n)
     nondec = _nondecreasing(arr, n)
     submod = all(_nondecreasing((p[:, 0] - p[:, 1]).ravel(), n - 1)
@@ -217,13 +222,3 @@ def draw_marginals(rng: random.Random, count: int, grid: Sequence) -> tuple:
     """``count`` values drawn uniformly from ``grid``, sorted non-increasing:
     the marginals of a random symmetric submodular function."""
     return tuple(sorted((rng.choice(grid) for _ in range(count)), reverse=True))
-
-
-def gen_symmetric_submodular(m: int, grid: Sequence, seed: int) -> SymmetricSubmodularValuation:
-    """Draw m marginals from ``grid`` (``draw_marginals``) with a fresh seeded rng."""
-    choices = [as_rat(g) for g in grid]
-    if not choices:
-        raise ValueError("marginal grid must be non-empty")
-    if any(g < 0 for g in choices):
-        raise ValueError("marginal grid values must be non-negative")
-    return SymmetricSubmodularValuation(draw_marginals(random.Random(seed), m, choices))

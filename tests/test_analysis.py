@@ -12,7 +12,7 @@ from costshare.cli import main as cli_main
 from costshare.cli.formats import parse_instance, serialize_instance
 from costshare.cli.gen import generate
 from costshare.core import (Allocation, GroundSetTooLargeError, Instance, Outcome,
-                            SeparableCosts, align_ints, harmonic)
+                            SeparableCosts, align_ints, allocation_cost, harmonic)
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
                              alpha_min_bounded_ns, lifted_separable_cost, max_item_cost,
                              public_good_cost, symmetric_submodular_cost,
@@ -22,7 +22,7 @@ from costshare.analysis import (DeviationWitness, check_icb_bound, evaluate_run,
                                 symmetric_marginal_space, table_space,
                                 wgsp_search)
 from costshare.mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
-                                  incremental_costs, sm_run)
+                                  incremental_costs, sm_classes, sm_run)
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
 import oracles
@@ -420,21 +420,36 @@ def test_sm_step_ignores_later_declarations():
 @pytest.mark.parametrize("coalition_max", [2, 3])
 def test_wgsp_sm_search_without_lone_witness_runs_the_lone_pass_only(monkeypatch,
                                                                      coalition_max):
+    """One sm_run for the truthful profile, then one per class of the size-1
+    pass: each player's distinct (bundle, payment) over its lone deviations,
+    as naive_sm_run computes them. Every run after the first is of a lone
+    deviation: one player's report swapped for one from the space."""
     calls = []
 
-    def counting_sm_run(*args, **kwargs):
-        calls.append(args)
-        return sm_run(*args, **kwargs)
+    def counting_sm_run(inst, order=None, declared=None):
+        calls.append(declared)
+        return sm_run(inst, order, declared)
 
     monkeypatch.setattr(analysis, "sm_run", counting_sm_run)
+    monkeypatch.setattr(mechanisms, "sm_run", counting_sm_run)
     rng = random.Random("sm-lone-pass")
     for inst in list(search_instances(rng))[::4]:
         order = rng.sample(range(inst.n), inst.n)
+        truth = inst.valuations
         for space in (symmetric_marginal_space(inst.m, [0, F(1, 2), 2, 4]),
                       table_space(inst.m, [0, 2])):
+            lone_steps = set()
+            for i in range(inst.n):
+                for v in space:
+                    out = naive_sm_run(inst, order, truth[:i] + (v,) + truth[i + 1:])
+                    lone_steps.add((i, out.allocation.bundles[i], out.payments[i]))
             calls.clear()
             assert wgsp_search(inst, "sm", coalition_max, space, order=order) is None
-            assert len(calls) == 1 + inst.n * len(space)
+            assert len(calls) == 1 + len(lone_steps)
+            assert calls[0] is None
+            for declared in calls[1:]:
+                [swapped] = [i for i in range(inst.n) if declared[i] is not truth[i]]
+                assert any(declared[swapped] is v for v in space)
 
 
 def test_wgsp_sm_search_prices_each_prefix_once(monkeypatch):
@@ -601,6 +616,108 @@ def test_iacsm_walk_refuses_a_wrong_length_profile_as_iacsm_run_does():
             list(iacsm_classes(inst, [space] * length))
         assert str(walk_error.value) == str(run_error.value) == \
             "declared profile length differs from n"
+
+
+def int_scale_instances(rng):
+    """Separable instances whose item costs have denominators 2, 7 and 11,
+    or lie over three primes near 1e9, so that their int table is past
+    INT64_HEADROOM (a numerator of 5 or more takes it past 2^62), with 2-4
+    players and 1-2 items."""
+    denominators = ((2,), (7,), (11,), (7, 11), BIG_PRIMES[:3])
+    for n in (2, 3, 4):
+        for dens in denominators:
+            for m in (1, 2):
+                items = tuple(table_cost([0] + [F(rng.randint(5, 17), dens[t % len(dens)])
+                                                for t in range((1 << n) - 1)])
+                              for _ in range(m))
+                yield Instance(valuations=tuple(sym(*[0] * m) for _ in range(n)),
+                               cost_model=SeparableCosts(items), m=m)
+
+
+def share_marginals(inst, scale):
+    """Every share c_j(T) / |T| of the instance and its root quote scaled by
+    ``scale``, and each of them less a tiny amount: marginals exactly at a
+    share, where the weak inequality covers the item, and just below one,
+    where only the floor onto the int quote unit keeps it uncovered."""
+    n, full = inst.n, (1 << inst.n) - 1
+    shares = {fn(t) / t.bit_count() for fn in inst.cost_model.items for t in range(1, full + 1)}
+    shares |= {fn(full) / n * scale for fn in inst.cost_model.items}
+    return sorted(shares | {s - F(1, 10 ** 80) for s in shares if s > 0})
+
+
+@pytest.mark.parametrize("scale", [F(2, 3), F(3, 2), F(1)])
+def test_iacsm_on_the_int_quote_scale_is_naive_iacsm_run(scale):
+    """iacsm_run and iacsm_classes equal naive_iacsm_run where the int quote
+    unit is least forgiving: cost denominators 2, 7 and 11 and past int64,
+    quote scales with their own denominators, and marginals at or just
+    below a share."""
+    rng = random.Random(f"iacsm-int-scale-{scale}")
+    past_int64 = 0
+    for inst in int_scale_instances(rng):
+        past_int64 += any(fn.int_table()[0].dtype == object for fn in inst.cost_model.items)
+        marginals = share_marginals(inst, scale)
+        pool = [sym(*sorted(rng.choices(marginals, k=inst.m), reverse=True)) for _ in range(12)]
+        for _ in range(6):
+            declared = rng.sample(pool, inst.n)
+            got = iacsm_run(inst, declared, first_iteration_quote_scale=scale)
+            assert got == naive_iacsm_run(inst, declared, scale)
+        spaces = [pool[:4], pool[4:7]] + [[v] for v in pool[7:5 + inst.n]]
+        classes = list(iacsm_classes(inst, spaces, first_iteration_quote_scale=scale))
+        for outcome, first in classes:
+            declared = [s[k] for s, k in zip(spaces, first)]
+            assert outcome == naive_iacsm_run(inst, declared, scale)[0]
+        assert ({id(outcome): (outcome, first) for outcome, first in classes}
+                == first_reach_of_product(inst, spaces, scale))
+    assert past_int64 == 6
+
+
+def first_mover_ties(inst, i, v):
+    """How many masks tie for player i's best utility under report ``v``
+    when i goes first."""
+    utils = [v.value(mask) - allocation_cost(
+        inst, Allocation(tuple(mask if p == i else 0 for p in range(inst.n)), inst.m))
+        for mask in range(1 << inst.m)]
+    return utils.count(max(utils))
+
+
+def test_sm_classes_are_the_naive_sm_run_outcomes_of_the_product():
+    """The classes are the product's distinct naive_sm_run outcomes, each
+    once, with the least profile in product order that reaches it; a class's
+    outcome fixes every step, so equal outcomes are one class. Coalitions of
+    size 1-3 report from symmetric and table spaces; some steps tie masks."""
+    rng = random.Random("sm-classes")
+    ties = 0
+    for inst in list(search_instances(rng))[::2]:
+        order = rng.sample(range(inst.n), inst.n)
+        for space in (symmetric_marginal_space(inst.m, [0, 1, 2]),
+                      table_space(inst.m, [0, 2])):
+            for size in (1, 2, 3):
+                for coalition in combinations(range(inst.n), size):
+                    spaces = [space if i in coalition else [v]
+                              for i, v in enumerate(inst.valuations)]
+                    classes = list(sm_classes(inst, spaces, order))
+                    first_reach = {}
+                    for first in product(*(range(len(s)) for s in spaces)):
+                        declared = [s[k] for s, k in zip(spaces, first)]
+                        first_reach.setdefault(naive_sm_run(inst, order, declared), first)
+                    assert len(classes) == len(first_reach)
+                    assert dict(classes) == first_reach
+                    lead = order[0]
+                    ties += sum(first_mover_ties(inst, lead, spaces[lead][first[lead]]) > 1
+                                for _, first in classes)
+    assert ties >= 20
+
+
+def test_sm_classes_check_every_report_before_the_walk():
+    inst = next(search_instances(random.Random("sm-classes-checks")))
+    space = symmetric_marginal_space(inst.m, [0, 1, 2])
+    assert list(sm_classes(inst, [[]] + [space] * (inst.n - 1))) == []
+    with pytest.raises(MechanismPreconditionError, match="profile length"):
+        list(sm_classes(inst, [space] * (inst.n + 1)))
+    with pytest.raises(MechanismPreconditionError, match="item count"):
+        list(sm_classes(inst, [space + [sym(*[1] * (inst.m + 1))]] * inst.n))
+    with pytest.raises(MechanismPreconditionError, match="permutation"):
+        list(sm_classes(inst, [space] * inst.n, [0] * inst.n))
 
 
 def test_wgsp_iacsm_search_runs_iacsm_once(monkeypatch):

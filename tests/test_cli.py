@@ -18,7 +18,7 @@ from oracles import BIG_PRIMES
 
 import costshare.cli.formats as formats_module
 import costshare.cli.main as main_module
-from costshare import analysis
+from costshare import analysis, core
 from costshare.core import INT64_HEADROOM, Instance, SetFunction, format_rat
 from costshare.cli import gen as gen_module
 from costshare.cli.formats import (InstanceParseError, parse_instance,
@@ -914,6 +914,32 @@ def _spy(calls: list, real):
     return spied
 
 
+def test_each_table_finds_its_symmetric_levels_once_per_command(tmp_path, capsys,
+                                                                monkeypatch):
+    """The classifier, the three estimators and the optimum all read one
+    ``SetFunction.levels()``: per command, ``core.symmetric_levels`` runs at
+    most once on each parsed table, symmetric or not, and never on a table
+    built from levels."""
+    tables = []
+
+    def spied(arr, n):
+        tables.append(arr)
+        return real(arr, n)
+
+    real = core.symmetric_levels
+    monkeypatch.setattr(core, "symmetric_levels", spied)
+    for kind, params, mechanism in (("random-symmetric", ["n=4", "m=2"], "iacsm"),
+                                    ("set-cover", ["n=6"], "sm")):
+        path = tmp_path / f"{kind}.inst"
+        assert main(["gen", kind, *[a for p in params for a in ("--param", p)],
+                     "--out", str(path)]) == 0
+        for argv in (["run", str(path), "--mechanism", mechanism], ["check", str(path)]):
+            tables.clear()
+            assert main(argv) == 0
+            assert tables and len({id(t) for t in tables}) == len(tables)
+    capsys.readouterr()
+
+
 def test_cli_run_refuses_the_optimum_size_before_any_mechanism(tmp_path, capsys, monkeypatch):
     calls = []
     for name in ("sm_run", "iacsm_run"):
@@ -923,7 +949,7 @@ def test_cli_run_refuses_the_optimum_size_before_any_mechanism(tmp_path, capsys,
                  "--out", str(path)]) == 0
     for mechanism in ("iacsm", "sm"):
         assert main(["run", str(path), "--mechanism", mechanism]) == 2
-        assert ("error: optimum enumerates (2^m)^n allocations; n*m <= 20 required"
+        assert ("error: optimum's DP keeps up to 2^(n*m) states; n*m <= 20 required"
                 in capsys.readouterr().err)
     # 17 players fit the optimum but not the average-decreasing estimator
     cover = tmp_path / "cover17.inst"

@@ -330,6 +330,19 @@ def test_sm_refuses_more_items_than_the_dense_rule_before_any_cost_query():
     assert queries == []
 
 
+def test_iacsm_refuses_more_players_than_the_dense_rule_before_any_cost_query():
+    queries = []
+    item = core.SetFunction.from_oracle(21, lambda mask: queries.append(mask) or F(mask))
+    inst = Instance(valuations=(sym(1),) * 21, cost_model=SeparableCosts((item,)), m=1)
+    queries.clear()  # from_oracle has asked the item for f(empty)
+    for walk in (lambda: iacsm_run(inst),
+                 lambda: list(mechanisms.iacsm_classes(inst, [[sym(1), sym(2)]] * 21))):
+        with pytest.raises(core.GroundSetTooLargeError,
+                           match=r"dense tables limited to ground_size <= 20"):
+            walk()
+    assert queries == []
+
+
 def test_sm_order_changes_outcome():
     # public good with cost 2: whoever goes first pays the full standalone cost
     inst = separable_instance([sym(3), sym(3)], [[0, 2, 2, 2]])

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from costshare import valuations
-from costshare.core import INT64_HEADROOM, SetFunction
+from costshare.core import INT64_HEADROOM, SetFunction, as_rat
 from costshare.costs import decreasing_average_table
 from costshare.valuations import (ClassFlags, SymmetricSubmodularValuation, TableValuation,
                                   as_table, check_class, classify_set_function,
-                                  gen_symmetric_submodular)
+                                  draw_marginals)
 
 from oracles import (BIG_PRIMES, naive_nondecreasing, naive_subadditive, naive_submodular,
                      naive_symmetric, naive_xos_symmetric)
@@ -275,6 +275,16 @@ def test_symmetric_variant_classified_as_expected():
     assert flags.symmetric
     assert flags.subadditive
     assert flags.xos_symmetric
+
+
+def gen_symmetric_submodular(m, grid, seed):
+    """Draw m marginals from ``grid`` (``draw_marginals``) with a fresh seeded rng."""
+    choices = [as_rat(g) for g in grid]
+    if not choices:
+        raise ValueError("marginal grid must be non-empty")
+    if any(g < 0 for g in choices):
+        raise ValueError("marginal grid values must be non-negative")
+    return SymmetricSubmodularValuation(draw_marginals(random.Random(seed), m, choices))
 
 
 def test_gen_symmetric_submodular_all_zero_grid():
