@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (Allocation, GroundSetTooLargeError, Instance, Outcome, Rat,
-                   Trace, align_ints, allocation_cost, harmonic)
+from .core import (Allocation, Instance, Outcome, Rat, Trace, align_ints,
+                   allocation_cost, harmonic, require)
 # perfbench/test_perfbench.py reads costshare.analysis.alpha_min_bounded
 from .costs import AlphaReport, alpha_min_bounded  # noqa: F401
 from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
@@ -22,8 +22,6 @@ from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
                          sm_run, verify_final_set_structure, verify_p1, verify_p2)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
                          ValuationFn, as_rat, as_table)
-
-MAX_OPTIMUM_CELLS = 20
 
 MECHANISM_IDS = ("iacsm", "sm", "iacsm-underquote")
 # the first-iteration quote scale of each ascending mechanism id
@@ -62,13 +60,6 @@ def social_cost(inst: Instance, a: Allocation) -> Rat:
     return allocation_cost(inst, a) + missed
 
 
-def require_optimum_size(inst: Instance) -> None:
-    """Refuse an instance too large for the exhaustive optimum."""
-    if inst.n * inst.m > MAX_OPTIMUM_CELLS:
-        raise GroundSetTooLargeError(
-            f"optimum's DP keeps up to 2^(n*m) states; n*m <= {MAX_OPTIMUM_CELLS} required")
-
-
 def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     """Exact minimum social cost with the lexicographically smallest witness.
 
@@ -90,7 +81,7 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     lexicographic bundle-tuple order with player 0 first, so this is the
     lexicographically smallest minimizer.
     """
-    require_optimum_size(inst)
+    require("optimum", inst.n * inst.m)
     n, m = inst.n, inst.m
     full = (1 << m) - 1
     tables = [(ints[full] - ints, denom) for ints, denom in
@@ -196,7 +187,7 @@ def evaluate_run(inst: Instance, mechanism: str = "iacsm", *,
                  order: Sequence[int] | None = None) -> RunReport:
     """Run a mechanism truthfully and assemble the full report. An instance
     too large for the exhaustive optimum is refused before the mechanism runs."""
-    require_optimum_size(inst)
+    require("optimum", inst.n * inst.m)
     outcome, trace = _run_mechanism(mechanism, inst, order=order)
     if mechanism == "sm":
         order = tuple(range(inst.n) if order is None else order)

@@ -38,7 +38,7 @@ from math import gcd, lcm
 from operator import or_
 
 from ..core import (Instance, Rat, SeparableCosts, SetFunction, bits,
-                    format_rat, mask_of)
+                    format_rat, mask_of, require)
 from ..costs import (count_served_cost, lifted_separable_cost, matching_cost,
                      max_item_cost, set_cover_cost, union_items_cost,
                      vertex_cover_cost)
@@ -108,11 +108,14 @@ def _ratio(tok: str) -> tuple[int, int]:
     return r.numerator, r.denominator
 
 
-def _dense(toks: list[str], count: int, what: str) -> SetFunction:
-    """The dense table of ``count`` values as ``SetFunction.from_ints``: each
-    distinct token read once by ``_ratio``, then all put over one lcm. Checks
-    and messages are those of ``_rat`` and ``from_ints``, in their order."""
-    pairs = {tok: _ratio(tok) for tok in dict.fromkeys(_counted(toks, count, what, "values"))}
+def _dense(toks: list[str], ground: int, what: str) -> SetFunction:
+    """The dense table over ``ground`` elements as ``SetFunction.from_ints``,
+    refused past ``LIMITS["dense"]`` before its 2^ground count is taken: each
+    distinct token read once by ``_ratio``, then all put over one lcm. Other
+    checks and messages are those of ``_rat`` and ``from_ints``, in their order."""
+    require("dense", ground)
+    pairs = {tok: _ratio(tok)
+             for tok in dict.fromkeys(_counted(toks, 1 << ground, what, "values"))}
     denom = lcm(*(den for _, den in pairs.values()))
     scaled = {tok: num * (denom // den) for tok, (num, den) in pairs.items()}
     return SetFunction.from_ints([scaled[tok] for tok in toks], denom)
@@ -139,9 +142,9 @@ _INDEXED = {
     "valuation": ("m", {
         "symmetric": lambda m, toks: SymmetricSubmodularValuation(
             tuple(map(_rat, _counted(toks, m, "symmetric valuation", "marginals")))),
-        "table": lambda m, toks: TableValuation(_dense(toks, 1 << m, "table valuation"))}),
+        "table": lambda m, toks: TableValuation(_dense(toks, m, "table valuation"))}),
     "cost": ("n", {
-        "table": lambda n, toks: _dense(toks, 1 << n, "cost table"),
+        "table": lambda n, toks: _dense(toks, n, "cost table"),
         "set-cover": _set_cover_cost,
         "vertex-cover": partial(_edge_cost, "vertex-cover", vertex_cover_cost),
         "matching": partial(_edge_cost, "matching", matching_cost)}),

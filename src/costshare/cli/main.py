@@ -15,18 +15,17 @@ from collections import Counter
 from pathlib import Path
 
 from ..core import (GroundSetTooLargeError, Instance, bits, format_rat,
-                    harmonic)
-from ..costs import (MAX_ESTIMATOR_GROUND, AlphaReport,
-                     alpha_average_decreasing, alpha_max_bounded,
+                    harmonic, require)
+from ..costs import (AlphaReport, alpha_average_decreasing, alpha_max_bounded,
                      alpha_max_bounded_ns, alpha_min_bounded,
                      alpha_min_bounded_ns, additive_cost,
                      capped_reciprocal_cost, decreasing_average_table,
-                     public_good_cost, require_ns_estimator_size,
-                     sqrt_max_cost, structural_alpha_bound, two_tier_step_cost)
+                     public_good_cost, sqrt_max_cost, structural_alpha_bound,
+                     two_tier_step_cost)
 from ..mechanisms import MechanismPreconditionError
 from ..analysis import (MECHANISM_IDS, check_icb_bound, combined_alpha,
-                        evaluate_run, require_mechanism, require_optimum_size)
-from ..valuations import MAX_CLASSIFY_GROUND, check_class, classify_set_function
+                        evaluate_run, require_mechanism)
+from ..valuations import check_class, classify_set_function
 from .formats import (InstanceParseError, format_flag, format_opt_rat,
                       parse_instance, report_text, serialize_instance)
 from .gen import (GEN_KINDS, GenParamError, _grid, _int_param, _rat_param,
@@ -54,7 +53,7 @@ def _instance_alphas(inst: Instance):
     has none. An estimator's own size limit refuses any other instance."""
     if not inst.is_separable:
         try:
-            require_ns_estimator_size(inst.n, inst.m)
+            require("ns-estimator", inst.n * inst.m)
         except GroundSetTooLargeError:
             return {}, {}
     costs = inst.cost_model.items if inst.is_separable else (inst.cost_model,)
@@ -70,7 +69,7 @@ def _evaluated_row(instance_id: str, inst: Instance, mechanism: str, order):
     before the mechanism runs. The row's ``wall_time_s`` times
     ``evaluate_run`` only; a parameter that does not apply leaves its column
     blank."""
-    require_optimum_size(inst)
+    require("optimum", inst.n * inst.m)
     require_mechanism(inst, mechanism, order)
     reports, alphas = _instance_alphas(inst)
     start = time.perf_counter()
@@ -197,10 +196,8 @@ def _parse_descriptor(text: str):
             raise GenParamError(f"{name} takes no parameter {key!r}")
         params[key] = val
     # checked before the builder materializes a 2^n table; every default n is small
-    size = len(params["weights"].split(",")) if "weights" in params else _int_param(params, "n", 1)
-    if size > MAX_ESTIMATOR_GROUND:
-        raise GenParamError(f"descriptor costs are limited to 1..{MAX_ESTIMATOR_GROUND} "
-                            f"players, got {size}")
+    require("estimator", len(params["weights"].split(",")) if "weights" in params
+            else _int_param(params, "n", 1))
     try:
         return build(params)
     except ValueError as exc:
@@ -360,10 +357,7 @@ def cmd_check(args) -> int:
         return " ".join(f"{k}={'true' if v else 'false'}" for k, v in vars(flags).items())
 
     # every valuation has m items; refuse before any line is printed
-    if inst.m > MAX_CLASSIFY_GROUND:
-        print(f"error: valuation 0 has {inst.m} items; class checks are exhaustive and "
-              f"limited to MAX_CLASSIFY_GROUND = {MAX_CLASSIFY_GROUND} items", file=sys.stderr)
-        return 2
+    require("classify", inst.m)
     if inst.is_separable:
         for j, fn in enumerate(inst.cost_model.items):
             print(f"cost {j} {fmt(classify_set_function(fn))}")

@@ -18,7 +18,6 @@ import numpy as np
 
 Rat = Fraction
 
-MAX_DENSE_GROUND = 20
 DEFAULT_CACHE_CAP = 1 << 22
 INT64_HEADROOM = 1 << 62
 
@@ -29,6 +28,24 @@ class DimensionMismatchError(ValueError):
 
 class GroundSetTooLargeError(ValueError):
     """Raised when an exhaustive operation is asked to exceed its stated size limit."""
+
+
+# every size limit of the exhaustive code, checked by ``require`` before any
+# exponential work: name -> (bound, what the size counts, what it bounds)
+LIMITS = {
+    "dense": (20, "ground_size", "dense tables"),
+    "optimum": (20, "n*m", "optimum's DP (up to 2^(n*m) states)"),
+    "estimator": (16, "n", "average-decreasing estimator"),
+    "ns-estimator": (12, "n*m", "non-separable estimators (all 2^(n*m) allocations)"),
+    "classify": (16, "ground_size", "exhaustive class checks"),
+}
+
+
+def require(limit: str, size: int) -> None:
+    """Refuse ``size`` past the bound of ``LIMITS[limit]``."""
+    bound, counts, what = LIMITS[limit]
+    if size > bound:
+        raise GroundSetTooLargeError(f"{what} limited to {counts} <= {bound}, got {size}")
 
 
 def as_rat(x) -> Rat:
@@ -90,17 +107,10 @@ def capped_store(memo: dict, key, value, cap: int):
     return value
 
 
-def require_dense_size(ground: int) -> None:
-    """Refuse a dense table over more than MAX_DENSE_GROUND elements."""
-    if ground > MAX_DENSE_GROUND:
-        raise GroundSetTooLargeError(
-            f"dense tables limited to ground_size <= {MAX_DENSE_GROUND}")
-
-
 def subset_sums(values: Sequence[Rat], op) -> list[Rat]:
     """``op`` folded over each subset of ``values`` from Fraction(0), in mask
     order: by doubling, entry mask | 1 << j is op(entry mask, values[j])."""
-    require_dense_size(len(values))
+    require("dense", len(values))
     out = [Fraction(0)]
     for d in values:
         out += [op(p, d) for p in out]
@@ -201,7 +211,7 @@ class SetFunction:
         """The dense table f(T) = levels[|T|] over an n-element ground set,
         reading only levels[0..n]; the gather by set size is Python's, which
         beats numpy's object arrays at the sizes in use (n <= 10)."""
-        require_dense_size(n)
+        require("dense", n)
         ints, denom = over_lcm(levels[k] for k in range(n + 1))
         obj = cls.from_ints([ints[mask.bit_count()] for mask in range(1 << n)], denom)
         obj._levels = exact_ints(ints, max(ints)),
@@ -212,14 +222,14 @@ class SetFunction:
         """The dense table f(S) = ints[S] / denom, with ``denom`` the least
         common denominator of its values (as ``int_table()`` gives them).
         Checked in this order: a power-of-two count within
-        MAX_DENSE_GROUND, then no negative value, then f(empty) = 0. Held
+        ``LIMITS["dense"]``, then no negative value, then f(empty) = 0. Held
         only as ``int_table()``, ``exact_ints`` of reach the largest value; a
         point query reads it as a Fraction into the capped cache."""
         size = len(ints)
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
         ground = size.bit_length() - 1
-        require_dense_size(ground)
+        require("dense", ground)
         if min(ints) < 0:
             raise ValueError("set function values must be non-negative")
         if ints[0] != 0:
@@ -323,7 +333,7 @@ class SetFunction:
         value, so int64 exactly when every value is under INT64_HEADROOM,
         Python ints otherwise. A fill's ints are checked once, as a whole."""
         if self._ints is None:
-            require_dense_size(self.ground_size)
+            require("dense", self.ground_size)
             ints, denom = self._fill() if self._fill else (
                 [self(mask) for mask in range(1 << self.ground_size)], 1)
             arr = np.asarray(ints)

@@ -24,13 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Allocation, AllocationCostFn, GroundSetTooLargeError, Rat,
-                   SeparableCosts, SetFunction, align_ints, as_rat, bits,
-                   bundle_shifts, exact_ints, popcounts, subset_sums)
+from .core import (Allocation, AllocationCostFn, Rat, SeparableCosts, SetFunction,
+                   align_ints, as_rat, bits, bundle_shifts, exact_ints, popcounts,
+                   require, subset_sums)
 from .valuations import submodular_levels
 
-MAX_ESTIMATOR_GROUND = 16
-MAX_NS_CELLS = 12
 # cells (allocation, player subset) the bounded-ratio scan holds at once:
 # n*m = 12 takes 2^24 cells in all, 2^13 at a time (64 KB an int64 array)
 SCAN_CHUNK_CELLS = 1 << 13
@@ -217,20 +215,6 @@ def _report(num: int, den: int, witness: tuple, kind: str) -> AlphaReport:
     return AlphaReport(Fraction(num, den) if den else None, witness, kind)
 
 
-def require_estimator_size(n: int) -> None:
-    """Refuse a ground set too large for the average-decreasing estimator."""
-    if n > MAX_ESTIMATOR_GROUND:
-        raise GroundSetTooLargeError(
-            f"average-decreasing estimator limited to n <= {MAX_ESTIMATOR_GROUND}")
-
-
-def require_ns_estimator_size(n: int, m: int) -> None:
-    """Refuse an allocation cost too large for the non-separable estimators."""
-    if n * m > MAX_NS_CELLS:
-        raise GroundSetTooLargeError(
-            f"exhaustive allocation enumeration needs n*m <= {MAX_NS_CELLS}")
-
-
 def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     """Least a with a*c(S)/|S| >= c(T)/|T| for every nonempty S <= T.
 
@@ -242,7 +226,7 @@ def alpha_average_decreasing(c: SetFunction) -> AlphaReport:
     its top j bits, j the largest size <= t with L[j] / j = g[T] = min L[i] / i.
     """
     n = c.ground_size
-    require_estimator_size(n)
+    require("estimator", n)
     vals = c.int_table()[0]
     if (level := c.levels()) is not None:
         L = level.tolist()  # least[k - 1] is j for |T| = k, ties to the larger
@@ -343,7 +327,7 @@ def _first_max_ratio(table: np.ndarray, keep: np.ndarray, rows: np.ndarray,
 
 
 def _alpha_bounded(c: SetFunction, pick, kind: str) -> AlphaReport:
-    # int_table refuses ground sets past MAX_DENSE_GROUND; the scan is one row
+    # int_table refuses ground sets past LIMITS["dense"]; the scan is one row
     vals = c.int_table()[0]
     if (level := c.levels()) is not None:
         L = level.tolist()  # each standalone cost is L[1]: size k has ratio k*L[1]/L[k]
@@ -366,7 +350,7 @@ def alpha_max_bounded(c: SetFunction) -> AlphaReport:
 
 def _alpha_bounded_ns(C: AllocationCostFn, pick, kind: str) -> AlphaReport:
     n, m = C.n, C.m
-    require_ns_estimator_size(n, m)
+    require("ns-estimator", n * m)
     table = C.int_table()[0]
     # C(A restricted to the players in T) is table[k & keep[T]] for the
     # allocation at index k; singleton T have ratio 1 or 0/0, so scanning

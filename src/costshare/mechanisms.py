@@ -43,7 +43,7 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from .core import (Allocation, Instance, Outcome, Rat, Trace, bits, capped_store,
-                   mask_of, over_lcm, require_dense_size, subset_sums)
+                   mask_of, over_lcm, require, subset_sums)
 from .valuations import SymmetricSubmodularValuation, ValuationFn
 
 
@@ -97,12 +97,12 @@ def _check_profile(inst: Instance, length: int, reports: Sequence[ValuationFn]) 
 def require_ascending(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
                       scale: Rat) -> None:
     """iacsm's preconditions, for every profile in which player i reports from
-    ``spaces[i]``: separable costs over at most MAX_DENSE_GROUND players, as
+    ``spaces[i]``: separable costs over at most ``LIMITS["dense"]`` players, as
     the walk reads each item's int table, a space per player, symmetric
     submodular reports over the m items, and a non-negative quote scale."""
     if not inst.is_separable:
         raise MechanismPreconditionError("iacsm-requires-separable-costs")
-    require_dense_size(inst.n)
+    require("dense", inst.n)
     reports = [v for space in spaces for v in space]
     _check_profile(inst, len(spaces), reports)
     if scale < 0:
@@ -366,7 +366,7 @@ def sm_run(inst: Instance, order: Sequence[int] | None = None,
     that incremental cost.
     """
     n, m = inst.n, inst.m
-    require_dense_size(m)  # each step prices all 2^m bundles
+    require("dense", m)  # each step prices all 2^m bundles
     seq = sm_order(inst, order)
     decl = list(inst.valuations) if declared is None else list(declared)
     _check_profile(inst, len(decl), decl)
@@ -396,7 +396,7 @@ def sm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
     the ``sm_run`` of it. Checks what ``sm_run`` checks of every profile in
     the product, once, before the walk.
     """
-    require_dense_size(inst.m)
+    require("dense", inst.m)
     seq = sm_order(inst, order)
     spaces = list(spaces)
     _check_profile(inst, len(spaces), [v for space in spaces for v in space])

@@ -11,9 +11,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import GroundSetTooLargeError, Rat, SetFunction, as_rat, over_lcm
+from .core import Rat, SetFunction, as_rat, over_lcm, require
 
-MAX_CLASSIFY_GROUND = 16
 PAIR_CHUNK_BITS = 8
 
 
@@ -188,9 +187,7 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
     table ``_subadditive_on_disjoint_pairs`` checks the disjoint pairs of its
     critical unions, and on a non-monotone one every pair is checked."""
     n = fn.ground_size
-    if n > MAX_CLASSIFY_GROUND:
-        raise GroundSetTooLargeError(
-            f"class checks are exhaustive and limited to ground_size <= {MAX_CLASSIFY_GROUND}")
+    require("classify", n)
 
     # scaling by one positive constant keeps every comparison below; two values
     # meet in one sum at most, and int_table() is int64 only under INT64_HEADROOM
@@ -214,7 +211,9 @@ def classify_set_function(fn: SetFunction) -> ClassFlags:
 
 
 def check_class(v: ValuationFn) -> ClassFlags:
-    """Exhaustively classify a valuation (ground set of items)."""
+    """Exhaustively classify a valuation (ground set of items), refused past
+    the class checks' limit before its table is built."""
+    require("classify", v.m)
     return classify_set_function(as_table(v).fn)
 
 

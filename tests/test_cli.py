@@ -675,7 +675,7 @@ def test_cli_check_refuses_valuations_past_the_class_cap(tmp_path, capsys, valua
     assert main(["check", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "valuation 0" in err and "MAX_CLASSIFY_GROUND = 16" in err
+    assert "exhaustive class checks limited to ground_size <= 16, got 17" in err
 
 
 def test_cli_parse_error_exit_code(tmp_path):
@@ -903,7 +903,7 @@ def test_cli_run_past_optimum_size_limit_exits_2(tmp_path, capsys):
     path = tmp_path / "cover21.inst"
     assert main(["gen", "set-cover", "--param", "n=21", "--out", str(path)]) == 0
     assert main(["run", str(path), "--mechanism", "sm"]) == 2
-    assert "n*m <= 20 required" in capsys.readouterr().err
+    assert "limited to n*m <= 20, got 21" in capsys.readouterr().err
 
 
 def _spy(calls: list, real):
@@ -949,7 +949,7 @@ def test_cli_run_refuses_the_optimum_size_before_any_mechanism(tmp_path, capsys,
                  "--out", str(path)]) == 0
     for mechanism in ("iacsm", "sm"):
         assert main(["run", str(path), "--mechanism", mechanism]) == 2
-        assert ("error: optimum's DP keeps up to 2^(n*m) states; n*m <= 20 required"
+        assert ("error: optimum's DP (up to 2^(n*m) states) limited to n*m <= 20, got 24"
                 in capsys.readouterr().err)
     # 17 players fit the optimum but not the average-decreasing estimator
     cover = tmp_path / "cover17.inst"

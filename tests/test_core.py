@@ -1,15 +1,18 @@
+import ast
+import inspect
 import random
 import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from costshare import core
-from costshare.core import (INT64_HEADROOM, Allocation, AllocationCostFn,
+from costshare.core import (INT64_HEADROOM, LIMITS, Allocation, AllocationCostFn,
                             DimensionMismatchError, GroundSetTooLargeError,
                             Instance, SeparableCosts, SetFunction,
                             align_ints, allocation_cost, exact_ints, harmonic,
@@ -91,6 +94,26 @@ def test_allocation_index_order_is_product_order():
     assert C.to_table() == [C(Allocation(b, m)) for b in order]
     with pytest.raises(GroundSetTooLargeError):
         AllocationCostFn(3, 7, lambda b: Fraction(0)).to_table()
+
+
+def test_each_size_limit_lives_in_one_place():
+    """``core.require`` is the only raise of GroundSetTooLargeError in the
+    package, no ``MAX_*`` size constant is left beside ``LIMITS``, every
+    ``require`` call names a ``LIMITS`` entry, and every entry is required."""
+    raises, required = [], set()
+    for path in sorted(Path(core.__file__).resolve().parent.rglob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"\bMAX_\w*(GROUND|CELLS)\b", text), path
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and "GroundSetTooLargeError" in ast.unparse(node):
+                raises.append((path.name, node.lineno))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "require"):
+                required.add(node.args[0].value)
+    body, start = inspect.getsourcelines(core.require)
+    assert [(name, start <= line < start + len(body)) for name, line in raises] == [
+        ("core.py", True)]
+    assert required == set(LIMITS)
 
 
 @given(allocations, st.integers(0, 15))

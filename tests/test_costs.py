@@ -1,8 +1,14 @@
+import os
 import random
+import re
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, product
 from operator import add
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +32,7 @@ from costshare.costs import (AlphaReport, InfeasibleCoverError, additive_cost,
 from costshare.cli.gen import GenParamError, generate
 from costshare.mechanisms import sm_run
 from costshare.valuations import (ClassFlags, SymmetricSubmodularValuation, as_table,
-                                  classify_set_function)
+                                  check_class, classify_set_function)
 
 from oracles import (BIG_PRIMES, naive_alpha_avg_decreasing, naive_alpha_bounded,
                      naive_alpha_bounded_report, permuted_table,
@@ -599,23 +605,68 @@ def _gen_case(kind: str, params: dict):
     return build
 
 
+def _check_class_case(calls, monkeypatch):
+    monkeypatch.setattr(SetFunction, "from_levels",
+                        classmethod(_counted(calls, SetFunction.from_levels.__func__)))
+    return lambda: check_class(SymmetricSubmodularValuation([Fraction(1)] * 20))
+
+
+class _CliRefusal(Exception):
+    """A CLI run that exited 2 with no traceback; its text is the run's stderr."""
+
+
+def _capped_check_case(text: str):
+    """``costshare check`` on the instance ``text`` in a child process whose
+    address space is capped at 1.5 GB, so that a 2^n table built before the
+    guard fails there and takes no memory from anything else."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29)); "
+            "from costshare.cli.main import main; sys.exit(main(sys.argv[1:]))")
+
+    def run():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "wide.inst")
+            path.write_text(text)
+            res = subprocess.run([sys.executable, "-c", code, "check", str(path)],
+                                 capture_output=True, text=True, env=env)
+        assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+        raise _CliRefusal(res.stderr)
+    return lambda calls, monkeypatch: run
+
+
+WIDE = 1 << 40
+DENSE_21 = "dense tables limited to ground_size <= 20, got 21"
+# name: (build, the error it raises, the message the error carries)
 DENSE_GUARD_CASES = {
-    "subset-sums": (_subset_sums_case, GroundSetTooLargeError),
-    "size-indexed": (_size_indexed_case, GroundSetTooLargeError),
-    "as-table": (_as_table_case, GroundSetTooLargeError),
-    "gen-paper-tight": (_gen_case("paper-tight", {"n": "21"}), GenParamError),
-    "gen-paper-intersection": (_gen_case("paper-intersection", {"n": "21"}), GenParamError),
+    "subset-sums": (_subset_sums_case, GroundSetTooLargeError, DENSE_21),
+    "size-indexed": (_size_indexed_case, GroundSetTooLargeError, DENSE_21),
+    "as-table": (_as_table_case, GroundSetTooLargeError, DENSE_21),
+    "gen-paper-tight": (_gen_case("paper-tight", {"n": "21"}), GenParamError, DENSE_21),
+    "gen-paper-intersection": (_gen_case("paper-intersection", {"n": "21"}), GenParamError,
+                               DENSE_21),
     "gen-random-symmetric": (_gen_case("random-symmetric", {"n": "21", "m": "1"}),
-                             GenParamError),
+                             GenParamError, DENSE_21),
+    "check-class": (_check_class_case, GroundSetTooLargeError,
+                    "exhaustive class checks limited to ground_size <= 16, got 20"),
+    "cost-table-line": (_capped_check_case(f"costshare-instance v1\nn {WIDE}\nm 1\n"
+                                           "cost 0 table 0/1\n"), _CliRefusal,
+                        f"error: line 4: dense tables limited to ground_size <= 20, got {WIDE}"),
+    "valuation-table-line": (_capped_check_case(f"costshare-instance v1\nn 1\nm {WIDE}\n"
+                                                "valuation 0 table 0/1\n"), _CliRefusal,
+                             f"error: line 4: dense tables limited to ground_size <= 20, "
+                             f"got {WIDE}"),
 }
 
 
 @pytest.mark.parametrize("case", list(DENSE_GUARD_CASES.values()), ids=list(DENSE_GUARD_CASES))
 def test_dense_builders_refuse_past_twenty_before_any_exponential_step(case, monkeypatch):
-    build, error = case
+    """Each size guard refuses before any 2^n step: no spied builder is
+    called, and a CLI run exits 2 with the guard's message and no traceback."""
+    build, error, message = case
     calls: list = []
     run = build(calls, monkeypatch)
-    with pytest.raises(error, match="dense tables limited to ground_size <= 20"):
+    with pytest.raises(error, match=re.escape(message)):
         run()
     assert calls == []
 
