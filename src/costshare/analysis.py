@@ -21,7 +21,7 @@ from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
                          incremental_costs, require_ascending, sm_classes, sm_order,
                          sm_run, verify_final_set_structure, verify_p1, verify_p2)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
-                         ValuationFn, as_rat, as_table)
+                         ValuationFn, as_rat)
 
 MECHANISM_IDS = ("iacsm", "sm", "iacsm-underquote")
 # the first-iteration quote scale of each ascending mechanism id
@@ -85,7 +85,7 @@ def optimal_social_cost(inst: Instance) -> tuple[Rat, Allocation]:
     n, m = inst.n, inst.m
     full = (1 << m) - 1
     tables = [(ints[full] - ints, denom) for ints, denom in
-              (as_table(v).fn.int_table() for v in inst.valuations)]
+              (v.fn.int_table() for v in inst.valuations)]
     if inst.is_separable:
         tables += [fn.int_table() for fn in inst.cost_model.items]
     else:
@@ -330,7 +330,8 @@ def check_icb_bound(inst: Instance, report: RunReport, alpha_min: Rat | None,
     icb_sum = Fraction(0)
     prefix = [0] * inst.n
     for i in report.order:
-        icb_sum += incremental_costs(inst, prefix, i)[optimal.bundles[i]]
+        price, denom = incremental_costs(inst, prefix, i)
+        icb_sum += Fraction(price[optimal.bundles[i]], denom)
         prefix[i] = bundles[i]
     opt_cost = allocation_cost(inst, optimal)
     return ((alpha_min is None or icb_sum <= alpha_min * harmonic(inst.n) * opt_cost)

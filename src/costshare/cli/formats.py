@@ -123,11 +123,13 @@ def _dense(toks: list[str], ground: int, what: str) -> SetFunction:
 
 def _set_cover_cost(n: int, groups: list[str]) -> SetFunction:
     family = [mask_of(_int(e) for e in grp.split(",")) for grp in groups]
-    fn = set_cover_cost(n, family)  # refuses sets outside the universe first
-    uncovered = ~reduce(or_, family, 0) & ((1 << n) - 1)
-    if uncovered:
-        raise ValueError(f"no set-cover family set holds player {next(bits(uncovered))}")
-    return fn
+    union = reduce(or_, family, 0)
+    # with every set inside the universe, the union's lowest zero bit is the
+    # lowest uncovered player; nothing of n's size is built
+    lowest = (~union & (union + 1)).bit_length() - 1
+    if lowest < n and union.bit_length() <= n:
+        raise ValueError(f"no set-cover family set holds player {lowest}")
+    return set_cover_cost(n, family)  # refuses sets outside the universe
 
 
 def _edge_cost(variant: str, build, n: int, groups: list[str]) -> SetFunction:
@@ -205,9 +207,10 @@ def parse_instance(text: str) -> Instance:
         if "n" not in sizes or "m" not in sizes:
             raise ValueError("missing n or m")
         n, m = sizes["n"], sizes["m"]
-        if sorted(valuations) != list(range(n)):
+        # the counts first: no list of n entries unless the file has n lines
+        if len(valuations) != n or sorted(valuations) != list(range(n)):
             raise ValueError(f"need valuations 0..{n - 1}")
-        if name in _OVER_COST_LINES and sorted(costs) != list(range(m)):
+        if name in _OVER_COST_LINES and (len(costs) != m or sorted(costs) != list(range(m))):
             raise ValueError(f"need costs 0..{m - 1}")
     with _faults_on(at):
         if name in _OVER_COST_LINES:

@@ -107,11 +107,12 @@ def capped_store(memo: dict, key, value, cap: int):
     return value
 
 
-def subset_sums(values: Sequence[Rat], op) -> list[Rat]:
-    """``op`` folded over each subset of ``values`` from Fraction(0), in mask
-    order: by doubling, entry mask | 1 << j is op(entry mask, values[j])."""
+def subset_sums(values: Sequence, op) -> list:
+    """``op`` folded over each subset of ``values`` from 0, in mask order: by
+    doubling, entry mask | 1 << j is op(entry mask, values[j]). Ints fold to
+    ints, Fractions to Fractions."""
     require("dense", len(values))
-    out = [Fraction(0)]
+    out = [0]
     for d in values:
         out += [op(p, d) for p in out]
     return out

@@ -25,8 +25,8 @@ symmetric valuations compare by value, table valuations by their
 ``SetFunction`` object, so two equal tables built apart key two steps (never
 a wrong one):
 - sm: ``(player, bundles so far, declared valuation) -> (mask, payment)``
-  and ``(player, bundles so far) -> price vector``, as Fractions and as
-  ints over their lcm.
+  and ``(player, bundles so far) -> (ints, denom)``, the player's price
+  vector as ints over one denominator (``incremental_costs``).
 - iacsm: a trie of iteration states. ``(quote scale,) -> root`` and
   ``(node, player, size) -> child``; a leaf keeps its Outcome, and
   ``iacsm_run`` builds the Trace from the leaf's path when it returns one.
@@ -311,50 +311,37 @@ def iacsm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]], *,
         yield leaf.outcome(n, m), first
 
 
-def incremental_costs(inst: Instance, bundles: Sequence[int], i: int) -> list[Rat]:
-    """Player i's incremental cost for every item mask: C(bundles with i
-    holding the mask) - C(bundles). Player i must hold nothing in ``bundles``.
-    """
+def incremental_costs(inst: Instance, bundles: Sequence[int],
+                      i: int) -> tuple[list[int], int]:
+    """Player i's incremental cost for every item mask t, C(bundles with i
+    holding t) - C(bundles), as ``(ints, denom)`` with t's cost ints[t] /
+    denom, from point queries alone. Player i must hold nothing in ``bundles``."""
     m = inst.m
     if bundles[i]:
         raise MechanismPreconditionError("incremental costs need player i to hold nothing")
     if inst.is_separable:
         served = Allocation(tuple(bundles), m).served()
-        marginal = [fn(t | (1 << i)) - fn(t) for fn, t in zip(inst.cost_model.items, served)]
-        return subset_sums(marginal, operator.add)
+        ints, denom = over_lcm(fn(t | (1 << i)) - fn(t)
+                               for fn, t in zip(inst.cost_model.items, served))
+        return subset_sums(ints, operator.add), denom
     C = inst.cost_model
-    cost = [C(Allocation((*bundles[:i], mask, *bundles[i + 1:]), m)) for mask in range(1 << m)]
-    return [c - cost[0] for c in cost]
-
-
-def _price(inst: Instance, i: int, bundles: Sequence[int]) -> tuple[list[Rat], list[int], int]:
-    """Player i's incremental costs after ``bundles``, as Fractions and as
-    ints over their lcm (``core.over_lcm``)."""
-    price = incremental_costs(inst, bundles, i)
-    return price, *over_lcm(price)
-
-
-def _value_ints(v: ValuationFn, m: int) -> tuple[list[int], int]:
-    """``v`` of every item mask as ints over one denominator: a symmetric
-    report's levels by bundle size, a table report's ``int_table()``."""
-    if isinstance(v, SymmetricSubmodularValuation):
-        levels, denom = v.int_levels
-        return [levels[mask.bit_count()] for mask in range(1 << m)], denom
-    ints, denom = v.fn.int_table()
-    return ints.tolist(), denom
+    ints, denom = over_lcm(C(Allocation((*bundles[:i], mask, *bundles[i + 1:]), m))
+                           for mask in range(1 << m))
+    return [c - ints[0] for c in ints], denom
 
 
 def _sm_step(inst: Instance, i: int, bundles: Sequence[int],
              v: ValuationFn) -> tuple[int, Rat]:
     """Player i's bundle mask and payment after ``bundles``, on the price
     vector every report of player i after ``bundles`` shares."""
-    price, ints, denom = _step(inst.step_memo, (i, bundles), partial(_price, inst))
-    values, vdenom = _value_ints(v, inst.m)
+    price, denom = _step(inst.step_memo, (i, bundles),
+                         lambda i, bundles: incremental_costs(inst, bundles, i))
+    values, vdenom = v.fn.int_table()
     # utilities times denom * vdenom; index keeps the first maximum: the
     # numerically smallest optimal mask
-    utils = [a * denom - p * vdenom for a, p in zip(values, ints)]
+    utils = [a * denom - p * vdenom for a, p in zip(values.tolist(), price)]
     best = utils.index(max(utils))
-    return best, price[best]
+    return best, Fraction(price[best], denom)
 
 
 def sm_run(inst: Instance, order: Sequence[int] | None = None,

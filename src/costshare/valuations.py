@@ -11,7 +11,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import Rat, SetFunction, as_rat, over_lcm, require
+from .core import Rat, SetFunction, as_rat, require
 
 PAIR_CHUNK_BITS = 8
 
@@ -58,9 +58,11 @@ class SymmetricSubmodularValuation:
         return self.levels[item_mask.bit_count()]
 
     @cached_property
-    def int_levels(self) -> tuple[list[int], int]:
-        """``levels`` as ints over their lcm (``core.over_lcm``)."""
-        return over_lcm(self.levels)
+    def fn(self) -> SetFunction:
+        """The dense table of v by bundle size (``SetFunction.from_levels``),
+        built once: the view of the class checks, the social-cost optimum and
+        ``sm``, as ``TableValuation.fn`` is."""
+        return SetFunction.from_levels(self.m, self.levels)
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,6 @@ class TableValuation:
 
 
 ValuationFn = Union[SymmetricSubmodularValuation, TableValuation]
-
-
-def as_table(v: ValuationFn) -> TableValuation:
-    """Any valuation as a dense table, the view of the class checkers and of
-    the social-cost optimum: a symmetric one from its levels by bundle size."""
-    if isinstance(v, TableValuation):
-        return v
-    return TableValuation(SetFunction.from_levels(v.m, v.levels))
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,7 @@ def check_class(v: ValuationFn) -> ClassFlags:
     """Exhaustively classify a valuation (ground set of items), refused past
     the class checks' limit before its table is built."""
     require("classify", v.m)
-    return classify_set_function(as_table(v).fn)
+    return classify_set_function(v.fn)
 
 
 def draw_marginals(rng: random.Random, count: int, grid: Sequence) -> tuple:

@@ -33,12 +33,19 @@ REPO = Path(__file__).resolve().parent.parent
 INSTANCES = sorted((REPO / "instances").glob("*.inst"))
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, address_space=None):
+    """The CLI in a child process, its address space capped at
+    ``address_space`` bytes when given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cap = ""
+    if address_space is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        cap = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, "
+               f"({address_space}, {address_space})); ")
     return subprocess.run([sys.executable, "-c",
-                           "import sys; from costshare.cli.main import main; "
+                           cap + "import sys; from costshare.cli.main import main; "
                            "sys.exit(main(sys.argv[1:]))", *argv],
                           capture_output=True, text=True, cwd=cwd or REPO, env=env)
 
@@ -796,6 +803,24 @@ def test_cli_bad_instance_exits_2_with_line(tmp_path, capsys, text, message):
     assert err.count(message.split(": ")[0] + ":") == 1  # the line is named once
 
 
+@pytest.mark.parametrize("text, message", [
+    ("costshare-instance v1\nn 4000000000\nm 1\nvaluation 0 symmetric 1\n",
+     "error: line 4: need valuations 0..3999999999"),
+    (f"costshare-instance v1\nn {1 << 40}\nm 1\ncost 0 set-cover 0\n",
+     "error: line 4: no set-cover family set holds player 1"),
+], ids=["indices-short-of-n", "set-cover-short-of-n"])
+def test_cli_refuses_a_huge_n_before_anything_of_its_size(tmp_path, text, message):
+    # in a child process capped at 1.5 GB, so that a list or mask of n
+    # entries built before the check fails there and takes no memory from
+    # anything else
+    path = tmp_path / "huge.inst"
+    path.write_text(text)
+    res = run_cli("check", str(path), address_space=3 << 29)
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+    assert res.stderr.strip() == message
+    assert res.stdout == ""
+
+
 def test_cli_suite_names_the_instance_file_that_fails_to_parse(tmp_path, capsys):
     path = tmp_path / "bad.inst"
     path.write_text(TWO_PLAYERS.replace("2/1", "x"))
@@ -853,17 +878,23 @@ def _count_table_builds(monkeypatch) -> Counter:
 
 
 def test_each_command_builds_one_int_table_per_function(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "cover12.inst"
-    assert main(["gen", "set-cover", "--param", "n=12", "--out", str(path)]) == 0
+    cover, symmetric = tmp_path / "cover12.inst", tmp_path / "symmetric.inst"
+    assert main(["gen", "set-cover", "--param", "n=12", "--out", str(cover)]) == 0
+    assert main(["gen", "random-symmetric", "--param", "n=2", "--param", "m=3",
+                 "--out", str(symmetric)]) == 0
     builds = _count_table_builds(monkeypatch)
     # run reads the cover's table for the optimum and all three estimators,
     # check for the class flags; each valuation's table line is read into
-    # its int table as it is parsed
-    for argv in (["run", str(path), "--mechanism", "sm"], ["check", str(path)]):
-        builds.clear()
-        assert main(argv) == 0
-        assert sorted(fn.kind for fn in builds) == ["set-cover"] + ["table"] * 12
-        assert set(builds.values()) == {1}
+    # its int table as it is parsed. A symmetric valuation's table over its
+    # 3 items is its one ``fn``, which the optimum, every sm step and the
+    # class checks share; the 3 item costs over 2 players are table lines.
+    for path, tables in ((cover, [("set-cover", 12)] + [("table", 1)] * 12),
+                         (symmetric, [("table", 2)] * 3 + [("table", 3)] * 2)):
+        for argv in (["run", str(path), "--mechanism", "sm"], ["check", str(path)]):
+            builds.clear()
+            assert main(argv) == 0
+            assert sorted((fn.kind, fn.ground_size) for fn in builds) == tables
+            assert set(builds.values()) == {1}
     capsys.readouterr()
 
 

@@ -31,8 +31,8 @@ from costshare.costs import (AlphaReport, InfeasibleCoverError, additive_cost,
                              vertex_cover_cost)
 from costshare.cli.gen import GenParamError, generate
 from costshare.mechanisms import sm_run
-from costshare.valuations import (ClassFlags, SymmetricSubmodularValuation, as_table,
-                                  check_class, classify_set_function)
+from costshare.valuations import (ClassFlags, SymmetricSubmodularValuation, check_class,
+                                  classify_set_function)
 
 from oracles import (BIG_PRIMES, naive_alpha_avg_decreasing, naive_alpha_bounded,
                      naive_alpha_bounded_report, permuted_table,
@@ -417,7 +417,7 @@ def test_symmetric_xos_tables_are_average_decreasing():
         fn = symmetric_submodular_cost(n, margs)
         assert alpha_average_decreasing(fn).alpha == 1
         # the table of the valuation with the same marginals
-        ints, denom = as_table(SymmetricSubmodularValuation(margs)).fn.int_table()
+        ints, denom = SymmetricSubmodularValuation(margs).fn.int_table()
         assert fn.int_table()[0].tolist() == ints.tolist() and fn.int_table()[1] == denom
     # the marginals of a submodular table are non-negative and non-increasing,
     # checked in that order, as a valuation checks them
@@ -593,9 +593,9 @@ def _count_dense_tables(calls, monkeypatch):
                         classmethod(_counted(calls, SetFunction.from_ints.__func__)))
 
 
-def _as_table_case(calls, monkeypatch):
+def _valuation_fn_case(calls, monkeypatch):
     _count_dense_tables(calls, monkeypatch)
-    return lambda: as_table(SymmetricSubmodularValuation([Fraction(1)] * 21))
+    return lambda: SymmetricSubmodularValuation([Fraction(1)] * 21).fn
 
 
 def _gen_case(kind: str, params: dict):
@@ -641,7 +641,7 @@ DENSE_21 = "dense tables limited to ground_size <= 20, got 21"
 DENSE_GUARD_CASES = {
     "subset-sums": (_subset_sums_case, GroundSetTooLargeError, DENSE_21),
     "size-indexed": (_size_indexed_case, GroundSetTooLargeError, DENSE_21),
-    "as-table": (_as_table_case, GroundSetTooLargeError, DENSE_21),
+    "valuation-fn": (_valuation_fn_case, GroundSetTooLargeError, DENSE_21),
     "gen-paper-tight": (_gen_case("paper-tight", {"n": "21"}), GenParamError, DENSE_21),
     "gen-paper-intersection": (_gen_case("paper-intersection", {"n": "21"}), GenParamError,
                                DENSE_21),

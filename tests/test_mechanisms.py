@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from costshare import core, mechanisms
-from costshare.core import Allocation, Instance, SeparableCosts, allocation_cost
+from costshare.core import INT64_HEADROOM, Allocation, Instance, SeparableCosts, allocation_cost
 from costshare.costs import (capped_reciprocal_cost, count_served_cost,
                              lifted_separable_cost, matching_cost, max_item_cost,
                              set_cover_cost, symmetric_submodular_cost,
@@ -18,7 +18,7 @@ from costshare.mechanisms import (MechanismPreconditionError, greedy_bundle,
                                   verify_p2)
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
-from oracles import (exhaustive_optimal_bundle, naive_iacsm_run, naive_sm_run,
+from oracles import (BIG_PRIMES, exhaustive_optimal_bundle, naive_iacsm_run, naive_sm_run,
                      shares_from_withdrawal_prefixes)
 
 F = Fraction
@@ -366,8 +366,8 @@ def test_iacsm_rejects_declared_item_count_mismatch():
 
 def test_incremental_costs_need_player_to_hold_nothing():
     inst = separable_instance([sym(5), sym(5)], [[0, 1, 1, 1]])
-    assert incremental_costs(inst, [1, 0], 1) == [F(0), F(0)]
-    assert incremental_costs(inst, [0, 0], 1) == [F(0), F(1)]
+    assert incremental_costs(inst, [1, 0], 1) == ([0, 0], 1)
+    assert incremental_costs(inst, [0, 0], 1) == ([0, 1], 1)
     with pytest.raises(MechanismPreconditionError):
         incremental_costs(inst, [1, 1], 1)
 
@@ -382,9 +382,16 @@ def half(rng, top):
     return F(rng.randint(0, 2 * top), 2)
 
 
-def random_item_cost(rng, kind, n):
+def over_big_primes(rng, top):
+    """A value in [0, top] over one of BIG_PRIMES: a few of them put an lcm
+    past INT64_HEADROOM."""
+    p = rng.choice(BIG_PRIMES)
+    return F(rng.randint(0, top * p), p)
+
+
+def random_item_cost(rng, kind, n, draw=half):
     if kind == "table":
-        return table_cost([0] + [half(rng, 4) for _ in range((1 << n) - 1)])
+        return table_cost([0] + [draw(rng, 4) for _ in range((1 << n) - 1)])
     if kind == "set-cover":
         family = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 3))]
         covered = 0
@@ -397,26 +404,26 @@ def random_item_cost(rng, kind, n):
     return vertex_cover_cost(edges) if kind == "vertex-cover" else matching_cost(edges)
 
 
-def random_cost_model(rng, kind, n, m):
+def random_cost_model(rng, kind, n, m, draw=half):
     if kind in ("count-served", "union-items"):
         build = count_served_cost if kind == "count-served" else union_items_cost
         return build(n, m, weight=F(rng.randint(1, 4), 2))
     if kind in NONSEPARABLE_KINDS:
-        sep = SeparableCosts(tuple(random_item_cost(rng, "table", n) for _ in range(m)))
+        sep = SeparableCosts(tuple(random_item_cost(rng, "table", n, draw) for _ in range(m)))
         build = lifted_separable_cost if kind == "lifted" else max_item_cost
         return build(sep, n)
-    return SeparableCosts(tuple(random_item_cost(rng, kind, n) for _ in range(m)))
+    return SeparableCosts(tuple(random_item_cost(rng, kind, n, draw) for _ in range(m)))
 
 
-def random_symmetric(rng, m):
+def random_symmetric(rng, m, draw=half):
     return SymmetricSubmodularValuation(
-        tuple(sorted((half(rng, 3) for _ in range(m)), reverse=True)))
+        tuple(sorted((draw(rng, 3) for _ in range(m)), reverse=True)))
 
 
-def random_valuation(rng, m):
+def random_valuation(rng, m, draw=half):
     if rng.random() < 0.5:
-        return random_symmetric(rng, m)
-    return TableValuation.from_values([0] + [half(rng, 4) for _ in range((1 << m) - 1)])
+        return random_symmetric(rng, m, draw)
+    return TableValuation.from_values([0] + [draw(rng, 4) for _ in range((1 << m) - 1)])
 
 
 def optimal_mask_count(inst, order, declared):
@@ -432,18 +439,41 @@ def optimal_mask_count(inst, order, declared):
 @pytest.mark.parametrize("kind", SEPARABLE_KINDS + NONSEPARABLE_KINDS)
 def test_sm_matches_naive_definition(kind):
     rng = random.Random(f"sm-{kind}")
-    ties = 0
-    for _ in range(80):
+    ties = wide = 0
+    # halves give ties; values over BIG_PRIMES give prices and utilities past
+    # INT64_HEADROOM, on every cost built from tables
+    for draw, count in ((half, 80), (over_big_primes, 20)):
+        for _ in range(count):
+            n, m = rng.randint(1, 4), rng.randint(1, 3)
+            inst = Instance(valuations=tuple(random_valuation(rng, m, draw) for _ in range(n)),
+                            cost_model=random_cost_model(rng, kind, n, m, draw), m=m)
+            order = rng.sample(range(n), n)
+            declared = [random_valuation(rng, m, draw) if rng.random() < 0.4 else v
+                        for v in inst.valuations]
+            for decl in (None, declared):
+                assert sm_run(inst, order, decl) == naive_sm_run(inst, order, decl)
+            ties += optimal_mask_count(inst, order, declared) > 1
+            wide += any(max(map(abs, price)) >= INT64_HEADROOM for key, (price, _) in
+                        inst.step_memo.items() if len(key) == 2)
+    assert ties >= 5
+    assert wide >= 5 or kind not in ("table", "lifted", "max-item")
+
+
+@pytest.mark.parametrize("kind", SEPARABLE_KINDS + NONSEPARABLE_KINDS)
+def test_sm_keeps_each_price_vector_once_as_ints_over_one_denominator(kind):
+    rng = random.Random(f"sm-prices-{kind}")
+    for _ in range(10):
         n, m = rng.randint(1, 4), rng.randint(1, 3)
         inst = Instance(valuations=tuple(random_valuation(rng, m) for _ in range(n)),
                         cost_model=random_cost_model(rng, kind, n, m), m=m)
-        order = rng.sample(range(n), n)
-        declared = [random_valuation(rng, m) if rng.random() < 0.4 else v
-                    for v in inst.valuations]
-        for decl in (None, declared):
-            assert sm_run(inst, order, decl) == naive_sm_run(inst, order, decl)
-        ties += optimal_mask_count(inst, order, declared) > 1
-    assert ties >= 5
+        sm_run(inst, rng.sample(range(n), n))
+        prices = [entry for key, entry in inst.step_memo.items() if len(key) == 2]
+        assert len(prices) == n
+        for entry in prices:
+            assert type(entry) is tuple and len(entry) == 2
+            ints, denom = entry
+            assert type(ints) is list and len(ints) == 1 << m
+            assert all(type(p) is int for p in ints) and type(denom) is int and denom > 0
 
 
 @pytest.mark.parametrize("kind", SEPARABLE_KINDS)

@@ -8,8 +8,7 @@ from costshare import valuations
 from costshare.core import INT64_HEADROOM, SetFunction, as_rat
 from costshare.costs import decreasing_average_table
 from costshare.valuations import (ClassFlags, SymmetricSubmodularValuation, TableValuation,
-                                  as_table, check_class, classify_set_function,
-                                  draw_marginals)
+                                  check_class, classify_set_function, draw_marginals)
 
 from oracles import (BIG_PRIMES, naive_nondecreasing, naive_subadditive, naive_submodular,
                      naive_symmetric, naive_xos_symmetric)
@@ -269,7 +268,7 @@ def test_subadditivity_of_non_monotone_tables_checks_all_pairs(monkeypatch):
 
 def test_symmetric_variant_classified_as_expected():
     v = SymmetricSubmodularValuation((Fraction(2), Fraction(1), Fraction(1)))
-    flags = check_class(as_table(v))
+    flags = check_class(v)
     assert flags.nondecreasing
     assert flags.submodular
     assert flags.symmetric
