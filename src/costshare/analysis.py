@@ -18,8 +18,8 @@ from .core import (Allocation, Instance, Outcome, Rat, Trace, align_ints,
 # perfbench/test_perfbench.py reads costshare.analysis.alpha_min_bounded
 from .costs import AlphaReport, alpha_min_bounded  # noqa: F401
 from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
-                         incremental_costs, require_ascending, sm_classes, sm_order,
-                         sm_run, verify_final_set_structure, verify_p1, verify_p2)
+                         incremental_costs, require_ascending, sm_order, sm_run,
+                         sm_step, verify_final_set_structure, verify_p1, verify_p2)
 from .valuations import (SymmetricSubmodularValuation, TableValuation,
                          ValuationFn, as_rat)
 
@@ -233,26 +233,23 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
     the true valuations and compared exactly. Returns the first witness in
     that order, or None.
 
-    A coalition's profiles are ``product(*spaces)``: each member reports
-    from the misreport space, everyone else from ``[true valuation]``. Both
-    mechanisms turn them into classes, each an outcome with the first
-    profile in product order that reaches it. Gains depend only on the
-    outcome, so each class is judged once, and the coalition's first witness
-    is the smallest first profile among the witness classes.
+    Each mechanism runs once, truthfully, and turns a coalition's profiles
+    into classes, each an outcome with the first profile in product order
+    that reaches it. Gains depend only on the outcome, so each class is
+    judged once, and the coalition's first witness is the smallest first
+    profile among the witness classes.
 
-    - ``iacsm`` and ``iacsm-underquote`` run once, truthfully, then take
-      one ``mechanisms.iacsm_classes`` walk of the trie per coalition.
-    - ``sm`` runs once, truthfully, then takes one ``mechanisms.sm_classes``
-      walk along ``order`` per coalition, one ``sm_run`` per class. A
-      player's bundle and payment depend only on the players before it in
-      ``order``. The coalition member first in ``order`` faces truthful
-      players only, so its bundle, payment and gain are those of a lone
-      deviation with the same report, which the size-1 pass computed. A
-      larger coalition is a witness only if its lead member's report is a
-      lone witness, and the size-1 pass returns at the first of those. So an
-      ``sm`` search that gets past the size-1 pass stops there, for any
-      ``coalition_max`` >= 1, after one run per distinct lone step
-      ``(bundle, payment)`` of each player, and the truthful one.
+    - ``iacsm`` and ``iacsm-underquote`` take one
+      ``mechanisms.iacsm_classes`` walk of the trie per coalition, members
+      reporting from the misreport space and everyone else truthfully.
+    - Under ``sm`` a player's step depends only on the players before it in
+      ``order``, so a coalition's member first in ``order`` gains exactly
+      its lone gain with the same report. A larger coalition is a witness
+      only if that report is a lone witness, and the size-1 pass returns at
+      the first of those, so the search ends there. Each of player i's
+      reports is ``mechanisms.sm_step``-ped after the truthful bundles of
+      the players before it; each distinct mask is a class, with its first
+      report and one ``sm_run``.
     """
     truth_outcome, _ = _run_mechanism(mechanism, inst, order=order)
     true_vals = inst.valuations
@@ -272,14 +269,27 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
         return tuple(gains)
 
     space = list(misreport_space)
-    # sm: a larger coalition's lead member would need a lone witness (above)
+    if mechanism == "sm":
+        seq, truth = sm_order(inst, order), truth_outcome.allocation.bundles
+        # player i's prefix: the truthful bundles of the players before it
+        prefixes = {i: tuple(b if p in seq[:t] else 0 for p, b in enumerate(truth))
+                    for t, i in enumerate(seq)}
+
+        def lone_classes(i):
+            """Player i's lone deviations, one class per distinct step."""
+            firsts = {}
+            for k, v in enumerate(space):
+                firsts.setdefault(sm_step(inst, i, prefixes[i], v)[0], k)
+            return [(sm_run(inst, seq, true_vals[:i] + (space[k],) + true_vals[i + 1:]),
+                     (0,) * i + (k,) + (0,) * (inst.n - i - 1)) for k in firsts.values()]
+
     last = min(coalition_max, 1) if mechanism == "sm" else coalition_max
     for size in range(1, last + 1):
         for coalition in combinations(range(inst.n), size):
-            spaces = [space if i in coalition else [v] for i, v in enumerate(true_vals)]
             if mechanism == "sm":
-                classes = sm_classes(inst, spaces, order)
+                classes = lone_classes(*coalition)
             else:
+                spaces = [space if i in coalition else [v] for i, v in enumerate(true_vals)]
                 classes = iacsm_classes(inst, spaces,
                                         first_iteration_quote_scale=QUOTE_SCALES[mechanism])
             witness = min(((first, gains) for outcome, first in classes

@@ -12,13 +12,16 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from ..core import Instance, SeparableCosts, SetFunction, mask_of
+from ..core import (GroundSetTooLargeError, Instance, SeparableCosts, SetFunction, mask_of,
+                    require)
 from ..costs import (capped_reciprocal_cost, decreasing_average_table,
                      matching_cost, set_cover_cost, sqrt_max_cost,
                      symmetric_submodular_cost, vertex_cover_cost)
 from ..valuations import SymmetricSubmodularValuation, TableValuation, draw_marginals
 
 DEFAULT_GRID = "0,1/2,1,3/2,2,5/2,3,7/2,4"
+# the bound of a count that sizes no dense table; v = 512 lists 130,816 vertex pairs
+MAX_COUNT = 512
 
 
 class GenParamError(ValueError):
@@ -26,11 +29,12 @@ class GenParamError(ValueError):
 
 
 class _Params(dict):
-    """Generator parameters that remember every key a generator asks for."""
+    """Generator parameters that remember each key asked for and the first count too large."""
 
     def __init__(self, params):
         super().__init__(params)
         self.asked: set = set()
+        self.too_large: str | None = None
 
     def __contains__(self, key) -> bool:
         self.asked.add(key)
@@ -73,6 +77,24 @@ def _int_param(params: dict, key: str, default=None, least: int = 1) -> int:
     return val
 
 
+def _count(params: _Params, key: str, default=None, least: int = 1,
+           dense: bool = False) -> int:
+    """A generator's count, ``_int_param``. One past the ``dense`` limit, if
+    it sizes a dense table, or else past ``MAX_COUNT``, is kept in
+    ``too_large``; ``generate`` refuses it once every parameter is read."""
+    val = _int_param(params, key, default, least)
+    refusal = None
+    if dense:
+        try:
+            require("dense", val)
+        except GroundSetTooLargeError as exc:
+            refusal = f"parameter {key}: {exc}"
+    elif val > MAX_COUNT:
+        refusal = f"parameter {key}: must be at most {MAX_COUNT}, got {val}"
+    params.too_large = params.too_large or refusal
+    return val
+
+
 def _rat_param(params: dict, key: str, default=None) -> Fraction:
     text = _text(params, key, default)
     try:
@@ -101,8 +123,8 @@ def _single_item(cost_of, grid):
 
 
 def gen_random_symmetric(params: dict):
-    n = _int_param(params, "n")
-    m = _int_param(params, "m")
+    n = _count(params, "n", dense=True)
+    m = _count(params, "m", dense=True)
     vgrid = _grid(params, "vgrid")
     cgrid = _grid(params, "cgrid", default="0,1/2,1,3/2,2,3")
 
@@ -142,20 +164,20 @@ def _grow_graph(rng: random.Random, vertices: int, edges: int, degree_cap: int,
 def gen_vertex_cover(params: dict):
     vgrid = _grid(params, "vgrid")
     if _choice(params, "shape", ("random", "star")) == "star":
-        k = _int_param(params, "k", 3)
+        k = _count(params, "k", 3)
         return _single_item(lambda rng: vertex_cover_cost([(0, i + 1) for i in range(k)]), vgrid)
-    vertices = _int_param(params, "v", 6)
-    k = _int_param(params, "k", 3)
-    e = _int_param(params, "e", 6)
+    vertices = _count(params, "v", 6)
+    k = _count(params, "k", 3)
+    e = _count(params, "e", 6)
     return _single_item(lambda rng: vertex_cover_cost(
         _grow_graph(rng, vertices, e, k, bipartite=False)), vgrid)
 
 
 def gen_matching(params: dict):
     vgrid = _grid(params, "vgrid")
-    vertices = _int_param(params, "v", 6)
-    k = _int_param(params, "k", 3)
-    e = _int_param(params, "e", 6)
+    vertices = _count(params, "v", 6)
+    k = _count(params, "k", 3)
+    e = _count(params, "e", 6)
     bipartite = _choice(params, "shape", ("bipartite", "general")) == "bipartite"
     return _single_item(lambda rng: matching_cost(
         _grow_graph(rng, vertices, e, k, bipartite=bipartite)), vgrid)
@@ -163,9 +185,9 @@ def gen_matching(params: dict):
 
 def gen_set_cover(params: dict):
     vgrid = _grid(params, "vgrid")
-    n = _int_param(params, "n", 6)
-    sets = _int_param(params, "s", 5, least=0)
-    d = _int_param(params, "d", 3)
+    n = _count(params, "n", 6)
+    sets = _count(params, "s", 5, least=0)
+    d = _count(params, "d", 3)
 
     def cover(rng: random.Random) -> SetFunction:
         family = [mask_of(rng.sample(range(n), min(rng.randint(1, d), n))) for _ in range(sets)]
@@ -175,7 +197,7 @@ def gen_set_cover(params: dict):
 
 
 def gen_paper_tight(params: dict):
-    n = _int_param(params, "n", 3)
+    n = _count(params, "n", 3, dense=True)
     k = _rat_param(params, "k", 6)
     eps = _rat_param(params, "eps", "1/10")
     if eps <= 0 or eps >= k / n:
@@ -186,7 +208,7 @@ def gen_paper_tight(params: dict):
 
 
 def gen_paper_intersection(params: dict):
-    n = _int_param(params, "n", 4)
+    n = _count(params, "n", 4, dense=True)
     return _single_item(lambda rng: sqrt_max_cost(n), _grid(params, "vgrid"))
 
 
@@ -218,6 +240,8 @@ def generate(kind: str, params: dict, seed: int) -> Instance:
     if unused:
         raise GenParamError(f"{kind} does not use parameter {unused[0]!r}; "
                             f"it reads {', '.join(sorted(tracked.asked))}")
+    if tracked.too_large is not None:
+        raise GenParamError(tracked.too_large)
     try:
         return build(random.Random(seed))
     except GenParamError:

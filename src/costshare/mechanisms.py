@@ -4,19 +4,14 @@ iacsm_run: an iterative ascending mechanism. All players start tentatively
 assigned to every item at the item's average cost; each iteration finalizes
 the active player with the smallest optimal bundle and raises the quoted
 share of every item she withdrew from to the new (larger) average, keeping
-quoted shares trace-monotonic.
-
-iacsm_classes: every ``iacsm`` run in which each player reports from its
-own list of valuations, walked as one depth-first pass over the same trie
-instead of one run per profile. ``iacsm_run`` is the walk over one report
-per player, so the finalization rule is written once.
+quoted shares trace-monotonic. It is the one-report case of iacsm_classes,
+every run in which each player reports from its own list, walked as one
+depth-first pass over the trie, so the finalization rule is written once.
 
 sm_run: the sequential mechanism. Players are processed in a fixed order;
 each receives a utility-maximizing bundle at its incremental cost, which is
-also her payment, so total payments telescope to the allocation cost.
-
-sm_classes: every ``sm`` run in which each player reports from its own
-list, walked along the order once, with one branch per step class.
+also her payment, so total payments telescope to the allocation cost. Each
+step is one ``sm_step``.
 
 All of them read and fill the instance's ``step_memo``, so the profiles of
 a misreport search reuse the steps they share. A step is keyed on the state
@@ -87,11 +82,16 @@ def greedy_bundle(v: SymmetricSubmodularValuation, shares: Sequence[Rat]) -> int
     return mask_of(ranking[:_covered_ranks(v.marginals, ranked)])
 
 
+def _check_items(inst: Instance, v: ValuationFn) -> None:
+    if v.m != inst.m:
+        raise MechanismPreconditionError("declared valuation item count differs from m")
+
+
 def _check_profile(inst: Instance, length: int, reports: Sequence[ValuationFn]) -> None:
     if length != inst.n:
         raise MechanismPreconditionError("declared profile length differs from n")
-    if any(v.m != inst.m for v in reports):
-        raise MechanismPreconditionError("declared valuation item count differs from m")
+    for v in reports:
+        _check_items(inst, v)
 
 
 def require_ascending(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
@@ -344,67 +344,32 @@ def _sm_step(inst: Instance, i: int, bundles: Sequence[int],
     return best, Fraction(price[best], denom)
 
 
+def sm_step(inst: Instance, i: int, bundles: tuple[int, ...],
+            v: ValuationFn) -> tuple[int, Rat]:
+    """The step memo's ``(i, bundles, v)`` entry: player i's ``(mask,
+    payment)`` under report ``v`` after ``bundles``, those of the players
+    before i in the order and 0 for the rest. Refuses v unless over m items."""
+    _check_items(inst, v)
+    return _step(inst.step_memo, (i, bundles, v), partial(_sm_step, inst))
+
+
 def sm_run(inst: Instance, order: Sequence[int] | None = None,
            declared: Sequence[ValuationFn] | None = None) -> Outcome:
-    """Run the sequential mechanism in the given player order (default 0..n-1).
-
-    Each player receives a bundle maximizing declared value minus incremental
-    cost, ties going to the numerically smallest bundle mask, and pays exactly
-    that incremental cost.
-    """
+    """Run the sequential mechanism in ``order`` (default 0..n-1): each
+    player takes a bundle maximizing declared value minus incremental cost,
+    ties going to the numerically smallest mask, and pays that cost."""
     n, m = inst.n, inst.m
     require("dense", m)  # each step prices all 2^m bundles
     seq = sm_order(inst, order)
     decl = list(inst.valuations) if declared is None else list(declared)
     _check_profile(inst, len(decl), decl)
 
-    memo, step = inst.step_memo, partial(_sm_step, inst)
     bundles = [0] * n
     payments: list[Rat] = [Fraction(0)] * n
     for i in seq:
-        bundles[i], payments[i] = _step(memo, (i, tuple(bundles), decl[i]), step)
+        bundles[i], payments[i] = sm_step(inst, i, tuple(bundles), decl[i])
 
     return Outcome(Allocation(tuple(bundles), m), tuple(payments))
-
-
-def sm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
-               order: Sequence[int] | None = None
-               ) -> Iterator[tuple[Outcome, tuple[int, ...]]]:
-    """The ``sm`` outcomes, in ``order``, of every profile in which player i
-    reports from ``spaces[i]``.
-
-    A player's step, its ``(mask, payment)``, depends only on its report and
-    the bundles before it. The walk follows ``order`` depth-first; at each
-    player it groups the indices left to it by their step and branches once
-    per group. So the profiles that reach one leaf form a product S_1 x ...
-    x S_n of per-player index sets, and share one outcome. Yields
-    ``(outcome, first)`` once per leaf, with ``first`` = ``(min S_1, ...,
-    min S_n)``, the class's first profile in product order, and ``outcome``
-    the ``sm_run`` of it. Checks what ``sm_run`` checks of every profile in
-    the product, once, before the walk.
-    """
-    require("dense", inst.m)
-    seq = sm_order(inst, order)
-    spaces = list(spaces)
-    _check_profile(inst, len(spaces), [v for space in spaces for v in space])
-
-    memo, step = inst.step_memo, partial(_sm_step, inst)
-    # (players done in order, bundles so far, each player's index list)
-    stack = [(0, (0,) * inst.n, tuple(map(range, map(len, spaces))))]
-    while stack:
-        done, bundles, sets = stack.pop()
-        if done == len(seq):
-            first = tuple(map(min, sets))
-            yield sm_run(inst, seq, [space[k] for space, k in zip(spaces, first)]), first
-            continue
-        i = seq[done]
-        space, groups = spaces[i], {}
-        for k in sets[i]:
-            # the payment is the price of the mask after these bundles
-            groups.setdefault(_step(memo, (i, bundles, space[k]), step)[0], []).append(k)
-        for mask, ks in groups.items():
-            stack.append((done + 1, bundles[:i] + (mask,) + bundles[i + 1:],
-                          sets[:i] + (ks,) + sets[i + 1:]))
 
 
 def verify_p1(trace: Trace) -> bool:

@@ -22,7 +22,7 @@ from costshare.analysis import (DeviationWitness, check_icb_bound, evaluate_run,
                                 symmetric_marginal_space, table_space,
                                 wgsp_search)
 from costshare.mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
-                                  incremental_costs, sm_classes, sm_run)
+                                  incremental_costs, sm_run)
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 
 import oracles
@@ -417,13 +417,18 @@ def test_sm_step_ignores_later_declarations():
                 assert got.payments[player] == out.payments[player]
 
 
-@pytest.mark.parametrize("coalition_max", [2, 3])
-def test_wgsp_sm_search_without_lone_witness_runs_the_lone_pass_only(monkeypatch,
-                                                                     coalition_max):
-    """One sm_run for the truthful profile, then one per class of the size-1
-    pass: each player's distinct (bundle, payment) over its lone deviations,
-    as naive_sm_run computes them. Every run after the first is of a lone
-    deviation: one player's report swapped for one from the space."""
+def first_mover_ties(inst, i, v):
+    """How many masks tie for player i's best utility under report ``v``
+    when i goes first."""
+    utils = [v.value(mask) - allocation_cost(
+        inst, Allocation(tuple(mask if p == i else 0 for p in range(inst.n)), inst.m))
+        for mask in range(1 << inst.m)]
+    return utils.count(max(utils))
+
+
+def counting_sm_runs(monkeypatch):
+    """The declared profile of every sm_run call from here on, None for a
+    truthful run."""
     calls = []
 
     def counting_sm_run(inst, order=None, declared=None):
@@ -432,24 +437,68 @@ def test_wgsp_sm_search_without_lone_witness_runs_the_lone_pass_only(monkeypatch
 
     monkeypatch.setattr(analysis, "sm_run", counting_sm_run)
     monkeypatch.setattr(mechanisms, "sm_run", counting_sm_run)
+    return calls
+
+
+@pytest.mark.parametrize("coalition_max", [2, 3])
+def test_wgsp_sm_search_without_lone_witness_runs_the_lone_pass_only(monkeypatch,
+                                                                     coalition_max):
+    """One sm_run for the truthful profile, then one per class of the size-1
+    pass: each player's distinct (bundle, payment) over its lone deviations,
+    as naive_sm_run computes them. Every run after the first is of a lone
+    deviation, one player's report swapped for the first report in space
+    order with that lone step. Some classes tie masks for the player first
+    in the order."""
+    calls = counting_sm_runs(monkeypatch)
     rng = random.Random("sm-lone-pass")
-    for inst in list(search_instances(rng))[::4]:
+    ties = 0
+    for inst in search_instances(rng):
         order = rng.sample(range(inst.n), inst.n)
         truth = inst.valuations
         for space in (symmetric_marginal_space(inst.m, [0, F(1, 2), 2, 4]),
                       table_space(inst.m, [0, 2])):
-            lone_steps = set()
+            # (player, bundle, payment) -> the first report in space order
+            lone_steps = {}
             for i in range(inst.n):
-                for v in space:
+                for k, v in enumerate(space):
                     out = naive_sm_run(inst, order, truth[:i] + (v,) + truth[i + 1:])
-                    lone_steps.add((i, out.allocation.bundles[i], out.payments[i]))
+                    lone_steps.setdefault((i, out.allocation.bundles[i], out.payments[i]), k)
             calls.clear()
             assert wgsp_search(inst, "sm", coalition_max, space, order=order) is None
             assert len(calls) == 1 + len(lone_steps)
             assert calls[0] is None
+            runs = set()
             for declared in calls[1:]:
                 [swapped] = [i for i in range(inst.n) if declared[i] is not truth[i]]
-                assert any(declared[swapped] is v for v in space)
+                [k] = [k for k, v in enumerate(space) if declared[swapped] is v]
+                out = naive_sm_run(inst, order, declared)
+                step = (swapped, out.allocation.bundles[swapped], out.payments[swapped])
+                assert lone_steps[step] == k
+                runs.add(step)
+            assert runs == lone_steps.keys()
+            ties += sum(first_mover_ties(inst, i, space[k]) > 1
+                        for (i, _, _), k in lone_steps.items() if i == order[0])
+    assert ties >= 15
+
+
+def test_wgsp_sm_search_checks_every_report_before_any_class(monkeypatch):
+    """A report over m + 1 items fails the search with sm_run's message
+    before any class runs, even as the last report of the space."""
+    calls = counting_sm_runs(monkeypatch)
+    inst = next(search_instances(random.Random("sm-classes-checks")))
+    space = symmetric_marginal_space(inst.m, [0, 1, 2])
+    assert wgsp_search(inst, "sm", 2, []) is None
+    assert calls == [None]
+    wide = sym(*[1] * (inst.m + 1))
+    with pytest.raises(MechanismPreconditionError, match="item count") as run_error:
+        sm_run(inst, None, (wide,) + inst.valuations[1:])
+    calls.clear()
+    with pytest.raises(MechanismPreconditionError) as search_error:
+        wgsp_search(inst, "sm", 2, space + [wide])
+    assert str(search_error.value) == str(run_error.value)
+    assert calls == [None]
+    with pytest.raises(MechanismPreconditionError, match="permutation"):
+        wgsp_search(inst, "sm", 2, space, order=[0] * inst.n)
 
 
 def test_wgsp_sm_search_prices_each_prefix_once(monkeypatch):
@@ -669,55 +718,6 @@ def test_iacsm_on_the_int_quote_scale_is_naive_iacsm_run(scale):
         assert ({id(outcome): (outcome, first) for outcome, first in classes}
                 == first_reach_of_product(inst, spaces, scale))
     assert past_int64 == 6
-
-
-def first_mover_ties(inst, i, v):
-    """How many masks tie for player i's best utility under report ``v``
-    when i goes first."""
-    utils = [v.value(mask) - allocation_cost(
-        inst, Allocation(tuple(mask if p == i else 0 for p in range(inst.n)), inst.m))
-        for mask in range(1 << inst.m)]
-    return utils.count(max(utils))
-
-
-def test_sm_classes_are_the_naive_sm_run_outcomes_of_the_product():
-    """The classes are the product's distinct naive_sm_run outcomes, each
-    once, with the least profile in product order that reaches it; a class's
-    outcome fixes every step, so equal outcomes are one class. Coalitions of
-    size 1-3 report from symmetric and table spaces; some steps tie masks."""
-    rng = random.Random("sm-classes")
-    ties = 0
-    for inst in list(search_instances(rng))[::2]:
-        order = rng.sample(range(inst.n), inst.n)
-        for space in (symmetric_marginal_space(inst.m, [0, 1, 2]),
-                      table_space(inst.m, [0, 2])):
-            for size in (1, 2, 3):
-                for coalition in combinations(range(inst.n), size):
-                    spaces = [space if i in coalition else [v]
-                              for i, v in enumerate(inst.valuations)]
-                    classes = list(sm_classes(inst, spaces, order))
-                    first_reach = {}
-                    for first in product(*(range(len(s)) for s in spaces)):
-                        declared = [s[k] for s, k in zip(spaces, first)]
-                        first_reach.setdefault(naive_sm_run(inst, order, declared), first)
-                    assert len(classes) == len(first_reach)
-                    assert dict(classes) == first_reach
-                    lead = order[0]
-                    ties += sum(first_mover_ties(inst, lead, spaces[lead][first[lead]]) > 1
-                                for _, first in classes)
-    assert ties >= 20
-
-
-def test_sm_classes_check_every_report_before_the_walk():
-    inst = next(search_instances(random.Random("sm-classes-checks")))
-    space = symmetric_marginal_space(inst.m, [0, 1, 2])
-    assert list(sm_classes(inst, [[]] + [space] * (inst.n - 1))) == []
-    with pytest.raises(MechanismPreconditionError, match="profile length"):
-        list(sm_classes(inst, [space] * (inst.n + 1)))
-    with pytest.raises(MechanismPreconditionError, match="item count"):
-        list(sm_classes(inst, [space + [sym(*[1] * (inst.m + 1))]] * inst.n))
-    with pytest.raises(MechanismPreconditionError, match="permutation"):
-        list(sm_classes(inst, [space] * inst.n, [0] * inst.n))
 
 
 def test_wgsp_iacsm_search_runs_iacsm_once(monkeypatch):

@@ -351,6 +351,48 @@ def test_gen_accepts_every_bundled_param_set():
         generate(kind, params, 0)
 
 
+HUGE = str(10 ** 11)
+
+
+def too_large(key, val, dense=False):
+    bound = ("dense tables limited to ground_size <= 20" if dense
+             else f"must be at most {gen_module.MAX_COUNT}")
+    return f"parameter {key}: {bound}, got {val}"
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("random-symmetric", {"n": HUGE, "m": "1"}, too_large("n", HUGE, dense=True)),
+    ("random-symmetric", {"n": "1", "m": HUGE}, too_large("m", HUGE, dense=True)),
+    ("vertex-cover", {"v": HUGE, "e": "3"}, too_large("v", HUGE)),
+    ("matching", {"v": HUGE, "e": "2"}, too_large("v", HUGE)),
+    ("set-cover", {"n": HUGE}, too_large("n", HUGE)),
+    # every vertex pair is listed before the edges are drawn
+    ("vertex-cover", {"v": "30000", "e": "3"}, too_large("v", 30000)),
+], ids=["random-symmetric-n", "random-symmetric-m", "vertex-cover-v", "matching-v",
+        "set-cover-n", "vertex-cover-v-pairs"])
+def test_cli_gen_refuses_a_huge_count_before_any_build(kind, params, message):
+    # in a child process capped at 1.5 GB: each of these was a MemoryError
+    # traceback under that cap, and uncapped grows until memory runs out
+    argv = [arg for key, val in params.items() for arg in ("--param", f"{key}={val}")]
+    res = run_cli("gen", kind, *argv, address_space=3 << 29)
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+    assert res.stderr.strip() == f"error: {message}"
+    assert res.stdout == ""
+
+
+def test_gen_accepts_each_count_at_its_bound():
+    top = str(gen_module.MAX_COUNT)
+    for kind, params in [("random-symmetric", {"n": "20", "m": "1"}),
+                         ("random-symmetric", {"n": "1", "m": "20"}),
+                         ("vertex-cover", {"v": top, "k": top, "e": top}),
+                         ("vertex-cover", {"shape": "star", "k": top}),
+                         ("matching", {"v": top, "k": top, "e": top}),
+                         ("set-cover", {"n": top, "s": top, "d": top})]:
+        generate(kind, params, 0)
+    with pytest.raises(GenParamError, match=too_large("e", 513)):
+        generate("matching", {"e": "513"}, 0)
+
+
 # --- CLI subcommands --------------------------------------------------------------
 
 def test_cli_run_corollary_instance():

@@ -236,6 +236,28 @@ def test_final_set_structure_cases():
     assert verify_final_set_structure(out, trace)
 
 
+def final_set_run():
+    """Player 2 withdraws first; players 0 and 1 then share the item."""
+    inst = separable_instance([sym(9), sym(9), sym(1)], [[0] + [4] * 7])
+    out, trace = iacsm_run(inst)
+    assert (trace.order, trace.bundle_history) == ((2, 0, 1), (0, 1, 1))
+    assert out.allocation.served() == (0b011,)
+    assert verify_final_set_structure(out, trace)
+    return out, trace
+
+
+def test_final_set_structure_negative_control_item_in_no_bundle():
+    # the item is served, but no finalized bundle holds it
+    out, trace = final_set_run()
+    assert not verify_final_set_structure(out, replace(trace, bundle_history=(0, 0, 0)))
+
+
+def test_final_set_structure_negative_control_not_a_suffix():
+    # the item enters at the second finalization, whose suffix is {2, 1}, not {0, 1}
+    out, trace = final_set_run()
+    assert not verify_final_set_structure(out, replace(trace, order=(0, 2, 1)))
+
+
 # --- sequential mechanism ----------------------------------------------------
 
 def test_sm_zero_costs_everybody_maximizes():
