@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (Allocation, Instance, Outcome, Rat, Trace, align_ints,
-                   allocation_cost, harmonic, require)
+                   allocation_cost, harmonic, over_lcm, require)
 # perfbench/test_perfbench.py reads costshare.analysis.alpha_min_bounded
 from .costs import AlphaReport, alpha_min_bounded  # noqa: F401
 from .mechanisms import (MechanismPreconditionError, iacsm_classes, iacsm_run,
@@ -234,14 +234,20 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
     that order, or None.
 
     Each mechanism runs once, truthfully, and turns a coalition's profiles
-    into classes, each an outcome with the first profile in product order
-    that reaches it. Gains depend only on the outcome, so each class is
-    judged once, and the coalition's first witness is the smallest first
-    profile among the witness classes.
+    into classes, each a run with the first profile in product order that
+    reaches it. Gains depend only on the run's bundles and payments, so each
+    class is judged once, and the coalition's first witness is the smallest
+    first profile among the witness classes.
 
     - ``iacsm`` and ``iacsm-underquote`` take one
       ``mechanisms.iacsm_classes`` walk of the trie per coalition, members
-      reporting from the misreport space and everyone else truthfully.
+      reporting from the misreport space and everyone else truthfully. A
+      leaf's payments are ints over the walk's unit K, as are the truthful
+      leaf's, and a member's true levels are ints a over one denominator
+      dv, so its gain times K * dv is an int: (a[|b|] - a[|b0|]) * K -
+      (pay - pay0) * dv. Every class is judged on those ints; a class whose
+      first is not below the best witness so far is skipped, and only the
+      returned witness's gains become Fractions.
     - Under ``sm`` a player's step depends only on the players before it in
       ``order``, so a coalition's member first in ``order`` gains exactly
       its lone gain with the same report. A larger coalition is a witness
@@ -249,28 +255,27 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
       the first of those, so the search ends there. Each of player i's
       reports is ``mechanisms.sm_step``-ped after the truthful bundles of
       the players before it; each distinct mask is a class, with its first
-      report and one ``sm_run``.
+      report and one ``sm_run``, judged on its Outcome.
     """
     truth_outcome, _ = _run_mechanism(mechanism, inst, order=order)
-    true_vals = inst.valuations
-    base_util = [v.value(b) - p for v, b, p in
-                 zip(true_vals, truth_outcome.allocation.bundles,
-                     truth_outcome.payments)]
-
-    def gains_of(coalition, outcome) -> tuple[Rat, ...] | None:
-        """Every member's gain, or None if one of them gains nothing."""
-        gains = []
-        for member in coalition:
-            gain = (true_vals[member].value(outcome.allocation.bundles[member])
-                    - outcome.payments[member] - base_util[member])
-            if gain <= 0:
-                return None
-            gains.append(gain)
-        return tuple(gains)
-
+    n, true_vals = inst.n, inst.valuations
     space = list(misreport_space)
     if mechanism == "sm":
         seq, truth = sm_order(inst, order), truth_outcome.allocation.bundles
+        base_util = [v.value(b) - p for v, b, p in
+                     zip(true_vals, truth, truth_outcome.payments)]
+
+        def gains_of(coalition, outcome) -> tuple[Rat, ...] | None:
+            """Every member's gain, or None if one of them gains nothing."""
+            gains = []
+            for member in coalition:
+                gain = (true_vals[member].value(outcome.allocation.bundles[member])
+                        - outcome.payments[member] - base_util[member])
+                if gain <= 0:
+                    return None
+                gains.append(gain)
+            return tuple(gains)
+
         # player i's prefix: the truthful bundles of the players before it
         prefixes = {i: tuple(b if p in seq[:t] else 0 for p, b in enumerate(truth))
                     for t, i in enumerate(seq)}
@@ -281,20 +286,50 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
             for k, v in enumerate(space):
                 firsts.setdefault(sm_step(inst, i, prefixes[i], v)[0], k)
             return [(sm_run(inst, seq, true_vals[:i] + (space[k],) + true_vals[i + 1:]),
-                     (0,) * i + (k,) + (0,) * (inst.n - i - 1)) for k in firsts.values()]
+                     (0,) * i + (k,) + (0,) * (n - i - 1)) for k in firsts.values()]
+
+        def witness_of(coalition):
+            """The coalition's witness class with the smallest first."""
+            return min(((first, gains) for outcome, first in lone_classes(*coalition)
+                        if (gains := gains_of(coalition, outcome)) is not None),
+                       key=itemgetter(0), default=None)
+    else:
+        scale = QUOTE_SCALES[mechanism]
+        [(truth, _)] = iacsm_classes(inst, [[v] for v in true_vals],
+                                     first_iteration_quote_scale=scale)
+        unit = truth.unit
+        levels = [over_lcm(v.levels) for v in true_vals]
+        dvs = [dv for _, dv in levels]
+        # each player's levels times K, and its truthful utility times K * dv
+        worth = [[x * unit for x in a] for a, _ in levels]
+        base = [w[b.bit_count()] - p * dv for w, dv, b, p in
+                zip(worth, dvs, *truth.final(n))]
+
+        def witness_of(coalition):
+            """The coalition's witness class with the smallest first."""
+            spaces = [space if i in coalition else [v] for i, v in enumerate(true_vals)]
+            best = None
+            for leaf, first in iacsm_classes(inst, spaces, first_iteration_quote_scale=scale):
+                if best is not None and first >= best[0]:
+                    continue
+                bundles, pays = leaf.final(n)
+                gains = []
+                for i in coalition:
+                    gain = worth[i][bundles[i].bit_count()] - pays[i] * dvs[i] - base[i]
+                    if gain <= 0:
+                        break
+                    gains.append(gain)
+                else:
+                    best = first, gains
+            if best is None:
+                return None
+            first, gains = best
+            return first, tuple(Fraction(g, unit * dvs[i]) for i, g in zip(coalition, gains))
 
     last = min(coalition_max, 1) if mechanism == "sm" else coalition_max
     for size in range(1, last + 1):
-        for coalition in combinations(range(inst.n), size):
-            if mechanism == "sm":
-                classes = lone_classes(*coalition)
-            else:
-                spaces = [space if i in coalition else [v] for i, v in enumerate(true_vals)]
-                classes = iacsm_classes(inst, spaces,
-                                        first_iteration_quote_scale=QUOTE_SCALES[mechanism])
-            witness = min(((first, gains) for outcome, first in classes
-                           if (gains := gains_of(coalition, outcome)) is not None),
-                          key=itemgetter(0), default=None)
+        for coalition in combinations(range(n), size):
+            witness = witness_of(coalition)
             if witness is not None:
                 first, gains = witness
                 return DeviationWitness(coalition, tuple(space[first[i]] for i in coalition),

@@ -196,11 +196,12 @@ def gen_set_cover(params: dict):
     return _single_item(cover, vgrid)
 
 
-def gen_paper_tight(params: dict):
+def gen_paper_tight(params: _Params):
     n = _count(params, "n", 3, dense=True)
     k = _rat_param(params, "k", 6)
     eps = _rat_param(params, "eps", "1/10")
-    if eps <= 0 or eps >= k / n:
+    # a refused n is named first: the bound on eps is read from it
+    if params.too_large is None and (eps <= 0 or eps >= k / n):
         raise GenParamError("eps must satisfy 0 < eps < k/n")
     return lambda rng: Instance(
         valuations=tuple(SymmetricSubmodularValuation((k / (i + 1) - eps,)) for i in range(n)),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import inf, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -126,11 +127,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@cache
 def popcounts(n: int) -> np.ndarray:
-    """|T| for every subset T of an n-element ground set, in mask order."""
+    """|T| for every subset T of an n-element ground set, in mask order:
+    one read-only array per n, built once (8 MB at the dense limit)."""
     sizes = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
         sizes[1 << i:2 << i] = sizes[:1 << i] + 1
+    sizes.setflags(write=False)
     return sizes
 
 
@@ -162,13 +166,22 @@ def bundle_shifts(n: int, m: int) -> list[int]:
     return [m * (n - 1 - i) for i in range(n)]
 
 
+def _check_values(ints: Sequence[int]) -> None:
+    """Refuse a dense table with a negative value, then one with f(empty) != 0."""
+    if min(ints) < 0:
+        raise ValueError("set function values must be non-negative")
+    if ints[0] != 0:
+        raise ValueError("set functions must satisfy f(empty) = 0")
+
+
 class SetFunction:
     """A map from subsets of a ground set to non-negative exact rationals
-    with f(empty) = 0, which ``from_ints`` and ``from_oracle`` enforce.
+    with f(empty) = 0, which ``from_ints``, ``from_levels`` and
+    ``from_oracle`` enforce.
 
     A dense table (ground_size <= 20) is its int table alone: ``from_ints``
-    holds ``(ints, denom)``, and ``from_table`` and ``from_levels`` end in
-    it. Otherwise it is a memoizing oracle with a cache cap: a callback, or
+    holds ``(ints, denom)``, ``from_table`` ends in it, and ``from_levels``
+    holds its gather of the levels. Otherwise it is a memoizing oracle with a cache cap: a callback, or
     a subset recurrence. An oracle checks and caches each value it computes
     through ``_store``, once. An oracle may also carry a fill that computes
     all 2^n values at once as ``(ints, denom)``, such as a recurrence's
@@ -210,12 +223,15 @@ class SetFunction:
     @classmethod
     def from_levels(cls, n: int, levels: Sequence) -> "SetFunction":
         """The dense table f(T) = levels[|T|] over an n-element ground set,
-        reading only levels[0..n]; the gather by set size is Python's, which
-        beats numpy's object arrays at the sizes in use (n <= 10)."""
+        reading only levels[0..n]: the levels over one denominator, checked
+        as ``from_ints`` checks a table, are ``exact_ints`` of reach their
+        largest, and the table is their gather by set size."""
         require("dense", n)
         ints, denom = over_lcm(levels[k] for k in range(n + 1))
-        obj = cls.from_ints([ints[mask.bit_count()] for mask in range(1 << n)], denom)
-        obj._levels = exact_ints(ints, max(ints)),
+        _check_values(ints)
+        level = exact_ints(ints, max(ints))
+        obj = cls(n, None)
+        obj._ints, obj._levels = (level[popcounts(n)], denom), (level,)
         return obj
 
     @classmethod
@@ -231,10 +247,7 @@ class SetFunction:
             raise ValueError("table length must be a power of two")
         ground = size.bit_length() - 1
         require("dense", ground)
-        if min(ints) < 0:
-            raise ValueError("set function values must be non-negative")
-        if ints[0] != 0:
-            raise ValueError("set functions must satisfy f(empty) = 0")
+        _check_values(ints)
         obj = cls(ground, None)
         obj._ints = exact_ints(ints, max(ints)), denom
         return obj

@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Allocation, AllocationCostFn, Rat, SeparableCosts, SetFunction,
-                   align_ints, as_rat, bits, bundle_shifts, exact_ints, popcounts,
-                   require, subset_sums)
+                   align_ints, as_rat, bits, bundle_shifts, exact_ints, over_lcm,
+                   popcounts, require, subset_sums)
 from .valuations import submodular_levels
 
 # cells (allocation, player subset) the bounded-ratio scan holds at once:
@@ -390,6 +390,15 @@ def two_tier_step_cost(n: int) -> SetFunction:
     return SetFunction.from_levels(n, [0, 1, 1] + [3] * (n - 2))
 
 
+def _folded_cost(values: Sequence[Rat], op) -> SetFunction:
+    """The dense table of ``op`` (add or max) folded over each subset of
+    ``values`` (``core.subset_sums``), on ints over their least common
+    denominator: each value is a singleton's entry, and each entry is a sum
+    of values or one of them, so that denominator is the table's own."""
+    ints, denom = over_lcm(values)
+    return SetFunction.from_ints(subset_sums(ints, op), denom)
+
+
 def capped_reciprocal_cost(n: int, k) -> SetFunction:
     """Standalone cost k/(i+1) for player i, capped at k for larger sets.
 
@@ -397,8 +406,10 @@ def capped_reciprocal_cost(n: int, k) -> SetFunction:
     mechanism's harmonic approximation factor.
     """
     cap = _non_negative(k, "cap")
-    sums = subset_sums([cap / (i + 1) for i in range(n)], add)
-    return table_cost([min(cap, v) for v in sums])
+    ints, denom = over_lcm(cap / (i + 1) for i in range(n))
+    # the cap over denom, exact when n >= 1, as cap / 1 is a standalone cost
+    top = cap.numerator * denom // cap.denominator
+    return SetFunction.from_ints([min(top, v) for v in subset_sums(ints, add)], denom)
 
 
 def sqrt_player_index(i: int) -> Rat:
@@ -413,7 +424,7 @@ def sqrt_max_cost(n: int) -> SetFunction:
     Escapes both the average-decreasing and the average-min-bounded classes
     for any fixed parameter as n grows. Values are rationalized square roots.
     """
-    return table_cost(subset_sums([sqrt_player_index(i) for i in range(n)], max))
+    return _folded_cost([sqrt_player_index(i) for i in range(n)], max)
 
 
 def public_good_cost(n: int, price) -> SetFunction:
@@ -422,7 +433,7 @@ def public_good_cost(n: int, price) -> SetFunction:
 
 
 def additive_cost(weights: Sequence) -> SetFunction:
-    return table_cost(subset_sums([_non_negative(w, "weight") for w in weights], add))
+    return _folded_cost([_non_negative(w, "weight") for w in weights], add)
 
 
 def symmetric_submodular_cost(n: int, marginals: Sequence) -> SetFunction:

@@ -7,6 +7,8 @@ share of every item she withdrew from to the new (larger) average, keeping
 quoted shares trace-monotonic. It is the one-report case of iacsm_classes,
 every run in which each player reports from its own list, walked as one
 depth-first pass over the trie, so the finalization rule is written once.
+Its leaves hold their bundles and payments as ints over the walk's unit, so
+a misreport search judges a class on ints; an Outcome is built when asked.
 
 sm_run: the sequential mechanism. Players are processed in a fixed order;
 each receives a utility-maximizing bundle at its incremental cost, which is
@@ -23,8 +25,9 @@ a wrong one):
   and ``(player, bundles so far) -> (ints, denom)``, the player's price
   vector as ints over one denominator (``incremental_costs``).
 - iacsm: a trie of iteration states. ``(quote scale,) -> root`` and
-  ``(node, player, size) -> child``; a leaf keeps its Outcome, and
-  ``iacsm_run`` builds the Trace from the leaf's path when it returns one.
+  ``(node, player, size) -> child``; a leaf keeps its int payments and its
+  Outcome once built, and ``iacsm_run`` builds the Trace from the leaf's
+  path when it returns one.
   Shares are ints on one unit per instance and scale (``_quote_items``).
 Every precondition is checked on every call, before any lookup.
 """
@@ -140,13 +143,13 @@ class _IacsmNode:
     is the finalization that led here."""
 
     __slots__ = ("parent", "player", "bundle", "shares", "tentative", "unit",
-                 "ranking", "ranked", "result")
+                 "ranking", "ranked", "settled", "result")
 
     def __init__(self, parent, player, bundle, shares, tentative, unit, quoted=None):
         self.parent, self.player, self.bundle = parent, player, bundle
         self.shares, self.tentative, self.unit = shares, tentative, unit
         self.ranking, self.ranked = _rank(shares if quoted is None else quoted)
-        self.result = None
+        self.settled = self.result = None
 
     def child(self, items, player: int, size: int) -> "_IacsmNode":
         """Finalize ``player`` with the first ``size`` ranked items; every
@@ -163,17 +166,27 @@ class _IacsmNode:
                                     ints.item(remaining) * per_size[remaining.bit_count()])
         return _IacsmNode(self, player, bundle, shares, tentative, self.unit)
 
-    def outcome(self, n: int, m: int) -> Outcome:
-        """The Outcome of the run that ends at this leaf, built once."""
-        if self.result is None:
-            final_bundles = [0] * n
+    def final(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The final bundles of the run that ends at this leaf, and each
+        player's payment, the quoted shares of its bundle, as an int over
+        ``unit``; built once."""
+        if self.settled is None:
+            bundles = [0] * n
             node = self
             while node.parent is not None:
-                final_bundles[node.player] = node.bundle
+                bundles[node.player] = node.bundle
                 node = node.parent
-            payments = tuple(Fraction(sum(self.shares[j] for j in bits(b)), self.unit)
-                             for b in final_bundles)
-            self.result = Outcome(Allocation(tuple(final_bundles), m), payments)
+            self.settled = tuple(bundles), tuple(sum(self.shares[j] for j in bits(b))
+                                                 for b in bundles)
+        return self.settled
+
+    def outcome(self, n: int, m: int) -> Outcome:
+        """The Outcome of the run that ends at this leaf, ``final`` in
+        Fractions, built once."""
+        if self.result is None:
+            bundles, pays = self.final(n)
+            self.result = Outcome(Allocation(bundles, m),
+                                  tuple(Fraction(p, self.unit) for p in pays))
         return self.result
 
     def trace(self, m: int) -> Trace:
@@ -208,15 +221,20 @@ def _quote_items(inst: Instance, scale: Rat) -> tuple[int, list]:
                   for ints, d in tables]
 
 
-def _iacsm_leaves(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
-                  scale: Rat) -> Iterator[tuple[_IacsmNode, tuple[int, ...]]]:
-    """Every trie leaf some profile of ``product(*spaces)`` reaches, once,
-    with the first such profile in product order.
+def iacsm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]], *,
+                  first_iteration_quote_scale: Rat = Fraction(1)
+                  ) -> Iterator[tuple[_IacsmNode, tuple[int, ...]]]:
+    """The ``iacsm`` runs of every profile in which player i reports from
+    ``spaces[i]``: every trie leaf some profile of ``product(*spaces)``
+    reaches, once, with ``first``, one index per player, the first such
+    profile in product order. A leaf's ``final(n)`` holds its bundles and
+    int payments, and ``outcome(n, m)`` the Outcome object ``iacsm_run``
+    returns for every profile that reaches it.
 
-    Player i reports from ``spaces[i]``. A report reaches a leaf only through
-    its covered count at each node where its player is still active, so the
-    profiles that reach one leaf form a product S_1 x ... x S_n of per-player
-    index sets; the leaf comes with ``(min S_1, ..., min S_n)``.
+    A report reaches a leaf only through its covered count at each node
+    where its player is still active, so the profiles that reach one leaf
+    form a product S_1 x ... x S_n of per-player index sets; the leaf comes
+    with ``(min S_1, ..., min S_n)``.
 
     The walk runs depth-first from the scale's root. At each node it groups
     each active player's indices by covered count and branches once per
@@ -225,13 +243,13 @@ def _iacsm_leaves(inst: Instance, spaces: Sequence[Sequence[ValuationFn]],
     The player then keeps the indices with count ``size``, and every other
     active player those whose ``(count, q)`` lies above it. A player with
     an empty space reaches no leaf. Every report is checked before the walk
-    starts.
+    starts, as ``iacsm_run`` checks each profile.
 
     Shares are ints over the unit K of ``_quote_items``, and each marginal
     d is floor(d * K) once per walk: for an int s, d >= s / K exactly when
     floor(d * K) >= s, so ``_covered_ranks`` compares ints.
     """
-    spaces = list(spaces)
+    spaces, scale = list(spaces), first_iteration_quote_scale
     require_ascending(inst, spaces, scale)
 
     n, m = inst.n, inst.m
@@ -290,25 +308,9 @@ def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,
     one-report spaces.
     """
     decl = inst.valuations if declared is None else declared
-    [(leaf, _)] = _iacsm_leaves(inst, [[v] for v in decl], first_iteration_quote_scale)
+    [(leaf, _)] = iacsm_classes(inst, [[v] for v in decl],
+                                first_iteration_quote_scale=first_iteration_quote_scale)
     return leaf.outcome(inst.n, inst.m), leaf.trace(inst.m)
-
-
-def iacsm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]], *,
-                  first_iteration_quote_scale: Rat = Fraction(1)
-                  ) -> Iterator[tuple[Outcome, tuple[int, ...]]]:
-    """The ``iacsm`` outcomes of every profile in which player i reports
-    from ``spaces[i]``.
-
-    Yields ``(outcome, first)`` once per class of profiles that reach one
-    trie leaf, with the same ``Outcome`` object ``iacsm_run`` returns for any
-    profile in it, and ``first``, one index per player, the class's first
-    profile in product order. Checks what ``iacsm_run`` checks of every
-    profile in the product, once, before the walk.
-    """
-    n, m = inst.n, inst.m
-    for leaf, first in _iacsm_leaves(inst, spaces, first_iteration_quote_scale):
-        yield leaf.outcome(n, m), first
 
 
 def incremental_costs(inst: Instance, bundles: Sequence[int],

@@ -45,6 +45,20 @@ def exhaustive_optimal_bundle(valuation, shares):
     return expected
 
 
+def naive_folded_table(values, op, cap=None):
+    """Every subset's ``op`` (add or max) over the Fraction values of its
+    members, 0 for the empty set, then the lesser of it and ``cap`` when one
+    is given, in mask order."""
+    out = []
+    for mask in range(1 << len(values)):
+        members = [values[i] for i in bits_of(mask)]
+        total = Fraction(0)
+        for v in members:
+            total = op(total, v)
+        out.append(total if cap is None else min(cap, total))
+    return out
+
+
 def naive_sm_run(inst, order=None, declared=None):
     """Sequential mechanism straight from its definition: in order, each
     player takes the first mask in numeric order with the strictly largest

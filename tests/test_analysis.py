@@ -537,14 +537,33 @@ def shared_outcome_run(truth, deviation, quorum):
     return run
 
 
-def singleton_classes(run, scale):
+class OutcomeLeaf:
+    """A stand-in for an iacsm trie leaf whose run ends in ``result``, with
+    its payments as ints over ``unit``."""
+
+    def __init__(self, result, unit):
+        self.result, self.unit = result, unit
+
+    def final(self, n):
+        return (self.result.allocation.bundles,
+                tuple(int(p * self.unit) for p in self.result.payments))
+
+    def outcome(self, n, m):
+        return self.result
+
+
+def singleton_classes(run, scale, unit=6):
     """A stand-in for iacsm_classes over a stand-in run: every profile is a
-    class of its own, and the classes come in reverse product order."""
+    class of its own, and the classes come in reverse product order, each
+    the one leaf of its Outcome object, with payments over ``unit``."""
+    leaves = {}
+
     def classes(inst, spaces, *, first_iteration_quote_scale):
         assert first_iteration_quote_scale == scale
         for first in reversed(list(product(*(range(len(s)) for s in spaces)))):
             declared = [s[k] for s, k in zip(spaces, first)]
-            yield run(inst, declared, first_iteration_quote_scale)[0], first
+            outcome = run(inst, declared, first_iteration_quote_scale)[0]
+            yield leaves.setdefault(id(outcome), OutcomeLeaf(outcome, unit)), first
     return classes
 
 
@@ -554,8 +573,8 @@ def test_wgsp_first_witness_of_a_coalition_with_shared_outcomes(monkeypatch,
                                                                 mechanism, size):
     """The deviation outcome serves every player but 0 at price 1, which gains
     for all of them but not for player 0. Earlier coalitions that hold player
-    0 reach the same Outcome object and are not witnesses, so the first
-    witness is players 1..size, each with the first high report. Within that
+    0 reach the leaf of the same Outcome object and are not witnesses, so the
+    first witness is players 1..size, each with the first high report. Within that
     coalition every profile of high reports is a witness class, and the
     classes arrive last profile first, so the search must pick the smallest."""
     n = size + 1
@@ -576,6 +595,84 @@ def test_wgsp_first_witness_of_a_coalition_with_shared_outcomes(monkeypatch,
         assert all(mis is space[2] for mis in got.misreports)
         assert got.gains == (F(1),) * size
         assert all(type(g) is F for g in got.gains)
+
+
+def lone_gains(inst, mechanism, i, space):
+    """Player i's true gain in each class of its lone deviations from
+    ``space``, with whether the class's outcome differs from the truthful one."""
+    scale = analysis.QUOTE_SCALES[mechanism]
+    truth, _ = iacsm_run(inst, first_iteration_quote_scale=scale)
+    spaces = [space if p == i else [v] for p, v in enumerate(inst.valuations)]
+    v = inst.valuations[i]
+    utility = lambda out: v.value(out.allocation.bundles[i]) - out.payments[i]
+    return [(utility(out) - utility(truth), out != truth)
+            for out in (leaf.outcome(inst.n, inst.m) for leaf, _ in
+                        iacsm_classes(inst, spaces, first_iteration_quote_scale=scale))]
+
+
+def test_wgsp_a_class_that_gains_exactly_zero_is_no_witness():
+    """Public good at cost 2 for values 2 and 1: truthfully both are served
+    at 1 each. Player 1 reporting 0 withdraws first and player 0 pays 2, so
+    player 1 loses its zero utility for another zero; reports 1 and 3
+    change nothing, and neither do player 0's reports 1 and 3. Every
+    player's best lone class gains exactly 0, player 1's also on another
+    outcome, and no coalition gains strictly."""
+    inst = Instance(valuations=(sym(2), sym(1)),
+                    cost_model=SeparableCosts((public_good_cost(2, 2),)), m=1)
+    space = [sym(0), sym(1), sym(3)]
+    for i in range(inst.n):
+        gains = lone_gains(inst, "iacsm", i, space)
+        assert max(g for g, _ in gains) == 0
+    assert (0, True) in lone_gains(inst, "iacsm", 1, space)
+    for coalition_max in (1, 2):
+        assert wgsp_search(inst, "iacsm", coalition_max, space) is None
+        assert naive_wgsp_search(inst, "iacsm", coalition_max, space) is None
+
+
+# one scale over three primes near 1e9: its denominator alone is past 2^80
+BIG_SCALE = F(BIG_PRIMES[0] * BIG_PRIMES[1] * BIG_PRIMES[2] + 1,
+              BIG_PRIMES[0] * BIG_PRIMES[1] * BIG_PRIMES[2])
+
+
+def scaled_instance(inst, lam):
+    """``inst`` with every valuation and item cost times ``lam``."""
+    return Instance(valuations=tuple(sym(*(lam * d for d in v.marginals))
+                                     for v in inst.valuations),
+                    cost_model=SeparableCosts(tuple(table_cost([lam * x for x in fn.to_table()])
+                                                    for fn in inst.cost_model.items)),
+                    m=inst.m)
+
+
+def test_wgsp_iacsm_judge_past_int64_matches_naive():
+    """Every iacsm decision compares values with shares, so scaling every
+    value, cost and report by one positive factor keeps each run's bundles
+    and scales each gain by it. On the random symmetric search instances
+    scaled by BIG_SCALE, the walk's unit K times each true valuation's
+    denominator dv is far past int64, and the int judge returns the naive
+    search's witness: the unscaled witness, with its gains times BIG_SCALE,
+    as Fractions."""
+    rng = random.Random("wgsp-big-denominators")
+    grid = [0, F(1, 2), 2, 4]
+    witnesses = 0
+    for plain in list(search_instances(rng))[:20]:  # the random-symmetric ones
+        inst = scaled_instance(plain, BIG_SCALE)
+        space = symmetric_marginal_space(inst.m, [BIG_SCALE * g for g in grid])
+        for mechanism, scale in analysis.QUOTE_SCALES.items():
+            [(truth, _)] = iacsm_classes(inst, [[v] for v in inst.valuations],
+                                         first_iteration_quote_scale=scale)
+            assert all(truth.unit * v.fn.int_table()[1] > 1 << 80 for v in inst.valuations)
+            got = wgsp_search(inst, mechanism, 2, space)
+            assert witness_fields(got) == naive_wgsp_search(inst, mechanism, 2, space)
+            unscaled = wgsp_search(plain, mechanism, 2, symmetric_marginal_space(plain.m, grid))
+            assert (got is None) == (unscaled is None)
+            if got is not None:
+                witnesses += 1
+                assert got.coalition == unscaled.coalition
+                assert got.misreports == tuple(sym(*(BIG_SCALE * d for d in v.marginals))
+                                               for v in unscaled.misreports)
+                assert got.gains == tuple(BIG_SCALE * g for g in unscaled.gains)
+                assert all(type(g) is F for g in got.gains)
+    assert witnesses >= 5
 
 
 def classes_instances(rng):
@@ -615,7 +712,8 @@ def test_iacsm_classes_are_the_iacsm_run_leaves_of_the_product(scale):
         space = symmetric_marginal_space(inst.m, [0, 1, 2, 4])
         for coalition in [c for size in (2, 3) for c in combinations(range(inst.n), size)]:
             spaces = [space if i in coalition else [v] for i, v in enumerate(inst.valuations)]
-            classes = list(iacsm_classes(inst, spaces, first_iteration_quote_scale=scale))
+            classes = [(leaf.outcome(inst.n, inst.m), first) for leaf, first
+                       in iacsm_classes(inst, spaces, first_iteration_quote_scale=scale)]
             assert len({id(outcome) for outcome, _ in classes}) == len(classes)
             assert ({id(outcome): (outcome, first) for outcome, first in classes}
                     == first_reach_of_product(inst, spaces, scale))
@@ -634,14 +732,15 @@ def test_iacsm_walk_over_unequal_spaces_yields_each_iacsm_run_leaf_once(scale):
             # sizes 2, 3 and 4 in turn, and a fourth player with one report
             sizes = [2 + (i + shift) % 3 if i < 3 else 1 for i in range(inst.n)]
             spaces = [rng.sample(pool, size) for size in sizes]
-            leaves = list(mechanisms._iacsm_leaves(inst, spaces, scale))
+            leaves = list(iacsm_classes(inst, spaces, first_iteration_quote_scale=scale))
             assert len({id(leaf) for leaf, _ in leaves}) == len(leaves)
             assert all(len(first) == inst.n for _, first in leaves)
             first_reach = first_reach_of_product(inst, spaces, scale)
             assert {id(leaf.outcome(inst.n, inst.m)): (leaf.outcome(inst.n, inst.m), first)
                     for leaf, first in leaves} == first_reach
+            # a second walk, on a warm memo, yields the same leaf objects
             classes = list(iacsm_classes(inst, spaces, first_iteration_quote_scale=scale))
-            assert [(id(o), first) for o, first in classes] == \
+            assert [(id(leaf.outcome(inst.n, inst.m)), first) for leaf, first in classes] == \
                 [(id(leaf.outcome(inst.n, inst.m)), first) for leaf, first in leaves]
 
 
@@ -652,7 +751,7 @@ def test_iacsm_walk_with_an_empty_space_yields_no_class():
         for empty in range(inst.n):
             spaces = [[] if i == empty else space for i in range(inst.n)]
             assert list(iacsm_classes(inst, spaces)) == []
-            assert list(mechanisms._iacsm_leaves(inst, spaces, F(1, 2))) == []
+            assert list(iacsm_classes(inst, spaces, first_iteration_quote_scale=F(1, 2))) == []
 
 
 def test_iacsm_walk_refuses_a_wrong_length_profile_as_iacsm_run_does():
@@ -711,7 +810,8 @@ def test_iacsm_on_the_int_quote_scale_is_naive_iacsm_run(scale):
             got = iacsm_run(inst, declared, first_iteration_quote_scale=scale)
             assert got == naive_iacsm_run(inst, declared, scale)
         spaces = [pool[:4], pool[4:7]] + [[v] for v in pool[7:5 + inst.n]]
-        classes = list(iacsm_classes(inst, spaces, first_iteration_quote_scale=scale))
+        classes = [(leaf.outcome(inst.n, inst.m), first) for leaf, first
+                   in iacsm_classes(inst, spaces, first_iteration_quote_scale=scale)]
         for outcome, first in classes:
             declared = [s[k] for s, k in zip(spaces, first)]
             assert outcome == naive_iacsm_run(inst, declared, scale)[0]

@@ -9,6 +9,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from oracles import BIG_PRIMES
 import costshare.cli.formats as formats_module
 import costshare.cli.main as main_module
 from costshare import analysis, core
-from costshare.core import INT64_HEADROOM, Instance, SetFunction, format_rat
+from costshare.core import INT64_HEADROOM, Instance, SetFunction, format_rat, harmonic
 from costshare.cli import gen as gen_module
 from costshare.cli.formats import (InstanceParseError, parse_instance,
                                    serialize_instance)
@@ -380,6 +381,22 @@ def test_cli_gen_refuses_a_huge_count_before_any_build(kind, params, message):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"n": HUGE}, too_large("n", HUGE, dense=True)),
+    ({"n": HUGE, "eps": "0"}, too_large("n", HUGE, dense=True)),
+    ({"n": "21", "k": "6", "eps": "1"}, too_large("n", 21, dense=True)),
+    ({"n": "3", "k": "6", "eps": "2"}, "eps must satisfy 0 < eps < k/n"),
+], ids=["huge-n", "huge-n-bad-eps", "n-past-dense-limit", "eps-at-k-over-n"])
+def test_cli_gen_paper_tight_names_a_refused_n_before_its_eps(params, message):
+    """An eps that is too large only because n is refused, or bad on its
+    own, is not named while n is refused; with n accepted, eps is checked."""
+    argv = [arg for key, val in params.items() for arg in ("--param", f"{key}={val}")]
+    res = run_cli("gen", "paper-tight", *argv)
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+    assert res.stderr.strip() == f"error: {message}"
+    assert res.stdout == ""
+
+
 def test_gen_accepts_each_count_at_its_bound():
     top = str(gen_module.MAX_COUNT)
     for kind, params in [("random-symmetric", {"n": "20", "m": "1"}),
@@ -666,6 +683,87 @@ def test_cli_suite_icb_bound_is_none_without_estimates_or_sm(tmp_path, capsys):
         capsys.readouterr()
 
 
+# the run each suite-check control starts from: (generator kind, params, mechanism)
+SUITE_BASES = {
+    "cover-sm": ("vertex-cover", {"v": "4", "k": "2", "e": "3"}, "sm"),
+    "tight-iacsm": ("paper-tight", {}, "iacsm"),
+}
+
+
+def _worse(factor):
+    """A run report whose social cost is just past ``factor`` times its optimum."""
+    def change(i, r, a, p):
+        return i, replace(r, social_cost=factor(i, a) * r.optimal_social_cost + 1), a, p
+    return change
+
+
+def _flag(**flags):
+    return lambda i, r, a, p: (i, replace(r, flags=replace(r.flags, **flags)), a, p)
+
+
+def _alphas(**alphas):
+    return lambda i, r, a, p: (i, r, {**a, **alphas}, p)
+
+
+def _same(i, r, a, p):
+    return i, r, a, p
+
+
+def _max_bounded_past_structural_bound(i, r, a, p):
+    bound = structural_alpha_bound(i.cost_model.items[0])
+    return i, r, a, {**p, "max-bounded": [AlphaReport(bound + 1, (1,), "average-max-bounded")]}
+
+
+# (check, base, change of (inst, run report, alphas, reports), the check's verdict)
+SUITE_CONTROLS = [
+    ("budget-exact", "cover-sm",
+     lambda i, r, a, p: (i, replace(r, total_payment=r.cost + 1), a, p), False),
+    ("budget-alpha", "cover-sm",
+     lambda i, r, a, p: (i, replace(r, total_payment=a["avg-decreasing"] * r.cost + 1), a, p),
+     False),
+    ("budget-alpha", "cover-sm", _alphas(**{"avg-decreasing": None}), False),
+    ("approx-hn", "cover-sm", _worse(lambda i, a: harmonic(i.n)), False),
+    ("approx-2a3hn", "cover-sm",
+     _worse(lambda i, a: 2 * a["avg-decreasing"] ** 3 * harmonic(i.n)), False),
+    ("approx-alpha-hn", "cover-sm", _worse(lambda i, a: a["min-bounded"] * harmonic(i.n)),
+     False),
+    ("approx-alpha-max", "cover-sm", _worse(lambda i, a: a["max-bounded"]), False),
+    ("approx-alpha-max", "cover-sm", _alphas(**{"max-bounded": None}), None),
+    ("approx-n", "cover-sm", _worse(lambda i, a: i.n), False),
+    ("trace", "tight-iacsm", _flag(p2=False), False),
+    ("ir", "cover-sm", _flag(ir=False), False),
+    ("npt", "cover-sm", _flag(npt=False), False),
+    ("alpha-combinatorial-bound", "cover-sm", _max_bounded_past_structural_bound, False),
+    ("alpha-combinatorial-bound", "tight-iacsm", _same, None),
+    # the cover run's incremental sum is above half of H_n * C(A*)
+    ("icb-bound", "cover-sm", _alphas(**{"min-bounded": Fraction(1, 2)}), False),
+    ("icb-bound", "cover-sm", lambda i, r, a, p: (i, r, a, {}), None),
+]
+
+
+@pytest.mark.parametrize("name, base, change, verdict", SUITE_CONTROLS,
+                         ids=[f"{name}-{verdict}" for name, _, _, verdict in SUITE_CONTROLS])
+def test_suite_check_negative_control(name, base, change, verdict):
+    """Each suite check holds on its base run, unless the base is itself the
+    case, and gives ``verdict`` once the report, alphas or reports are
+    changed as the table says."""
+    kind, params, mechanism = SUITE_BASES[base]
+    inst = generate(kind, params, 0)
+    reports, alphas = main_module._instance_alphas(inst)
+    run = analysis.evaluate_run(inst, mechanism)
+    check = main_module._SUITE_CHECKS[name]
+    if change is not _same:
+        assert check(inst, run, alphas, reports) is True
+    assert check(*change(inst, run, alphas, reports)) is verdict
+
+
+def test_every_suite_check_has_a_negative_control():
+    assert {name for name, _, _, verdict in SUITE_CONTROLS if verdict is False} == \
+        set(main_module.SUITE_CHECKS)
+    assert {name for name, _, _, verdict in SUITE_CONTROLS if verdict is None} == \
+        {"approx-alpha-max", "alpha-combinatorial-bound", "icb-bound"}
+
+
 def test_cli_suite_empty_config(tmp_path):
     config = tmp_path / "empty.json"
     config.write_text(json.dumps({"name": "empty", "mechanism": "sm",
@@ -900,22 +998,26 @@ def test_cli_gen_empty_instance_exits_2(capsys):
 
 def _count_table_builds(monkeypatch) -> Counter:
     """Per set function, its int table builds: at construction by
-    ``from_ints``, and each ``int_table`` call that finds no table built yet."""
+    ``from_ints`` or ``from_levels``, and each ``int_table`` call that finds
+    no table built yet."""
     builds: Counter = Counter()
-    real_int_table, real_from_ints = SetFunction.int_table, SetFunction.from_ints
+    real_int_table = SetFunction.int_table
 
     def int_table(fn):
         if fn._ints is None:
             builds[fn] += 1
         return real_int_table(fn)
 
-    def from_ints(ints, denom):
-        fn = real_from_ints(ints, denom)
-        builds[fn] += 1
-        return fn
+    def counted(build):
+        def constructor(*args):
+            fn = build(*args)
+            builds[fn] += 1
+            return fn
+        return staticmethod(constructor)
 
     monkeypatch.setattr(SetFunction, "int_table", int_table)
-    monkeypatch.setattr(SetFunction, "from_ints", from_ints)
+    for name in ("from_ints", "from_levels"):
+        monkeypatch.setattr(SetFunction, name, counted(getattr(SetFunction, name)))
     return builds
 
 

@@ -26,7 +26,7 @@ from costshare.costs import (AlphaReport, InfeasibleCoverError, additive_cost,
                              count_served_cost, decreasing_average_table,
                              lifted_separable_cost, matching_cost,
                              max_item_cost, public_good_cost, set_cover_cost,
-                             sqrt_max_cost, symmetric_submodular_cost,
+                             sqrt_max_cost, sqrt_player_index, symmetric_submodular_cost,
                              table_cost, two_tier_step_cost, union_items_cost,
                              vertex_cover_cost)
 from costshare.cli.gen import GenParamError, generate
@@ -35,6 +35,7 @@ from costshare.valuations import (ClassFlags, SymmetricSubmodularValuation, chec
                                   classify_set_function)
 
 from oracles import (BIG_PRIMES, naive_alpha_avg_decreasing, naive_alpha_bounded,
+                     naive_folded_table,
                      naive_alpha_bounded_report, permuted_table,
                      naive_alpha_bounded_ns, naive_builtin_allocation_cost,
                      naive_max_matching,
@@ -585,9 +586,10 @@ def _size_indexed_case(calls, monkeypatch):
 
 
 def _count_dense_tables(calls, monkeypatch):
-    """Count the calls of ``core.over_lcm`` and ``SetFunction.from_ints``,
-    the first and the last step of every dense table ``from_table`` and
-    ``from_levels`` build: a refusal before any 2^n list reaches neither."""
+    """Count the calls of ``core.over_lcm``, the first step of every dense
+    table ``from_table`` and ``from_levels`` build, and of
+    ``SetFunction.from_ints``, the last of ``from_table``'s: a refusal before
+    any 2^n list reaches neither."""
     monkeypatch.setattr(core, "over_lcm", _counted(calls, core.over_lcm))
     monkeypatch.setattr(SetFunction, "from_ints",
                         classmethod(_counted(calls, SetFunction.from_ints.__func__)))
@@ -680,6 +682,36 @@ def test_capped_reciprocal_values():
     assert fn(0b100) == 2
     assert fn(0b110) == 5
     assert fn(0b111) == 6
+
+
+def _int_table_of(fn):
+    ints, denom = fn.int_table()
+    return ints.tolist(), ints.dtype, denom
+
+
+def test_folded_costs_have_the_int_tables_of_their_fraction_folds():
+    """capped_reciprocal_cost, sqrt_max_cost and additive_cost fold on ints
+    over one denominator; their int tables (ints, dtype and denominator)
+    are those of the dense table of their Fraction folds, also for caps and
+    weights over primes near 1e9, whose tables are past int64."""
+    rng = random.Random("folded-costs")
+    caps = [Fraction(0), Fraction(6), Fraction(7, 3)] + [Fraction(rng.randint(1, 10 ** 12), p)
+                                                         for p in BIG_PRIMES[:3]]
+    past_int64 = 0
+    for n in range(13):
+        for cap in caps:
+            got = _int_table_of(capped_reciprocal_cost(n, cap))
+            assert got == _int_table_of(table_cost(naive_folded_table(
+                [cap / (i + 1) for i in range(n)], add, cap)))
+            past_int64 += got[1] == object
+        assert _int_table_of(sqrt_max_cost(n)) == _int_table_of(table_cost(naive_folded_table(
+            [sqrt_player_index(i) for i in range(n)], max)))
+        weights = [Fraction(rng.randint(0, 10 ** 9), rng.choice((1, 2) + BIG_PRIMES))
+                   for _ in range(n)]
+        got = _int_table_of(additive_cost(weights))
+        assert got == _int_table_of(table_cost(naive_folded_table(weights, add)))
+        past_int64 += got[1] == object
+    assert past_int64 >= 10
 
 
 def test_two_tier_step_values():
