@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, combinations_with_replacement, product
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -227,86 +226,56 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
                 order: Sequence[int] | None = None) -> DeviationWitness | None:
     """Exhaustive falsification of weak group-strategyproofness.
 
-    Tries every coalition up to ``coalition_max`` (by size, then
-    lexicographically) and every joint misreport drawn from
-    ``misreport_space`` in product order; utilities are always computed with
-    the true valuations and compared exactly. Returns the first witness in
-    that order, or None.
+    Returns the first coalition of at most ``coalition_max`` players (by
+    size, then lexicographically) with a joint misreport from
+    ``misreport_space`` that makes every member strictly better off, with
+    the first such misreport in product order, or None. Utilities use the
+    true valuations and are compared exactly.
 
-    Each mechanism runs once, truthfully, and turns a coalition's profiles
-    into classes, each a run with the first profile in product order that
-    reaches it. Gains depend only on the run's bundles and payments, so each
-    class is judged once, and the coalition's first witness is the smallest
-    first profile among the witness classes.
-
-    - ``iacsm`` and ``iacsm-underquote`` take one
-      ``mechanisms.iacsm_classes`` walk of the trie per coalition, members
-      reporting from the misreport space and everyone else truthfully. A
-      leaf's payments are ints over the walk's unit K, as are the truthful
-      leaf's, and a member's true levels are ints a over one denominator
-      dv, so its gain times K * dv is an int: (a[|b|] - a[|b0|]) * K -
-      (pay - pay0) * dv. Every class is judged on those ints; a class whose
-      first is not below the best witness so far is skipped, and only the
-      returned witness's gains become Fractions.
+    - ``iacsm`` and ``iacsm-underquote`` walk each coalition's classes with
+      ``mechanisms.iacsm_classes`` and judge each leaf on ints: a member's
+      gain times K * dv is (a[|b|] - a[|b0|]) * K - (pay - pay0) * dv, with
+      K the walk's unit and a the member's true levels as ints over dv. The
+      witness is the gaining class with the smallest first profile.
     - Under ``sm`` a player's step depends only on the players before it in
       ``order``, so a coalition's member first in ``order`` gains exactly
-      its lone gain with the same report. A larger coalition is a witness
-      only if that report is a lone witness, and the size-1 pass returns at
-      the first of those, so the search ends there. Each of player i's
-      reports is ``mechanisms.sm_step``-ped after the truthful bundles of
-      the players before it; each distinct mask is a class, with its first
-      report and one ``sm_run``, judged on its Outcome.
+      its lone gain, and only lone deviations are tried. Each player i, in
+      index order, ``mechanisms.sm_step``-s every report after the truthful
+      prefix, then runs the first report of each distinct mask in space
+      order; the first that gains is the witness.
     """
     truth_outcome, _ = _run_mechanism(mechanism, inst, order=order)
     n, true_vals = inst.n, inst.valuations
     space = list(misreport_space)
     if mechanism == "sm":
+        if coalition_max < 1:
+            return None
         seq, truth = sm_order(inst, order), truth_outcome.allocation.bundles
-        base_util = [v.value(b) - p for v, b, p in
-                     zip(true_vals, truth, truth_outcome.payments)]
-
-        def gains_of(coalition, outcome) -> tuple[Rat, ...] | None:
-            """Every member's gain, or None if one of them gains nothing."""
-            gains = []
-            for member in coalition:
-                gain = (true_vals[member].value(outcome.allocation.bundles[member])
-                        - outcome.payments[member] - base_util[member])
-                if gain <= 0:
-                    return None
-                gains.append(gain)
-            return tuple(gains)
-
-        # player i's prefix: the truthful bundles of the players before it
-        prefixes = {i: tuple(b if p in seq[:t] else 0 for p, b in enumerate(truth))
-                    for t, i in enumerate(seq)}
-
-        def lone_classes(i):
-            """Player i's lone deviations, one class per distinct step."""
+        for i, v in enumerate(true_vals):
+            before = seq[:seq.index(i)]
+            prefix = tuple(b if p in before else 0 for p, b in enumerate(truth))
             firsts = {}
-            for k, v in enumerate(space):
-                firsts.setdefault(sm_step(inst, i, prefixes[i], v)[0], k)
-            return [(sm_run(inst, seq, true_vals[:i] + (space[k],) + true_vals[i + 1:]),
-                     (0,) * i + (k,) + (0,) * (n - i - 1)) for k in firsts.values()]
+            for k, report in enumerate(space):
+                firsts.setdefault(sm_step(inst, i, prefix, report)[0], k)
+            base = v.value(truth[i]) - truth_outcome.payments[i]
+            for k in firsts.values():
+                outcome = sm_run(inst, seq, true_vals[:i] + (space[k],) + true_vals[i + 1:])
+                gain = v.value(outcome.allocation.bundles[i]) - outcome.payments[i] - base
+                if gain > 0:
+                    return DeviationWitness((i,), (space[k],), (gain,))
+        return None
 
-        def witness_of(coalition):
-            """The coalition's witness class with the smallest first."""
-            return min(((first, gains) for outcome, first in lone_classes(*coalition)
-                        if (gains := gains_of(coalition, outcome)) is not None),
-                       key=itemgetter(0), default=None)
-    else:
-        scale = QUOTE_SCALES[mechanism]
-        [(truth, _)] = iacsm_classes(inst, [[v] for v in true_vals],
-                                     first_iteration_quote_scale=scale)
-        unit = truth.unit
-        levels = [over_lcm(v.levels) for v in true_vals]
-        dvs = [dv for _, dv in levels]
-        # each player's levels times K, and its truthful utility times K * dv
-        worth = [[x * unit for x in a] for a, _ in levels]
-        base = [w[b.bit_count()] - p * dv for w, dv, b, p in
-                zip(worth, dvs, *truth.final(n))]
-
-        def witness_of(coalition):
-            """The coalition's witness class with the smallest first."""
+    scale = QUOTE_SCALES[mechanism]
+    [(truth, _)] = iacsm_classes(inst, [[v] for v in true_vals],
+                                 first_iteration_quote_scale=scale)
+    unit = truth.unit
+    levels = [over_lcm(v.levels) for v in true_vals]
+    dvs = [dv for _, dv in levels]
+    # each player's levels times K, and its truthful utility times K * dv
+    worth = [[x * unit for x in a] for a, _ in levels]
+    base = [w[b.bit_count()] - p * dv for w, dv, b, p in zip(worth, dvs, *truth.final(n))]
+    for size in range(1, coalition_max + 1):
+        for coalition in combinations(range(n), size):
             spaces = [space if i in coalition else [v] for i, v in enumerate(true_vals)]
             best = None
             for leaf, first in iacsm_classes(inst, spaces, first_iteration_quote_scale=scale):
@@ -321,19 +290,11 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
                     gains.append(gain)
                 else:
                     best = first, gains
-            if best is None:
-                return None
-            first, gains = best
-            return first, tuple(Fraction(g, unit * dvs[i]) for i, g in zip(coalition, gains))
-
-    last = min(coalition_max, 1) if mechanism == "sm" else coalition_max
-    for size in range(1, last + 1):
-        for coalition in combinations(range(n), size):
-            witness = witness_of(coalition)
-            if witness is not None:
-                first, gains = witness
-                return DeviationWitness(coalition, tuple(space[first[i]] for i in coalition),
-                                        gains)
+            if best is not None:
+                first, gains = best
+                return DeviationWitness(
+                    coalition, tuple(space[first[i]] for i in coalition),
+                    tuple(Fraction(g, unit * dvs[i]) for i, g in zip(coalition, gains)))
     return None
 
 

@@ -146,6 +146,15 @@ _SUITE_CHECKS = {
 SUITE_CHECKS = tuple(_SUITE_CHECKS)
 
 
+def _player_order(text: str) -> list[int]:
+    """The ``--order`` value: comma-separated player indices."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated player indices, e.g. 2,0,1, got {text!r}") from None
+
+
 def _load_instance(path: str) -> Instance:
     return parse_instance(Path(path).read_text())
 
@@ -379,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a mechanism on an instance file")
     p_run.add_argument("instance")
     p_run.add_argument("--mechanism", choices=MECHANISM_IDS, default="iacsm")
-    p_run.add_argument("--order", type=lambda s: [int(t) for t in s.split(",")],
-                       default=None, help="player order for sm, e.g. 2,0,1")
+    p_run.add_argument("--order", type=_player_order, default=None,
+                       help="player order for sm, e.g. 2,0,1")
     p_run.add_argument("--trace-out", default=None)
     p_run.add_argument("--out", default=None, help="write the CSV row here")
     p_run.set_defaults(fn=cmd_run)

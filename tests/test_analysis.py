@@ -526,6 +526,67 @@ def test_wgsp_sm_search_prices_each_prefix_once(monkeypatch):
             assert calls == []
 
 
+def gaining_lone_run(run, gaining, gain, calls):
+    """A stand-in for ``run`` (sm_run or naive_sm_run) that records each
+    declared profile in ``calls`` and, when exactly one player i deviates and
+    ``(i, i's bundle)`` is in ``gaining``, sets i's payment so that its true
+    utility beats the truthful one by exactly ``gain``."""
+    def gaining_run(inst, order=None, declared=None):
+        out = run(inst, order, declared)
+        calls.append(declared)
+        truth = inst.valuations
+        swapped = [i for i, v in enumerate(declared or truth) if v is not truth[i]]
+        if len(swapped) != 1 or (swapped[0], out.allocation.bundles[swapped[0]]) not in gaining:
+            return out
+        [i] = swapped
+        base = naive_sm_run(inst, order)
+        payments = list(out.payments)
+        payments[i] = (truth[i].value(out.allocation.bundles[i]) - gain
+                       - truth[i].value(base.allocation.bundles[i]) + base.payments[i])
+        return Outcome(out.allocation, tuple(payments))
+    return gaining_run
+
+
+def test_wgsp_sm_search_returns_the_first_gaining_lone_class(monkeypatch):
+    """Under sm no lone deviation gains strictly: a player's prices depend
+    only on the players before it, and its step already maximizes its true
+    utility at those prices. So a stand-in sm_run makes chosen lone
+    deviations gain exactly 1/3: every class of player 1 after its first,
+    and player 2's first class, with player 2 first in the order. The witness
+    is player 1, the lowest gaining player, with the first report in space
+    order of its second class; its gain is an exact Fraction, the naive
+    search over the same stand-in agrees, and no sm_run runs after it."""
+    rng = random.Random("sm-witness")
+    order, gain = [2, 0, 1], F(1, 3)
+    checked = 0
+    for inst in search_instances(rng):
+        if inst.n != 3:
+            continue
+        space = table_space(inst.m, [0, 8])
+        truth = inst.valuations
+        # player i's bundle under each of its lone deviations
+        masks = [[naive_sm_run(inst, order, truth[:i] + (v,) + truth[i + 1:]).allocation.bundles[i]
+                  for v in space] for i in range(inst.n)]
+        classes = [list(dict.fromkeys(ms)) for ms in masks]
+        if len(classes[1]) < 3:
+            continue
+        gaining = {(1, mask) for mask in classes[1][1:]} | {(2, classes[2][0])}
+        calls = []
+        monkeypatch.setattr(analysis, "sm_run", gaining_lone_run(sm_run, gaining, gain, calls))
+        monkeypatch.setattr(oracles, "naive_sm_run",
+                            gaining_lone_run(naive_sm_run, gaining, gain, []))
+        got = wgsp_search(inst, "sm", 2, space, order=order)
+        first = space[masks[1].index(classes[1][1])]
+        assert witness_fields(got) == ((1,), (first,), (gain,))
+        assert type(got.gains[0]) is F
+        assert witness_fields(got) == naive_wgsp_search(inst, "sm", 2, space, order)
+        # the truthful run, one per class of player 0, then player 1's first two
+        assert len(calls) == 1 + len(classes[0]) + 2
+        assert calls[-1][1] is first
+        checked += 1
+    assert checked >= 10
+
+
 def shared_outcome_run(truth, deviation, quorum):
     """A stand-in for iacsm_run that returns one of two shared Outcome
     objects: ``deviation`` when exactly ``quorum`` players declare a marginal

@@ -981,6 +981,19 @@ def test_cli_run_refuses_an_order_for_ascending_mechanisms(capsys, mechanism):
     assert f"{mechanism} takes no player order" in err
 
 
+@pytest.mark.parametrize("order", ["x", "2,,1", "1.5", ""])
+def test_cli_run_says_what_is_wrong_with_an_order(capsys, order):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(REPO / "instances" / "paper_corollary.inst"),
+              "--mechanism", "sm", "--order", order])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "<lambda>" not in err and "Traceback" not in err
+    assert (f"argument --order: expected comma-separated player indices, e.g. 2,0,1, "
+            f"got {order!r}") in err
+
+
 def test_cli_suite_refuses_an_order_for_ascending_mechanisms(tmp_path, capsys):
     path = tmp_path / "iacsm_order.json"
     path.write_text(json.dumps({"name": "ordered", "mechanism": "iacsm", "order": [1, 0],
