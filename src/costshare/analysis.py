@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -237,6 +237,14 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
       gain times K * dv is (a[|b|] - a[|b0|]) * K - (pay - pay0) * dv, with
       K the walk's unit and a the member's true levels as ints over dv. The
       witness is the gaining class with the smallest first profile.
+    - The walk skips every node below which some member cannot gain. Shares
+      never fall along a path (P1), so a member that ends with k items pays
+      at least ``paid[k]``, the sum of the node's k smallest shares, and
+      gains at most max_k (a[k] * K - paid[k] * dv) minus its truthful
+      utility. A witness needs every member to gain strictly, so a node where
+      that bound is at most 0 for one member has no witness below it. The
+      bound reads the node's ``shares``, on which payments are made, not the
+      root's ``quoted`` ranking.
     - Under ``sm`` a player's step depends only on the players before it in
       ``order``, so a coalition's member first in ``order`` gains exactly
       its lone gain, and only lone deviations are tried. Each player i, in
@@ -274,11 +282,18 @@ def wgsp_search(inst: Instance, mechanism: str, coalition_max: int,
     # each player's levels times K, and its truthful utility times K * dv
     worth = [[x * unit for x in a] for a, _ in levels]
     base = [w[b.bit_count()] - p * dv for w, dv, b, p in zip(worth, dvs, *truth.final(n))]
+
+    def cannot_gain(coalition, node):
+        paid = list(accumulate(sorted(node.shares), initial=0))
+        return any(max(w - dvs[q] * p for w, p in zip(worth[q], paid)) <= base[q]
+                   for q in coalition)
+
     for size in range(1, coalition_max + 1):
         for coalition in combinations(range(n), size):
             spaces = [space if i in coalition else [v] for i, v in enumerate(true_vals)]
             best = None
-            for leaf, first in iacsm_classes(inst, spaces, first_iteration_quote_scale=scale):
+            for leaf, first in iacsm_classes(inst, spaces, first_iteration_quote_scale=scale,
+                                             prune=partial(cannot_gain, coalition)):
                 if best is not None and first >= best[0]:
                     continue
                 bundles, pays = leaf.final(n)

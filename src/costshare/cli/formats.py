@@ -20,11 +20,14 @@ consume the per-item cost lines; ``count-served`` and ``union-items`` take an
 optional non-negative rational weight (default 1) and no cost lines.
 
 A rational is any token ``fractions.Fraction`` reads (``3``, ``2/4``,
-``1_0/3``, ``1.5``), with its messages for the tokens it refuses. Dense
-``table`` lines, cost and valuation, are read as ints: each ``p/q`` split and
-reduced, all put over one lcm, and the set function built from that int
-table (``SetFunction.from_ints``), not from one ``Fraction`` per value. They
-are written from the same int table (``int_table()``), each value reduced.
+``1_0/3``, ``1.5``), with its messages for the tokens it refuses, through
+``core.read_rat``: a value whose numerator or denominator has more digits than
+``LIMITS["digits"]`` is refused, and an exponent past it before the value is
+built. Dense ``table`` lines, cost and valuation, are read as ints: each
+``p/q`` split and reduced, all put over one lcm, and the set function built
+from that int table (``SetFunction.from_ints``), not from one ``Fraction`` per
+value. They are written from the same int table (``int_table()``), each value
+reduced, and refused when its lcm or largest value over it is past the limit.
 """
 
 from __future__ import annotations
@@ -32,13 +35,12 @@ from __future__ import annotations
 import csv
 import io
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import partial, reduce
 from math import gcd, lcm
 from operator import or_
 
 from ..core import (Instance, Rat, SeparableCosts, SetFunction, bits,
-                    format_rat, mask_of, require)
+                    format_rat, mask_of, read_rat, require, require_digits)
 from ..costs import (count_served_cost, lifted_separable_cost, matching_cost,
                      max_item_cost, set_cover_cost, union_items_cost,
                      vertex_cover_cost)
@@ -58,13 +60,6 @@ class InstanceParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-def _rat(tok: str) -> Rat:
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {tok!r}: {exc}")
 
 
 def _int(tok: str) -> int:
@@ -94,7 +89,7 @@ def _ratio(tok: str) -> tuple[int, int]:
     """``Fraction(tok)`` as its (numerator, denominator): ``p/q`` and ``p``
     split into ints and reduced by their gcd. ``int`` takes a sign on ``q``
     that ``Fraction`` refuses, so such a token, a zero ``q`` and any token
-    ``int`` refuses (``1.5``, ``1e3``) go through ``_rat`` instead."""
+    ``int`` refuses (``1.5``, ``1e3``) go through ``read_rat`` instead."""
     p, slash, q = tok.partition("/")
     if not slash or q[:1] not in "+-":  # "3/" falls back too: "" is in "+-"
         try:
@@ -104,7 +99,7 @@ def _ratio(tok: str) -> tuple[int, int]:
         if den:
             g = gcd(num, den)
             return num // g, den // g
-    r = _rat(tok)
+    r = read_rat(tok)
     return r.numerator, r.denominator
 
 
@@ -112,7 +107,7 @@ def _dense(toks: list[str], ground: int, what: str) -> SetFunction:
     """The dense table over ``ground`` elements as ``SetFunction.from_ints``,
     refused past ``LIMITS["dense"]`` before its 2^ground count is taken: each
     distinct token read once by ``_ratio``, then all put over one lcm. Other
-    checks and messages are those of ``_rat`` and ``from_ints``, in their order."""
+    checks and messages are those of ``read_rat`` and ``from_ints``, in their order."""
     require("dense", ground)
     pairs = {tok: _ratio(tok)
              for tok in dict.fromkeys(_counted(toks, 1 << ground, what, "values"))}
@@ -143,7 +138,7 @@ def _edge_cost(variant: str, build, n: int, groups: list[str]) -> SetFunction:
 _INDEXED = {
     "valuation": ("m", {
         "symmetric": lambda m, toks: SymmetricSubmodularValuation(
-            tuple(map(_rat, _counted(toks, m, "symmetric valuation", "marginals")))),
+            tuple(map(read_rat, _counted(toks, m, "symmetric valuation", "marginals")))),
         "table": lambda m, toks: TableValuation(_dense(toks, m, "table valuation"))}),
     "cost": ("n", {
         "table": lambda n, toks: _dense(toks, n, "cost table"),
@@ -223,7 +218,7 @@ def parse_instance(text: str) -> Instance:
                 raise ValueError(f"cost lines are not allowed with nonseparable {name}")
             if len(args) > 1:
                 raise ValueError(f"nonseparable {name} takes at most one weight")
-            cost_model = _WEIGHTED[name](n, m, *map(_rat, args))
+            cost_model = _WEIGHTED[name](n, m, *map(read_rat, args))
         else:
             raise ValueError(f"unknown nonseparable builtin {name!r}")
 
@@ -233,8 +228,13 @@ def parse_instance(text: str) -> Instance:
 
 def _dense_text(fn: SetFunction) -> str:
     """The values of a dense table line, each ``format_rat`` of its value,
-    written from ``int_table()``: v/denom reduced by their gcd."""
+    written from ``int_table()``: v/denom reduced by their gcd. No reduced
+    part is larger than denom or the largest |v|, so those two are the ones
+    ``require_digits`` checks; an int64 table's values have 19 digits at most."""
     ints, denom = fn.int_table()
+    require_digits(denom)
+    if ints.dtype == object:
+        require_digits(max(map(abs, ints.tolist())))
     return " ".join(f"{v // g}/{denom // g}"
                     for v, g in ((v, gcd(v, denom)) for v in ints.tolist()))
 

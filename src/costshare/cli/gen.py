@@ -13,7 +13,7 @@ from functools import reduce
 from operator import or_
 
 from ..core import (GroundSetTooLargeError, Instance, SeparableCosts, SetFunction, mask_of,
-                    require)
+                    read_rat, require)
 from ..costs import (capped_reciprocal_cost, decreasing_average_table,
                      matching_cost, set_cover_cost, sqrt_max_cost,
                      symmetric_submodular_cost, vertex_cover_cost)
@@ -57,8 +57,8 @@ def _text(params: dict, key: str, default=None) -> str:
 def _grid(params: dict, key: str, default: str = DEFAULT_GRID) -> list[Fraction]:
     toks = _text(params, key, default).split(",")
     try:
-        vals = [Fraction(t) for t in toks]
-    except (ValueError, ZeroDivisionError) as exc:
+        vals = [read_rat(t) for t in toks]
+    except ValueError as exc:
         raise GenParamError(f"bad {key} grid: {exc}")
     if not vals or any(v < 0 for v in vals):
         raise GenParamError(f"{key} grid must be non-empty and non-negative")
@@ -98,8 +98,10 @@ def _count(params: _Params, key: str, default=None, least: int = 1,
 def _rat_param(params: dict, key: str, default=None) -> Fraction:
     text = _text(params, key, default)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return read_rat(text)
+    except GroundSetTooLargeError as exc:
+        raise GenParamError(f"parameter {key}: {exc}")
+    except ValueError:
         raise GenParamError(f"parameter {key} must be a rational p/q")
 
 

@@ -39,6 +39,8 @@ LIMITS = {
     "estimator": (16, "n", "average-decreasing estimator"),
     "ns-estimator": (12, "n*m", "non-separable estimators (all 2^(n*m) allocations)"),
     "classify": (16, "ground_size", "exhaustive class checks"),
+    # str() of an int stops at 4300 digits (sys.int_info.default_max_str_digits)
+    "digits": (4300, "digits", "rational values written out"),
 }
 
 
@@ -49,21 +51,61 @@ def require(limit: str, size: int) -> None:
         raise GroundSetTooLargeError(f"{what} limited to {counts} <= {bound}, got {size}")
 
 
+# the least int with more digits than LIMITS["digits"]
+_TOO_MANY_DIGITS = 10 ** LIMITS["digits"][0]
+
+
+def require_digits(x: int) -> None:
+    """Refuse an int with more decimal digits than ``LIMITS["digits"]``, the
+    most ``format_rat`` can write; its count is read off its bit length."""
+    x = abs(x)
+    if x >= _TOO_MANY_DIGITS:
+        t = int(x.bit_length() * 0.30102999566398120)  # digits - 1 or digits
+        require("digits", t + (x >= 10 ** t))
+
+
+def read_rat(tok: str) -> Rat:
+    """The one reader of rational tokens: ``Fraction(tok)``, or a ValueError
+    with Fraction's message for a token it refuses. A value with more digits
+    than ``format_rat`` writes is refused (``require_digits``); an exponent
+    past that many digits is refused before ``Fraction`` builds 10**exponent."""
+    _, e, exponent = tok.upper().partition("E")
+    if e:
+        try:
+            shift = abs(int(exponent))
+        except ValueError:
+            shift = 0  # not an exponent Fraction reads: it refuses the token
+        require("digits", shift)
+    try:
+        value = Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {tok!r}: {exc}") from None
+    require_digits(value.numerator)
+    require_digits(value.denominator)
+    return value
+
+
 def as_rat(x) -> Rat:
-    """Coerce ints, strings like ``p/q`` and Fractions to an exact rational."""
+    """Coerce ints, strings like ``p/q`` (``read_rat``) and Fractions to an
+    exact rational."""
     if type(x) is int:  # the common case, decided before the ABC checks below
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational value")
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return read_rat(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 def format_rat(x: Rat) -> str:
-    """Render as ``p/q`` (denominator always written, so files round-trip)."""
+    """Render as ``p/q`` (denominator always written, so files round-trip),
+    refused past ``require_digits``."""
+    require_digits(x.numerator)
+    require_digits(x.denominator)
     return f"{x.numerator}/{x.denominator}"
 
 

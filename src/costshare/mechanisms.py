@@ -9,6 +9,8 @@ every run in which each player reports from its own list, walked as one
 depth-first pass over the trie, so the finalization rule is written once.
 Its leaves hold their bundles and payments as ints over the walk's unit, so
 a misreport search judges a class on ints; an Outcome is built when asked.
+A caller's ``prune`` callback skips every subtree below a node it refuses,
+which lets a misreport search skip runs in which a member cannot gain.
 
 sm_run: the sequential mechanism. Players are processed in a fixed order;
 each receives a utility-maximizing bundle at its incremental cost, which is
@@ -38,7 +40,7 @@ import operator
 from fractions import Fraction
 from functools import partial
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (Allocation, Instance, Outcome, Rat, Trace, bits, capped_store,
                    mask_of, over_lcm, require, subset_sums)
@@ -222,7 +224,8 @@ def _quote_items(inst: Instance, scale: Rat) -> tuple[int, list]:
 
 
 def iacsm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]], *,
-                  first_iteration_quote_scale: Rat = Fraction(1)
+                  first_iteration_quote_scale: Rat = Fraction(1),
+                  prune: Callable[[_IacsmNode], bool] | None = None
                   ) -> Iterator[tuple[_IacsmNode, tuple[int, ...]]]:
     """The ``iacsm`` runs of every profile in which player i reports from
     ``spaces[i]``: every trie leaf some profile of ``product(*spaces)``
@@ -245,6 +248,12 @@ def iacsm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]], *,
     an empty space reaches no leaf. Every report is checked before the walk
     starts, as ``iacsm_run`` checks each profile.
 
+    ``prune``, when given, is called on the root and on each child before the
+    child is pushed; a node for which it returns True is not walked, so no
+    class below it is yielded. ``iacsm_run`` passes none; ``wgsp_search``
+    passes a bound on what a coalition member can gain below a node, which
+    P1 (no share falls along a path) makes exact.
+
     Shares are ints over the unit K of ``_quote_items``, and each marginal
     d is floor(d * K) once per walk: for an int s, d >= s / K exactly when
     floor(d * K) >= s, so ``_covered_ranks`` compares ints.
@@ -266,6 +275,8 @@ def iacsm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]], *,
         return node.child(items, player, size)
 
     root = _step(memo, (scale,), make_root)
+    if prune is not None and prune(root):
+        return
     floors = [[[d.numerator * unit // d.denominator for d in v.marginals] for v in space]
               for space in spaces]
     # (node, active players, each player's ascending index list)
@@ -292,8 +303,10 @@ def iacsm_classes(inst: Instance, spaces: Sequence[Sequence[ValuationFn]], *,
             if not all(branch):
                 # a player with no key above this candidate has none above a later one
                 break
-            stack.append((_step(memo, (node, player, size), finalize),
-                          tuple(p for p in active if p != player), tuple(branch)))
+            child = _step(memo, (node, player, size), finalize)
+            if prune is not None and prune(child):
+                continue
+            stack.append((child, tuple(p for p in active if p != player), tuple(branch)))
 
 
 def iacsm_run(inst: Instance, declared: Sequence[ValuationFn] | None = None, *,

@@ -616,10 +616,11 @@ class OutcomeLeaf:
 def singleton_classes(run, scale, unit=6):
     """A stand-in for iacsm_classes over a stand-in run: every profile is a
     class of its own, and the classes come in reverse product order, each
-    the one leaf of its Outcome object, with payments over ``unit``."""
+    the one leaf of its Outcome object, with payments over ``unit``. Its
+    leaves hold no shares, so it ignores ``prune``."""
     leaves = {}
 
-    def classes(inst, spaces, *, first_iteration_quote_scale):
+    def classes(inst, spaces, *, first_iteration_quote_scale, prune=None):
         assert first_iteration_quote_scale == scale
         for first in reversed(list(product(*(range(len(s)) for s in spaces)))):
             declared = [s[k] for s, k in zip(spaces, first)]
@@ -897,6 +898,72 @@ def test_wgsp_iacsm_search_runs_iacsm_once(monkeypatch):
             calls.clear()
             wgsp_search(inst, mechanism, 3, space)
             assert len(calls) == 1
+
+
+# random-symmetric (n, m, vgrid, cgrid, seed, misreport grid) on which no lone
+# deviation gains under iacsm-underquote and a pair, or a triple, does
+COALITION_WITNESSES = (
+    (3, 2, "1/2,1,2", "0,1,2,3", 872787, [0, 1, 4]),
+    (3, 2, "1/2,1,2", "0,2,4,8", 775442, [0, 4]),
+    (3, 2, "0,1,2,4,8", "0,2,4,8", 886514, [0, F(1, 2), 2, 4]),
+    (4, 2, "1,2,3", "1,3,6", 283469, [0, 4]),
+    (4, 2, HALF_GRID, "0,1,2,3", 243869, [0, 1, 4]),
+    (4, 2, "0,1,2,4,8", "0,2,4,8", 899673, [0, 4]),
+)
+
+
+def test_wgsp_iacsm_pruned_search_keeps_every_coalition_witness():
+    """The search skips each node below which some coalition member cannot
+    gain; a bound that skips too much loses witnesses. On instances whose
+    first iacsm-underquote witness is a pair or a triple, and on the random
+    symmetric search instances, whose witnesses are mostly lone, the search
+    equals the definition at every coalition size, under both ids."""
+    cases = [(generate("random-symmetric", {"n": str(n), "m": str(m), "vgrid": vgrid,
+                                            "cgrid": cgrid}, seed),
+              symmetric_marginal_space(m, grid))
+             for n, m, vgrid, cgrid, seed, grid in COALITION_WITNESSES]
+    rng = random.Random("wgsp-pruned")
+    cases += [(inst, symmetric_marginal_space(inst.m, [0, F(1, 2), 2, 4]))
+              for inst in list(search_instances(rng))[:20]]
+    sizes = []
+    for inst, space in cases:
+        for mechanism in analysis.QUOTE_SCALES:
+            for coalition_max in (1, 2, 3):
+                got = wgsp_search(inst, mechanism, coalition_max, space)
+                assert witness_fields(got) == naive_wgsp_search(inst, mechanism,
+                                                                coalition_max, space)
+                sizes.append(0 if got is None else len(got.coalition))
+    assert sizes.count(1) >= 20 and sizes.count(2) >= 10 and sizes.count(3) >= 1
+
+
+def test_wgsp_iacsm_search_skips_classes_where_a_member_cannot_gain(monkeypatch):
+    """On searches with no witness the search's walks yield fewer classes
+    than the same walks unpruned: the truthful walk yields one, and most
+    coalitions are cut at the root."""
+    yielded = []
+
+    def spying_classes(inst, spaces, **kwargs):
+        for leaf, first in iacsm_classes(inst, spaces, **kwargs):
+            yielded.append(first)
+            yield leaf, first
+
+    monkeypatch.setattr(analysis, "iacsm_classes", spying_classes)
+    rng = random.Random("wgsp-reach")
+    searched = 0
+    for inst in list(search_instances(rng))[:20]:
+        space = symmetric_marginal_space(inst.m, [0, 1, 2, 3, 4])
+        for mechanism, scale in analysis.QUOTE_SCALES.items():
+            yielded.clear()
+            if wgsp_search(inst, mechanism, 2, space) is not None:
+                continue
+            searched += 1
+            unpruned = 1 + sum(
+                len(list(iacsm_classes(inst, [space if i in coalition else [v]
+                                              for i, v in enumerate(inst.valuations)],
+                                       first_iteration_quote_scale=scale)))
+                for size in (1, 2) for coalition in combinations(range(inst.n), size))
+            assert len(yielded) < unpruned
+    assert searched >= 20
 
 
 @pytest.mark.parametrize("mechanism", ["iacsm", "iacsm-underquote"])

@@ -34,9 +34,9 @@ REPO = Path(__file__).resolve().parent.parent
 INSTANCES = sorted((REPO / "instances").glob("*.inst"))
 
 
-def run_cli(*argv, cwd=None, address_space=None):
+def run_cli(*argv, cwd=None, address_space=None, timeout=None):
     """The CLI in a child process, its address space capped at
-    ``address_space`` bytes when given."""
+    ``address_space`` bytes and its run at ``timeout`` seconds when given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -48,7 +48,8 @@ def run_cli(*argv, cwd=None, address_space=None):
     return subprocess.run([sys.executable, "-c",
                            cap + "import sys; from costshare.cli.main import main; "
                            "sys.exit(main(sys.argv[1:]))", *argv],
-                          capture_output=True, text=True, cwd=cwd or REPO, env=env)
+                          capture_output=True, text=True, cwd=cwd or REPO, env=env,
+                          timeout=timeout)
 
 
 # --- instance format ----------------------------------------------------------
@@ -159,8 +160,8 @@ def test_well_formed_dense_line_reads_no_token_through_fraction(monkeypatch):
             + "".join(f"valuation {i} table 0/1 {i}\n" for i in range(10))
             + f"cost 0 table {' '.join(toks)}\n")
     calls = []
-    real = formats_module._rat
-    monkeypatch.setattr(formats_module, "_rat", lambda tok: calls.append(tok) or real(tok))
+    real = formats_module.read_rat
+    monkeypatch.setattr(formats_module, "read_rat", lambda tok: calls.append(tok) or real(tok))
     inst = parse_instance(text)
     assert calls == []
     assert inst.cost_model.items[0].to_table() == [Fraction(tok) for tok in toks]
@@ -959,6 +960,74 @@ def test_cli_refuses_a_huge_n_before_anything_of_its_size(tmp_path, text, messag
     assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
     assert res.stderr.strip() == message
     assert res.stdout == ""
+
+
+DIGITS = "rational values written out limited to digits <= 4300"
+# two coprime ints of about 2,240 digits each: each writes out, their product not
+THREES, SEVENS = 3 ** 4700, 7 ** 2650
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["check"], "n 1\nm 1\nvaluation 0 symmetric 1e100000000\n", f"line 4: {DIGITS}"),
+    (["run"], "n 1\nm 1\nvaluation 0 symmetric 2e5000\ncost 0 table 0 1e5000\n",
+     f"line 4: {DIGITS}"),
+    (["alpha"], "n 2\nm 1\nvaluation 0 symmetric 1\nvaluation 1 symmetric 1\n"
+     "cost 0 table 0 1e-5000 1 1\n", f"line 6: {DIGITS}"),
+    (["gen", "random-symmetric", "--param", "n=2", "--param", "m=1",
+      "--param", "vgrid=1e100000"], None, f"bad vgrid grid: {DIGITS}"),
+    (["gen", "random-symmetric", "--param", "n=2", "--param", "m=1",
+      "--param", "cgrid=1e100000000"], None, f"bad cgrid grid: {DIGITS}"),
+    (["gen", "paper-tight", "--param", "k=1e100000000"], None, f"parameter k: {DIGITS}"),
+    (["alpha", "capped-reciprocal:n=3,k=1e100000000"], None, f"parameter k: {DIGITS}"),
+    # each value is read, and a computed one cannot be written
+    (["run"], f"n 1\nm 2\nvaluation 0 symmetric 1 1/{THREES}\n"
+     f"cost 0 table 0 1/{SEVENS}\ncost 1 table 0 1/{SEVENS}\n", f"{DIGITS}, got 4482"),
+    (["alpha"], f"n 2\nm 1\nvaluation 0 symmetric 1\nvaluation 1 symmetric 1\n"
+     f"cost 0 table 0 1/{THREES} 1 {SEVENS}\n", f"{DIGITS}, got 4482"),
+], ids=["check-exponent", "run-exponent", "alpha-negative-exponent", "gen-vgrid",
+        "gen-cgrid-exponent", "gen-param", "descriptor-param", "run-output", "alpha-output"])
+def test_cli_refuses_a_rational_past_the_digit_limit(tmp_path, argv, text, message):
+    """A token or a computed value with more digits than format_rat writes
+    exits 2 with the limit, on the token's line or parameter, at once: an
+    exponent past the limit is refused before 10**exponent is built."""
+    if text is not None:
+        path = tmp_path / "hostile.inst"
+        path.write_text("costshare-instance v1\n" + text)
+        argv = [*argv, str(path)]
+    res = run_cli(*argv, address_space=3 << 29, timeout=30)
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr[-500:]
+    assert res.stderr.strip().startswith("error: ") and message in res.stderr
+
+
+def test_read_rat_refuses_exactly_the_values_format_rat_cannot_write():
+    bound = core.LIMITS["digits"][0]
+    for tok in ("1e4299", f"{10 ** bound - 1}", "9" * bound + "/7", f"1/{10 ** (bound - 1)}",
+                "-1E-4299", ".5e-4299"):
+        assert core.read_rat(tok) == Fraction(tok)
+        format_rat(core.read_rat(tok))
+    for tok in ("1e4300", "1e-4300", "12e4299", ".1e-4299", "0e100000000", "1e+99999999999"):
+        with pytest.raises(core.GroundSetTooLargeError, match=DIGITS):
+            core.read_rat(tok)
+    for x in (Fraction(10 ** bound), Fraction(1, 10 ** bound), Fraction(THREES * SEVENS, 2)):
+        with pytest.raises(core.GroundSetTooLargeError, match=DIGITS):
+            format_rat(x)
+    # Fraction's own refusals keep their messages
+    for tok in ("1" * (bound + 1), "1e", "3/0"):
+        with pytest.raises(ValueError, match=f"bad rational {tok!r}"):
+            core.read_rat(tok)
+
+
+def test_serialize_refuses_a_dense_line_past_the_digit_limit():
+    """A dense line is written over one int table: refused when its lcm or a
+    value over it has more digits than the limit, written when both fit."""
+    def one_cost(values):
+        return Instance(valuations=(SymmetricSubmodularValuation((Fraction(1),)),),
+                        cost_model=core.SeparableCosts((table_cost(values),)), m=1)
+    for values in ([0, SEVENS + Fraction(1, THREES)], [0, Fraction(SEVENS * THREES)]):
+        with pytest.raises(core.GroundSetTooLargeError, match=DIGITS):
+            serialize_instance(one_cost(values))
+    text = serialize_instance(one_cost([0, Fraction(SEVENS, THREES)]))
+    assert parse_instance(text).cost_model.items[0](1) == Fraction(SEVENS, THREES)
 
 
 def test_cli_suite_names_the_instance_file_that_fails_to_parse(tmp_path, capsys):
