@@ -1,8 +1,9 @@
 """Seeded instance generators behind the ``gen`` subcommand.
 
-A generator reads its parameters and returns a builder; the builder's
-randomness flows through one ``random.Random(seed)``, so a (kind, params,
-seed) triple always produces a byte-identical instance file.
+A generator reads its parameters, each count refused past its ``core.LIMITS``
+row as it is read, and returns a builder; the builder's randomness flows
+through one ``random.Random(seed)``, so a (kind, params, seed) triple always
+produces a byte-identical instance file.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from ..costs import (capped_reciprocal_cost, decreasing_average_table,
 from ..valuations import SymmetricSubmodularValuation, TableValuation, draw_marginals
 
 DEFAULT_GRID = "0,1/2,1,3/2,2,5/2,3,7/2,4"
-# the bound of a count that sizes no dense table; v = 512 lists 130,816 vertex pairs
-MAX_COUNT = 512
 
 
 class GenParamError(ValueError):
@@ -29,12 +28,11 @@ class GenParamError(ValueError):
 
 
 class _Params(dict):
-    """Generator parameters that remember each key asked for and the first count too large."""
+    """Generator parameters that remember each key asked for."""
 
     def __init__(self, params):
         super().__init__(params)
         self.asked: set = set()
-        self.too_large: str | None = None
 
     def __contains__(self, key) -> bool:
         self.asked.add(key)
@@ -77,21 +75,15 @@ def _int_param(params: dict, key: str, default=None, least: int = 1) -> int:
     return val
 
 
-def _count(params: _Params, key: str, default=None, least: int = 1,
+def _count(params: dict, key: str, default=None, least: int = 1,
            dense: bool = False) -> int:
-    """A generator's count, ``_int_param``. One past the ``dense`` limit, if
-    it sizes a dense table, or else past ``MAX_COUNT``, is kept in
-    ``too_large``; ``generate`` refuses it once every parameter is read."""
+    """A generator's count, ``_int_param``, refused past ``LIMITS["dense"]``
+    if it sizes a dense table, or else past ``LIMITS["count"]``."""
     val = _int_param(params, key, default, least)
-    refusal = None
-    if dense:
-        try:
-            require("dense", val)
-        except GroundSetTooLargeError as exc:
-            refusal = f"parameter {key}: {exc}"
-    elif val > MAX_COUNT:
-        refusal = f"parameter {key}: must be at most {MAX_COUNT}, got {val}"
-    params.too_large = params.too_large or refusal
+    try:
+        require("dense", val) if dense else require("count", val)
+    except GroundSetTooLargeError as exc:
+        raise GenParamError(f"parameter {key}: {exc}")
     return val
 
 
@@ -198,12 +190,11 @@ def gen_set_cover(params: dict):
     return _single_item(cover, vgrid)
 
 
-def gen_paper_tight(params: _Params):
+def gen_paper_tight(params: dict):
     n = _count(params, "n", 3, dense=True)
     k = _rat_param(params, "k", 6)
     eps = _rat_param(params, "eps", "1/10")
-    # a refused n is named first: the bound on eps is read from it
-    if params.too_large is None and (eps <= 0 or eps >= k / n):
+    if eps <= 0 or eps >= k / n:
         raise GenParamError("eps must satisfy 0 < eps < k/n")
     return lambda rng: Instance(
         valuations=tuple(SymmetricSubmodularValuation((k / (i + 1) - eps,)) for i in range(n)),
@@ -243,8 +234,6 @@ def generate(kind: str, params: dict, seed: int) -> Instance:
     if unused:
         raise GenParamError(f"{kind} does not use parameter {unused[0]!r}; "
                             f"it reads {', '.join(sorted(tracked.asked))}")
-    if tracked.too_large is not None:
-        raise GenParamError(tracked.too_large)
     try:
         return build(random.Random(seed))
     except GenParamError:

@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from ..core import (GroundSetTooLargeError, Instance, bits, format_rat,
-                    harmonic, require)
+                    harmonic, require, require_digits)
 from ..costs import (AlphaReport, alpha_average_decreasing, alpha_max_bounded,
                      alpha_max_bounded_ns, alpha_min_bounded,
                      alpha_min_bounded_ns, additive_cost,
@@ -285,13 +285,21 @@ def _suite_problems(config) -> list[str]:
             and all(isinstance(spec, dict) for spec in generate_specs)):
         problems.append('"generate" must be a list of objects')
         generate_specs = []
-    if any("kind" not in spec for spec in generate_specs):
-        problems.append('every "generate" entry needs a "kind"')
+    if any(not isinstance(spec.get("kind"), str) for spec in generate_specs):
+        problems.append('every "generate" entry needs a "kind", a generator name')
     for key in ("seed", "count"):
         if any(not _is_int(spec.get(key, 0)) for spec in generate_specs):
             problems.append(f'"generate" {key}s must be integers')
     if any(_is_int(spec.get("count", 1)) and spec.get("count", 1) < 0 for spec in generate_specs):
         problems.append('"generate" counts must be non-negative')
+    for k, spec in enumerate(generate_specs):
+        seed, count = spec.get("seed", 0), spec.get("count", 1)
+        if _is_int(seed) and _is_int(count):
+            try:  # before any id is listed; each id writes its seed out
+                require("count", count)
+                require_digits(seed + max(count - 1, 0))
+            except GroundSetTooLargeError as exc:
+                problems.append(f'"generate" entry {k}: {exc}')
     if any(not isinstance(spec.get("params", {}), dict) for spec in generate_specs):
         problems.append('"generate" params must be an object, e.g. {"n": "3"}')
     if order is not None and not (isinstance(order, list) and all(map(_is_int, order))):
@@ -310,7 +318,11 @@ def _generated(spec: dict) -> list[tuple[str, int]]:
 
 
 def cmd_suite(args) -> int:
-    config = json.loads(Path(args.config).read_text())
+    try:
+        config = json.loads(Path(args.config).read_text())
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past str()'s digit limit
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        return 2
     problems = _suite_problems(config)
     if problems:
         for problem in problems:
@@ -425,7 +437,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (InstanceParseError, GenParamError, MechanismPreconditionError,
-            GroundSetTooLargeError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            GroundSetTooLargeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ loops in the estimators and verification harness cheap.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -39,6 +40,8 @@ LIMITS = {
     "estimator": (16, "n", "average-decreasing estimator"),
     "ns-estimator": (12, "n*m", "non-separable estimators (all 2^(n*m) allocations)"),
     "classify": (16, "ground_size", "exhaustive class checks"),
+    # v = 512 vertices list 130,816 vertex pairs; a suite entry makes 512 instances
+    "count": (512, "count", "generator and suite counts"),
     # str() of an int stops at 4300 digits (sys.int_info.default_max_str_digits)
     "digits": (4300, "digits", "rational values written out"),
 }
@@ -67,8 +70,11 @@ def require_digits(x: int) -> None:
 def read_rat(tok: str) -> Rat:
     """The one reader of rational tokens: ``Fraction(tok)``, or a ValueError
     with Fraction's message for a token it refuses. A value with more digits
-    than ``format_rat`` writes is refused (``require_digits``); an exponent
-    past that many digits is refused before ``Fraction`` builds 10**exponent."""
+    than ``format_rat`` writes is refused (``require_digits``); a run of more
+    digits than that, or an exponent past that many, is refused before
+    ``Fraction`` reads it or builds 10**exponent."""
+    if len(tok) > LIMITS["digits"][0]:  # no shorter token holds a longer run of digits
+        require("digits", max(map(len, re.findall(r"\d+", tok.replace("_", ""))), default=0))
     _, e, exponent = tok.upper().partition("E")
     if e:
         try:

@@ -27,7 +27,7 @@ from costshare.analysis import (evaluate_run, symmetric_marginal_space,
 from costshare.valuations import SymmetricSubmodularValuation, TableValuation
 from costshare.cli.gen import generate
 
-from oracles import naive_alpha_avg_decreasing, naive_alpha_bounded
+from oracles import naive_alpha_avg_decreasing, naive_alpha_bounded, naive_wgsp_search
 
 F = Fraction
 
@@ -172,6 +172,23 @@ def test_criterion_4_wgsp_falsification(capfd):
         assert all(g > 0 for g in witness.gains)
         elapsed = time.perf_counter() - start
         assert elapsed < 600, f"criterion 4 took {elapsed:.0f}s"
+
+
+def test_criterion_4_negative_control_with_a_pair_witness(capfd):
+    """Beside C4: a C4 instance on which no lone deviation gains under
+    iacsm-underquote and a pair does. The search must find the pair's first
+    misreport, as the definition does; a skip bound that prunes more than
+    trace-monotonicity allows loses it, and C4's lone control does not see that."""
+    with criterion("C4 negative control, a pair witness", capfd):
+        inst = generate("random-symmetric",
+                        {"n": "4", "m": "2", "vgrid": "0,1/2,1,3/2,2,5/2,3,7/2,4",
+                         "cgrid": "0,1/2,1,3/2,2,5/2,3,7/2,4"}, 106)
+        space = symmetric_marginal_space(2, WGSP_GRID)
+        witness = wgsp_search(inst, "iacsm-underquote", 2, space)
+        assert witness is not None and witness.coalition == (0, 2)
+        assert all(g > 0 for g in witness.gains)
+        assert (witness.coalition, witness.misreports, witness.gains) == naive_wgsp_search(
+            inst, "iacsm-underquote", 2, space)
 
 
 def test_criterion_4_coalitions_of_three_and_table_misreports(capfd):

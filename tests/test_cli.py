@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -115,6 +116,8 @@ def test_dense_line_reads_what_fraction_and_from_table_read(directive, toks):
     except (ValueError, ZeroDivisionError) as exc:
         bad = next(tok for tok in toks if not _fraction_takes(tok))
         expected = f"line {line}: bad rational {bad!r}: {exc}"
+        if len(bad) > core.LIMITS["digits"][0]:  # a digit run refused before Fraction reads it
+            expected = f"line {line}: {DIGITS}, got {len(bad)}"
     else:
         try:
             want = (table_cost(values) if directive == "cost"
@@ -303,12 +306,14 @@ GEN_REFUSALS = [
      "vertex-cover does not use parameter 'v'; it reads k, shape, vgrid"),
     ("paper-subadditivity", {"n": "4"},
      "paper-subadditivity does not use parameter 'n'; it reads vgrid"),
+    # refused by the build, once every parameter is read: one vertex has no edge
+    ("vertex-cover", {"v": "1"}, "graph generation produced no edges; relax the parameters"),
 ]
 
 
 @pytest.mark.parametrize("kind, params, message", GEN_REFUSALS,
                          ids=["misspelt-key", "matching-shape", "vertex-cover-shape",
-                              "star-with-v", "fixed-size"])
+                              "star-with-v", "fixed-size", "no-edges"])
 def test_gen_refuses_unused_params_and_unknown_shapes(tmp_path, capsys, kind, params, message):
     with pytest.raises(GenParamError) as excinfo:
         generate(kind, params, 0)
@@ -325,20 +330,31 @@ def test_gen_refuses_unused_params_and_unknown_shapes(tmp_path, capsys, kind, pa
     assert out == "" and message in err
 
 
-@pytest.mark.parametrize("kind, params", [
-    ("paper-intersection", {"n": "20", "typo": "1"}),
-    ("random-symmetric", {"n": "20", "m": "2", "typo": "1"}),
-    # the unread parameter is reported before the build's own ValueError
-    ("random-symmetric", {"n": "21", "m": "1", "typo": "1"}),
-], ids=["paper-intersection", "random-symmetric", "before-build-error"])
-def test_gen_refuses_an_unread_parameter_before_any_build(monkeypatch, kind, params):
+HUGE = str(10 ** 11)
+
+
+def too_large(key, val, dense=False):
+    bound, counts, what = core.LIMITS["dense" if dense else "count"]
+    return f"parameter {key}: {what} limited to {counts} <= {bound}, got {val}"
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("paper-intersection", {"n": "20", "typo": "1"}, "does not use parameter 'typo'"),
+    ("random-symmetric", {"n": "20", "m": "2", "typo": "1"}, "does not use parameter 'typo'"),
+    # the unread parameter is reported before the build's own error: one
+    # vertex has no edge
+    ("vertex-cover", {"v": "1", "typo": "1"}, "does not use parameter 'typo'"),
+    # a count past its bound is refused where it is read, before the unread one
+    ("random-symmetric", {"n": "21", "m": "1", "typo": "1"}, too_large("n", 21, dense=True)),
+], ids=["paper-intersection", "random-symmetric", "before-build-error", "count-at-its-read"])
+def test_gen_refuses_an_unread_parameter_before_any_build(monkeypatch, kind, params, message):
     calls = []
-    for name in ("sqrt_max_cost", "symmetric_submodular_cost"):
-        def spy(*args, real=getattr(gen_module, name)):
+    for name in ("sqrt_max_cost", "symmetric_submodular_cost", "_grow_graph"):
+        def spy(*args, real=getattr(gen_module, name), **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(gen_module, name, spy)
-    with pytest.raises(GenParamError, match="does not use parameter 'typo'"):
+    with pytest.raises(GenParamError, match=message):
         generate(kind, params, 0)
     assert calls == []
 
@@ -351,15 +367,6 @@ def test_gen_accepts_every_bundled_param_set():
                          ("vertex-cover", {"shape": "random", "v": "5", "k": "2", "e": "4"}),
                          ("vertex-cover", {"shape": "star", "k": "4", "vgrid": "1,2"})]:
         generate(kind, params, 0)
-
-
-HUGE = str(10 ** 11)
-
-
-def too_large(key, val, dense=False):
-    bound = ("dense tables limited to ground_size <= 20" if dense
-             else f"must be at most {gen_module.MAX_COUNT}")
-    return f"parameter {key}: {bound}, got {val}"
 
 
 @pytest.mark.parametrize("kind, params, message", [
@@ -399,7 +406,7 @@ def test_cli_gen_paper_tight_names_a_refused_n_before_its_eps(params, message):
 
 
 def test_gen_accepts_each_count_at_its_bound():
-    top = str(gen_module.MAX_COUNT)
+    top = str(core.LIMITS["count"][0])
     for kind, params in [("random-symmetric", {"n": "20", "m": "1"}),
                          ("random-symmetric", {"n": "1", "m": "20"}),
                          ("vertex-cover", {"v": top, "k": top, "e": top}),
@@ -407,8 +414,9 @@ def test_gen_accepts_each_count_at_its_bound():
                          ("matching", {"v": top, "k": top, "e": top}),
                          ("set-cover", {"n": top, "s": top, "d": top})]:
         generate(kind, params, 0)
-    with pytest.raises(GenParamError, match=too_large("e", 513)):
-        generate("matching", {"e": "513"}, 0)
+    past = core.LIMITS["count"][0] + 1
+    with pytest.raises(GenParamError, match=too_large("e", past)):
+        generate("matching", {"e": str(past)}, 0)
 
 
 # --- CLI subcommands --------------------------------------------------------------
@@ -1005,14 +1013,16 @@ def test_read_rat_refuses_exactly_the_values_format_rat_cannot_write():
                 "-1E-4299", ".5e-4299"):
         assert core.read_rat(tok) == Fraction(tok)
         format_rat(core.read_rat(tok))
-    for tok in ("1e4300", "1e-4300", "12e4299", ".1e-4299", "0e100000000", "1e+99999999999"):
+    # an exponent, or a run of digits that Fraction would read through int()
+    for tok in ("1e4300", "1e-4300", "12e4299", ".1e-4299", "0e100000000", "1e+99999999999",
+                "1" * (bound + 1), "1/" + "7" * (bound + 1), "1_" * bound + "1"):
         with pytest.raises(core.GroundSetTooLargeError, match=DIGITS):
             core.read_rat(tok)
     for x in (Fraction(10 ** bound), Fraction(1, 10 ** bound), Fraction(THREES * SEVENS, 2)):
         with pytest.raises(core.GroundSetTooLargeError, match=DIGITS):
             format_rat(x)
     # Fraction's own refusals keep their messages
-    for tok in ("1" * (bound + 1), "1e", "3/0"):
+    for tok in ("1e", "3/0"):
         with pytest.raises(ValueError, match=f"bad rational {tok!r}"):
             core.read_rat(tok)
 
@@ -1245,6 +1255,7 @@ def test_cli_run_refuses_a_mechanism_precondition_before_any_estimator(tmp_path,
       "checks": ["budget-exact", "no-such-check"]}, "unknown check 'no-such-check'"),
     ({"generate": [{"params": {"n": "2", "m": "1"}, "count": 1}]},
      'every "generate" entry needs a "kind"'),
+    ({"generate": [{"kind": ["paper-tight"]}]}, 'every "generate" entry needs a "kind"'),
     ({"instances": ["instances/prop_tight_n3_k6.inst"], "order": "1,0"},
      '"order" must be a list of player indices'),
     ([{"instances": ["instances/prop_tight_n3_k6.inst"]}], "the config must be a JSON object"),
@@ -1273,10 +1284,10 @@ def test_cli_run_refuses_a_mechanism_precondition_before_any_estimator(tmp_path,
     ({"generate": [{"kind": "random-symmetric", "params": {"n": "2", "m": "1"}},
                    {"kind": "random-symmetric", "params": {"n": "3", "m": "1"}}]},
      "instance id 'random-symmetric-0000' is used more than once"),
-], ids=["unknown-check", "generate-without-kind", "order-as-string", "top-level-list",
-        "generate-as-object", "seed-as-string", "seed-not-integer", "count-as-string",
-        "count-as-bool", "params-as-list", "instances-as-string", "checks-as-string",
-        "grid-as-list", "n-as-list", "negative-count", "repeated-id"])
+], ids=["unknown-check", "generate-without-kind", "kind-as-list", "order-as-string",
+        "top-level-list", "generate-as-object", "seed-as-string", "seed-not-integer",
+        "count-as-string", "count-as-bool", "params-as-list", "instances-as-string",
+        "checks-as-string", "grid-as-list", "n-as-list", "negative-count", "repeated-id"])
 def test_cli_suite_config_checked_before_any_instance(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
     if isinstance(config, dict):
@@ -1286,6 +1297,36 @@ def test_cli_suite_config_checked_before_any_instance(tmp_path, capsys, config, 
     out, err = capsys.readouterr()
     assert message in err
     assert out == ""  # no report: nothing ran
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('{"kind": "paper-tight", "count": 100000000000}',
+     '"generate" entry 0: generator and suite counts limited to count <= 512, '
+     'got 100000000000'),
+    # the last id writes its seed, 10^4300, out: 4,301 digits
+    ('{"kind": "paper-tight", "seed": %s, "count": 2}' % ("9" * 4300),
+     '"generate" entry 0: rational values written out limited to digits <= 4300, got 4301'),
+    ('{"kind": "paper-tight", "seed": %s}' % ("1" * 5000), "Exceeds the limit (4300 digits)"),
+], ids=["count", "seed-past-the-digit-limit", "json-int-past-the-digit-limit"])
+def test_cli_suite_refuses_a_huge_count_or_seed_before_any_id(tmp_path, entry, message):
+    # in a child process capped at 1.5 GB: the count listed every id, a
+    # MemoryError traceback under that cap, and the seeds were a ValueError
+    # traceback where an id or the config's JSON wrote or read them
+    path = tmp_path / "hostile.json"
+    path.write_text('{"name": "hostile", "generate": [%s]}' % entry)
+    res = run_cli("suite", str(path), address_space=3 << 29, timeout=60)
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr[-500:]
+    [line] = res.stderr.splitlines()
+    assert line.startswith(f"error: {path}: {message}") and len(line) < 300
+    assert res.stdout == ""
+
+
+def test_suite_count_bound_is_the_count_row():
+    bound = core.LIMITS["count"][0]
+    for count, ok in ((bound, True), (bound + 1, False)):
+        problems = main_module._suite_problems({"generate": [{"kind": "paper-tight",
+                                                              "count": count}]})
+        assert (problems == []) == ok, problems
 
 
 def test_cli_suite_takes_integer_generator_params(tmp_path, capsys):
@@ -1332,3 +1373,75 @@ def test_cli_fuzzed_alpha_descriptors_exit_cleanly(name, items):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(["alpha", descriptor])
     assert code in (0, 1, 2)
+
+
+# integer texts past every bound, written out so that no int of their size is
+# built here: 10^d and 10^d - 1, around int64's 19 digits and str()'s 4,300
+HUGE_INTS = st.builds(lambda sign, digits, nines: sign + ("9" * digits if nines
+                                                           else "1" + "0" * digits),
+                      st.sampled_from(("", "-")), st.sampled_from((11, 19, 4300, 5000)),
+                      st.booleans())
+# the parameters each generator reads; random-symmetric has no default n or m
+GEN_PARAMS = {"matching": ("v", "k", "e", "vgrid"), "paper-intersection": ("n", "vgrid"),
+              "paper-subadditivity": ("vgrid",), "paper-tight": ("n", "k", "eps"),
+              "random-symmetric": ("n", "m", "vgrid", "cgrid"),
+              "set-cover": ("n", "s", "d", "vgrid"), "vertex-cover": ("v", "k", "e", "vgrid")}
+GEN_NEEDS = {"random-symmetric": {"n": "2", "m": "1"}}
+
+
+def _hostile_params(data) -> tuple[str, dict]:
+    kind = data.draw(st.sampled_from(sorted(GEN_PARAMS)), label="kind")
+    keys = data.draw(st.lists(st.sampled_from(GEN_PARAMS[kind]), min_size=1, max_size=2,
+                              unique=True), label="keys")
+    return kind, {**GEN_NEEDS.get(kind, {}), **{key: data.draw(HUGE_INTS) for key in keys}}
+
+
+def _hostile_argv(command: str, data, tmp: Path) -> list[str]:
+    """``command``'s argv with huge integers in an instance file's tokens, a
+    descriptor's values, ``gen``'s parameters and seed, or a suite entry's
+    count, seed and params."""
+    if command in ("run", "check"):
+        source = data.draw(st.sampled_from(INSTANCES), label="instance")
+        text = source.read_text()
+        runs = [m.span() for m in re.finditer(r"\d+", text) if m.start() > text.index("\n")]
+        for start, end in sorted(data.draw(st.lists(st.sampled_from(runs), min_size=1,
+                                                    max_size=2, unique=True)), reverse=True):
+            text = text[:start] + data.draw(HUGE_INTS) + text[end:]
+        path = tmp / source.name
+        path.write_text(text)
+        if command == "check":
+            return ["check", str(path)]
+        return ["run", str(path), "--mechanism", data.draw(st.sampled_from(("iacsm", "sm")))]
+    if command == "alpha":
+        name = data.draw(st.sampled_from([name for name in DESCRIPTORS
+                                          if main_module._DESCRIPTOR_BUILTINS[name][0]]))
+        key = data.draw(st.sampled_from(main_module._DESCRIPTOR_BUILTINS[name][0]))
+        return ["alpha", f"{name}:{key}={data.draw(HUGE_INTS)}"]
+    kind, params = _hostile_params(data)
+    if command == "gen":
+        return ["gen", kind, f"--seed={data.draw(HUGE_INTS)}",
+                *(f"--param={key}={val}" for key, val in params.items())]
+    entry = {"kind": json.dumps(kind),
+             "params": "{%s}" % ", ".join(f'"{key}": {val}' for key, val in params.items())}
+    for key in ("count", "seed"):
+        value = data.draw(st.one_of(HUGE_INTS, st.none()), label=key)
+        if value is not None:
+            entry[key] = value
+    path = tmp / "hostile.json"
+    path.write_text('{"mechanism": "sm", "generate": [{%s}]}'
+                    % ", ".join(f'"{key}": {val}' for key, val in entry.items()))
+    return ["suite", str(path)]
+
+
+@pytest.mark.parametrize("command", ["run", "check", "alpha", "gen", "suite"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_capped_fuzz_with_huge_integers_exits_cleanly(command, data):
+    """Each command, fed huge integers where a user types one, exits 0, 1 or
+    2 with no traceback, in a child process capped at 1.5 GB: a count or a
+    digit run that is refused late grows past that cap, or past str()."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _hostile_argv(command, data, Path(tmp))
+        res = run_cli(*argv, address_space=3 << 29, timeout=60)
+    assert res.returncode in (0, 1, 2) and "Traceback" not in res.stderr, (
+        [arg[:80] for arg in argv], res.stderr[-800:])
